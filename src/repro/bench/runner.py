@@ -53,7 +53,7 @@ def run_suite(*, quick: bool = False, echo=None) -> dict:
     """Run every case; returns the results document (JSON-ready).
 
     The receipt records which rank-executor backend and worker count
-    the numbers were taken under — a threads-vs-process comparison is
+    the numbers were taken under — a serial-vs-threads comparison is
     only meaningful when both receipts say what ran them.
     """
     from repro.runtime.executor import executor_stats

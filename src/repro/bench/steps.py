@@ -5,17 +5,16 @@ these time a **whole forward+backward step** of a tiny model — embedding
 through loss head through gradient assembly — under three strategies:
 the single-device reference, Ulysses, and FPDT with offloading, at
 world 4 plus wide-world (8/16) variants of the distributed pair.  The
-distributed cases are exactly the code the rank executor parallelizes,
-so on a multi-core host ``step_ulysses`` / ``step_fpdt_offload`` shrink
-with ``--workers`` while ``step_reference`` (no per-rank loop) does
-not; on one core all cases match their serial baselines.  The
-wide-world variants are the process backend's home turf: many small
-rank closures per fork-join, where thread workers serialize on the
-GIL's Python bookkeeping but forked workers scale across cores.  The
-committed baselines in ``results/`` were captured with the executor
-pinned serial, so the gate reads "no slower than the serial loop"
-everywhere and the speedup is visible in the diff on CI-class
-(multi-core) hardware.
+distributed cases are exactly the code the rank executor dispatches;
+``step_reference`` has no per-rank loop.  At these sizes every step is
+interpreter-bound, so the threads backend is *slower* than the serial
+loop on every case here, wide worlds (many small rank closures per
+fork-join) included: the receipts put threads at 1.5-2.9x serial.
+Threads win only once BLAS dominates the step, roughly from the
+``train_fpdt_long`` size (hidden 128, seq 2048, 8 chunks) upward —
+EXPERIMENTS.md has the sweep.  The committed baselines in ``results/``
+were captured with the executor pinned serial, so the gate reads "no
+slower than the serial loop".
 
 Model sizes are deliberately small: the point is fork-join overhead
 relative to per-rank compute, not BLAS throughput, and the full suite
@@ -121,8 +120,7 @@ def _make_step_fpdt_offload(world: int) -> Callable[[bool], Callable[[], None]]:
 
 def _step_setup_small(world: int = STEP_WORLD):
     # Deliberately *under*-sized: per-rank compute of a few hundred
-    # microseconds, so the per-section dispatch cost (fork+teardown on
-    # the process backend, task shipping on the pool) is the dominant
+    # microseconds, so the per-section dispatch cost is the dominant
     # term being measured.
     from repro.models import GPTModel, tiny_llama
 
@@ -168,8 +166,8 @@ def _bench_step_fpdt_small(quick: bool) -> Callable[[], None]:
 def _bench_serve_decode_tick(quick: bool) -> Callable[[], None]:
     """Decode-tick microbench: the serving engine's continuous-batching
     inner step.  Each run admits a fresh 4-request batch against the
-    *same* engine (so resident pool workers stay warm across repeats,
-    exactly the serving steady state), prefills the short prompts, and
+    *same* engine (the serving steady state), prefills the short
+    prompts, and
     drives ``decode_batch`` ticks to completion — the per-tick
     ``rank_map`` dispatch is the cost under test."""
     import itertools
@@ -215,9 +213,7 @@ STEP_CASES: list[BenchCase] = [
     BenchCase("step_reference", "step", _bench_step_reference, repeats=(10, 3)),
     BenchCase("step_ulysses", "step", _make_step_ulysses(4), repeats=(10, 3)),
     BenchCase("step_fpdt_offload", "step", _make_step_fpdt_offload(4), repeats=(5, 3)),
-    # Wide-world variants: more, smaller rank closures per fork-join —
-    # the regime where the process backend's true multicore parallelism
-    # beats thread workers serializing on the GIL's Python bookkeeping.
+    # Wide-world variants: more, smaller rank closures per fork-join.
     BenchCase("step_ulysses_w8", "step", _make_step_ulysses(8), repeats=(5, 2)),
     BenchCase("step_fpdt_offload_w8", "step", _make_step_fpdt_offload(8), repeats=(3, 2)),
     BenchCase("step_ulysses_w16", "step", _make_step_ulysses(16), repeats=(3, 2)),
@@ -229,8 +225,7 @@ STEP_CASES: list[BenchCase] = [
     BenchCase("step_usp", "step", _make_step_usp(4, 2, 2), repeats=(5, 3)),
     BenchCase("step_usp_w8", "step", _make_step_usp(8, 4, 2), repeats=(3, 2)),
     # Small-step cases: per-rank compute so light that per-section
-    # dispatch dominates — where the per-section-fork process backend
-    # loses to threads and the persistent pool wins it back.
+    # dispatch dominates.
     BenchCase("step_ulysses_small", "step", _bench_step_ulysses_small,
               repeats=(20, 5)),
     BenchCase("step_fpdt_small", "step", _bench_step_fpdt_small,

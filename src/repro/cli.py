@@ -67,6 +67,8 @@ def _add_hw_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
+    from repro.runtime.executor import BACKENDS
+
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="rank-executor workers (1 = serial; default: REPRO_EXECUTOR "
@@ -74,11 +76,8 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor", default=None, metavar="BACKEND",
-        choices=("serial", "threads", "process", "process-pool"),
-        help="rank-executor backend: serial, threads (default), "
-             "process (fork-join worker processes over shared memory) or "
-             "process-pool (persistent workers, tasks shipped over a "
-             "shared-memory rendezvous)",
+        choices=BACKENDS,
+        help="rank-executor backend: serial or threads (default)",
     )
 
 

@@ -25,12 +25,6 @@ class OutOfMemoryError(FPDTError):
             f"capacity {capacity} B, in use {in_use} B"
         )
 
-    def __reduce__(self):
-        # The default exception reduce re-calls __init__ with the
-        # formatted message only; rebuild from the fields so the error
-        # survives the process executor's result pipe intact.
-        return type(self), (self.pool, self.requested, self.capacity, self.in_use)
-
 
 class DeviceMismatchError(FPDTError):
     """An operation received tensors living on different devices."""
@@ -62,9 +56,6 @@ class PermanentFaultError(FPDTError):
             f"{attempts} attempt(s) — retry budget exhausted"
         )
 
-    def __reduce__(self):
-        return type(self), (self.kind, self.label, self.attempts)
-
 
 class InjectedCrash(FPDTError):
     """A fault plan killed the training process at a scheduled step.
@@ -77,6 +68,3 @@ class InjectedCrash(FPDTError):
     def __init__(self, step: int):
         self.step = step
         super().__init__(f"injected crash at start of training step {step}")
-
-    def __reduce__(self):
-        return type(self), (self.step,)

@@ -225,28 +225,18 @@ def fpdt_attention_forward(
             cluster.devices[r].compute(
                 "fpdt.attn_fwd", flops=_attn_fwd_flops(b, big_c, big_c, h_local, d) / 2
             )
-            # (4) finalize, save.  o/lse are returned and assigned into
-            # ctx at the join (not written here) so the process backend
-            # sees them; offloaded q/k/v go through the cache *inside*
-            # the closure (the d2h events belong to this rank's trace
-            # buffer), while HBM-resident chunks are dict entries with
-            # no events and are saved at the join below.
+            # (4) finalize, save.
             o, lse = finalize_online(states[r])
             o_t = cluster.devices[r].from_numpy(o, ACT_DTYPE, "fpdt.o")
-            if offload:
-                store.store("q", r, i, q_hat[r])
-                store.store("k", r, i, k_hat[r])
-                store.store("v", r, i, v_hat[r])
+            store.store("q", r, i, q_hat[r])
+            store.store("k", r, i, k_hat[r])
+            store.store("v", r, i, v_hat[r])
             return o_t, o, lse
 
         o_dev = []
         for r, (o_t, o, lse) in enumerate(cluster.rank_map(fwd_rank)):
             ctx.o_hat[r][i] = o
             ctx.lse[r][i] = lse
-            if not offload:
-                store.store("q", r, i, q_hat[r])
-                store.store("k", r, i, k_hat[r])
-                store.store("v", r, i, v_hat[r])
             o_dev.append(o_t)
         o_back = all_to_all(cluster, o_dev, split_axis=1, concat_axis=2, tag="fpdt.o")
         for r, t in enumerate(o_back):
@@ -291,15 +281,10 @@ def fpdt_attention_backward(
         do_hat = all_to_all(cluster, do_dev, split_axis=2, concat_axis=1, tag="fpdt.do")
 
         def delta_rank(r, i=i):
-            delta = compute_delta(ctx.o_hat[r][i], do_hat[r].data)
-            if offload:
-                store.store("do", r, i, do_hat[r])
-            return delta
+            deltas[r][i] = compute_delta(ctx.o_hat[r][i], do_hat[r].data)
+            store.store("do", r, i, do_hat[r])
 
-        for r, delta in enumerate(cluster.rank_map(delta_rank)):
-            deltas[r][i] = delta
-            if not offload:
-                store.store("do", r, i, do_hat[r])
+        cluster.rank_map(delta_rank)
 
     # Host-resident dq accumulators (fetched/updated per inner iteration).
     dq_host: list[list[np.ndarray]] = [
@@ -395,18 +380,11 @@ def fpdt_attention_backward(
                 pref_q.drain()
                 pref_do.drain()
 
-            # dq_j, dk_j, dv_j are final for this rank.  The updated
-            # host dq accumulators ride along so the join can reassign
-            # them — under serial/threads that reassigns the identical
-            # objects (`+=` is in place); under process it lands the
-            # child's updated copies.
+            # dq_j, dk_j, dv_j are final for this rank.
             dq_t = cluster.devices[r].from_numpy(dq_host[r][j], ACT_DTYPE, "fpdt.dq")
-            return dq_t, dk_acc, dv_acc, [(i, dq_host[r][i]) for i in visible_q]
+            return dq_t, dk_acc, dv_acc
 
         finals = cluster.rank_map(bwd_rank)
-        for r, (_, _, _, dq_updates) in enumerate(finals):
-            for i, arr in dq_updates:
-                dq_host[r][i] = arr
         dq_dev = [f[0] for f in finals]
         dk_acc = [f[1] for f in finals]
         dv_acc = [f[2] for f in finals]

@@ -114,10 +114,6 @@ def fpdt_block_forward(
     v_chunks: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
     batch = x_shards[0].shape[0]
 
-    # Rank closures return their per-chunk outputs and the join assigns
-    # them into the shared lists — required by the process executor
-    # (children cannot mutate parent lists) and a no-op reassignment of
-    # the same objects under serial/threads.
     def qkv_rank(r):
         caches, qs, ks, vs = [], [], [], []
         for i in range(u):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.dtypes import DType
-from repro.runtime import shuttle
 from repro.runtime.device import VirtualCluster, VirtualDevice
 from repro.runtime.memory import Allocation
 from repro.runtime.tensor import DeviceTensor, storage_nbytes
@@ -37,19 +36,6 @@ class ChunkCache:
         self.cluster = cluster
         self.stream = stream
         self._store: dict[object, tuple[np.ndarray, DType, Allocation]] = {}
-        self._ipc_id = shuttle.register_ipc(self)
-
-    def _journal_set(self, key: object) -> None:
-        # Process-executor journal: a cache mutation made inside a rank
-        # closure is re-applied by the parent at the join (the entry's
-        # host allocation travels by id; repro.runtime.shuttle).
-        if shuttle._JOURNAL is not None:
-            data, dtype, alloc = self._store[key]
-            shuttle._JOURNAL.append(
-                ("cache_set", self._ipc_id, key, data, dtype,
-                 self.cluster.host.pool._ipc_id, alloc.alloc_id,
-                 shuttle.installed_allocation(alloc))
-            )
 
     def __len__(self) -> int:
         return len(self._store)
@@ -79,7 +65,6 @@ class ChunkCache:
         )
         data = tensor.free()
         self._store[key] = (data, tensor.dtype, alloc)
-        self._journal_set(key)
 
     def put_host(self, key: object, array: np.ndarray, dtype: DType) -> None:
         """Insert a host-resident tensor without D2H traffic (values that
@@ -90,7 +75,6 @@ class ChunkCache:
             storage_nbytes(array.shape, dtype), f"cache:{key}"
         )
         self._store[key] = (array, dtype, alloc)
-        self._journal_set(key)
 
     def fetch(
         self, key: object, device: VirtualDevice, *, stream: str = "h2d"
@@ -125,15 +109,12 @@ class ChunkCache:
                 f"got {array.dtype} (host pool charges {alloc.nbytes} bytes)"
             )
         self._store[key] = (array, dtype, alloc)
-        self._journal_set(key)
 
     def discard(self, key: object) -> np.ndarray:
         """Drop the host copy, releasing host pool bytes."""
         data, _, alloc = self._must_get(key)
         self.cluster.host.pool.free(alloc)
         del self._store[key]
-        if shuttle._JOURNAL is not None:
-            shuttle._JOURNAL.append(("cache_del", self._ipc_id, key))
         return data
 
     def clear(self) -> None:

@@ -167,12 +167,6 @@ class SpanTracer:
         self._seq = itertools.count()
         self._lock = threading.Lock()
         self._tls = threading.local()
-        # Tracers cross the process-pool task codec by reference; the
-        # resident workers hold the same object via their fork image and
-        # park completed spans on buffers merged at the parent join.
-        from repro.runtime import shuttle
-
-        self._ipc_id = shuttle.register_ipc(self)
 
     # -- wiring -------------------------------------------------------------
 

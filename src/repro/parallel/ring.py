@@ -91,27 +91,21 @@ def ring_block_forward(
     v_travel = as_device_tensors(cluster, [v.copy() for v in vs], ACT_DTYPE, "ring.v")
     window = cfg.attention_window
     for step in range(world):
-        # The updated online state is returned and reassigned at the
-        # join: a no-op under serial/threads (same object), the shipped
-        # copy under the process executor.
         def fold_rank(rank, step=step):
             src = (rank - step) % world
             if src > rank:
-                return None  # causal: future blocks contribute nothing
+                return  # causal: future blocks contribute nothing
             if not block_is_visible(
                 s_local, s_local, rank * s_local, src * s_local, window
             ):
-                return None  # entirely behind the sliding window
+                return  # entirely behind the sliding window
             online_block_update(
                 states[rank], qs[rank], k_travel[rank].data, v_travel[rank].data,
                 scale=scale, q_offset=rank * s_local, k_offset=src * s_local,
                 window=window,
             )
-            return states[rank]
 
-        for rank, state in enumerate(cluster.rank_map(fold_rank)):
-            if state is not None:
-                states[rank] = state
+        cluster.rank_map(fold_rank)
         if step < world - 1:
             k_travel = ring_shift(cluster, k_travel, shift=1, tag="ring.k")
             v_travel = ring_shift(cluster, v_travel, shift=1, tag="ring.v")
@@ -199,13 +193,8 @@ def ring_block_backward(
             dq_local[rank] += dq_p
             dk_travel[rank].data += dk_p
             dv_travel[rank].data += dv_p
-            return dq_local[rank], dk_travel[rank].data, dv_travel[rank].data
 
-        for rank, upd in enumerate(cluster.rank_map(bwd_rank)):
-            if upd is not None:
-                dq_local[rank] = upd[0]
-                dk_travel[rank].data = upd[1]
-                dv_travel[rank].data = upd[2]
+        cluster.rank_map(bwd_rank)
         k_travel = ring_shift(cluster, k_travel, shift=1, tag="ring.k")
         v_travel = ring_shift(cluster, v_travel, shift=1, tag="ring.v")
         dk_travel = ring_shift(cluster, dk_travel, shift=1, tag="ring.dk")

@@ -24,8 +24,8 @@ loss, gradients and pool peaks, the property the equivalence tests pin:
 
 Mixed degrees fold different segment boundaries into the online softmax
 than either flat layout, so they are *numerically* (not bitwise) equal
-to the reference — but bitwise self-consistent across the serial /
-threads / process executors like every other strategy.
+to the reference — but bitwise self-consistent across the serial and
+threads executors like every other strategy.
 """
 
 from __future__ import annotations
@@ -225,24 +225,19 @@ def usp_block_forward(
         k_travel = as_device_tensors(cluster, [k.copy() for k in k_np], ACT_DTYPE, "ring.k")
         v_travel = as_device_tensors(cluster, [v.copy() for v in v_np], ACT_DTYPE, "ring.v")
         for step in range(R):
-            # Updated state reassigned at the join: no-op under
-            # serial/threads, the shipped copy under process.
             def fold_rank(rank, step=step):
                 i = row_of[rank]
                 src = (i - step) % R
                 if src > i:
-                    return None  # causal: future rows contribute nothing
+                    return  # causal: future rows contribute nothing
                 if not block_is_visible(seg, seg, i * seg, src * seg, window):
-                    return None  # entirely behind the sliding window
+                    return  # entirely behind the sliding window
                 online_block_update(
                     states[rank], q_np[rank], k_travel[rank].data, v_travel[rank].data,
                     scale=scale, q_offset=i * seg, k_offset=src * seg, window=window,
                 )
-                return states[rank]
 
-            for rank, state in enumerate(cluster.rank_map(fold_rank)):
-                if state is not None:
-                    states[rank] = state
+            cluster.rank_map(fold_rank)
             if step < R - 1:
                 k_travel = _col_shift(cluster, cols, k_travel, tag="ring.k")
                 v_travel = _col_shift(cluster, cols, v_travel, tag="ring.v")
@@ -384,13 +379,8 @@ def usp_block_backward(
                 dq_local[rank] += dq_p
                 dk_travel[rank].data += dk_p
                 dv_travel[rank].data += dv_p
-                return dq_local[rank], dk_travel[rank].data, dv_travel[rank].data
 
-            for rank, upd in enumerate(cluster.rank_map(bwd_rank)):
-                if upd is not None:
-                    dq_local[rank] = upd[0]
-                    dk_travel[rank].data = upd[1]
-                    dv_travel[rank].data = upd[2]
+            cluster.rank_map(bwd_rank)
             # (k, v, dk, dv) rotate together for the *full* cycle so each
             # KV segment arrives home carrying its total gradient.
             k_travel = _col_shift(cluster, cols, k_travel, tag="ring.k")

@@ -155,10 +155,8 @@ class ZeroAdam:
             grad_shards = [t.data * scale for t in shards]
             free_all(shards)
 
-        # adam_step rebinds state.m/state.v, so the closures return the
-        # mutated AdamState alongside the new shard and the join
-        # reassigns it — the same objects under serial/threads, the
-        # shipped copies under the process executor.
+        # adam_step rebinds state.m/state.v; the closures return the
+        # stepped AdamState alongside the new shard.
         stepped = cluster.rank_map(
             lambda rank: (
                 adam_step(

@@ -39,22 +39,13 @@ Aliasing discipline (the reason this is safe):
 
 from __future__ import annotations
 
-import atexit
-import glob
-import itertools
-import os
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.runtime import shuttle
-
 __all__ = [
     "BufferArena",
-    "SharedArena",
-    "StageBuffer",
-    "shared_segments",
     "fast_path_enabled",
     "set_fast_path",
     "fast_path",
@@ -91,437 +82,6 @@ def fast_path(enabled: bool):
         yield
     finally:
         set_fast_path(previous)
-
-
-# --------------------------------------------------------------------------
-# Shared-memory segments (process-executor backing store)
-# --------------------------------------------------------------------------
-
-
-class SharedArena:
-    """``multiprocessing.shared_memory`` segment manager.
-
-    Backs the process executor's zero-copy paths: collective
-    send/recv buffers rented while the process backend is active live in
-    shared segments (children write into them in place), and each
-    child's large result arrays are copied once into a per-rank staging
-    segment the parent adopts at the join.
-
-    Leak discipline — ``/dev/shm`` must end every run empty:
-
-    * parent-created segments are **unlinked immediately** after
-      creation; the mapping survives (children inherit it across the
-      fork) but the name is gone, so nothing can leak it;
-    * child-created staging segments keep their name just long enough
-      for the parent to :meth:`adopt` (attach + unlink) them at the
-      join; a worker crash between create and adopt is covered by the
-      parent's prefix sweep (:meth:`sweep_orphans`, also registered
-      ``atexit``).
-
-    Mappings are pruned opportunistically (:meth:`prune`): a segment
-    whose buffer is still exported by live NumPy views refuses to close
-    and is retried at the next prune.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = itertools.count()
-        self.prefix = f"repro-shm-{os.getpid()}"
-        self._segments: dict[str, object] = {}  # name -> SharedMemory
-        self._bases: dict[str, np.ndarray] = {}  # name -> uint8 view
-        self._blocks: dict[int, tuple[str, int]] = {}  # address -> (name, size)
-        #: Names we created and have not unlinked: persistent-pool
-        #: rendezvous segments and (while ``persist_names`` is set)
-        #: shared rent buffers.  All unlinked by :meth:`unlink_named`
-        #: when the pool executor shuts down, and defensively at exit.
-        self._named: set[str] = set()
-        #: While True (persistent pool backend installed), parent-created
-        #: segments keep their names so pool workers forked *earlier* can
-        #: still attach them; the executor unlinks them all at shutdown.
-        self.persist_names = False
-        self.created = 0
-        self.adopted = 0
-        self.created_bytes = 0
-
-    def _register(self, shm) -> np.ndarray:
-        base = np.frombuffer(shm.buf, dtype=np.uint8)
-        self._segments[shm.name] = shm
-        self._bases[shm.name] = base
-        self._blocks[base.__array_interface__["data"][0]] = (shm.name, shm.size)
-        return base
-
-    def create(self, nbytes: int, *, unlink: bool = True):
-        """A fresh segment; returns ``(name, uint8_base_array)``.
-
-        ``unlink=False`` keeps the name alive for a cross-process
-        adoption handshake (child staging segments only).
-        """
-        from multiprocessing import shared_memory
-
-        if shuttle.in_child():
-            name = f"{self.prefix}-c{os.getpid()}-{next(self._count)}"
-        else:
-            name = f"{self.prefix}-{next(self._count)}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=max(1, int(nbytes)))
-        if unlink and self.persist_names and not shuttle.in_child():
-            # Persistent-pool mode: keep the name so workers forked
-            # before this segment existed can attach it on demand.
-            unlink = False
-        if unlink:
-            shm.unlink()
-        with self._lock:
-            base = self._register(shm)
-            if not unlink:
-                self._named.add(name)
-            self.created += 1
-            self.created_bytes += shm.size
-        return name, base
-
-    def adopt(self, name: str) -> np.ndarray:
-        """Attach a child-created segment by name and unlink it at once,
-        so the name disappears the moment the parent holds a mapping."""
-        from multiprocessing import shared_memory
-
-        with self._lock:
-            base = self._bases.get(name)
-            if base is not None:
-                return base
-        shm = shared_memory.SharedMemory(name=name)
-        shm.unlink()
-        with self._lock:
-            self._named.discard(name)
-            base = self._register(shm)
-            self.adopted += 1
-        return base
-
-    def attach(self, name: str) -> np.ndarray:
-        """Attach a segment by name *without* unlinking it — the
-        persistent-pool rendezvous path, where the creator (parent task
-        board, worker result stage) keeps reusing the segment and owns
-        its eventual unlink."""
-        from multiprocessing import shared_memory
-
-        with self._lock:
-            base = self._bases.get(name)
-            if base is not None:
-                return base
-        shm = shared_memory.SharedMemory(name=name)
-        with self._lock:
-            base = self._register(shm)
-            self.adopted += 1
-        return base
-
-    def release(self, name: str) -> None:
-        """Unlink a named segment we created (persistent-pool rendezvous
-        buffers rotating to a new size, and executor shutdown).  The
-        mapping, if any, stays valid until :meth:`prune` closes it."""
-        with self._lock:
-            self._named.discard(name)
-            shm = self._segments.get(name)
-        try:
-            if shm is not None:
-                shm.unlink()
-            else:
-                from multiprocessing import shared_memory
-
-                stray = shared_memory.SharedMemory(name=name)
-                stray.unlink()
-                stray.close()
-        except (FileNotFoundError, OSError):
-            pass
-
-    def unlink_named(self) -> int:
-        """Unlink every still-named segment (pool executor shutdown and
-        the exit sweep); returns how many names were dropped."""
-        with self._lock:
-            names = list(self._named)
-        for name in names:
-            self.release(name)
-        return len(names)
-
-    def view(self, name: str, offset: int, shape, dtype) -> np.ndarray:
-        """A typed array over ``[offset, offset + size)`` of a segment."""
-        with self._lock:
-            base = self._bases.get(name)
-        if base is None:
-            # A pool worker sees parent-named segments born after its
-            # fork: attach without unlinking (the parent owns the name).
-            # The parent adopting a fork child's staging segment keeps
-            # the original attach-and-unlink handshake.
-            base = self.attach(name) if shuttle.in_child() else self.adopt(name)
-        count = int(np.prod(shape, dtype=np.int64))
-        return np.frombuffer(
-            base, dtype=np.dtype(dtype), count=count, offset=offset
-        ).reshape(shape)
-
-    def new_array(self, shape, dtype) -> np.ndarray:
-        """An uninitialized array in a dedicated fresh segment (the
-        shm-backed rent path of :class:`BufferArena`)."""
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        name, base = self.create(nbytes)
-        return self.view(name, 0, shape, dtype)
-
-    def locate(self, address: int, nbytes: int):
-        """``(name, offset)`` when ``[address, address + nbytes)`` lies
-        inside a registered segment, else ``None``."""
-        with self._lock:
-            blocks = list(self._blocks.items())
-        for start, (name, size) in blocks:
-            if start <= address and address + nbytes <= start + size:
-                return name, address - start
-        return None
-
-    def owns_block(self, array: np.ndarray) -> bool:
-        """Whether ``array`` is exactly a whole registered segment (the
-        only shm views :meth:`BufferArena.giveback` will recycle)."""
-        if not array.flags.c_contiguous:
-            return False
-        address = array.__array_interface__["data"][0]
-        with self._lock:
-            block = self._blocks.get(address)
-        return block is not None and block[1] == array.nbytes
-
-    @property
-    def active_segments(self) -> int:
-        with self._lock:
-            return len(self._segments)
-
-    def prune(self) -> int:
-        """Close mappings no live array references; returns how many
-        closed.  Segments still exported by views are kept and retried
-        on the next call (their names are already unlinked either way)."""
-        closed = 0
-        with self._lock:
-            for name in list(self._segments):
-                base = self._bases[name]
-                shm = self._segments[name]
-                self._bases.pop(name)
-                address = base.__array_interface__["data"][0]
-                del base
-                try:
-                    shm.close()
-                except BufferError:
-                    # A result array still references the buffer.  The
-                    # failed close() already released the SharedMemory's
-                    # own memoryview (shm.buf is None now) but the mmap
-                    # survived, so rebuild the base view from it and
-                    # retry at the next prune.
-                    self._bases[name] = np.frombuffer(shm._mmap, dtype=np.uint8)
-                    continue
-                self._segments.pop(name)
-                self._blocks.pop(address, None)
-                closed += 1
-        return closed
-
-    def _exit_cleanup(self) -> None:
-        """atexit: unlink orphaned names, close what can close, and
-        neuter still-exported mappings so ``SharedMemory.__del__``
-        doesn't spray BufferErrors during interpreter teardown.  Names
-        are already unlinked (unlink-at-birth / adopt) except the
-        persistent-pool rendezvous segments, which are unlinked here, so
-        the OS reclaims the pages at process exit either way."""
-        self.unlink_named()
-        self.sweep_orphans()
-        self.prune()
-        with self._lock:
-            for shm in self._segments.values():
-                try:
-                    fd = getattr(shm, "_fd", -1)
-                    if fd >= 0:
-                        os.close(fd)
-                        shm._fd = -1
-                except OSError:
-                    pass
-                # Live NumPy views keep the mmap object itself alive;
-                # dropping the SharedMemory's references just stops its
-                # __del__ from attempting the doomed close.
-                shm._mmap = None
-                shm._buf = None
-            self._segments.clear()
-            self._bases.clear()
-            self._blocks.clear()
-
-    def sweep_orphans(self) -> int:
-        """Unlink any ``/dev/shm`` entry carrying our prefix (staging
-        segments a crashed worker never handed over)."""
-        from multiprocessing import shared_memory
-
-        if shuttle.in_child() or not os.path.isdir("/dev/shm"):
-            return 0
-        swept = 0
-        for path in glob.glob(f"/dev/shm/{self.prefix}-*"):
-            name = os.path.basename(path)
-            with self._lock:
-                if name in self._segments:
-                    continue
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-                shm.unlink()
-                shm.close()
-                swept += 1
-            except (FileNotFoundError, OSError):
-                continue
-        return swept
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "created": self.created,
-                "adopted": self.adopted,
-                "created_bytes": self.created_bytes,
-                "active_segments": len(self._segments),
-            }
-
-
-_shared_lock = threading.Lock()
-_shared: SharedArena | None = None
-
-
-def shared_segments(*, create: bool = True) -> SharedArena | None:
-    """The process-wide :class:`SharedArena` (lazily created; pass
-    ``create=False`` to peek without creating one)."""
-    global _shared
-    with _shared_lock:
-        if _shared is None and create:
-            _shared = SharedArena()
-            atexit.register(_shared._exit_cleanup)
-        return _shared
-
-
-def _shared_rent_active(nbytes: int) -> bool:
-    """Whether a fresh arena buffer of ``nbytes`` should live in a shared
-    segment: only in the parent, only while the process backend is the
-    installed executor, and only for buffers big enough to matter."""
-    if nbytes < shuttle.STAGE_MIN_BYTES or shuttle.in_child():
-        return False
-    from repro.runtime import executor
-
-    ex = executor._global_executor
-    return (
-        ex is not None
-        and ex.backend in ("process", "process-pool")
-        and ex.workers > 1
-    )
-
-
-class StageBuffer:
-    """A reusable named shared segment for pool rendezvous payloads.
-
-    The per-section-fork backend creates one staging segment per rank
-    per section and the parent adopts (attach + unlink) each — correct,
-    but the create/mmap/unlink churn is exactly the overhead the
-    persistent pool exists to amortize.  A ``StageBuffer`` is the
-    reusable replacement: one named segment, bump-allocated within a
-    section, reset (not recreated) at the next ``begin_section``.
-
-    Two owners use it: each pool **worker** stages its result arrays in
-    one (frames carry ``("persist", name, layout)`` descriptors; the
-    parent attaches by name and copies out), and the **parent** writes
-    each section's task blob into one (the "task board"; workers attach
-    by name and read).
-
-    Growth rotates to a fresh, larger segment.  The old segment is
-    *retired*, not unlinked immediately: frames already written this
-    section still reference it by name, and the peer attaches strictly
-    before the next section begins — retirement unlinks it then.  A
-    high-watermark check shrinks the segment back when a burst of large
-    sections is over, so one huge result doesn't pin ``/dev/shm`` bytes
-    for the executor's lifetime.
-    """
-
-    ALIGN = 64
-    #: Sections between shrink checks / capacity kept vs recent peak.
-    SHRINK_EVERY = 64
-    SHRINK_FACTOR = 4
-    MIN_CAPACITY = 1 << 16
-
-    def __init__(self):
-        self._name: str | None = None
-        self._base: np.ndarray | None = None
-        self._offset = 0
-        self._retired: list[str] = []
-        self._sections = 0
-        self._recent_high = 0
-        self.rotations = 0
-
-    def begin_section(self) -> None:
-        """Reset for a new section: unlink segments retired last section
-        (the peer has consumed them by now) and run the shrink check."""
-        segs = shared_segments()
-        for name in self._retired:
-            segs.release(name)
-        self._retired.clear()
-        self._sections += 1
-        if (
-            self._base is not None
-            and self._sections % self.SHRINK_EVERY == 0
-            and self._base.nbytes > self.MIN_CAPACITY
-            and self._base.nbytes > self.SHRINK_FACTOR * max(self._recent_high, 1)
-        ):
-            self._rotate(max(self._recent_high, self.MIN_CAPACITY))
-            self._recent_high = 0
-        self._offset = 0
-
-    def _rotate(self, nbytes: int) -> None:
-        segs = shared_segments()
-        if self._name is not None:
-            self._retired.append(self._name)
-        self._name, self._base = segs.create(
-            max(self.MIN_CAPACITY, int(nbytes)), unlink=False
-        )
-        self.rotations += 1
-
-    def _reserve(self, nbytes: int) -> int:
-        """Bump-allocate ``nbytes``; grows by rotating to a new segment
-        (earlier reservations this section stay valid in the retired
-        one — descriptors reference segments by name)."""
-        if self._base is None or self._offset + nbytes > self._base.nbytes:
-            current = self._base.nbytes if self._base is not None else 0
-            self._rotate(max(nbytes, 2 * current))
-            self._offset = 0
-        start = self._offset
-        self._offset = -(-(start + nbytes) // self.ALIGN) * self.ALIGN
-        self._recent_high = max(self._recent_high, self._offset)
-        return start
-
-    def place(self, staged: list[np.ndarray]):
-        """Stage one rank's result arrays; returns the frame descriptor
-        ``("persist", name, layout)`` or ``None`` when nothing staged."""
-        if not staged:
-            return None
-        total = sum(-(-a.nbytes // self.ALIGN) * self.ALIGN for a in staged)
-        offset = self._reserve(total)
-        base, name = self._base, self._name
-        layout = []
-        for a in staged:
-            flat = np.frombuffer(base, dtype=a.dtype, count=a.size, offset=offset)
-            np.copyto(flat, a.reshape(-1))
-            layout.append((offset, a.shape, a.dtype.str))
-            offset += -(-a.nbytes // self.ALIGN) * self.ALIGN
-        return ("persist", name, layout)
-
-    def place_blob(self, payload: bytes) -> tuple[str, int, int]:
-        """Write one opaque blob (the task pickle); returns
-        ``(segment_name, offset, length)``."""
-        start = self._reserve(len(payload))
-        self._base[start : start + len(payload)] = np.frombuffer(
-            payload, dtype=np.uint8
-        )
-        return self._name, start, len(payload)
-
-    def close(self) -> None:
-        """Unlink everything this buffer still names (owner teardown)."""
-        segs = shared_segments(create=False)
-        if segs is None:
-            return
-        for name in self._retired:
-            segs.release(name)
-        self._retired.clear()
-        if self._name is not None:
-            segs.release(self._name)
-            self._name = None
-            self._base = None
 
 
 # --------------------------------------------------------------------------
@@ -575,15 +135,7 @@ class BufferArena:
 
     def rent(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """An *uninitialized* C-contiguous buffer of ``shape``/``dtype``:
-        a warm one from the free list when available, else fresh.
-
-        While the process executor backend is installed, fresh buffers
-        big enough to cross a fork-join (collective send/recv storage)
-        are carved from shared-memory segments, so worker processes can
-        read *and write* them in place — the zero-copy handoff at the
-        collective rendezvous.
-        """
-        dtype = np.dtype(dtype)
+        a warm one from the free list when available, else fresh."""
         with self._lock:
             bucket = self._free.get(self._key(shape, dtype))
             if bucket:
@@ -592,10 +144,7 @@ class BufferArena:
                 self.reused_bytes += buf.nbytes
                 return buf
             self.misses += 1
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if _shared_rent_active(nbytes):
-            return shared_segments().new_array(shape, dtype)
-        return np.empty(shape, dtype)
+        return np.empty(shape, np.dtype(dtype))
 
     def giveback(self, array: np.ndarray) -> bool:
         """Return a dead buffer to the free list.
@@ -604,14 +153,10 @@ class BufferArena:
         the next renter will overwrite it.  Only C-contiguous base
         arrays are accepted (views are refused, returning ``False``):
         recycling a view would hand out a buffer whose base is still
-        alive somewhere else.  The one exception is a view spanning an
-        *entire* registered shared segment — that segment is dedicated
-        to this buffer, so recycling it aliases nothing.
+        alive somewhere else.
         """
         if array.base is not None or not array.flags.c_contiguous:
-            segs = shared_segments(create=False)
-            if segs is None or not segs.owns_block(array):
-                return False
+            return False
         key = self._key(array.shape, array.dtype)
         with self._lock:
             bucket = self._free.setdefault(key, [])

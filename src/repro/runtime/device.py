@@ -169,12 +169,6 @@ class VirtualCluster:
             ),
             self.trace,
         )
-        # Clusters cross the process-pool task codec by reference: the
-        # resident workers already hold this exact object graph (pools,
-        # trace, devices) via their fork image.
-        from repro.runtime import shuttle
-
-        self._ipc_id = shuttle.register_ipc(self)
 
     def rank_map(self, fn) -> list:
         """Run ``fn(r)`` for every rank through the process-wide

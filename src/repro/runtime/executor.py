@@ -27,53 +27,27 @@ timelines (``record_timeline=True`` stamps samples with the live trace
 position) and fault injection (per-op fault draws are an ordered
 sequence).  ``VirtualCluster.rank_map`` applies both guards.
 
-The **process** backend runs the same fork-join on worker *processes*
-(``os.fork`` per section, rank ``r`` on worker ``r % n``), sidestepping
-the GIL entirely on the small-op-dense FPDT schedule where thread
-workers serialize on Python bookkeeping.  Side effects cross the fork
-through :mod:`repro.runtime.shuttle`: pool/cache mutations are
-journaled in the children and replayed in rank order at the join (so
-byte accounting is identical to serial by construction), results
-travel as shared-segment descriptors or staged copies, and trace/span
-buffers merge exactly as the thread backend's do — the determinism
-contract above holds bitwise for all three backends.  Closures that
-must mutate shared Python state in place (serving's decode batch) pass
-``shared_state=True`` and fall back to the thread pool.
-
-The **process-pool** backend keeps the process backend's join and
-shuttle protocol but forks the workers once per executor lifetime:
-sections are *shipped* to the resident workers as pickled task blobs
-over a shared-memory task board plus a length-prefixed pipe rendezvous
-(:func:`repro.runtime.shuttle.encode_task`), amortizing the per-section
-fork+teardown that dominates small steps and serving decode ticks.
-Closures the task codec cannot ship fall back to the per-section fork
-(counted in ``fallback_forks``), so the pool is never less correct than
-``process`` — only faster when shipping succeeds.
-
 Selection: ``executor(workers=N)`` context manager, the
 ``REPRO_EXECUTOR`` env var (``serial`` | ``threads`` | ``threads:N`` |
-``process`` | ``process:N`` | ``process-pool`` | ``process-pool:N``),
-or the ``--workers``/``--executor`` CLI flags.  The threads backend is the default; ``workers`` defaults to
-the CPU count, so a single-core host degrades to the serial path
-automatically.
+``N``), or the ``--workers``/``--executor`` CLI flags.  The threads
+backend is the default; ``workers`` defaults to the CPU count, so a
+single-core host degrades to the serial path automatically.  Threads
+lose to serial on interpreter-bound steps and win once BLAS dominates
+(roughly the ``train_fpdt_long`` size and up; EXPERIMENTS.md records the
+sweep).
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import pickle
-import signal
-import struct
-import sys
 import threading
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Sequence
 
 __all__ = [
+    "BACKENDS",
     "RankExecutor",
     "executor",
     "executor_stats",
@@ -160,12 +134,6 @@ def clamp_blas_threads(n: int) -> bool:
     return bool(_blas_setters)
 
 
-def _blas_threads_for(workers: int) -> int:
-    """BLAS threads per rank worker: an even split of the cores, floored
-    at 1 so ``workers > cores`` never rounds the clamp down to zero."""
-    return max(1, (os.cpu_count() or 1) // max(1, workers))
-
-
 # --------------------------------------------------------------------------
 # The executor
 # --------------------------------------------------------------------------
@@ -177,29 +145,9 @@ def _in_rank_closure() -> bool:
     return getattr(_TLS, "active", False)
 
 
-def _write_frame(fd: int, payload: bytes) -> None:
-    """Length-prefixed write; loops because pipes take partial writes."""
-    view = memoryview(struct.pack("<Q", len(payload)) + payload)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exact(fd: int, n: int) -> bytes | None:
-    chunks = []
-    while n:
-        chunk = os.read(fd, min(n, 1 << 20))
-        if not chunk:
-            return None  # EOF before the frame completed: worker died
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _read_frame(fd: int) -> bytes | None:
-    header = _read_exact(fd, 8)
-    if header is None:
-        return None
-    return _read_exact(fd, struct.unpack("<Q", header)[0])
+#: The backends that exist; every selection surface (constructor, env
+#: var, CLI) rejects anything else with a message that names them.
+BACKENDS = ("serial", "threads")
 
 
 class RankExecutor:
@@ -208,8 +156,8 @@ class RankExecutor:
     Parameters
     ----------
     backend:
-        ``"threads"`` (default) or ``"serial"``.  Serial preserves
-        today's exact control flow — ``rank_map`` is then a plain
+        ``"threads"`` (default) runs the closures on a persistent thread
+        pool; ``"serial"`` makes ``rank_map`` a plain
         ``for r in range(world)`` loop.
     workers:
         Thread-pool size for the threads backend; defaults to the CPU
@@ -224,10 +172,11 @@ class RankExecutor:
     """
 
     def __init__(self, backend: str = "threads", workers: int | None = None):
-        if backend not in ("threads", "serial", "process", "process-pool"):
-            raise ValueError(f"unknown executor backend {backend!r}")
-        if backend in ("process", "process-pool") and not hasattr(os, "fork"):
-            raise ValueError(f"the {backend} backend requires os.fork (POSIX)")
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown executor backend {backend!r}: expected one of "
+                + ", ".join(repr(b) for b in BACKENDS)
+            )
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
@@ -238,44 +187,22 @@ class RankExecutor:
         self.tasks = 0
         self.busy_seconds = 0.0
         self.wall_seconds = 0.0
-        #: Process backends only: worker processes forked, and IPC
-        #: descriptors (tensor refs, shared-segment views, staged
-        #: arrays) decoded at joins — telemetry surfaces both per step.
-        self.forks = 0
-        self.ipc_descriptors = 0
-        #: Persistent pool only: sections served by already-forked
-        #: workers, sections that fell back to a per-section fork
-        #: (unshippable closure), and pool restarts (tasks referencing
-        #: runtime objects born after the fork).
-        self.pool_reuses = 0
-        self.fallback_forks = 0
-        self.pool_restarts = 0
         self._pool: ThreadPoolExecutor | None = None
-        self._fork_ready = False
         self._lock = threading.Lock()
-        # Persistent worker-pool state (process-pool backend).
-        self._pool_procs: list[tuple[int, int, int]] | None = None  # (pid, w, r)
-        self._pool_maps: list[tuple[dict, set]] = []
-        self._pool_board = None  # parent-side task StageBuffer
-        self._pool_ipc_mark = -1
-        self._pool_atexit = False
 
     # ------------------------------------------------------------------
 
     @property
     def parallel(self) -> bool:
         """Whether this executor dispatches rank closures at all."""
-        return (
-            self.backend in ("threads", "process", "process-pool")
-            and self.workers > 1
-        )
+        return self.backend == "threads" and self.workers > 1
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._pool is None:
                 # One BLAS thread per rank thread: the executor owns the
                 # core-level parallelism while a fork-join is running.
-                clamp_blas_threads(_blas_threads_for(self.workers))
+                clamp_blas_threads((os.cpu_count() or 1) // self.workers)
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix="rank"
                 )
@@ -288,19 +215,14 @@ class RankExecutor:
         *,
         trace=None,
         force_serial: bool = False,
-        shared_state: bool = False,
     ) -> list:
         """Run ``fn(r)`` for every rank; return results in rank order.
 
         ``trace`` is the cluster trace to buffer per rank and merge at
         the join.  ``force_serial`` pins this call to the serial path
-        (timeline recording, fault injection).  ``shared_state`` marks
-        closures that mutate shared Python objects in place (serving's
-        decode states): the process backend cannot see such mutations
-        across the fork, so it routes the call to its thread pool
-        instead.  Nested calls — a rank closure invoking ``rank_map`` —
-        run inline serially, so events stay on the outer rank's buffer
-        in their serial order.
+        (timeline recording, fault injection).  Nested calls — a rank
+        closure invoking ``rank_map`` — run inline serially, so events
+        stay on the outer rank's buffer in their serial order.
 
         Exceptions: every rank runs to completion (or failure); the
         lowest-rank exception is re-raised after the trace buffers of
@@ -314,15 +236,6 @@ class RankExecutor:
             or _in_rank_closure()
         ):
             return [fn(r) for r in range(world)]
-        if self.backend in ("process", "process-pool") and not shared_state:
-            if self.backend == "process-pool":
-                return self._rank_map_pool(fn, world, trace)
-            return self._rank_map_process(fn, world, trace)
-        return self._rank_map_threads(fn, world, trace)
-
-    # -- threads backend ----------------------------------------------------
-
-    def _rank_map_threads(self, fn: Callable[[int], Any], world: int, trace) -> list:
         pool = self._ensure_pool()
         buffers: list[list | None] = [None] * world
         # Spans completed inside rank closures mirror the trace-event
@@ -376,497 +289,6 @@ class RankExecutor:
             raise errors[0][1]
         return results
 
-    # -- process backend ----------------------------------------------------
-
-    def _prepare_fork(self) -> None:
-        """One-time parent-side setup before the first fork.
-
-        The resource tracker must exist *before* forking: children
-        inherit its pipe, so a staging segment registered in a child is
-        tracked by the parent's tracker (a child-spawned tracker would
-        unlink staging at child exit, racing the parent's adopt).  BLAS
-        setters are resolved now so children clamp without dlopen'ing.
-        """
-        if self._fork_ready:
-            return
-        from multiprocessing import resource_tracker
-
-        from repro.runtime.arena import shared_segments
-
-        resource_tracker.ensure_running()
-        shared_segments()  # create the segment manager pre-fork
-        global _blas_setters
-        with _blas_lock:
-            if _blas_setters is None:
-                _blas_setters = _find_blas_setters()
-        self._fork_ready = True
-
-    def _run_rank_child(self, fn, r: int, trace, tracer, stage_writer=None) -> dict:
-        """Child side: run one rank closure and encode its frame."""
-        from repro.runtime import shuttle
-
-        shuttle.rank_begin()
-        _TLS.active = True
-        ok = True
-        trace_buffer: list = []
-        span_buffer: list = []
-        start = time.perf_counter()
-        try:
-            if trace is not None:
-                with trace.buffered() as buffer:
-                    trace_buffer = buffer
-                    if tracer is not None:
-                        with tracer.buffered() as spans:
-                            span_buffer = spans
-                            value = fn(r)
-                    else:
-                        value = fn(r)
-            else:
-                value = fn(r)
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            ok = False
-            value = exc
-        finally:
-            _TLS.active = False
-        duration = time.perf_counter() - start
-        return shuttle.encode_frame(
-            r, ok, value, trace_buffer, span_buffer, shuttle.rank_end(), duration,
-            stage_writer=stage_writer,
-        )
-
-    def _rank_map_process(self, fn: Callable[[int], Any], world: int, trace) -> list:
-        """Fork-join over worker processes.
-
-        One ``os.fork`` per worker per section — closures are never
-        pickled, the fork's copy-on-write image ships them.  Worker
-        ``w`` runs ranks ``w, w+n, ...`` serially (same per-rank order
-        as the serial loop) and streams the encoded frames back over a
-        pipe; the parent replays the journals in global rank order, then
-        decodes the bodies, then merges trace/span buffers — the same
-        join the threads backend performs.
-        """
-        from repro.runtime import shuttle
-        from repro.runtime.arena import shared_segments
-
-        self._prepare_fork()
-        n = max(1, min(self.workers, world))
-        tracer = getattr(trace, "tracer", None) if trace is not None else None
-        blas_each = _blas_threads_for(n)
-        wall_start = time.perf_counter()
-        procs: list[tuple[int, int]] = []  # (read_fd, pid)
-        for w in range(n):
-            r_fd, w_fd = os.pipe()
-            sys.stdout.flush()
-            sys.stderr.flush()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r_fd)
-                    for fd, _ in procs:
-                        os.close(fd)
-                    clamp_blas_threads(blas_each)
-                    shuttle.child_begin()
-                    frames = [
-                        self._run_rank_child(fn, r, trace, tracer)
-                        for r in range(w, world, n)
-                    ]
-                    _write_frame(
-                        w_fd, pickle.dumps(frames, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
-                    status = 0
-                except BaseException:  # noqa: BLE001 - last-resort child report
-                    traceback.print_exc()
-                finally:
-                    try:
-                        os.close(w_fd)
-                    except OSError:
-                        pass
-                    sys.stderr.flush()
-                    os._exit(status)
-            os.close(w_fd)
-            procs.append((r_fd, pid))
-
-        frames_by_rank: dict[int, dict] = {}
-        dead: RuntimeError | None = None
-        for w, (r_fd, pid) in enumerate(procs):
-            try:
-                payload = _read_frame(r_fd)
-            finally:
-                os.close(r_fd)
-            _, wait_status = os.waitpid(pid, 0)
-            if payload is None:
-                if dead is None:
-                    dead = RuntimeError(
-                        f"process executor worker {w} (pid {pid}) died "
-                        f"without a result (wait status {wait_status})"
-                    )
-                continue
-            for frame in pickle.loads(payload):
-                frames_by_rank[frame["rank"]] = frame
-        if dead is not None:
-            segs = shared_segments(create=False)
-            if segs is not None:
-                segs.sweep_orphans()
-            raise dead
-
-        # Maps are per *worker* — child alloc ids restart from the same
-        # watermark in every child, so they collide across workers but
-        # are unique within one.  Per-section forks use fresh maps; the
-        # persistent pool passes its long-lived ones into _join_frames.
-        maps: list[tuple[dict, set]] = [({}, set()) for _ in range(n)]
-        results, errors, busy, descriptors = self._join_frames(
-            frames_by_rank, world, n, maps, trace, tracer
-        )
-        wall = time.perf_counter() - wall_start
-        with self._lock:
-            self.fork_joins += 1
-            self.tasks += world
-            self.busy_seconds += busy
-            self.wall_seconds += wall
-            self.forks += n
-            self.ipc_descriptors += descriptors
-        segs = shared_segments(create=False)
-        if segs is not None:
-            segs.prune()
-        if errors:
-            raise errors[0][1]
-        return results
-
-    def _join_frames(self, frames_by_rank, world, n, maps, trace, tracer):
-        """Parent-side join, shared by both process backends: replay
-        every journal in global rank order first (the pool accounting
-        trajectory must match the serial loop, and the bodies'
-        child-born tensors resolve against the replayed alloc maps),
-        then decode bodies, then merge trace/span buffers."""
-        from repro.runtime import shuttle
-
-        stages: dict[int, list] = {}
-        journals: dict[int, list] = {}
-        for r in range(world):
-            frame = frames_by_rank[r]
-            stages[r] = shuttle.attach_stage(frame["stage"])
-            journals[r] = shuttle.decode_journal(frame["journal"], stages[r])
-        for r in range(world):
-            alloc_map, child_born = maps[r % n]
-            shuttle.replay_journal(journals[r], alloc_map, child_born)
-
-        results: list = [None] * world
-        errors: list[tuple[int, BaseException]] = []
-        buffers: list[list] = []
-        span_buffers: list[list] = []
-        busy = 0.0
-        descriptors = 0
-        for r in range(world):
-            frame = frames_by_rank[r]
-            ok, value, trace_buffer, span_buffer = shuttle.decode_body(
-                frame["body"], stages[r], maps[r % n][0]
-            )
-            busy += frame["duration"]
-            descriptors += frame["descriptors"]
-            buffers.append(trace_buffer)
-            span_buffers.append(span_buffer)
-            if ok:
-                results[r] = value
-            else:
-                errors.append((r, value))
-        if trace is not None:
-            if trace.observer is not None:
-                # The threads backend fires the observer at record time
-                # on the recording thread; child-recorded events replay
-                # it here, in the same (rank, seq) order the merge uses.
-                for buffer in buffers:
-                    for event in buffer:
-                        trace.observer(event)
-            trace.merge(buffers)
-        if tracer is not None:
-            total = sum(len(b) for b in span_buffers)
-            tracer.merge(span_buffers)
-            if total:
-                # end_span() bumped `emitted` in the child, invisible
-                # through the fork; restore the serial count, then fire
-                # listeners now that merge assigned each span's seq.
-                with tracer._lock:
-                    tracer.emitted += total
-                for span_buffer in span_buffers:
-                    for span in span_buffer:
-                        for listener in list(tracer.listeners):
-                            listener(span)
-        return results, errors, busy, descriptors
-
-    # -- persistent worker pool (process-pool backend) ----------------------
-
-    def _ensure_pool_workers(self) -> bool:
-        """Fork the persistent workers if absent; True when forked now.
-
-        Workers are forked once per executor lifetime (re-forked only
-        after a restart or a mid-task death), clamp BLAS once at birth,
-        and then loop on the task pipe: attach the task-board segment,
-        decode the task blob, run their ranks, stage results into their
-        own reusable segment, and stream the frames back.
-        """
-        if self._pool_procs is not None:
-            return False
-        from repro.runtime import shuttle
-        from repro.runtime.arena import StageBuffer, shared_segments
-
-        self._prepare_fork()
-        segs = shared_segments()
-        segs.persist_names = True
-        if self._pool_board is None:
-            self._pool_board = StageBuffer()
-        n = self.workers
-        blas_each = _blas_threads_for(n)
-        procs: list[tuple[int, int, int]] = []
-        for w in range(n):
-            task_r, task_w = os.pipe()
-            res_r, res_w = os.pipe()
-            sys.stdout.flush()
-            sys.stderr.flush()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(task_w)
-                    os.close(res_r)
-                    for _pid, other_w, other_r in procs:
-                        os.close(other_w)
-                        os.close(other_r)
-                    clamp_blas_threads(blas_each)
-                    shuttle.child_begin()
-                    self._pool_worker_main(w, n, task_r, res_w)
-                except BaseException:  # noqa: BLE001 - last-resort report
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                    os._exit(1)
-                os._exit(0)
-            os.close(task_r)
-            os.close(res_w)
-            procs.append((pid, task_w, res_r))
-        self._pool_procs = procs
-        self._pool_maps = [({}, set()) for _ in range(n)]
-        self._pool_ipc_mark = shuttle.ipc_watermark()
-        with self._lock:
-            self.forks += n
-        if not self._pool_atexit:
-            atexit.register(self._shutdown_pool)
-            self._pool_atexit = True
-        return True
-
-    def _pool_worker_main(self, w: int, n: int, recv_fd: int, send_fd: int) -> None:
-        """Worker loop: one persistent process serving ranks w, w+n, ...
-        of every section until told to quit (or the parent vanishes —
-        pipe EOF)."""
-        from repro.runtime import shuttle
-        from repro.runtime.arena import StageBuffer, shared_segments
-
-        stage = StageBuffer()
-        segs = shared_segments()
-        while True:
-            payload = _read_frame(recv_fd)
-            if payload is None:
-                break  # parent died: exit quietly, it can't hear us
-            msg = pickle.loads(payload)
-            if msg[0] == "quit":
-                break
-            _, name, offset, length, world = msg
-            stage.begin_section()
-            try:
-                board = segs.attach(name)
-                fn, trace, tracer, installed = shuttle.decode_task(
-                    board[offset : offset + length].tobytes()
-                )
-            except BaseException as exc:  # noqa: BLE001 - shipped as taskerr
-                _write_frame(
-                    send_fd,
-                    pickle.dumps(
-                        ("taskerr", "decode", repr(exc), traceback.format_exc())
-                    ),
-                )
-                continue
-            try:
-                frames = [
-                    self._run_rank_child(fn, r, trace, tracer, stage_writer=stage)
-                    for r in range(w, world, n)
-                ]
-                shuttle.uninstall_allocations(installed)
-                out = pickle.dumps(
-                    ("frames", frames), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except BaseException as exc:  # noqa: BLE001 - shipped as taskerr
-                out = pickle.dumps(
-                    ("taskerr", "run", repr(exc), traceback.format_exc())
-                )
-            _write_frame(send_fd, out)
-        stage.close()
-
-    def _rank_map_pool(self, fn: Callable[[int], Any], world: int, trace) -> list:
-        """Fork-join over the persistent worker pool.
-
-        No per-section fork: the section's closure is encoded once
-        (:func:`repro.runtime.shuttle.encode_task`), written to the
-        shared task board, and announced to each worker over its pipe.
-        Workers reply with the same frames the per-section-fork backend
-        produces, and the join is byte-for-byte the same replay/merge —
-        with the per-worker alloc maps kept *across* sections, because a
-        later section may free a tensor an earlier one allocated.
-
-        Fallbacks keep the contract absolute: an unshippable closure
-        (encode or worker-side decode failure) re-runs the section under
-        the per-section fork; a task naming runtime objects born after
-        the pool forked restarts the pool first (fresh copy-on-write
-        image == parent's canonical heap); a worker death tears the pool
-        down and raises.
-        """
-        from repro.runtime import shuttle
-        from repro.runtime.arena import shared_segments
-
-        self._prepare_fork()
-        tracer = getattr(trace, "tracer", None) if trace is not None else None
-        try:
-            blob, max_ipc = shuttle.encode_task(fn, trace, tracer)
-        except Exception:
-            with self._lock:
-                self.fallback_forks += 1
-            return self._rank_map_process(fn, world, trace)
-        wall_start = time.perf_counter()
-        forked = self._ensure_pool_workers()
-        if not forked and max_ipc >= self._pool_ipc_mark:
-            self._restart_pool()
-            self._ensure_pool_workers()
-            forked = True
-        if not forked:
-            with self._lock:
-                self.pool_reuses += 1
-        n = max(1, min(self.workers, world))
-        self._pool_board.begin_section()
-        name, offset, length = self._pool_board.place_blob(blob)
-        procs = self._pool_procs
-        header = pickle.dumps(("task", name, offset, length, world))
-        for w in range(n):
-            _write_frame(procs[w][1], header)
-        frames_by_rank: dict[int, dict] = {}
-        taskerr = None
-        dead: tuple[int, int] | None = None
-        for w in range(n):
-            pid, _task_fd, res_fd = procs[w]
-            payload = _read_frame(res_fd)
-            if payload is None:
-                dead = (w, pid)
-                break
-            msg = pickle.loads(payload)
-            if msg[0] == "taskerr":
-                taskerr = msg
-                continue
-            for frame in msg[1]:
-                frames_by_rank[frame["rank"]] = frame
-        if dead is not None:
-            self._teardown_pool(kill=True)
-            segs = shared_segments(create=False)
-            if segs is not None:
-                segs.sweep_orphans()
-            raise RuntimeError(
-                f"process-pool worker {dead[0]} (pid {dead[1]}) died "
-                "mid-task; the pool was torn down (it re-forks on the "
-                "next parallel section)"
-            )
-        if taskerr is not None:
-            _, phase, desc, _tb = taskerr
-            if phase == "run":
-                # Closures may have partially executed: the worker heaps
-                # are no longer a faithful image of any parent state, so
-                # refork before anything else runs on them.  No frame
-                # was replayed, so the parent state is untouched either
-                # way and the per-section fork below reruns cleanly.
-                self._restart_pool()
-            with self._lock:
-                self.fallback_forks += 1
-            return self._rank_map_process(fn, world, trace)
-        results, errors, busy, descriptors = self._join_frames(
-            frames_by_rank, world, n, self._pool_maps, trace, tracer
-        )
-        wall = time.perf_counter() - wall_start
-        with self._lock:
-            self.fork_joins += 1
-            self.tasks += world
-            self.busy_seconds += busy
-            self.wall_seconds += wall
-            self.ipc_descriptors += descriptors
-        segs = shared_segments(create=False)
-        if segs is not None:
-            segs.prune()
-        if errors:
-            raise errors[0][1]
-        return results
-
-    def _restart_pool(self) -> None:
-        self._teardown_pool(kill=False)
-        with self._lock:
-            self.pool_restarts += 1
-
-    def _teardown_pool(self, *, kill: bool) -> None:
-        """Quit (or kill) and reap the pool workers; the pool re-forks
-        lazily on the next pooled section."""
-        procs, self._pool_procs = self._pool_procs, None
-        self._pool_maps = []
-        if not procs:
-            return
-        for pid, task_fd, res_fd in procs:
-            if kill:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            else:
-                try:
-                    _write_frame(task_fd, pickle.dumps(("quit",)))
-                except OSError:
-                    pass
-            for fd in (task_fd, res_fd):
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-        deadline = time.monotonic() + 5.0
-        for pid, _task_fd, _res_fd in procs:
-            while True:
-                try:
-                    done, _status = os.waitpid(pid, os.WNOHANG)
-                except ChildProcessError:
-                    break
-                if done:
-                    break
-                if time.monotonic() > deadline:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
-                    try:
-                        os.waitpid(pid, 0)
-                    except ChildProcessError:
-                        pass
-                    break
-                time.sleep(0.002)
-
-    def _shutdown_pool(self) -> None:
-        """Full pool teardown: reap workers, drop the task board, unlink
-        every named segment.  Runs from :meth:`shutdown` and (as a
-        backstop) atexit — after this, ``/dev/shm`` holds nothing of
-        ours."""
-        if self._pool_procs is None and self._pool_board is None:
-            return
-        self._teardown_pool(kill=False)
-        if self._pool_board is not None:
-            self._pool_board.close()
-            self._pool_board = None
-        from repro.runtime.arena import shared_segments
-
-        segs = shared_segments(create=False)
-        if segs is not None:
-            segs.persist_names = False
-            segs.unlink_named()
-            segs.sweep_orphans()
-            segs.prune()
-
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
@@ -882,17 +304,14 @@ class RankExecutor:
                 "busy_seconds": self.busy_seconds,
                 "wall_seconds": self.wall_seconds,
                 "busy_fraction": self.busy_seconds / denom if denom > 0 else 0.0,
-                "forks": self.forks,
-                "ipc_descriptors": self.ipc_descriptors,
-                "pool_reuses": self.pool_reuses,
-                "fallback_forks": self.fallback_forks,
-                "pool_restarts": self.pool_restarts,
+                # Constant: perf/measure.py indexes these keys in its
+                # --trace 1 run; nothing forks, falls back or restarts.
+                "forks": 0,
+                "fallback_forks": 0,
+                "pool_restarts": 0,
             }
 
     def shutdown(self) -> None:
-        # Pool teardown takes self._lock itself (counter updates), so it
-        # runs outside the critical section.
-        self._shutdown_pool()
         with self._lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
@@ -913,34 +332,22 @@ _global_executor: RankExecutor | None = None
 def _from_env() -> RankExecutor:
     """Build the default executor from ``REPRO_EXECUTOR``.
 
-    Accepted values: ``serial``, ``threads``, ``threads:N``,
-    ``process``, ``process:N``, ``process-pool``, ``process-pool:N``, or
-    a bare integer ``N`` (shorthand for ``threads:N``).  Unset or empty
-    means threads at CPU count — on by default.
+    Accepted values: ``serial``, ``threads``, ``threads:N``, or a bare
+    integer ``N`` (shorthand for ``threads:N``).  Unset or empty means
+    threads at CPU count — on by default.
     """
     value = os.environ.get("REPRO_EXECUTOR", "").strip().lower()
     if not value or value == "threads":
         return RankExecutor("threads")
     if value == "serial":
         return RankExecutor("serial", workers=1)
-    if value in ("process", "process-pool"):
-        return RankExecutor(value)
-    backend = "threads"
-    spec = value
-    # "process-pool:" must be tried before its "process:" prefix.
-    for prefix in ("threads:", "process-pool:", "process:"):
-        if value.startswith(prefix):
-            backend = prefix[:-1]
-            spec = value[len(prefix):]
-            break
     try:
-        workers = int(spec)
+        workers = int(value.removeprefix("threads:"))
     except ValueError:
         raise ValueError(
-            f"REPRO_EXECUTOR={value!r}: expected 'serial', 'threads[:N]', "
-            "'process[:N]' or 'process-pool[:N]'"
+            f"REPRO_EXECUTOR={value!r}: expected 'serial', 'threads[:N]' or 'N'"
         ) from None
-    return RankExecutor(backend, workers=workers)
+    return RankExecutor("threads", workers=workers)
 
 
 def get_executor() -> RankExecutor:
@@ -965,19 +372,12 @@ def set_executor(ex: RankExecutor | None) -> RankExecutor | None:
 
 def reset_executor() -> None:
     """Drop the process-wide executor so the next :func:`get_executor`
-    re-reads ``REPRO_EXECUTOR`` (tests that mutate the env use this).
-    Shared segments backing arena storage are pruned so no ``/dev/shm``
-    bytes outlive the executor that rented them."""
+    re-reads ``REPRO_EXECUTOR`` (tests that mutate the env use this)."""
     global _global_executor
     with _global_lock:
         if _global_executor is not None:
             _global_executor.shutdown()
         _global_executor = None
-    from repro.runtime.arena import shared_segments
-
-    segs = shared_segments(create=False)
-    if segs is not None:
-        segs.prune()
 
 
 @contextmanager
@@ -1005,11 +405,10 @@ def rank_map(
     *,
     trace=None,
     force_serial: bool = False,
-    shared_state: bool = False,
 ) -> list:
     """Module-level convenience over :func:`get_executor`."""
     return get_executor().rank_map(
-        fn, world, trace=trace, force_serial=force_serial, shared_state=shared_state
+        fn, world, trace=trace, force_serial=force_serial
     )
 
 

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.common.errors import OutOfMemoryError
-from repro.runtime import shuttle
 from repro.runtime.arena import BufferArena
 
 
@@ -98,16 +96,7 @@ class MemoryPool:
         self.n_allocs = 0
         self.timeline: list[MemorySample] = []
         self._live: dict[int, Allocation] = {}
-        # Plain int, not itertools.count: the process executor snapshots
-        # it at fork time as the parent/child alloc-id watermark.
-        self._next_id = 0
-        # Live tensors by alloc id (weak: a dropped tensor must not be
-        # pinned by its pool).  The process executor resolves cross-fork
-        # tensor references and journal replays through this.
-        self._tensors: "weakref.WeakValueDictionary[int, object]" = (
-            weakref.WeakValueDictionary()
-        )
-        self._ipc_id = shuttle.register_ipc(self)
+        self._ids = itertools.count()
         self._step = step_clock if step_clock is not None else itertools.count()
         self._event_clock = event_clock
         self._usage_by_tag: dict[str, int] = {}
@@ -128,13 +117,8 @@ class MemoryPool:
         with self._lock:
             if self.capacity is not None and self.in_use + nbytes > self.capacity:
                 raise OutOfMemoryError(self.name, nbytes, self.capacity, self.in_use)
-            alloc = Allocation(self._next_id, nbytes, tag)
-            self._next_id += 1
+            alloc = Allocation(next(self._ids), nbytes, tag)
             self._live[alloc.alloc_id] = alloc
-            if shuttle._JOURNAL is not None:
-                shuttle._JOURNAL.append(
-                    ("alloc", self._ipc_id, alloc.alloc_id, nbytes, tag)
-                )
             self.in_use += nbytes
             self.peak = max(self.peak, self.in_use)
             self.total_allocated += nbytes
@@ -152,15 +136,6 @@ class MemoryPool:
         """Release a live allocation.  Double frees raise ``KeyError``."""
         with self._lock:
             stored = self._live.pop(alloc.alloc_id)
-            if shuttle._JOURNAL is not None:
-                shuttle._JOURNAL.append(
-                    (
-                        "free",
-                        self._ipc_id,
-                        alloc.alloc_id,
-                        shuttle.installed_allocation(alloc),
-                    )
-                )
             self.in_use -= stored.nbytes
             remaining = self._usage_by_tag[stored.tag] - stored.nbytes
             if remaining:
@@ -180,26 +155,6 @@ class MemoryPool:
 
     def _event_index(self) -> int:
         return self._event_clock() if self._event_clock is not None else -1
-
-    # -- process-executor support (repro.runtime.shuttle) ------------------
-
-    def allocation(self, alloc_id: int) -> Allocation:
-        """The live allocation with ``alloc_id`` (journal replay resolves
-        parent-born ids through this)."""
-        with self._lock:
-            return self._live[alloc_id]
-
-    def register_tensor(self, tensor) -> None:
-        """Index a live :class:`~repro.runtime.tensor.DeviceTensor` by its
-        allocation id (weakly), so cross-fork tensor references resolve
-        back to the parent's own object."""
-        with self._lock:
-            self._tensors[tensor._alloc.alloc_id] = tensor
-
-    def tensor_for(self, alloc_id: int):
-        """The registered live tensor for ``alloc_id``, or ``None``."""
-        with self._lock:
-            return self._tensors.get(alloc_id)
 
     def live_allocations(self) -> list[Allocation]:
         return list(self._live.values())

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from repro.common.dtypes import DType
-from repro.runtime import shuttle
 from repro.runtime.memory import Allocation, MemoryPool
 
 
@@ -32,7 +31,7 @@ class DeviceTensor:
     bugs in a schedule and should explode.
     """
 
-    __slots__ = ("data", "dtype", "pool", "tag", "_alloc", "_arena", "__weakref__")
+    __slots__ = ("data", "dtype", "pool", "tag", "_alloc", "_arena")
 
     def __init__(
         self,
@@ -52,31 +51,6 @@ class DeviceTensor:
         # release(); everything else is left to the garbage collector.
         self._arena = arena
         self._alloc: Allocation | None = pool.alloc(storage_nbytes(data.shape, dtype), tag)
-        pool.register_tensor(self)
-
-    @classmethod
-    def _revive(
-        cls,
-        data: np.ndarray | None,
-        dtype: DType,
-        pool: MemoryPool,
-        tag: str,
-        alloc: Allocation | None,
-    ) -> "DeviceTensor":
-        """Rebuild a tensor shipped across a process-executor fork-join
-        without touching pool accounting: ``alloc`` is the allocation the
-        journal replay already charged (``None`` for a tensor that was
-        freed on the child side)."""
-        tensor = cls.__new__(cls)
-        tensor.data = data
-        tensor.dtype = dtype
-        tensor.pool = pool
-        tensor.tag = tag
-        tensor._arena = None
-        tensor._alloc = alloc
-        if alloc is not None:
-            pool.register_tensor(tensor)
-        return tensor
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,15 +89,12 @@ class DeviceTensor:
         """
         if self._alloc is None:
             raise RuntimeError(f"double free of tensor {self.tag!r}")
-        alloc_id = self._alloc.alloc_id
         self.pool.free(self._alloc)
         self._alloc = None
         if self._arena is not None:
             self._arena.giveback(self.data)
             self._arena = None
         self.data = None  # fail loudly on use-after-release
-        if shuttle._JOURNAL is not None:
-            shuttle._JOURNAL.append(("released", self.pool._ipc_id, alloc_id))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.data is None:

@@ -77,12 +77,6 @@ class Trace:
         # The attached SpanTracer, if any; the rank executor mirrors its
         # trace buffering onto the tracer's span buffers at fork-joins.
         self.tracer = None
-        # Traces cross the process-pool task codec by reference: pool
-        # workers see the same object their fork image carries, and the
-        # parent merges buffers at the join as usual.
-        from repro.runtime import shuttle
-
-        self._ipc_id = shuttle.register_ipc(self)
 
     @contextmanager
     def buffered(self):

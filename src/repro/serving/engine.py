@@ -40,9 +40,8 @@ import numpy as np
 from repro.common.dtypes import DType
 from repro.models.generate import KVCache, forward_cached, sample_token
 from repro.models.transformer import GPTModel
-from repro.runtime import shuttle
 from repro.runtime.device import VirtualCluster
-from repro.runtime.executor import get_executor, rank_map
+from repro.runtime.executor import rank_map
 from repro.serving.kvstore import RequestKVStore
 from repro.serving.request import Request, RequestState
 
@@ -123,11 +122,6 @@ class ServingEngine:
         )
         self._prefill_tokens = None
         self._decode_tokens = None
-        # Engines cross the process-pool task codec by reference; the
-        # resident workers hold the same model/store/cluster graph via
-        # their fork image (the executor restarts the pool when an
-        # engine younger than the fork shows up in a task).
-        self._ipc_id = shuttle.register_ipc(self)
         if registry is not None:
             self._prefill_tokens = registry.counter(
                 "serving_prefill_tokens", "prompt tokens encoded"
@@ -228,109 +222,20 @@ class ServingEngine:
     def decode_batch(self, states: list[DecodeState]) -> list[int]:
         """One decode token for every request in ``states`` — the
         continuous-batching inner step.  Per-request forwards touch no
-        *cross-request* state, so they fan out on the rank executor;
-        fault injection forces the serial path (ordered per-op draws),
-        the same guard ``VirtualCluster.rank_map`` applies.
-
-        Two parallel routes exist.  The default closure mutates its
-        ``DecodeState`` in place, which a forked worker cannot make
-        visible, so the process backends are told to use threads
-        (``shared_state=True``).  Under the **process-pool** backend the
-        batch instead ships explicit per-request payloads (RNG state,
-        logits, KV residency) to the resident workers, which run the
-        real :meth:`decode_step` on a replica state — journal replay
-        and trace merge make that bitwise identical to the serial loop
-        (the serve equivalence tests pin it).  Fault injection and an
-        attached tracer fall back to the serial/threads routes: per-op
-        fault draws are an ordered sequence, and span parenting
-        mutates cross-request tracer state no fork can ship.
-        """
+        shared state, so they fan out on the rank executor; fault
+        injection forces the serial path (ordered per-op draws), the
+        same guard ``VirtualCluster.rank_map`` applies."""
         if not states:
             return []
-        ex = get_executor()
-        if (
-            ex.backend == "process-pool"
-            and ex.parallel
-            and len(states) > 1
-            and self.tracer is None
-            and self.cluster.fault_injector is None
-        ):
-            tokens = self._decode_batch_pooled(states)
-        else:
-            tokens = rank_map(
-                lambda i: self.decode_step(states[i]),
-                len(states),
-                trace=self.cluster.trace,
-                force_serial=self.cluster.fault_injector is not None,
-                shared_state=True,
-            )
+        tokens = rank_map(
+            lambda i: self.decode_step(states[i]),
+            len(states),
+            trace=self.cluster.trace,
+            force_serial=self.cluster.fault_injector is not None,
+        )
         if self._decode_tokens is not None:
             self._decode_tokens.inc(len(states))
         return tokens
-
-    def _decode_batch_pooled(self, states: list[DecodeState]) -> list[int]:
-        """Process-pool decode: explicit payload rendezvous.
-
-        Batch membership is not rank-stable across ticks (requests
-        finish and join), so a worker's fork image cannot be trusted to
-        hold any request's *current* state.  Each tick therefore ships,
-        per request, everything :meth:`decode_step` reads: the request,
-        the RNG bit-generator state, the last logits, the token count,
-        and the KV residency (host cache entries + store metadata when
-        offloading, the inline :class:`KVCache` otherwise).  The worker
-        presyncs a replica and runs the *real* ``decode_step``, so its
-        journal and trace buffer are op-for-op what the serial loop
-        produces; the join replays pool/cache accounting in rank order
-        and this method applies the returned per-request updates.
-        """
-        payloads = [self._pooled_decode_payload(state) for state in states]
-        updates = rank_map(
-            lambda i: _run_decode_payload(self, payloads[i]),
-            len(states),
-            trace=self.cluster.trace,
-        )
-        tokens = []
-        for state, update in zip(states, updates):
-            state.new_tokens.append(update["token"])
-            state.logits = update["logits"]
-            state.rng.bit_generator.state = update["rng_state"]
-            state.state = update["state"]
-            if self.config.offload:
-                # The replayed journal already moved the cache entries
-                # and pool bytes; only the store's rid -> (offset, total)
-                # metadata is engine-side state to carry over.
-                self.store._meta.pop(state.rid, None)
-                if update["meta"] is not None:
-                    self.store._meta[state.rid] = update["meta"]
-            else:
-                state.kv = update["kv"]
-            tokens.append(update["token"])
-        return tokens
-
-    def _pooled_decode_payload(self, state: DecodeState) -> dict:
-        """Everything a pool worker needs to replicate ``state``."""
-        payload = {
-            "request": state.request,
-            "rng_state": state.rng.bit_generator.state,
-            "logits": state.logits,
-            "new_tokens": list(state.new_tokens),
-            "state": state.state,
-            "meta": None,
-            "entries": None,
-            "kv": None,
-        }
-        if self.config.offload:
-            if state.rid in self.store:
-                payload["meta"] = self.store._meta[state.rid]
-                entries = []
-                for layer in range(self.store.num_layers):
-                    for kind in ("k", "v"):
-                        key = (state.rid, layer, kind)
-                        entries.append((key, *self.store.cache._store[key]))
-                payload["entries"] = entries
-        else:
-            payload["kv"] = state.kv
-        return payload
 
     def finish(self, state: DecodeState) -> None:
         """Release a completed (or cancelled) request's KV residency."""
@@ -362,50 +267,3 @@ class ServingEngine:
     def _checkin(self, state: DecodeState, kv: KVCache) -> None:
         if self.config.offload:
             self.store.save(state.rid, kv)
-
-
-def _run_decode_payload(engine: ServingEngine, payload: dict) -> dict:
-    """One pooled decode step, executed inside a rank closure.
-
-    Presync installs the payload's KV residency into the (worker-side)
-    store without journaling or trace traffic — it is reconstruction of
-    parent state, not work — then the real :meth:`ServingEngine
-    .decode_step` runs on a replica :class:`DecodeState` with journaling
-    and trace buffering active, so everything that crosses back to the
-    parent (journal ops, trace events, this update dict) is exactly what
-    the serial loop would have produced.  Runs correctly in every
-    execution mode: in a pool worker, in a per-section fork (the
-    fallback), and inline in the parent (world of one), where the
-    presync writes are no-ops over the parent's own objects.
-    """
-    store = engine.store
-    request = payload["request"]
-    with shuttle.journal_suspended():
-        if payload["entries"] is not None:
-            host_pool = engine.cluster.host.pool
-            for key, data, dtype, alloc in payload["entries"]:
-                store.cache._store[key] = (data, dtype, alloc)
-                shuttle._install_allocation(host_pool, alloc)
-            store._meta[request.rid] = payload["meta"]
-    # Cheap fixed-seed construction — the state assignment replaces the
-    # seed entirely (default_rng() would burn ~0.1ms on OS entropy).
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = payload["rng_state"]
-    replica = DecodeState(
-        request=request,
-        state=payload["state"],
-        rng=rng,
-        logits=payload["logits"],
-        new_tokens=list(payload["new_tokens"]),
-        kv=payload["kv"],
-    )
-    token = engine.decode_step(replica)
-    offload = engine.config.offload
-    return {
-        "token": token,
-        "logits": replica.logits,
-        "rng_state": replica.rng.bit_generator.state,
-        "state": replica.state,
-        "meta": store._meta.get(request.rid) if offload else None,
-        "kv": None if offload else replica.kv,
-    }

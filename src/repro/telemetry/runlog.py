@@ -72,17 +72,9 @@ class StepRecord:
     executor_workers: int = 0
     executor_fork_joins: int = 0
     executor_busy_fraction: float = 0.0
-    # Process-backend extras (zero under serial/threads): backend name,
-    # worker processes forked, IPC descriptors decoded at joins.
+    # Which backend ran the step ("serial" or "threads").  Report-only
+    # in the metrics gate, like the other executor fields.
     executor_backend: str = ""
-    executor_forks: int = 0
-    executor_ipc_descriptors: int = 0
-    # Persistent-pool extras (zero except under process-pool): sections
-    # served by resident workers and sections that fell back to a
-    # per-section fork because their closure could not be shipped.
-    # Report-only in the metrics gate, like the other executor fields.
-    executor_pool_reuses: int = 0
-    executor_fallback_forks: int = 0
     # Fault-injection deltas for this step (``fault``/``retry`` events
     # on the step's trace slice); stay zero on clean runs.
     fault_count: int = 0
@@ -230,21 +222,8 @@ class RunLogger:
         reg.gauge("executor_busy_fraction",
                   "rank-executor busy/(wall*workers)").set(rec.executor_busy_fraction)
         reg.gauge("executor_backend",
-                  "rank-executor backend (0=serial, 1=threads, 2=process, "
-                  "3=process-pool)") \
-            .set({"serial": 0, "threads": 1, "process": 2,
-                  "process-pool": 3}.get(rec.executor_backend, 0))
-        reg.gauge("executor_forks",
-                  "worker processes forked (cumulative)").set(rec.executor_forks)
-        reg.gauge("executor_pool_reuses",
-                  "sections served by resident pool workers (cumulative)") \
-            .set(rec.executor_pool_reuses)
-        reg.gauge("executor_fallback_forks",
-                  "pool sections that fell back to per-section forks") \
-            .set(rec.executor_fallback_forks)
-        reg.gauge("executor_ipc_descriptors",
-                  "IPC descriptors decoded at fork-joins (cumulative)") \
-            .set(rec.executor_ipc_descriptors)
+                  "rank-executor backend (0=serial, 1=threads)") \
+            .set({"serial": 0, "threads": 1}.get(rec.executor_backend, 0))
         reg.gauge("spans_emitted_total",
                   "completed causal spans").set(rec.spans_emitted_total)
         reg.gauge("slo_violations_total",
@@ -305,10 +284,6 @@ class RunLogger:
             summary["executor_fork_joins"] = last.executor_fork_joins
             summary["executor_busy_fraction"] = last.executor_busy_fraction
             summary["executor_backend"] = last.executor_backend
-            summary["executor_forks"] = last.executor_forks
-            summary["executor_ipc_descriptors"] = last.executor_ipc_descriptors
-            summary["executor_pool_reuses"] = last.executor_pool_reuses
-            summary["executor_fallback_forks"] = last.executor_fallback_forks
             summary["spans_emitted_total"] = last.spans_emitted_total
             summary["slo_violations_total"] = last.slo_violations_total
             summary["flight_recorder_high_watermark"] = (

@@ -239,10 +239,6 @@ class Trainer:
         record.executor_fork_joins = ex["fork_joins"]
         record.executor_busy_fraction = ex["busy_fraction"]
         record.executor_backend = ex["backend"]
-        record.executor_forks = ex["forks"]
-        record.executor_ipc_descriptors = ex["ipc_descriptors"]
-        record.executor_pool_reuses = ex["pool_reuses"]
-        record.executor_fallback_forks = ex["fallback_forks"]
         # Post-step parameters are replicated across ranks by
         # construction here; a real deployment feeds per-rank values.
         checksum = checksum_params(self.model.all_params())

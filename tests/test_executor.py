@@ -10,7 +10,6 @@ concurrent load, and the BLAS oversubscription guard.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -30,10 +29,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.memory import MemoryPool
 from repro.runtime.trace import Trace
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="process backend needs os.fork"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +82,25 @@ def test_world_one_and_force_serial_run_inline():
         assert ex.stats()["fork_joins"] == 0  # no parallel section ran
     finally:
         ex.shutdown()
+
+
+def test_cluster_rank_map_stays_serial_under_faults_and_timelines():
+    """Fault draws and timeline stamps need a global op order, so the
+    cluster pins its rank loops serial whatever executor is installed."""
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.runtime.device import VirtualCluster
+
+    main_thread = threading.get_ident()
+    chaos = VirtualCluster(2)
+    chaos.fault_injector = FaultInjector(FaultPlan())
+    timed = VirtualCluster(2, record_timeline=True)
+    with executor(workers=4) as ex:
+        for cluster in (chaos, timed):
+            idents = cluster.rank_map(lambda r: threading.get_ident())
+            assert idents == [main_thread] * 2
+        assert ex.stats()["fork_joins"] == 0
+        idents = VirtualCluster(2).rank_map(lambda r: threading.get_ident())
+        assert main_thread not in idents
 
 
 def test_nested_rank_map_runs_inline_on_the_worker_thread():
@@ -200,389 +214,15 @@ def test_fold_accumulates_in_rank_order_and_skips_empty():
     assert order == ["a", "a", "b"]
 
 
-# ---------------------------------------------------------------------------
-# Process backend: fork-join dispatch, descriptor stats, failure policy
-# ---------------------------------------------------------------------------
-
-
-@needs_fork
-def test_process_results_in_rank_order_from_worker_processes():
-    ex = RankExecutor("process", workers=4)
-    parent = os.getpid()
-    try:
-        results = ex.rank_map(lambda r: (r * 10, os.getpid()), 4)
-    finally:
-        ex.shutdown()
-    assert [v for v, _ in results] == [0, 10, 20, 30]
-    pids = {pid for _, pid in results}
-    assert parent not in pids  # every rank really ran in a child
-    assert len(pids) == 4  # one worker per rank at workers=4
-
-
-@needs_fork
-def test_process_distributes_ranks_round_robin_over_workers():
-    ex = RankExecutor("process", workers=2)
-    try:
-        pids = ex.rank_map(lambda r: os.getpid(), 6)
-    finally:
-        ex.shutdown()
-    # rank r runs on worker r % n: ranks {0,2,4} share a pid, {1,3,5} the other.
-    assert pids[0] == pids[2] == pids[4]
-    assert pids[1] == pids[3] == pids[5]
-    assert pids[0] != pids[1]
-
-
-@needs_fork
-def test_process_lowest_rank_exception_wins():
-    ex = RankExecutor("process", workers=4)
-    try:
-
-        def flaky(r: int) -> int:
-            if r in (1, 3):
-                raise ValueError(f"rank {r} failed")
-            return r
-
-        with pytest.raises(ValueError, match="rank 1 failed"):
-            ex.rank_map(flaky, 4)
-    finally:
-        ex.shutdown()
-
-
-@needs_fork
-def test_process_trace_events_merge_in_rank_order_with_sequential_ids():
-    ex = RankExecutor("process", workers=4)
-    trace = Trace()
-    trace.record("phase", "before")  # id 0, recorded in the parent
-    try:
-
-        def emit(r: int) -> None:
-            trace.record("compute", f"work[{r}].a", rank=r)
-            trace.record("compute", f"work[{r}].b", rank=r)
-
-        ex.rank_map(emit, 3, trace=trace)
-    finally:
-        ex.shutdown()
-    labels = [e.label for e in trace.events]
-    assert labels == [
-        "before",
-        "work[0].a", "work[0].b",
-        "work[1].a", "work[1].b",
-        "work[2].a", "work[2].b",
-    ]
-    assert [e.event_id for e in trace.events] == list(range(7))
-    assert trace.record("phase", "after").event_id == 7
-
-
-@needs_fork
-def test_process_stats_count_forks_and_shipped_descriptors():
-    ex = RankExecutor("process", workers=2)
-    try:
-        # Large C-contiguous results cross the pipe as staging-segment
-        # descriptors rather than inline pickle bytes.
-        ex.rank_map(lambda r: np.full(32_768, float(r)), 4)
-        ex.rank_map(lambda r: None, 4)
-        stats = ex.stats()
-    finally:
-        ex.shutdown()
-    assert stats["backend"] == "process"
-    assert stats["fork_joins"] == 2
-    assert stats["forks"] == 4  # 2 workers forked per section
-    assert stats["ipc_descriptors"] >= 4  # one stage ref per big array
-
-
-def test_threads_stats_report_zero_forks():
+def test_stats_keep_the_constant_keys_the_benchmark_reads():
+    # perf/measure.py indexes these in its --trace 1 run.
     ex = RankExecutor("threads", workers=2)
     try:
         ex.rank_map(lambda r: r, 4)
         stats = ex.stats()
     finally:
         ex.shutdown()
-    assert stats["forks"] == 0 and stats["ipc_descriptors"] == 0
-
-
-@needs_fork
-def test_process_shared_state_falls_back_to_threads():
-    """``shared_state=True`` (serving's decode batcher mutates shared
-    KV state in place) must keep the closures in this address space."""
-    ex = RankExecutor("process", workers=4)
-    parent = os.getpid()
-    try:
-        pids = ex.rank_map(lambda r: os.getpid(), 4, shared_state=True)
-        assert pids == [parent] * 4
-        assert ex.stats()["forks"] == 0
-    finally:
-        ex.shutdown()
-
-
-@needs_fork
-def test_process_force_serial_and_world_one_run_inline():
-    ex = RankExecutor("process", workers=4)
-    parent = os.getpid()
-    try:
-        assert ex.rank_map(lambda r: os.getpid(), 1) == [parent]
-        assert ex.rank_map(lambda r: os.getpid(), 3, force_serial=True) == [parent] * 3
-        assert ex.stats()["forks"] == 0
-    finally:
-        ex.shutdown()
-
-
-@needs_fork
-def test_process_nested_rank_map_runs_inline_in_the_child():
-    ex = RankExecutor("process", workers=2)
-    try:
-
-        def outer(r: int):
-            me = os.getpid()
-            inner_pids = ex.rank_map(lambda s: os.getpid(), 2)
-            assert inner_pids == [me, me]  # no fork-from-fork
-            return r
-
-        assert ex.rank_map(outer, 2) == [0, 1]
-        assert ex.stats()["fork_joins"] == 1
-    finally:
-        ex.shutdown()
-
-
-@needs_fork
-def test_process_ships_structured_exceptions_intact():
-    """Runtime errors with required constructor fields (OOM carries
-    pool/requested/capacity/in_use) must survive the result pipe — the
-    capacity experiments diagnose failures from those fields."""
-    from repro.common.errors import OutOfMemoryError
-
-    ex = RankExecutor("process", workers=2)
-    try:
-
-        def oom(r: int) -> int:
-            if r == 0:
-                raise OutOfMemoryError("cuda:0", 1024, 512, 400)
-            return r
-
-        with pytest.raises(OutOfMemoryError) as info:
-            ex.rank_map(oom, 2)
-    finally:
-        ex.shutdown()
-    err = info.value
-    assert (err.pool, err.requested, err.capacity, err.in_use) == (
-        "cuda:0", 1024, 512, 400,
-    )
-
-
-@needs_fork
-def test_process_dead_worker_is_a_loud_error():
-    ex = RankExecutor("process", workers=2)
-    try:
-
-        def die(r: int) -> int:
-            if r == 1:
-                os._exit(17)  # simulates a segfaulted/OOM-killed worker
-            return r
-
-        with pytest.raises(RuntimeError, match="died without a result"):
-            ex.rank_map(die, 2)
-    finally:
-        ex.shutdown()
-
-
-@needs_fork
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="the speedup only shows with >=4 physical cores",
-)
-def test_process_backend_speeds_up_python_heavy_ranks():
-    """The process backend's reason to exist: pure-Python rank compute
-    holds the GIL, so threads serialize it while forked workers scale
-    across cores.  Report-only bench receipts carry the numbers; this is
-    the hard wall-clock assertion, gated on capable hardware."""
-
-    def burn(r: int) -> int:
-        total = 0
-        for i in range(600_000):
-            total += i * i
-        return total
-
-    serial = RankExecutor("serial", workers=1)
-    start = time.perf_counter()
-    expected = serial.rank_map(burn, 4)
-    serial_t = time.perf_counter() - start
-
-    ex = RankExecutor("process", workers=4)
-    try:
-        start = time.perf_counter()
-        got = ex.rank_map(burn, 4)
-        proc_t = time.perf_counter() - start
-    finally:
-        ex.shutdown()
-    assert got == expected
-    assert proc_t < serial_t * 0.75, (proc_t, serial_t)
-
-
-# ---------------------------------------------------------------------------
-# Process-pool backend: persistent workers, rendezvous, fallback policy
-# ---------------------------------------------------------------------------
-
-
-@needs_fork
-def test_pool_workers_fork_once_and_serve_every_section():
-    ex = RankExecutor("process-pool", workers=2)
-    parent = os.getpid()
-    try:
-        first = ex.rank_map(lambda r: os.getpid(), 4)
-        second = ex.rank_map(lambda r: os.getpid(), 4)
-        stats = ex.stats()
-    finally:
-        ex.shutdown()
-    assert parent not in first  # ranks really ran out-of-process
-    assert first[0] == first[2] and first[1] == first[3]  # round-robin
-    assert first == second  # the same resident workers served both
-    assert stats["forks"] == 2  # one fork per worker, per lifetime
-    assert stats["pool_reuses"] == 1 and stats["fork_joins"] == 2
-
-
-@needs_fork
-def test_pool_results_and_exceptions_match_process_semantics():
-    ex = RankExecutor("process-pool", workers=4)
-    try:
-        assert ex.rank_map(lambda r: r * 10, 4) == [0, 10, 20, 30]
-
-        def flaky(r: int) -> int:
-            if r in (1, 3):
-                raise ValueError(f"rank {r} failed")
-            return r
-
-        with pytest.raises(ValueError, match="rank 1 failed"):
-            ex.rank_map(flaky, 4)
-        stats = ex.stats()
-    finally:
-        ex.shutdown()
-    assert stats["fallback_forks"] == 0  # both sections rode the pool
-
-
-@needs_fork
-def test_pool_trace_events_merge_in_rank_order_with_sequential_ids():
-    ex = RankExecutor("process-pool", workers=4)
-    trace = Trace()
-    trace.record("phase", "before")  # id 0, recorded in the parent
-    try:
-
-        def emit(r: int) -> None:
-            trace.record("compute", f"work[{r}].a", rank=r)
-            trace.record("compute", f"work[{r}].b", rank=r)
-
-        ex.rank_map(emit, 3, trace=trace)
-    finally:
-        ex.shutdown()
-    labels = [e.label for e in trace.events]
-    assert labels == [
-        "before",
-        "work[0].a", "work[0].b",
-        "work[1].a", "work[1].b",
-        "work[2].a", "work[2].b",
-    ]
-    assert [e.event_id for e in trace.events] == list(range(7))
-    assert trace.record("phase", "after").event_id == 7
-
-
-@needs_fork
-def test_pool_worker_death_mid_task_is_loud_and_the_pool_recovers():
-    ex = RankExecutor("process-pool", workers=2)
-    try:
-        before = ex.rank_map(lambda r: os.getpid(), 2)
-
-        def die(r: int) -> int:
-            if r == 1:
-                os._exit(17)  # simulates a segfaulted/OOM-killed worker
-            return r
-
-        with pytest.raises(RuntimeError, match="died mid-task"):
-            ex.rank_map(die, 2)
-        after = ex.rank_map(lambda r: os.getpid(), 2)
-        stats = ex.stats()
-    finally:
-        ex.shutdown()
-    assert set(before).isdisjoint(after)  # torn down, then re-forked fresh
-    assert stats["forks"] == 4  # two workers, forked twice
-
-
-@needs_fork
-def test_pool_nested_rank_map_runs_inline_in_the_worker():
-    ex = RankExecutor("process-pool", workers=2)
-    set_executor(ex)
-    try:
-
-        def outer(r: int):
-            me = os.getpid()
-            inner_pids = rank_map(lambda s: os.getpid(), 2)
-            assert inner_pids == [me, me]  # no fork-from-fork, no re-ship
-            return r
-
-        assert ex.rank_map(outer, 2) == [0, 1]
-        stats = ex.stats()
-    finally:
-        ex.shutdown()
-    assert stats["fork_joins"] == 1  # only the outer section dispatched
-    assert stats["fallback_forks"] == 0
-
-
-@needs_fork
-def test_pool_unshippable_closure_falls_back_to_per_section_fork():
-    ex = RankExecutor("process-pool", workers=2)
-    lock = threading.Lock()
-    parent = os.getpid()
-    try:
-
-        def guarded(r: int) -> int:
-            with lock:  # a live Lock can't cross the task codec
-                return os.getpid()
-
-        pids = ex.rank_map(guarded, 2)
-        stats = ex.stats()
-    finally:
-        ex.shutdown()
-    assert parent not in pids  # the fallback still forked real children
-    assert stats["fallback_forks"] == 1
-    assert stats["fork_joins"] == 1
-
-
-@needs_fork
-def test_pool_shared_state_falls_back_to_threads():
-    ex = RankExecutor("process-pool", workers=4)
-    parent = os.getpid()
-    try:
-        pids = ex.rank_map(lambda r: os.getpid(), 4, shared_state=True)
-        assert pids == [parent] * 4
-        assert ex.stats()["forks"] == 0  # never even forked the pool
-    finally:
-        ex.shutdown()
-
-
-@needs_fork
-def test_pool_stats_count_task_occupancy_and_reuse():
-    ex = RankExecutor("process-pool", workers=2)
-    try:
-        for _ in range(3):
-            ex.rank_map(lambda r: float(np.ones(64).sum()), 4)
-        stats = ex.stats()
-    finally:
-        ex.shutdown()
-    assert stats["backend"] == "process-pool"
-    assert stats["fork_joins"] == 3 and stats["tasks"] == 12
-    assert stats["forks"] == 2 and stats["pool_reuses"] == 2
-    assert stats["pool_restarts"] == 0
-    assert stats["wall_seconds"] > 0
-    assert 0.0 <= stats["busy_fraction"] <= 1.0
-
-
-def test_blas_threads_per_worker_never_round_to_zero():
-    from repro.runtime.executor import _blas_threads_for
-
-    cores = os.cpu_count() or 1
-    assert _blas_threads_for(1) == cores
-    # More workers than cores must clamp to one BLAS thread each, never
-    # zero (a zero clamp makes every matmul crawl through a 0-thread
-    # pool fallback on some BLAS builds).
-    assert _blas_threads_for(cores * 4) == 1
-    assert _blas_threads_for(10_000) == 1
+    assert stats["forks"] == stats["fallback_forks"] == stats["pool_restarts"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -605,34 +245,6 @@ def test_env_selects_thread_count(monkeypatch, value, workers):
     assert ex.backend == "threads" and ex.workers == workers
 
 
-@needs_fork
-@pytest.mark.parametrize("value,workers", [("process:3", 3), ("process", None)])
-def test_env_selects_process_backend(monkeypatch, value, workers):
-    monkeypatch.setenv("REPRO_EXECUTOR", value)
-    reset_executor()
-    ex = get_executor()
-    assert ex.backend == "process"
-    if workers is not None:
-        assert ex.workers == workers
-    else:
-        assert ex.workers >= 1  # defaults to the CPU count
-
-
-@needs_fork
-@pytest.mark.parametrize(
-    "value,workers", [("process-pool:3", 3), ("process-pool", None)]
-)
-def test_env_selects_process_pool_backend(monkeypatch, value, workers):
-    monkeypatch.setenv("REPRO_EXECUTOR", value)
-    reset_executor()
-    ex = get_executor()
-    assert ex.backend == "process-pool"
-    if workers is not None:
-        assert ex.workers == workers
-    else:
-        assert ex.workers >= 1
-
-
 def test_env_default_is_threads_at_cpu_count(monkeypatch):
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     reset_executor()
@@ -652,6 +264,30 @@ def test_invalid_constructor_args_raise():
         RankExecutor("processes")
     with pytest.raises(ValueError):
         RankExecutor("threads", workers=0)
+
+
+def test_removed_process_backends_are_rejected_naming_the_accepted_ones(
+    monkeypatch, capsys
+):
+    from repro.cli import main
+
+    def names_both(message: str) -> bool:
+        return "serial" in message and "threads" in message
+
+    monkeypatch.setenv("REPRO_EXECUTOR", "process:4")
+    reset_executor()
+    with pytest.raises(ValueError) as env_error:
+        get_executor()
+    assert names_both(str(env_error.value))
+
+    with pytest.raises(ValueError) as ctx_error:
+        with executor(backend="process-pool"):
+            pass
+    assert names_both(str(ctx_error.value))
+
+    with pytest.raises(SystemExit):
+        main(["train", "--executor", "process"])
+    assert names_both(capsys.readouterr().err)
 
 
 def test_executor_context_overrides_and_restores():

@@ -8,18 +8,9 @@ run every strategy both ways and compare at the byte level, then check
 that repeated parallel runs are self-identical (no run-to-run thread
 nondeterminism) — the receipts behind the "bitwise identity" acceptance
 bar.
-
-The matrix covers both parallel backends: ``threads`` (shared address
-space) and ``process`` (fork-join workers talking through pickled
-descriptors and shared-memory segments).  The process backend has far
-more machinery that could diverge — journal replay for pool accounting,
-tensor shipping, staged result arrays — so the same byte-level bar
-applies to it unchanged.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -40,11 +31,6 @@ from .helpers import rng
 
 WORLD = 4
 SEQ = 32
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="process backend needs os.fork"
-)
-
 
 @pytest.fixture(autouse=True)
 def _clean_global_executor():
@@ -105,54 +91,30 @@ STRATEGIES = {
 }
 
 
-def _run_strategy(name: str, workers: int, backend: str | None = None):
+def _run_strategy(name: str, workers: int):
     cfg_factory, make_runner = STRATEGIES[name]
     cfg = cfg_factory()
     tokens, labels = _data(cfg)
     model = GPTModel(cfg, seed=7)
     cluster = VirtualCluster(WORLD)
     runner = make_runner(model, cluster)
-    with executor(workers=workers, backend=backend):
+    with executor(workers=workers):
         loss, grads = runner.forward_backward(tokens, labels)
     events, peaks = _cluster_signature(cluster)
     cluster.check_no_leaks()
     return loss, grads, events, peaks
 
 
-def _assert_matches_serial(name: str, backend: str):
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_workers4_bitwise_identical_to_serial(name):
     loss1, grads1, events1, peaks1 = _run_strategy(name, workers=1)
-    loss4, grads4, events4, peaks4 = _run_strategy(name, workers=4, backend=backend)
+    loss4, grads4, events4, peaks4 = _run_strategy(name, workers=4)
     assert loss1 == loss4  # exact float equality, not approx
     assert set(grads1) == set(grads4)
     for key in grads1:
         assert grads1[key].tobytes() == grads4[key].tobytes(), key
     assert events1 == events4
     assert peaks1 == peaks4
-
-
-@pytest.mark.parametrize("name", sorted(STRATEGIES))
-def test_workers4_bitwise_identical_to_serial(name):
-    _assert_matches_serial(name, backend="threads")
-
-
-@needs_fork
-@pytest.mark.parametrize("name", sorted(STRATEGIES))
-def test_process4_bitwise_identical_to_serial(name):
-    """The fork-join worker backend must be byte-invisible too: pool
-    peaks rebuilt through journal replay, gradients shipped through the
-    descriptor pipe, trace streams merged at the join — all identical."""
-    _assert_matches_serial(name, backend="process")
-
-
-@needs_fork
-@pytest.mark.parametrize("name", sorted(STRATEGIES))
-def test_process_pool4_bitwise_identical_to_serial(name):
-    """The persistent-pool backend reuses resident workers across
-    sections instead of re-forking, so every section's task ships
-    through the codec and the per-worker alloc maps must stay coherent
-    *across* sections — yet the join is held to the same byte-level bar
-    as a fresh fork every time."""
-    _assert_matches_serial(name, backend="process-pool")
 
 
 def test_reference_model_unaffected_by_executor():
@@ -176,19 +138,10 @@ def test_reference_model_unaffected_by_executor():
         assert grads1[key].tobytes() == grads4[key].tobytes(), key
 
 
-@pytest.mark.parametrize(
-    "stage,backend",
-    [(s, b) for s in (1, 2, 3) for b in ("threads", "process", "process-pool")],
-    ids=lambda v: str(v),
-)
-def test_zero_adam_bitwise_identical(stage, backend):
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_zero_adam_bitwise_identical(stage):
     """ZeRO's flatten + per-shard Adam runs under rank_map; two steps at
-    workers=4 must reproduce the serial parameter bytes and trace.  The
-    process backends are the hard case: ``adam_step`` rebinds the moment
-    arrays on the optimizer state, so the state must travel back through
-    the result pipe or step 2 silently diverges."""
-    if backend.startswith("process") and not hasattr(os, "fork"):
-        pytest.skip("process backends need os.fork")
+    workers=4 must reproduce the serial parameter bytes and trace."""
     cfg = _llama()
     model = GPTModel(cfg, seed=1)
     params = model.all_params()
@@ -197,16 +150,16 @@ def test_zero_adam_bitwise_identical(stage, backend):
         {k: g.normal(size=v.shape) for k, v in params.items()} for _ in range(2)
     ]
 
-    def run(workers, run_backend=None):
+    def run(workers):
         cluster = VirtualCluster(WORLD)
         zopt = ZeroAdam(cluster, params, stage=stage, lr=1e-2)
-        with executor(workers=workers, backend=run_backend):
+        with executor(workers=workers):
             for grads in grad_steps:
                 new = zopt.step([grads] * WORLD)
         return new, _cluster_signature(cluster)
 
     new1, sig1 = run(1)
-    new4, sig4 = run(4, backend)
+    new4, sig4 = run(4)
     for key in new1:
         assert new1[key].tobytes() == new4[key].tobytes(), key
     assert sig1 == sig4
@@ -228,70 +181,15 @@ def test_five_runs_at_workers4_are_self_identical():
     assert len(signatures) == 1
 
 
-@needs_fork
-def test_three_process_runs_are_self_identical():
-    """Same determinism bar for fork-join workers: repeated process-mode
-    FPDT-with-offload steps produce one unique byte signature."""
-    signatures = set()
-    for _ in range(3):
-        loss, grads, events, peaks = _run_strategy(
-            "fpdt_offload", workers=4, backend="process"
-        )
-        blob = (
-            np.float64(loss).tobytes()
-            + b"".join(grads[k].tobytes() for k in sorted(grads))
-            + repr(events).encode()
-            + repr(peaks).encode()
-        )
-        signatures.add(blob)
-    assert len(signatures) == 1
-
-
-@needs_fork
-def test_three_pool_runs_are_self_identical():
-    """Pool-mode determinism: the resident workers carry state between
-    runs (alloc maps, stage segments, BLAS clamps), so repeated
-    pool-mode FPDT-with-offload steps must still land on one unique
-    byte signature."""
-    signatures = set()
-    for _ in range(3):
-        loss, grads, events, peaks = _run_strategy(
-            "fpdt_offload", workers=4, backend="process-pool"
-        )
-        blob = (
-            np.float64(loss).tobytes()
-            + b"".join(grads[k].tobytes() for k in sorted(grads))
-            + repr(events).encode()
-            + repr(peaks).encode()
-        )
-        signatures.add(blob)
-    assert len(signatures) == 1
-
-
-@needs_fork
-def test_process_and_threads_agree_with_each_other():
-    """Transitivity receipt: the parallel backends, run back to back,
-    land on the same bytes (not just each on serial's)."""
-    t = _run_strategy("ulysses", workers=4, backend="threads")
-    p = _run_strategy("ulysses", workers=4, backend="process")
-    pool = _run_strategy("ulysses", workers=4, backend="process-pool")
-    assert t[0] == p[0] == pool[0]
-    for key in t[1]:
-        assert t[1][key].tobytes() == p[1][key].tobytes(), key
-        assert t[1][key].tobytes() == pool[1][key].tobytes(), key
-    assert t[2] == p[2] == pool[2] and t[3] == p[3] == pool[3]
-
-
 # ---------------------------------------------------------------------------
-# Serving decode on the pool: continuous batching stays bitwise
+# Serving decode: continuous batching stays bitwise
 # ---------------------------------------------------------------------------
 
 
-def _run_serving(workers: int, backend: str | None, offload: bool):
+def _run_serving(workers: int, offload: bool):
     """One serving episode: five staggered requests, prefill each, then
     continuous-batching decode ticks until all complete.  Staggered
-    ``max_new_tokens`` means the live batch shrinks tick by tick — the
-    membership-shifting regime the pooled decode protocol must survive."""
+    ``max_new_tokens`` means the live batch shrinks tick by tick."""
     from repro.serving.engine import EngineConfig, ServingEngine
     from repro.serving.request import Request, RequestState
 
@@ -303,7 +201,7 @@ def _run_serving(workers: int, backend: str | None, offload: bool):
     )
     g = rng(23)
     prompts = [g.integers(0, cfg.vocab_size, size=8 + i) for i in range(5)]
-    with executor(workers=workers, backend=backend):
+    with executor(workers=workers):
         states = [
             engine.start(
                 Request(
@@ -331,45 +229,11 @@ def _run_serving(workers: int, backend: str | None, offload: bool):
     return outputs, events, peaks
 
 
-@needs_fork
 @pytest.mark.parametrize("offload", [False, True], ids=["inline-kv", "offload-kv"])
-def test_serving_decode_on_the_pool_matches_serial(offload):
-    """The decode batcher's pooled path (explicit KV-residency payloads,
-    replica decode in resident workers, journal-replayed joins) must
-    produce the serial engine's exact tokens, trace stream, and pool
-    peaks — for both KV-offload modes."""
-    serial = _run_serving(workers=1, backend=None, offload=offload)
-    pooled = _run_serving(workers=4, backend="process-pool", offload=offload)
-    assert pooled[0] == serial[0]
-    assert pooled[1] == serial[1]
-    assert pooled[2] == serial[2]
-
-
-@needs_fork
-def test_serving_loadgen_on_the_pool_matches_serial():
-    """Regression: the full scheduler/load-generator path (admission,
-    chunked prefill, decode batches reshuffling over many ticks) drives
-    alloc-id ranges far enough that parent-born cache allocations
-    numerically collide with stale per-worker alloc-map keys.  The
-    journal's parent-born flag keeps replay from mistranslating those
-    frees; without it this replay dies with a ``KeyError`` in the pool
-    accounting."""
-    from repro.serving.loadgen import LoadGenConfig, run_load, synthesize_requests
-
-    def run(workers, backend=None):
-        cfg = tiny_llama(
-            hidden_size=32, num_layers=2, num_heads=2, num_kv_heads=1
-        )
-        model = GPTModel(cfg, seed=0)
-        requests = synthesize_requests(
-            LoadGenConfig(num_requests=32), cfg.vocab_size
-        )
-        with executor(workers=workers, backend=backend):
-            report = run_load(model, requests, verify="all")
-        assert report.dropped == 0 and report.mismatched == 0
-        return report
-
-    serial = run(1)
-    pooled = run(4, "process-pool")
-    assert pooled.completed == serial.completed == 32
-    assert pooled.schedule_digest == serial.schedule_digest
+def test_serving_decode_at_workers4_matches_serial(offload):
+    """The decode batcher fanned out on threads must produce the serial
+    engine's exact tokens, trace stream, and pool peaks — for both
+    KV-offload modes."""
+    serial = _run_serving(workers=1, offload=offload)
+    threaded = _run_serving(workers=4, offload=offload)
+    assert threaded == serial

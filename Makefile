@@ -1,6 +1,6 @@
 # Common developer targets.
 
-.PHONY: install test bench chaos obs experiments examples all
+.PHONY: install test bench chaos serve obs experiments examples all
 
 install:
 	pip install -e . || python setup.py develop

@@ -14,7 +14,7 @@ from repro.models.attention import (
     attention_forward_reference,
     online_attention_forward,
 )
-from repro.parallel import ulysses_block_forward
+from repro.parallel import seq_parallel_mesh, usp_block_forward
 from repro.core import ChunkLayout, fpdt_block_forward
 from repro.core.chunking import shard_sequence
 from repro.runtime import VirtualCluster, fast_path
@@ -53,8 +53,9 @@ def test_distributed_block_forward(benchmark, mode):
     if mode == "ulysses":
         def step():
             cluster = VirtualCluster(4)
-            return ulysses_block_forward(
-                cluster, block.params, cfg, np.split(x, 4, axis=1)
+            return usp_block_forward(
+                cluster, seq_parallel_mesh(cluster, 4, 1),
+                block.params, cfg, np.split(x, 4, axis=1),
             )
     else:
         layout = ChunkLayout(64, 4, 4)

@@ -19,7 +19,7 @@ from repro.core import ChunkLayout, fpdt_block_backward, fpdt_block_forward
 from repro.core.chunking import shard_sequence, unshard_sequence
 from repro.hardware import paper_node_a100_80g
 from repro.models import LLAMA_8B, TransformerBlock, tiny_llama
-from repro.parallel import ulysses_block_backward, ulysses_block_forward
+from repro.parallel import seq_parallel_mesh, usp_block_backward, usp_block_forward
 from repro.perfmodel import FPDT_FULL, ULYSSES, max_context_length, step_metrics
 from repro.runtime import VirtualCluster
 
@@ -50,8 +50,11 @@ def main() -> None:
     print(f"   FPDT gradient max-error vs reference: {dx_err:.2e}")
 
     ul_cluster = VirtualCluster(world)
-    y_u, ul_ctx = ulysses_block_forward(ul_cluster, block.params, cfg, np.split(x, world, axis=1))
-    ulysses_block_backward(ul_cluster, cfg, ul_ctx, np.split(dy, world, axis=1))
+    ulysses = seq_parallel_mesh(ul_cluster, world, 1)  # flat Ulysses: one row
+    y_u, ul_ctx = usp_block_forward(
+        ul_cluster, ulysses, block.params, cfg, np.split(x, world, axis=1)
+    )
+    usp_block_backward(ul_cluster, ulysses, cfg, ul_ctx, np.split(dy, world, axis=1))
 
     print("== 3. measured memory (byte-accurate pools) ==")
     print(f"   Ulysses peak HBM per GPU: {format_bytes(ul_cluster.peak_hbm())}")

@@ -180,8 +180,16 @@ class DeviceMesh:
     def groups(self, axis: str | int) -> list[ProcessGroup]:
         """All groups along ``axis``, one per combination of the other
         coordinates, ordered row-major over those coordinates.  Cached:
-        repeated calls hand back the same :class:`ProcessGroup` objects."""
+        repeated calls hand back the same :class:`ProcessGroup` objects.
+
+        An axis that spans the whole cluster *is* the world: it hands
+        back the cached :func:`world_group` (empty tag namespace), so a
+        degenerate mesh records the flat trace labels and fault-plan
+        keys and takes the world-only collective routes (hierarchical
+        all-to-all under a multi-node spec)."""
         ax = self.axis_index(axis)
+        if self.shape[ax] == self.cluster.world_size:
+            return [world_group(self.cluster)]
         if ax not in self._groups:
             rows = np.moveaxis(self._grid, ax, -1).reshape(-1, self.shape[ax])
             label = self.axis_names[ax]

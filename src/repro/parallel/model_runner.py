@@ -1,10 +1,13 @@
 """Shared model-level runner for contiguous-shard sequence parallelism.
 
-Ulysses, Megatron-SP and Ring Attention share everything outside the
-block: contiguous sequence shards, token-local embedding, per-rank loss
-head with global-mean rescaling, and the summed gradient assembly.
-:class:`ContiguousShardRunner` implements that frame once; subclasses
-supply only the block forward/backward pair.  (FPDT has its own runner
+USP (and with it Ulysses and Ring Attention, its two flat meshes) and
+Megatron-SP share everything outside the block: contiguous sequence
+shards, token-local embedding, per-rank loss head with global-mean
+rescaling, and the summed gradient assembly.
+:class:`ContiguousShardRunner` implements that frame once; the two
+subclasses (:class:`~repro.parallel.usp.USPModelRunner`,
+:class:`~repro.parallel.megatron_model.MegatronModelRunner`) supply
+only the block forward/backward pair.  (FPDT has its own runner
 — its rank-ordinal shuffle, chunked loss and activation-checkpoint
 integration change the frame itself.)
 """
@@ -172,19 +175,3 @@ class ContiguousShardRunner:
         if dpos is not None:
             grads["embed.positions"] = dpos
         return loss, grads
-
-
-class RingModelRunner(ContiguousShardRunner):
-    """Model-level Ring Attention (completes the baseline quartet)."""
-
-    def block_forward(self, block, x_shards):
-        """Ring-attention block forward over the shards."""
-        from repro.parallel.ring import ring_block_forward
-
-        return ring_block_forward(self.cluster, block.params, block.config, x_shards)
-
-    def block_backward(self, block, ctx, dy_shards):
-        """Ring-attention block backward."""
-        from repro.parallel.ring import ring_block_backward
-
-        return ring_block_backward(self.cluster, block.config, ctx, dy_shards)

@@ -1,31 +1,46 @@
-"""USP: unified 2D sequence parallelism — Ulysses × Ring (arXiv 2405.07719).
+"""The one sequence-parallel block: USP, Ulysses × Ring (arXiv 2405.07719).
 
-Flat Ulysses is capped at ``num_heads`` ranks (it scatters heads) and
-flat Ring pays ``P-1`` KV rotations; USP composes them on a 2D
+Every sequence-parallel baseline the paper compares FPDT against runs
+through :func:`usp_block_forward` / :func:`usp_block_backward` on a 2D
 :class:`~repro.parallel.mesh.DeviceMesh` of shape ``(ring_degree,
 ulysses_degree)``: each mesh **row** is a Ulysses group (all-to-all
-head-scatter over NVLink-sized subsets) and each mesh **column** is a
-Ring group (KV rotation between rows).  Rank ``r = i*U + j`` keeps its
-contiguous token shard; after the row all-to-all it holds the row's
-*gathered* segment — positions ``[i*seg, (i+1)*seg)`` with ``seg =
-U*s_local`` — for its ``H/U`` local heads, and the ring then folds the
-other rows' KV segments into an online-softmax state exactly as flat
-Ring folds rank shards.
+head-scatter over NVLink-sized subsets, Fig. 2 of the FPDT paper) and
+each mesh **column** is a Ring group (KV rotation between rows).  Rank
+``r = i*U + j`` keeps its contiguous token shard; after the row
+all-to-all it holds the row's *gathered* segment — positions ``[i*seg,
+(i+1)*seg)`` with ``seg = U*s_local`` — for its ``H/U`` local heads, and
+the ring then folds the other rows' KV segments into an online-softmax
+state.  Everything outside attention is token-local and reuses the
+reference block kernels.
 
-Degenerate degrees collapse to the flat strategies **bitwise** — same
-loss, gradients and pool peaks, the property the equivalence tests pin:
+The two flat strategies are the degenerate corners of the mesh, not
+separate code — :class:`UlyssesModelRunner` and :class:`RingModelRunner`
+are presets that only fix ``seq_parallel``:
 
-- ``(ulysses=world, ring=1)``: one row; the attention phase is flat
-  Ulysses's whole-segment :func:`online_attention_forward` with the
-  identical allocation/free order, the all-to-alls merely group-scoped.
-- ``(ulysses=1, ring=world)``: single-member rows make every all-to-all
-  a no-op (skipped entirely — no buffers, no trace events), ``seg =
-  s_local``, and the ring phase is flat Ring's op-for-op.
+- ``(ulysses=world, ring=1)`` is DeepSpeed-Ulysses (Jacobs et al.,
+  2023): one row spanning the world, so the mesh hands back the world
+  group (flat ``all_to_all:ulysses.*`` labels, hierarchical routing
+  under a multi-node spec) and the attention phase is one whole-segment
+  :func:`online_attention_forward` per rank.  It is capped at
+  ``num_heads`` ranks because it scatters heads.
+- ``(ulysses=1, ring=world)`` is Ring Attention (Liu et al., 2023):
+  single-member rows make every all-to-all a no-op (skipped entirely —
+  no buffers, no trace events), ``seg = s_local``, and one column
+  rotates KV shards for ``P-1`` hops.  Under the causal mask rank ``r``
+  only folds blocks from ranks ``<= r`` — the load imbalance the FPDT
+  paper contrasts with its own always-balanced schedule (§4.1).
 
 Mixed degrees fold different segment boundaries into the online softmax
-than either flat layout, so they are *numerically* (not bitwise) equal
-to the reference — but bitwise self-consistent across the serial and
-threads executors like every other strategy.
+than either corner, so the three are *numerically* (not bitwise) equal
+to each other and to the reference — and each is bitwise self-consistent
+across the serial and threads executors like every other strategy.
+
+Memory accounting follows the paper's Table 2: the QKV projections, the
+non-in-place all-to-all receive buffers, the travelling KV blocks and
+the gathered-sequence attention working set are registered on the device
+pools; activation checkpoints saved for backward are held in the
+:class:`USPBlockContext` (host-resident, the paper's default "activation
+checkpoint with CPU offloading").
 """
 
 from __future__ import annotations
@@ -58,12 +73,24 @@ from repro.models.block_ops import (
 from repro.models.config import ModelConfig
 from repro.parallel.mesh import DeviceMesh, ProcessGroup
 from repro.parallel.model_runner import ContiguousShardRunner
-from repro.parallel.ulysses import validate_ulysses_heads
 from repro.runtime.collectives import all_to_all, ring_shift
 from repro.runtime.device import VirtualCluster, as_device_tensors, free_all
 from repro.runtime.tensor import DeviceTensor
 
 ACT_DTYPE = DType.BF16
+
+
+def validate_ulysses_heads(cfg: ModelConfig, group: ProcessGroup) -> None:
+    """Ulysses scatters heads across its sequence-parallel *group* — the
+    head count must divide by the group size, not the flat world (under
+    a 2D mesh the Ulysses axis is one mesh row).  The error names the
+    axis so a world-8 / ulysses-4 run complains about 4 ranks, not 8."""
+    if cfg.num_heads % group.size != 0:
+        axis = group.name or "world"
+        raise ValueError(
+            f"Ulysses needs num_heads ({cfg.num_heads}) divisible by the "
+            f"sequence-parallel group size ({group.size}, axis {axis!r})"
+        )
 
 
 def seq_parallel_mesh(cluster: VirtualCluster, ulysses: int, ring: int) -> DeviceMesh:
@@ -157,7 +184,13 @@ def usp_block_forward(
     *,
     block_k: int | None = None,
 ) -> tuple[list[np.ndarray], USPBlockContext]:
-    """One transformer block under 2D (Ulysses × Ring) parallelism."""
+    """One transformer block under 2D (Ulysses × Ring) parallelism.
+
+    ``x_shards[r]`` is rank ``r``'s ``[b, s_local, H]`` hidden shard;
+    ``mesh`` is :func:`seq_parallel_mesh` — ``(world, 1)`` for flat
+    Ulysses, ``(1, world)`` for flat Ring.  Returns per-rank outputs
+    plus the context for :func:`usp_block_backward`.
+    """
     world = cluster.world_size
     U = mesh.axis_size("ulysses")
     R = mesh.axis_size("ring")
@@ -180,9 +213,9 @@ def usp_block_forward(
     vs = [p[2] for p in pre]
     pre_caches = [p[3] for p in pre]
 
-    # Row all-to-all: scatter heads, gather the row's segment.  With a
-    # single-member row (ulysses == 1) there is nothing to exchange, and
-    # flat Ring's pool/trace behavior requires *no* buffers here.
+    # Row all-to-all: scatter heads, gather the row's segment (send +
+    # recv buffers live).  A single-member row (ulysses == 1, flat Ring)
+    # has nothing to exchange: no buffers, no trace events.
     if U > 1:
         q_dev = as_device_tensors(cluster, qs, ACT_DTYPE, "ulysses.q")
         k_dev = as_device_tensors(cluster, ks, ACT_DTYPE, "ulysses.k")
@@ -192,9 +225,9 @@ def usp_block_forward(
         v_hat = _row_all_to_all(cluster, rows, v_dev, split_axis=2, concat_axis=1, tag="ulysses.v")
 
     if R == 1 and U > 1:
-        # Degenerate flat-Ulysses attention: whole-segment online kernel,
-        # o registered on-device, q/k/v checkpointed *after* attention —
-        # the exact allocation order of repro.parallel.ulysses.
+        # Flat Ulysses (one row, nothing to rotate): whole-segment
+        # online kernel, o registered on-device, q/k/v checkpointed
+        # *after* attention.
         def attn_rank(rank):
             o, lse = online_attention_forward(
                 q_hat[rank].data, k_hat[rank].data, v_hat[rank].data,
@@ -222,6 +255,8 @@ def usp_block_forward(
         scale = 1.0 / np.sqrt(cfg.head_dim)
         row_of = [mesh.coords(r)[0] for r in range(world)]
         states = [OnlineSoftmaxState.zeros(b, seg, h_loc, d) for _ in range(world)]
+        # Traveling KV segments: k_travel[r] currently sits on rank r (row
+        # i); after `step` rotations it originated on row (i - step) mod R.
         k_travel = as_device_tensors(cluster, [k.copy() for k in k_np], ACT_DTYPE, "ring.k")
         v_travel = as_device_tensors(cluster, [v.copy() for v in v_np], ACT_DTYPE, "ring.v")
         for step in range(R):
@@ -289,7 +324,12 @@ def usp_block_backward(
 ) -> tuple[list[np.ndarray], Grads]:
     """Backward of :func:`usp_block_forward`: rows all-to-all ``do`` into
     the ring layout, columns rotate ``(k, v, dk, dv)`` for a full cycle,
-    rows all-to-all the gradients back."""
+    rows all-to-all the gradients back.
+
+    Returns per-rank input gradients and the block's parameter gradients
+    **summed over ranks** (the all-reduce a real run issues, since every
+    rank computes partial weight gradients from its token shard).
+    """
     world = cluster.world_size
     U = mesh.axis_size("ulysses")
     R = mesh.axis_size("ring")
@@ -312,12 +352,14 @@ def usp_block_backward(
         do_shards.append(do)
         dres_shards.append(dres)
 
-    if R == 1 and U > 1:
-        # Degenerate flat-Ulysses backward: fetch checkpointed q/k/v,
-        # whole-segment FlashAttention-style recomputation.
+    # Row all-to-all do into the head-scattered ring layout.
+    if U > 1:
         do_dev = as_device_tensors(cluster, do_shards, ACT_DTYPE, "ulysses.do")
         do_hat = _row_all_to_all(cluster, rows, do_dev, split_axis=2, concat_axis=1, tag="ulysses.do")
 
+    if R == 1 and U > 1:
+        # Flat Ulysses: fetch checkpointed q/k/v (host -> device),
+        # whole-segment FlashAttention-style recomputation from (o, lse).
         def attn_bwd_rank(rank):
             dev = cluster.devices[rank]
             q_t = dev.from_numpy(ctx.q_heads[rank], ACT_DTYPE, "ulysses.q.fetch")
@@ -341,12 +383,7 @@ def usp_block_backward(
         dv_dev = [a[2] for a in attn_bwd]
         free_all(do_hat)
     else:
-        if U > 1:
-            do_dev = as_device_tensors(cluster, do_shards, ACT_DTYPE, "ulysses.do")
-            do_hat = _row_all_to_all(cluster, rows, do_dev, split_axis=2, concat_axis=1, tag="ulysses.do")
-            do_np = free_all(do_hat)
-        else:
-            do_np = do_shards
+        do_np = free_all(do_hat) if U > 1 else do_shards
         seg = ctx.q_heads[0].shape[1]
         scale = 1.0 / np.sqrt(cfg.head_dim)
         row_of = [mesh.coords(r)[0] for r in range(world)]
@@ -421,9 +458,9 @@ def usp_block_backward(
 class USPModelRunner(ContiguousShardRunner):
     """Training steps under 2D ``seq_parallel=(ulysses, ring)``.
 
-    ``USPModelRunner(model, cluster, seq_parallel=(world, 1))`` is flat
-    Ulysses bitwise; ``(1, world)`` is flat Ring bitwise; anything in
-    between trades head-count headroom against ring latency — the axis
+    ``seq_parallel=(world, 1)`` is flat Ulysses and ``(1, world)`` flat
+    Ring (the two presets below); anything in between trades head-count
+    headroom against ring latency — the axis
     :func:`repro.perfmodel.tuning.autotune_layout` sweeps.
     """
 
@@ -456,4 +493,28 @@ class USPModelRunner(ContiguousShardRunner):
         return usp_block_backward(
             self.cluster, self.mesh, block.config, ctx, dy_shards,
             block_k=self.block_k,
+        )
+
+
+class UlyssesModelRunner(USPModelRunner):
+    """The paper's DeepSpeed-Ulysses baseline: the ``(world, 1)`` mesh.
+
+    Contiguous shards, whole-shard QKV projection, one all-to-all pair
+    per layer and — ``loss_chunks=1`` by default — the full logits of
+    the shard materialized at the loss head, the §5.4 spike FPDT chunks
+    away.
+    """
+
+    def __init__(self, model, cluster: VirtualCluster, **kwargs):
+        super().__init__(
+            model, cluster, seq_parallel=(cluster.world_size, 1), **kwargs
+        )
+
+
+class RingModelRunner(USPModelRunner):
+    """The Ring Attention baseline: the ``(1, world)`` mesh."""
+
+    def __init__(self, model, cluster: VirtualCluster, **kwargs):
+        super().__init__(
+            model, cluster, seq_parallel=(1, cluster.world_size), **kwargs
         )

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.core.chunking import shard_sequence, unshard_sequence
 from repro.models import TransformerBlock, tiny_gpt, tiny_llama
-from repro.parallel import ulysses_block_forward
+from repro.parallel import seq_parallel_mesh, usp_block_forward
 from repro.runtime import VirtualCluster
 
 from .helpers import rng
@@ -109,8 +109,9 @@ class TestFPDTBlockEquivalence:
         block, x, dy, *_ = _make_case(cfg, seed=7)
         layout = ChunkLayout(x.shape[1], WORLD, 1)
         cluster = VirtualCluster(WORLD)
-        y_u, _ = ulysses_block_forward(
-            cluster, block.params, cfg, np.split(x, WORLD, axis=1)
+        y_u, _ = usp_block_forward(
+            cluster, seq_parallel_mesh(cluster, WORLD, 1),
+            block.params, cfg, np.split(x, WORLD, axis=1),
         )
         y_f, _, _, _ = _run_fpdt(block, cfg, x, dy, 1)
         np.testing.assert_allclose(
@@ -162,7 +163,10 @@ class TestFPDTMemoryClaims:
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
         block, x, dy, *_ = _make_case(cfg, s_local=16)
         cluster_u = VirtualCluster(WORLD)
-        ulysses_block_forward(cluster_u, block.params, cfg, np.split(x, WORLD, axis=1))
+        usp_block_forward(
+            cluster_u, seq_parallel_mesh(cluster_u, WORLD, 1),
+            block.params, cfg, np.split(x, WORLD, axis=1),
+        )
         _, _, _, cluster_f = _run_fpdt(block, cfg, x, dy, 8, offload=True)
         assert cluster_f.peak_hbm() < cluster_u.peak_hbm()
 

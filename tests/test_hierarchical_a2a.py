@@ -124,10 +124,12 @@ class TestHierarchicalTraffic:
 class TestAutoHierarchicalRouting:
     def test_spec_cluster_routes_hierarchically(self):
         """A cluster with a multi-node topology spec automatically uses
-        the two-stage exchange; results are unchanged."""
+        the two-stage exchange; results are unchanged.  Flat Ulysses is
+        the ``(8, 1)`` mesh, whose one row is the world group — the only
+        group the hierarchical route applies to."""
         from repro.hardware import make_cluster, paper_node_a100_80g
         from repro.models import TransformerBlock, tiny_gpt
-        from repro.parallel import ulysses_block_forward
+        from repro.parallel import seq_parallel_mesh, usp_block_forward
 
         from .helpers import rng as _rng
 
@@ -137,11 +139,15 @@ class TestAutoHierarchicalRouting:
         shards = np.split(x, 8, axis=1)
 
         plain = VirtualCluster(8)
-        y_plain, _ = ulysses_block_forward(plain, block.params, cfg, shards)
+        y_plain, _ = usp_block_forward(
+            plain, seq_parallel_mesh(plain, 8, 1), block.params, cfg, shards
+        )
 
         spec = make_cluster(paper_node_a100_80g(), 8)  # 2 nodes
         with_spec = VirtualCluster(8, spec=spec)
-        y_spec, _ = ulysses_block_forward(with_spec, block.params, cfg, shards)
+        y_spec, _ = usp_block_forward(
+            with_spec, seq_parallel_mesh(with_spec, 8, 1), block.params, cfg, shards
+        )
 
         for a, b in zip(y_plain, y_spec):
             np.testing.assert_array_equal(a, b)

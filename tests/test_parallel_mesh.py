@@ -104,6 +104,14 @@ class TestDeviceMesh:
         mesh = DeviceMesh(cluster, (2, 2), axis_names=("a", "b"), name="m")
         assert [g.name for g in mesh.groups("b")] == ["m.b0", "m.b1"]
 
+    def test_world_spanning_axis_is_the_world_group(self):
+        """An axis of size ``world`` hands back the cached world group
+        (empty tag namespace), not a named copy of it."""
+        cluster = VirtualCluster(4)
+        mesh = DeviceMesh(cluster, (1, 4), axis_names=("a", "b"), name="m")
+        assert mesh.groups("b") == [world_group(cluster)]
+        assert [g.name for g in mesh.groups("a")] == ["m.a0", "m.a1", "m.a2", "m.a3"]
+
     def test_validation(self):
         cluster = VirtualCluster(4)
         with pytest.raises(ValueError, match="covers"):

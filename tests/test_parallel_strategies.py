@@ -1,6 +1,7 @@
 """Strategy equivalence: Ulysses, Megatron-SP and Ring Attention must
 reproduce the single-device reference block bit-for-bit-close — outputs,
-input gradients, and parameter gradients."""
+input gradients, and parameter gradients.  Ulysses and Ring are the
+``(world, 1)`` and ``(1, world)`` meshes of the one USP block."""
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from repro.models import TransformerBlock, tiny_gpt, tiny_llama
 from repro.parallel import (
     megatron_block_backward,
     megatron_block_forward,
-    ring_block_backward,
-    ring_block_forward,
-    ulysses_block_backward,
-    ulysses_block_forward,
+    seq_parallel_mesh,
+    usp_block_backward,
+    usp_block_forward,
 )
 from repro.runtime import VirtualCluster
 
@@ -20,6 +20,14 @@ from .helpers import rng
 
 WORLD = 4
 TOL = dict(rtol=1e-8, atol=1e-10)
+
+
+def _ulysses(cluster):
+    return seq_parallel_mesh(cluster, WORLD, 1)
+
+
+def _ring(cluster):
+    return seq_parallel_mesh(cluster, 1, WORLD)
 
 
 def _make_case(cfg, seed=0, b=2, s_local=4):
@@ -59,8 +67,8 @@ class TestUlysses:
         cfg = cfg_factory()
         block, x, dy, y_ref, dx_ref, x_shards, dy_shards = _make_case(cfg)
         cluster = VirtualCluster(WORLD)
-        y_shards_d, ctx = ulysses_block_forward(cluster, block.params, cfg, x_shards)
-        dx_shards_d, grads = ulysses_block_backward(cluster, cfg, ctx, dy_shards)
+        y_shards_d, ctx = usp_block_forward(cluster, _ulysses(cluster), block.params, cfg, x_shards)
+        dx_shards_d, grads = usp_block_backward(cluster, _ulysses(cluster), cfg, ctx, dy_shards)
         _check(cluster, block, y_ref, dx_ref, y_shards_d, dx_shards_d, grads)
 
     def test_blockwise_attention_inside_ulysses(self):
@@ -69,11 +77,11 @@ class TestUlysses:
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
         block, x, dy, y_ref, dx_ref, x_shards, dy_shards = _make_case(cfg, seed=3)
         cluster = VirtualCluster(WORLD)
-        y_shards_d, ctx = ulysses_block_forward(
-            cluster, block.params, cfg, x_shards, block_k=3
+        y_shards_d, ctx = usp_block_forward(
+            cluster, _ulysses(cluster), block.params, cfg, x_shards, block_k=3
         )
-        dx_shards_d, grads = ulysses_block_backward(
-            cluster, cfg, ctx, dy_shards, block_k=5
+        dx_shards_d, grads = usp_block_backward(
+            cluster, _ulysses(cluster), cfg, ctx, dy_shards, block_k=5
         )
         _check(cluster, block, y_ref, dx_ref, y_shards_d, dx_shards_d, grads)
 
@@ -83,7 +91,7 @@ class TestUlysses:
         block = TransformerBlock(cfg, rng(0))
         shards = [np.zeros((1, 2, 32))] * WORLD
         with pytest.raises(ValueError, match="divisible"):
-            ulysses_block_forward(cluster, block.params, cfg, shards)
+            usp_block_forward(cluster, _ulysses(cluster), block.params, cfg, shards)
 
     def test_all_to_all_count_per_block(self):
         """Ulysses issues exactly 3 forward all-to-alls (q, k, v) + 1 for
@@ -91,10 +99,10 @@ class TestUlysses:
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
         block, *_, x_shards, dy_shards = _make_case(cfg, seed=4)
         cluster = VirtualCluster(WORLD)
-        _, ctx = ulysses_block_forward(cluster, block.params, cfg, x_shards)
+        _, ctx = usp_block_forward(cluster, _ulysses(cluster), block.params, cfg, x_shards)
         fwd_count = len(cluster.trace.filter(kind="collective"))
         assert fwd_count == 4
-        ulysses_block_backward(cluster, cfg, ctx, dy_shards)
+        usp_block_backward(cluster, _ulysses(cluster), cfg, ctx, dy_shards)
         assert len(cluster.trace.filter(kind="collective")) == 8
 
     def test_peak_hbm_includes_gathered_sequence(self):
@@ -103,7 +111,7 @@ class TestUlysses:
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
         block, *_, x_shards, dy_shards = _make_case(cfg, s_local=8)
         cluster = VirtualCluster(WORLD)
-        ulysses_block_forward(cluster, block.params, cfg, x_shards)
+        usp_block_forward(cluster, _ulysses(cluster), block.params, cfg, x_shards)
         b, s_global, H = 2, 8 * WORLD, 32
         gathered_qkv_bytes = 3 * b * s_global * (H // WORLD) * 2  # bf16
         assert cluster.peak_hbm() >= gathered_qkv_bytes
@@ -147,8 +155,8 @@ class TestRingAttention:
         cfg = cfg_factory()
         block, x, dy, y_ref, dx_ref, x_shards, dy_shards = _make_case(cfg, seed=2)
         cluster = VirtualCluster(WORLD)
-        y_shards_d, ctx = ring_block_forward(cluster, block.params, cfg, x_shards)
-        dx_shards_d, grads = ring_block_backward(cluster, cfg, ctx, dy_shards)
+        y_shards_d, ctx = usp_block_forward(cluster, _ring(cluster), block.params, cfg, x_shards)
+        dx_shards_d, grads = usp_block_backward(cluster, _ring(cluster), cfg, ctx, dy_shards)
         _check(cluster, block, y_ref, dx_ref, y_shards_d, dx_shards_d, grads)
 
     def test_ring_steps_count(self):
@@ -157,9 +165,9 @@ class TestRingAttention:
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
         block, *_, x_shards, dy_shards = _make_case(cfg, seed=5)
         cluster = VirtualCluster(WORLD)
-        _, ctx = ring_block_forward(cluster, block.params, cfg, x_shards)
+        _, ctx = usp_block_forward(cluster, _ring(cluster), block.params, cfg, x_shards)
         assert len(cluster.trace.filter(kind="collective")) == 2 * (WORLD - 1)
-        ring_block_backward(cluster, cfg, ctx, dy_shards)
+        usp_block_backward(cluster, _ring(cluster), cfg, ctx, dy_shards)
         total = len(cluster.trace.filter(kind="collective"))
         assert total == 2 * (WORLD - 1) + 4 * WORLD
 
@@ -169,7 +177,7 @@ class TestRingAttention:
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
         block, *_, x_shards, _ = _make_case(cfg, s_local=8)
         cluster = VirtualCluster(WORLD)
-        ring_block_forward(cluster, block.params, cfg, x_shards)
+        usp_block_forward(cluster, _ring(cluster), block.params, cfg, x_shards)
         b, s_global, H = 2, 8 * WORLD, 32
         full_kv = 2 * b * s_global * H * 2
         assert cluster.peak_hbm() < full_kv
@@ -180,13 +188,11 @@ class TestCrossStrategyAgreement:
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
         block, x, dy, y_ref, dx_ref, x_shards, dy_shards = _make_case(cfg, seed=9)
         outs = {}
-        for name, fwd, bwd in [
-            ("ulysses", ulysses_block_forward, ulysses_block_backward),
-            ("ring", ring_block_forward, ring_block_backward),
-        ]:
+        for name, make_mesh in [("ulysses", _ulysses), ("ring", _ring)]:
             cluster = VirtualCluster(WORLD)
-            y_s, ctx = fwd(cluster, block.params, cfg, x_shards)
-            dx_s, grads = bwd(cluster, cfg, ctx, dy_shards)
+            mesh = make_mesh(cluster)
+            y_s, ctx = usp_block_forward(cluster, mesh, block.params, cfg, x_shards)
+            dx_s, grads = usp_block_backward(cluster, mesh, cfg, ctx, dy_shards)
             outs[name] = (np.concatenate(y_s, axis=1), np.concatenate(dx_s, axis=1))
         cluster = VirtualCluster(WORLD)
         y_s, ctx = megatron_block_forward(cluster, block.params, cfg, x_shards)

@@ -1,14 +1,14 @@
 """USP (2D Ulysses x Ring) sequence parallelism.
 
-The load-bearing property is the degenerate collapse: ``seq_parallel =
-(world, 1)`` must be flat Ulysses **bitwise** — same loss bytes, same
-gradient bytes, same per-device pool peaks — and ``(1, world)`` flat
-Ring likewise.  Mixed factorizations fold different online-softmax
-segment boundaries, so they are numerically (not bitwise) equal to the
-reference.  The head-divisibility satellite rides here too: flat
-Ulysses is capped at ``num_heads`` ranks and must say so naming the
-group, while a USP mesh with a small-enough ulysses axis is the escape
-hatch.
+USP is the one sequence-parallel block: flat Ulysses is its ``(world,
+1)`` mesh and flat Ring its ``(1, world)`` mesh, and those two record
+the flat (unprefixed) collective labels because a mesh axis spanning the
+cluster is the world group.  Mixed factorizations fold different
+online-softmax segment boundaries, so they are numerically (not bitwise)
+equal to the flat corners.  The head-divisibility satellite rides here
+too: flat Ulysses is capped at ``num_heads`` ranks and must say so
+naming the group, while a USP mesh with a small-enough ulysses axis is
+the escape hatch.
 """
 
 import numpy as np
@@ -24,9 +24,10 @@ WORLD = 8
 SEQ = 64
 
 
-def _cfg(num_heads=8):
+def _cfg(num_heads=8, num_kv_heads=4):
     return tiny_llama(
-        hidden_size=32, num_heads=num_heads, num_kv_heads=4, num_layers=2
+        hidden_size=32, num_heads=num_heads, num_kv_heads=num_kv_heads,
+        num_layers=2,
     )
 
 
@@ -59,22 +60,35 @@ def _assert_bitwise(a, b):
     assert peaks_a == peaks_b
 
 
-class TestDegenerateCollapse:
-    def test_world_by_one_is_flat_ulysses_bitwise(self):
+def _collective_labels(make_runner, cfg):
+    tokens, labels = _data(cfg)
+    cluster = VirtualCluster(WORLD)
+    make_runner(GPTModel(cfg, seed=7), cluster).forward_backward(tokens, labels)
+    return [e.label for e in cluster.trace.filter(kind="collective")]
+
+
+class TestFlatMeshesAreTheWorldGroup:
+    """A mesh axis that spans the cluster hands back the world group, so
+    the degenerate meshes record the flat trace labels (and fault-plan
+    keys) — no ``usp.`` namespace."""
+
+    def test_world_by_one_records_flat_ulysses_labels(self):
         cfg = _cfg()
-        flat = _run(lambda m, c: UlyssesModelRunner(m, c), cfg)
-        usp = _run(
+        got = _collective_labels(
             lambda m, c: USPModelRunner(m, c, seq_parallel=(WORLD, 1)), cfg
         )
-        _assert_bitwise(flat, usp)
+        assert set(got) == {
+            f"all_to_all:ulysses.{t}" for t in ("q", "k", "v", "o", "do", "dq", "dk", "dv")
+        }
+        assert got == _collective_labels(lambda m, c: UlyssesModelRunner(m, c), cfg)
 
-    def test_one_by_world_is_flat_ring_bitwise(self):
+    def test_one_by_world_records_flat_ring_labels(self):
         cfg = _cfg()
-        flat = _run(lambda m, c: RingModelRunner(m, c), cfg)
-        usp = _run(
+        got = _collective_labels(
             lambda m, c: USPModelRunner(m, c, seq_parallel=(1, WORLD)), cfg
         )
-        _assert_bitwise(flat, usp)
+        assert set(got) == {f"ring_shift:ring.{t}" for t in ("k", "v", "dk", "dv")}
+        assert got == _collective_labels(lambda m, c: RingModelRunner(m, c), cfg)
 
 
 class TestMixedFactorizations:
@@ -110,9 +124,11 @@ class TestHeadDivisibility:
             _run(lambda m, c: UlyssesModelRunner(m, c), cfg)
 
     def test_usp_mesh_error_names_mesh_axis(self):
-        cfg = _cfg(num_heads=4)
-        with pytest.raises(ValueError, match=r"group size \(8, axis 'usp\.ulysses0'\)"):
-            _run(lambda m, c: USPModelRunner(m, c, seq_parallel=(8, 1)), cfg)
+        """A sub-world row names its mesh axis and *its* size, not the
+        world's ((8, 1) is the world group, covered above)."""
+        cfg = _cfg(num_heads=2, num_kv_heads=2)
+        with pytest.raises(ValueError, match=r"group size \(4, axis 'usp\.ulysses0'\)"):
+            _run(lambda m, c: USPModelRunner(m, c, seq_parallel=(4, 2)), cfg)
 
     def test_usp_is_the_head_count_escape_hatch(self):
         """The same (heads=4, world=8) point runs fine on a (4, 2) mesh:

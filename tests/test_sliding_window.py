@@ -18,9 +18,11 @@ from repro.models.attention import (
     online_attention_forward,
 )
 from repro.parallel import (
+    megatron_block_backward,
     megatron_block_forward,
-    ring_block_forward,
-    ulysses_block_forward,
+    seq_parallel_mesh,
+    usp_block_backward,
+    usp_block_forward,
 )
 from repro.runtime import VirtualCluster
 
@@ -108,25 +110,46 @@ class TestWindowedKernels:
 
 
 class TestWindowedStrategies:
-    def _case(self, cfg, seed=0, s_local=4):
-        block = TransformerBlock(cfg, rng(seed))
-        x = rng(seed + 1).normal(size=(1, s_local * WORLD, cfg.hidden_size))
-        y_ref = block.forward(x)
-        return block, x, y_ref
-
     @pytest.mark.parametrize(
-        "fwd",
-        [ulysses_block_forward, ring_block_forward, megatron_block_forward],
-        ids=["ulysses", "ring", "megatron"],
+        "seq_parallel",
+        [(WORLD, 1), (2, 2), (1, WORLD), None],
+        ids=["ulysses", "usp_2x2", "ring", "megatron"],
     )
-    def test_baselines_respect_window(self, fwd):
+    def test_baselines_respect_window(self, seq_parallel):
+        """Every USP branch (flat Ulysses, mixed mesh, flat Ring) and
+        Megatron-SP under a window: forward, ``dx`` and the parameter
+        gradients against the single-device block."""
         cfg = tiny_gpt(hidden_size=32, num_heads=4).scaled(attention_window=5)
-        block, x, y_ref = self._case(cfg)
+        block = TransformerBlock(cfg, rng(0))
+        g = rng(1)
+        x = g.normal(size=(1, 4 * WORLD, cfg.hidden_size))
+        dy = g.normal(size=x.shape)
+        y_ref = block.forward(x)
+        dx_ref = block.backward(dy)
+        x_shards = np.split(x, WORLD, axis=1)
+        dy_shards = np.split(dy, WORLD, axis=1)
         cluster = VirtualCluster(WORLD)
-        y_shards, _ = fwd(cluster, block.params, cfg, np.split(x, WORLD, axis=1))
+        if seq_parallel is None:
+            y_shards, ctx = megatron_block_forward(cluster, block.params, cfg, x_shards)
+            dx_shards, grads = megatron_block_backward(
+                cluster, block.params, cfg, ctx, dy_shards
+            )
+        else:
+            mesh = seq_parallel_mesh(cluster, *seq_parallel)
+            y_shards, ctx = usp_block_forward(cluster, mesh, block.params, cfg, x_shards)
+            dx_shards, grads = usp_block_backward(cluster, mesh, cfg, ctx, dy_shards)
         np.testing.assert_allclose(
             np.concatenate(y_shards, axis=1), y_ref, rtol=1e-8, atol=1e-10
         )
+        np.testing.assert_allclose(
+            np.concatenate(dx_shards, axis=1), dx_ref, rtol=1e-8, atol=1e-10
+        )
+        assert set(grads) == set(block.grads)
+        for name in grads:
+            np.testing.assert_allclose(
+                grads[name], block.grads[name], rtol=1e-7, atol=1e-9, err_msg=name
+            )
+        cluster.check_no_leaks()
 
 
 class TestWindowedFPDT:

@@ -52,9 +52,10 @@ def time_case(case: BenchCase, *, quick: bool) -> dict:
 def run_suite(*, quick: bool = False, echo=None) -> dict:
     """Run every case; returns the results document (JSON-ready).
 
-    The receipt records which rank-executor backend and worker count
-    the numbers were taken under — a serial-vs-threads comparison is
-    only meaningful when both receipts say what ran them.
+    The receipt records which rank-executor backend, worker count and
+    per-rank FLOP threshold the numbers were taken under — a
+    serial-vs-threads comparison is only meaningful when both receipts
+    say what ran them.
     """
     from repro.runtime.executor import executor_stats
 
@@ -68,7 +69,10 @@ def run_suite(*, quick: bool = False, echo=None) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "mode": "quick" if quick else "full",
-        "executor": {"backend": ex["backend"], "workers": ex["workers"]},
+        "executor": {
+            "backend": ex["backend"], "workers": ex["workers"],
+            "min_flops": ex["min_flops"],
+        },
         "results": results,
     }
 

@@ -14,7 +14,9 @@ Threads win only once BLAS dominates the step, roughly from the
 ``train_fpdt_long`` size (hidden 128, seq 2048, 8 chunks) upward —
 EXPERIMENTS.md has the sweep.  The committed baselines in ``results/``
 were captured with the executor pinned serial, so the gate reads "no
-slower than the serial loop".
+slower than the serial loop"; CI also times the out-of-the-box executor,
+which keeps these sections serial, against a serial run on the same
+runner.
 
 Model sizes are deliberately small: the point is fork-join overhead
 relative to per-rank compute, not BLAS throughput, and the full suite

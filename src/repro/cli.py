@@ -71,13 +71,15 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="rank-executor workers (1 = serial; default: REPRO_EXECUTOR "
-             "or the CPU count)",
+        help="rank-executor threads (1 = serial; default: REPRO_EXECUTOR "
+             "or the CPU count); only sections above the per-rank FLOP "
+             "threshold go to threads",
     )
     parser.add_argument(
         "--executor", default=None, metavar="BACKEND",
         choices=BACKENDS,
-        help="rank-executor backend: serial or threads (default)",
+        help="rank-executor backend: serial or threads (default; threads "
+             "only for sections above the per-rank FLOP threshold)",
     )
 
 

@@ -142,6 +142,8 @@ def fpdt_attention_forward(
     scale = scale if scale is not None else 1.0 / np.sqrt(d)
     big_c = layout.gathered_chunk_len
     h_local = h // world
+    # One rank's FLOPs for a full block; the diagonal block does half.
+    block_flops = _attn_fwd_flops(b, big_c, big_c, h_local, d)
 
     ctx = FPDTAttentionContext(
         layout=layout, offloaded=offload, cache=ChunkCache(cluster),
@@ -207,9 +209,7 @@ def fpdt_attention_forward(
                     scale=scale, q_offset=q_off, k_offset=layout.gathered_offset(j),
                     window=window,
                 )
-                cluster.devices[r].compute(
-                    "fpdt.attn_fwd", flops=_attn_fwd_flops(b, big_c, big_c, h_local, d)
-                )
+                cluster.devices[r].compute("fpdt.attn_fwd", flops=block_flops)
                 if offload:
                     k_t.free()
                     v_t.free()
@@ -222,9 +222,7 @@ def fpdt_attention_forward(
                 states[r], q_hat[r].data, k_hat[r].data, v_hat[r].data,
                 scale=scale, q_offset=q_off, k_offset=q_off, window=window,
             )
-            cluster.devices[r].compute(
-                "fpdt.attn_fwd", flops=_attn_fwd_flops(b, big_c, big_c, h_local, d) / 2
-            )
+            cluster.devices[r].compute("fpdt.attn_fwd", flops=block_flops / 2)
             # (4) finalize, save.
             o, lse = finalize_online(states[r])
             o_t = cluster.devices[r].from_numpy(o, ACT_DTYPE, "fpdt.o")
@@ -233,8 +231,10 @@ def fpdt_attention_forward(
             store.store("v", r, i, v_hat[r])
             return o_t, o, lse
 
+        # One rank's work: every visible block plus half the diagonal.
+        flops = block_flops * (len(visible) + 0.5)
         o_dev = []
-        for r, (o_t, o, lse) in enumerate(cluster.rank_map(fwd_rank)):
+        for r, (o_t, o, lse) in enumerate(cluster.rank_map(fwd_rank, flops=flops)):
             ctx.o_hat[r][i] = o
             ctx.lse[r][i] = lse
             o_dev.append(o_t)
@@ -265,6 +265,8 @@ def fpdt_attention_backward(
     scale = scale if scale is not None else 1.0 / np.sqrt(d)
     big_c = layout.gathered_chunk_len
     h_local = h // world
+    # One rank's FLOPs for a full block; the diagonal block does half.
+    block_flops = _attn_bwd_flops(b, big_c, big_c, h_local, d)
     offload = ctx.offloaded
     cache = ctx.cache
     window = ctx.window
@@ -361,8 +363,7 @@ def fpdt_attention_backward(
                     dq_out=dq_ws[r], dk_out=dk_ws[r], dv_out=dv_ws[r],
                 )
                 cluster.devices[r].compute(
-                    "fpdt.attn_bwd",
-                    flops=_attn_bwd_flops(b, big_c, big_c, h_local, d) / (2 if i == j else 1),
+                    "fpdt.attn_bwd", flops=block_flops / (2 if i == j else 1)
                 )
                 dq_host[r][i] += dq_p
                 dk_acc.data += dk_p
@@ -384,7 +385,9 @@ def fpdt_attention_backward(
             dq_t = cluster.devices[r].from_numpy(dq_host[r][j], ACT_DTYPE, "fpdt.dq")
             return dq_t, dk_acc, dv_acc
 
-        finals = cluster.rank_map(bwd_rank)
+        # One rank's work: every visible block, the diagonal (always
+        # visible, visible_q[0]) at half.
+        finals = cluster.rank_map(bwd_rank, flops=block_flops * (len(visible_q) - 0.5))
         dq_dev = [f[0] for f in finals]
         dk_acc = [f[1] for f in finals]
         dv_acc = [f[2] for f in finals]

@@ -113,6 +113,10 @@ def fpdt_block_forward(
     k_chunks: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
     v_chunks: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
     batch = x_shards[0].shape[0]
+    # Per-chunk FLOPs of one rank, computed once: each closure records
+    # them and each section's rank_map hint is their sum.
+    chunk_tokens = [sl.stop - sl.start for sl in map(layout.local_slice, range(u))]
+    qkv_flops = [_qkv_proj_flops(cfg, batch, n) for n in chunk_tokens]
 
     def qkv_rank(r):
         caches, qs, ks, vs = [], [], [], []
@@ -125,13 +129,12 @@ def fpdt_block_forward(
             qs.append(qh)
             ks.append(kh)
             vs.append(vh)
-            cluster.devices[r].compute(
-                "fpdt.qkv_proj_fwd",
-                flops=_qkv_proj_flops(cfg, batch, sl.stop - sl.start),
-            )
+            cluster.devices[r].compute("fpdt.qkv_proj_fwd", flops=qkv_flops[i])
         return caches, qs, ks, vs
 
-    for r, (caches, qs, ks, vs) in enumerate(cluster.rank_map(qkv_rank)):
+    for r, (caches, qs, ks, vs) in enumerate(
+        cluster.rank_map(qkv_rank, flops=sum(qkv_flops))
+    ):
         pre_caches[r] = caches
         q_chunks[r] = qs
         k_chunks[r] = ks
@@ -147,6 +150,7 @@ def fpdt_block_forward(
 
     # Phase 3, chunked: output projection + residual per chunk.
     post_caches: list[list[dict]] = [[None] * u for _ in range(world)]
+    out_flops = [_out_proj_flops(cfg, batch, n) for n in chunk_tokens]
 
     def out_proj_rank(r):
         mid = np.empty_like(x_shards[r])
@@ -159,36 +163,35 @@ def fpdt_block_forward(
                 params, x_shards[r][:, sl], o_chunks[r][i], y_out=mid[:, sl]
             )
             caches.append(cache)
-            cluster.devices[r].compute(
-                "fpdt.out_proj_fwd",
-                flops=_out_proj_flops(cfg, batch, sl.stop - sl.start),
-            )
+            cluster.devices[r].compute("fpdt.out_proj_fwd", flops=out_flops[i])
         return mid, caches
 
     mid_shards = []
-    for r, (mid, caches) in enumerate(cluster.rank_map(out_proj_rank)):
+    for r, (mid, caches) in enumerate(
+        cluster.rank_map(out_proj_rank, flops=sum(out_flops))
+    ):
         post_caches[r] = caches
         mid_shards.append(mid)
 
     # Phase 4: FFN at 2x the attention chunk count, never offloaded.
     ffn_chunks = max(1, ffn_chunk_factor * u)
     ffn_caches: list[list[dict]] = [[] for _ in range(world)]
+    ffn_bounds = _ffn_bounds(layout.s_local, ffn_chunks)
+    ffn_flops = [_ffn_flops(cfg, batch, hi - lo) for lo, hi in ffn_bounds]
 
     def ffn_rank(r):
         y = np.empty_like(mid_shards[r])
         caches = []
-        for lo, hi in _ffn_bounds(layout.s_local, ffn_chunks):
+        for (lo, hi), flops in zip(ffn_bounds, ffn_flops):
             _, cache = ffn_forward(
                 params, cfg, mid_shards[r][:, lo:hi], y_out=y[:, lo:hi]
             )
             caches.append(cache)
-            cluster.devices[r].compute(
-                "fpdt.ffn_fwd", flops=_ffn_flops(cfg, batch, hi - lo), nbytes=(hi - lo)
-            )
+            cluster.devices[r].compute("fpdt.ffn_fwd", flops=flops, nbytes=(hi - lo))
         return y, caches
 
     y_shards = []
-    for r, (y, caches) in enumerate(cluster.rank_map(ffn_rank)):
+    for r, (y, caches) in enumerate(cluster.rank_map(ffn_rank, flops=sum(ffn_flops))):
         ffn_caches[r] = caches
         y_shards.append(y)
 
@@ -218,6 +221,13 @@ def fpdt_block_backward(
 
     # FFN backward, 2u chunks (dx + dW: ~2x the forward GEMM volume).
     batch = dy_shards[0].shape[0]
+    # Per-chunk FLOPs of one rank, as in the forward: recorded by each
+    # closure, summed into each section's rank_map hint.
+    ffn_bounds = _ffn_bounds(layout.s_local, ctx.ffn_chunks)
+    ffn_flops = [2.0 * _ffn_flops(cfg, batch, hi - lo) for lo, hi in ffn_bounds]
+    chunk_tokens = [sl.stop - sl.start for sl in map(layout.local_slice, range(u))]
+    out_flops = [2.0 * _out_proj_flops(cfg, batch, n) for n in chunk_tokens]
+    qkv_flops = [2.0 * _qkv_proj_flops(cfg, batch, n) for n in chunk_tokens]
 
     # Weight-gradient contributions come back from the rank closures and
     # fold at the join in (rank, chunk) order — the serial loop's exact
@@ -225,21 +235,15 @@ def fpdt_block_backward(
     def ffn_bwd_rank(r):
         dmid = np.empty_like(dy_shards[r])
         chunk_grads = []
-        for (lo, hi), cache in zip(
-            _ffn_bounds(layout.s_local, ctx.ffn_chunks), ctx.ffn_caches[r]
-        ):
+        for (lo, hi), cache, flops in zip(ffn_bounds, ctx.ffn_caches[r], ffn_flops):
             dx_chunk, g = ffn_backward(dy_shards[r][:, lo:hi], cache)
             chunk_grads.append(g)
             dmid[:, lo:hi] = dx_chunk
-            cluster.devices[r].compute(
-                "fpdt.ffn_bwd",
-                flops=2.0 * _ffn_flops(cfg, batch, hi - lo),
-                nbytes=(hi - lo),
-            )
+            cluster.devices[r].compute("fpdt.ffn_bwd", flops=flops, nbytes=(hi - lo))
         return dmid, chunk_grads
 
     dmid_shards = []
-    for dmid, chunk_grads in cluster.rank_map(ffn_bwd_rank):
+    for dmid, chunk_grads in cluster.rank_map(ffn_bwd_rank, flops=sum(ffn_flops)):
         for g in chunk_grads:
             accumulate_grads(grads, g)
         dmid_shards.append(dmid)
@@ -257,13 +261,12 @@ def fpdt_block_backward(
             chunk_grads.append(g)
             dos.append(do)
             dress.append(dres)
-            cluster.devices[r].compute(
-                "fpdt.out_proj_bwd",
-                flops=2.0 * _out_proj_flops(cfg, batch, sl.stop - sl.start),
-            )
+            cluster.devices[r].compute("fpdt.out_proj_bwd", flops=out_flops[i])
         return chunk_grads, dos, dress
 
-    for r, (chunk_grads, dos, dress) in enumerate(cluster.rank_map(out_proj_bwd_rank)):
+    for r, (chunk_grads, dos, dress) in enumerate(
+        cluster.rank_map(out_proj_bwd_rank, flops=sum(out_flops))
+    ):
         do_chunks[r] = dos
         dres_chunks[r] = dress
         for g in chunk_grads:
@@ -286,14 +289,11 @@ def fpdt_block_backward(
             )
             chunk_grads.append(g)
             np.add(dres_chunks[r][i], dx_pre, out=dx[:, sl])
-            cluster.devices[r].compute(
-                "fpdt.qkv_proj_bwd",
-                flops=2.0 * _qkv_proj_flops(cfg, batch, sl.stop - sl.start),
-            )
+            cluster.devices[r].compute("fpdt.qkv_proj_bwd", flops=qkv_flops[i])
         return dx, chunk_grads
 
     dx_shards = []
-    for dx, chunk_grads in cluster.rank_map(qkv_bwd_rank):
+    for dx, chunk_grads in cluster.rank_map(qkv_bwd_rank, flops=sum(qkv_flops)):
         for g in chunk_grads:
             accumulate_grads(grads, g)
         dx_shards.append(dx)

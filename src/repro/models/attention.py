@@ -78,12 +78,18 @@ def _causal_bias(
     than ``window - 1`` positions behind the query are hidden too:
     query ``i`` sees keys in ``(i - window, i]``.
     """
+    if window is not None and window < 1:
+        raise ShapeError(f"window must be >= 1, got {window}")
+    # Offset arithmetic, as in block_is_visible: the last key is not after
+    # the first query and the first key is inside the last query's window.
+    if k_offset + sk - 1 <= q_offset and (
+        window is None or k_offset > q_offset + sq - 1 - window
+    ):
+        return None  # fully visible block, no mask needed
     iq = q_offset + np.arange(sq)[:, None]
     ik = k_offset + np.arange(sk)[None, :]
     hidden = ik > iq
     if window is not None:
-        if window < 1:
-            raise ShapeError(f"window must be >= 1, got {window}")
         hidden = hidden | (ik <= iq - window)
     if not hidden.any():
         return None  # fully visible block, no mask needed

@@ -170,10 +170,12 @@ class VirtualCluster:
             self.trace,
         )
 
-    def rank_map(self, fn) -> list:
+    def rank_map(self, fn, flops: float = 0.0) -> list:
         """Run ``fn(r)`` for every rank through the process-wide
         :mod:`repro.runtime.executor` — the fork-join primitive the
-        strategies use between collectives.
+        strategies use between collectives.  ``flops`` is the work one
+        rank's closure does, the hint the threads backend compares
+        against its threshold; without one the section runs serial.
 
         Two execution modes pin the serial path regardless of the
         executor: timeline recording (memory samples stamp the *live*
@@ -184,7 +186,8 @@ class VirtualCluster:
 
         force_serial = self.record_timeline or self.fault_injector is not None
         return rank_map(
-            fn, self.world_size, trace=self.trace, force_serial=force_serial
+            fn, self.world_size, trace=self.trace, force_serial=force_serial,
+            flops=flops,
         )
 
     def scatter(self, array: np.ndarray, axis: int, dtype: DType, tag: str) -> list[DeviceTensor]:

@@ -27,14 +27,19 @@ timelines (``record_timeline=True`` stamps samples with the live trace
 position) and fault injection (per-op fault draws are an ordered
 sequence).  ``VirtualCluster.rank_map`` applies both guards.
 
+The threads backend sends a section to the pool only when its caller's
+per-rank FLOP hint (``rank_map(..., flops=...)``) reaches
+:data:`PARALLEL_MIN_FLOPS`, and runs every other section as the plain
+loop: threads lose to serial on interpreter-bound sections and win once
+BLAS dominates (EXPERIMENTS.md, "Executor backends", records the sweep).
+A section without a hint therefore always runs serial.
+
 Selection: ``executor(workers=N)`` context manager, the
 ``REPRO_EXECUTOR`` env var (``serial`` | ``threads`` | ``threads:N`` |
-``N``), or the ``--workers``/``--executor`` CLI flags.  The threads
-backend is the default; ``workers`` defaults to the CPU count, so a
-single-core host degrades to the serial path automatically.  Threads
-lose to serial on interpreter-bound steps and win once BLAS dominates
-(roughly the ``train_fpdt_long`` size and up; EXPERIMENTS.md records the
-sweep).
+``N``), or the ``--workers``/``--executor`` CLI flags; they pick the
+backend and the worker count, never the threshold.  The default is
+threads at the CPU count, so a single-core host degrades to the serial
+path automatically.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from typing import Any, Callable, Sequence
 
 __all__ = [
     "BACKENDS",
+    "PARALLEL_MIN_FLOPS",
     "RankExecutor",
     "executor",
     "executor_stats",
@@ -116,9 +122,9 @@ def _find_blas_setters() -> list:
 def clamp_blas_threads(n: int) -> bool:
     """Pin the BLAS pool to ``n`` threads per call site.
 
-    Called by the executor before going parallel so ``workers`` rank
-    threads times ``cores`` BLAS threads doesn't oversubscribe the
-    machine (on small shapes that is a slowdown, not a speedup).
+    Called when a threads executor is built, so ``workers`` rank threads
+    times ``cores`` BLAS threads doesn't oversubscribe the machine (on
+    small shapes that is a slowdown, not a speedup).
     Returns ``True`` when a BLAS library accepted the setting; ``False``
     when the user pinned threading via env (respected as-is) or no
     known entry point exists.
@@ -149,6 +155,13 @@ def _in_rank_closure() -> bool:
 #: var, CLI) rejects anything else with a message that names them.
 BACKENDS = ("serial", "threads")
 
+#: Per-rank FLOPs a section must reach before the threads backend runs
+#: it on the pool.  On a 2-core host, FPDT sections under 3 MFLOP per
+#: rank run 1.5-1.75x slower on threads than in the plain loop, 6-10 MFLOP
+#: break even, and from 10 MFLOP threads take 25-45% off (the per-section
+#: sweep in EXPERIMENTS.md, "Executor backends").
+PARALLEL_MIN_FLOPS = 1e7
+
 
 class RankExecutor:
     """Process-wide fork-join dispatcher for per-rank closures.
@@ -156,8 +169,9 @@ class RankExecutor:
     Parameters
     ----------
     backend:
-        ``"threads"`` (default) runs the closures on a persistent thread
-        pool; ``"serial"`` makes ``rank_map`` a plain
+        ``"threads"`` runs the closures of every section whose per-rank
+        FLOP hint reaches :data:`PARALLEL_MIN_FLOPS` on a persistent
+        thread pool; ``"serial"`` makes ``rank_map`` a plain
         ``for r in range(world)`` loop.
     workers:
         Thread-pool size for the threads backend; defaults to the CPU
@@ -166,9 +180,11 @@ class RankExecutor:
     Utilization counters (cumulative, read via :meth:`stats`):
     ``fork_joins`` parallel fork-join sections executed, ``tasks`` rank
     closures dispatched to the pool, ``busy_seconds`` summed in-closure
-    time, ``wall_seconds`` summed fork-join wall time.  The busy
-    fraction ``busy / (wall * workers)`` is the utilization telemetry
-    surfaces per step.
+    time, ``wall_seconds`` summed fork-join wall time, and
+    ``below_min_flops`` sections that ran as the plain loop because their
+    hint was under :data:`PARALLEL_MIN_FLOPS`.  The busy fraction
+    ``busy / (wall * workers)`` is the utilization telemetry surfaces per
+    step.
     """
 
     def __init__(self, backend: str = "threads", workers: int | None = None):
@@ -183,6 +199,13 @@ class RankExecutor:
             raise ValueError("workers must be >= 1")
         self.backend = backend
         self.workers = workers
+        if self.parallel:
+            # One BLAS thread per rank thread, pinned up front so that the
+            # sections the threshold keeps serial run on the same BLAS
+            # thread count whether or not a pooled one ran before them
+            # (EXPERIMENTS.md, "Executor backends").
+            clamp_blas_threads((os.cpu_count() or 1) // workers)
+        self.below_min_flops = 0
         self.fork_joins = 0
         self.tasks = 0
         self.busy_seconds = 0.0
@@ -200,9 +223,6 @@ class RankExecutor:
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._pool is None:
-                # One BLAS thread per rank thread: the executor owns the
-                # core-level parallelism while a fork-join is running.
-                clamp_blas_threads((os.cpu_count() or 1) // self.workers)
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix="rank"
                 )
@@ -215,14 +235,17 @@ class RankExecutor:
         *,
         trace=None,
         force_serial: bool = False,
+        flops: float = 0.0,
     ) -> list:
         """Run ``fn(r)`` for every rank; return results in rank order.
 
         ``trace`` is the cluster trace to buffer per rank and merge at
         the join.  ``force_serial`` pins this call to the serial path
-        (timeline recording, fault injection).  Nested calls — a rank
-        closure invoking ``rank_map`` — run inline serially, so events
-        stay on the outer rank's buffer in their serial order.
+        (timeline recording, fault injection).  ``flops`` is the work
+        one rank's closure does; below :data:`PARALLEL_MIN_FLOPS` the
+        section runs as the plain loop.  Nested calls — a rank closure
+        invoking ``rank_map`` — run inline serially, so events stay on
+        the outer rank's buffer in their serial order.
 
         Exceptions: every rank runs to completion (or failure); the
         lowest-rank exception is re-raised after the trace buffers of
@@ -235,6 +258,10 @@ class RankExecutor:
             or not self.parallel
             or _in_rank_closure()
         ):
+            return [fn(r) for r in range(world)]
+        if flops < PARALLEL_MIN_FLOPS:
+            with self._lock:
+                self.below_min_flops += 1
             return [fn(r) for r in range(world)]
         pool = self._ensure_pool()
         buffers: list[list | None] = [None] * world
@@ -304,6 +331,8 @@ class RankExecutor:
                 "busy_seconds": self.busy_seconds,
                 "wall_seconds": self.wall_seconds,
                 "busy_fraction": self.busy_seconds / denom if denom > 0 else 0.0,
+                "min_flops": PARALLEL_MIN_FLOPS,
+                "below_min_flops": self.below_min_flops,
                 # Constant: perf/measure.py indexes these keys in its
                 # --trace 1 run; nothing forks, falls back or restarts.
                 "forks": 0,
@@ -334,7 +363,7 @@ def _from_env() -> RankExecutor:
 
     Accepted values: ``serial``, ``threads``, ``threads:N``, or a bare
     integer ``N`` (shorthand for ``threads:N``).  Unset or empty means
-    threads at CPU count — on by default.
+    threads at CPU count.
     """
     value = os.environ.get("REPRO_EXECUTOR", "").strip().lower()
     if not value or value == "threads":
@@ -405,10 +434,11 @@ def rank_map(
     *,
     trace=None,
     force_serial: bool = False,
+    flops: float = 0.0,
 ) -> list:
     """Module-level convenience over :func:`get_executor`."""
     return get_executor().rank_map(
-        fn, world, trace=trace, force_serial=force_serial
+        fn, world, trace=trace, force_serial=force_serial, flops=flops
     )
 
 

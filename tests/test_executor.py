@@ -10,13 +10,16 @@ concurrent load, and the BLAS oversubscription guard.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro.runtime.executor as executor_module
 from repro.runtime.executor import (
+    PARALLEL_MIN_FLOPS,
     RankExecutor,
     clamp_blas_threads,
     executor,
@@ -31,9 +34,15 @@ from repro.runtime.memory import MemoryPool
 from repro.runtime.trace import Trace
 
 
+#: The real threshold, read before any test patches it.
+THRESHOLD = PARALLEL_MIN_FLOPS
+
+
 @pytest.fixture(autouse=True)
-def _clean_global_executor():
-    """Each test starts and ends without a process-wide executor."""
+def _clean_global_executor(every_section_threaded):
+    """Each test starts and ends without a process-wide executor.  The
+    dispatch tests pass no FLOP hint, so the threshold is dropped; the
+    tests of the threshold set their own."""
     reset_executor()
     yield
     reset_executor()
@@ -214,6 +223,51 @@ def test_fold_accumulates_in_rank_order_and_skips_empty():
     assert order == ["a", "a", "b"]
 
 
+def test_threads_run_only_sections_that_reach_the_flop_threshold(monkeypatch):
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", 100.0)
+    ex = RankExecutor("threads", workers=4)
+    try:
+        main_thread = threading.get_ident()
+        ident = lambda r: threading.get_ident()  # noqa: E731
+        below = ex.rank_map(ident, 4, flops=99.0)
+        unhinted = ex.rank_map(ident, 4)
+        above = ex.rank_map(ident, 4, flops=100.0)
+    finally:
+        ex.shutdown()
+    assert below == unhinted == [main_thread] * 4
+    assert main_thread not in above
+
+
+def test_worker_count_leaves_the_threshold_in_place(monkeypatch):
+    """``executor(workers=N)`` (like ``--workers N`` and
+    ``REPRO_EXECUTOR=threads:N``) picks the pool size, not which sections
+    use it: a section without a hint still runs inline."""
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", THRESHOLD)
+    main_thread = threading.get_ident()
+    with executor(workers=4) as ex:
+        idents = rank_map(lambda r: threading.get_ident(), 4)
+        stats = ex.stats()
+    assert idents == [main_thread] * 4
+    assert stats["min_flops"] == THRESHOLD
+    assert stats["fork_joins"] == 0 and stats["below_min_flops"] == 1
+
+
+def test_stats_count_only_the_sections_the_threshold_kept_serial(monkeypatch):
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", 100.0)
+    ex = RankExecutor("threads", workers=2)
+    try:
+        ex.rank_map(lambda r: r, 4, flops=99.0)  # kept serial by the threshold
+        ex.rank_map(lambda r: r, 4, flops=99.0, force_serial=True)
+        ex.rank_map(lambda r: r, 1, flops=99.0)
+        ex.rank_map(lambda r: r, 4, flops=100.0)
+        stats = ex.stats()
+    finally:
+        ex.shutdown()
+    assert stats["min_flops"] == 100.0
+    assert stats["below_min_flops"] == 1
+    assert stats["fork_joins"] == 1
+
+
 def test_stats_keep_the_constant_keys_the_benchmark_reads():
     # perf/measure.py indexes these in its --trace 1 run.
     ex = RankExecutor("threads", workers=2)
@@ -237,19 +291,22 @@ def test_env_selects_serial(monkeypatch):
     assert ex.backend == "serial" and not ex.parallel
 
 
-@pytest.mark.parametrize("value,workers", [("threads:3", 3), ("2", 2)])
+@pytest.mark.parametrize(
+    "value,workers", [("threads:3", 3), ("2", 2), ("threads", None)]
+)
 def test_env_selects_thread_count(monkeypatch, value, workers):
     monkeypatch.setenv("REPRO_EXECUTOR", value)
     reset_executor()
     ex = get_executor()
-    assert ex.backend == "threads" and ex.workers == workers
+    assert ex.backend == "threads"
+    assert ex.workers == (workers or os.cpu_count() or 1)
 
 
 def test_env_default_is_threads_at_cpu_count(monkeypatch):
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     reset_executor()
     ex = get_executor()
-    assert ex.backend == "threads" and ex.workers >= 1
+    assert ex.backend == "threads" and ex.workers == (os.cpu_count() or 1)
 
 
 def test_env_rejects_garbage(monkeypatch):
@@ -417,6 +474,23 @@ def test_pool_arena_mix_under_rank_map():
 def test_blas_clamp_respects_user_pinning(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "7")
     assert clamp_blas_threads(1) is False
+
+
+def test_threads_executor_pins_blas_before_any_section(monkeypatch):
+    """The pin does not wait for a pooled section: one the threshold keeps
+    serial runs on the same BLAS thread count as the pooled ones."""
+    calls = []
+    monkeypatch.setattr(executor_module, "clamp_blas_threads", calls.append)
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", 100.0)
+    ex = RankExecutor("threads", workers=2)
+    try:
+        assert calls == [(os.cpu_count() or 1) // 2]
+        ex.rank_map(lambda r: r, 4, flops=99.0)
+        assert ex.stats()["fork_joins"] == 0 and len(calls) == 1
+    finally:
+        ex.shutdown()
+    RankExecutor("serial", workers=1)
+    assert len(calls) == 1
 
 
 def test_blas_clamp_is_safe_without_env(monkeypatch):

@@ -30,7 +30,9 @@ SEQ = 32
 
 
 @pytest.fixture(autouse=True)
-def _clean_global_executor():
+def _clean_global_executor(every_section_threaded):
+    # Every section at these shapes is below the threshold; with it
+    # dropped, ``workers=4`` fans out every section.
     reset_executor()
     yield
     reset_executor()

@@ -38,9 +38,10 @@ def test_reference_attention_forward(benchmark):
     assert o.shape == q.shape
 
 
-def test_online_attention_forward(benchmark):
-    q, k, v = _qkv()
-    o, _ = benchmark(lambda: online_attention_forward(q, k, v, block_q=64, block_k=64))
+@pytest.mark.parametrize("s,block", [(256, 64), (512, 128)])
+def test_online_attention_forward(benchmark, s, block):
+    q, k, v = _qkv(s=s)
+    o, _ = benchmark(lambda: online_attention_forward(q, k, v, block_q=block, block_k=block))
     assert o.shape == q.shape
 
 
@@ -88,14 +89,3 @@ def test_all_to_all_fast_path(benchmark, enabled):
                 t.release()
 
         benchmark(step)
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["fast-path", "no-arena"])
-def test_online_attention_fast_path(benchmark, enabled):
-    """Workspace-arena attention blocks vs fresh einsum temporaries."""
-    q, k, v = _qkv(s=512)
-    with fast_path(enabled):
-        o, _ = benchmark(
-            lambda: online_attention_forward(q, k, v, block_q=128, block_k=128)
-        )
-    assert o.shape == q.shape

@@ -12,9 +12,9 @@ The four attention contractions additionally dispatch straight to
 ``np.matmul`` with an ``out=`` destination.  NumPy's optimized einsum
 cannot write its BLAS result into ``out`` directly (it materializes a
 ``tensordot`` intermediate and copies), while ``matmul`` streams into
-the destination buffer — which is what makes preallocated (arena-warm)
-workspaces pay: no allocation *and* no page-fault storm on a cold
-result buffer.  The matmul lowering is bitwise-identical to the
+the destination buffer — which is what lets a kernel reuse one
+preallocated destination (the FPDT backward's ``dq/dk/dv`` trio) across
+a whole loop.  The matmul lowering is bitwise-identical to the
 optimized einsum (both run the same dgemm), which the tests assert.
 """
 

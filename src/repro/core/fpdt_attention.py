@@ -45,8 +45,6 @@ from repro.models.attention import (
     compute_delta,
     finalize_online,
     online_block_update,
-    workspace_rent,
-    workspace_return,
 )
 from repro.runtime.collectives import all_to_all
 from repro.runtime.device import VirtualCluster, as_device_tensors
@@ -301,9 +299,9 @@ def fpdt_attention_backward(
     # them, the accumulations below read them out, no per-block gradient
     # allocs.  Per-rank trios (not one shared trio) because the rank
     # closures of a fork-join round run concurrently.
-    dq_ws = [workspace_rent((b, big_c, h_local, d)) for _ in range(world)]
-    dk_ws = [workspace_rent((b, big_c, h_local, d)) for _ in range(world)]
-    dv_ws = [workspace_rent((b, big_c, h_local, d)) for _ in range(world)]
+    dq_ws = [np.empty((b, big_c, h_local, d)) for _ in range(world)]
+    dk_ws = [np.empty((b, big_c, h_local, d)) for _ in range(world)]
+    dv_ws = [np.empty((b, big_c, h_local, d)) for _ in range(world)]
 
     ahead = prefetch_depth >= 2  # see the forward: depth 1 cannot overlap
     for j in range(u):  # outer loop: KV chunks
@@ -404,7 +402,5 @@ def fpdt_attention_backward(
         for r in range(world):
             dq_host[r][j] = None  # release the host accumulator
 
-    for ws in (*dq_ws, *dk_ws, *dv_ws):
-        workspace_return(ws)
     ctx.release()
     return dq_local, dk_local, dv_local

@@ -19,49 +19,43 @@ pairs off the diagonal (the Fig. 6 discussion).  All shapes are
 
 The contractions run through :func:`repro.common.einsum_cache
 .cached_einsum` (memoized ``np.einsum_path``, matmul ``out=``
-destinations), and the block kernels draw their score/output scratch
-from a module-level :class:`~repro.runtime.arena.BufferArena` when the
-fast path is on — steady-state chunk loops reuse the same few warm
-buffers instead of allocating per block.  Scratch is fully overwritten
-before every read, so the fast path changes where the bytes live, never
-what they are: outputs are bit-identical with the switch on or off.
+destinations).  Each block kernel allocates its score / ``pv`` / ``dp``
+scratch with ``np.empty`` and drops it on return, so working memory
+stays O(block) however many distinct key lengths a chunked prefill or
+decode loop visits; a scratch cache keyed by shape would keep one score
+block per key length ever seen.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.einsum_cache import cached_einsum
 from repro.common.errors import ShapeError
-from repro.runtime.arena import BufferArena, fast_path_enabled
-
-#: Scratch buffers for the block kernels (scores, probability blocks,
-#: PV partials).  One process-wide arena: the kernels are pure NumPy and
-#: not tied to a device pool; accounting is unaffected (kernel-internal
-#: scratch is modeled analytically, see repro.perfmodel.memory_model).
-_WORKSPACE = BufferArena("attention.workspace", max_per_key=16)
 
 
-def workspace_rent(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """An uninitialized scratch buffer — arena-warm when the fast path
-    is on, a fresh allocation otherwise.  Callers must fully overwrite
-    it before reading and give it back with :func:`workspace_return`."""
-    if fast_path_enabled():
-        return _WORKSPACE.rent(shape, dtype)
-    return np.empty(shape, np.dtype(dtype))
+_SCRATCH_LOCK = threading.Lock()
+_scratch_allocs = 0
 
 
-def workspace_return(array: np.ndarray) -> None:
-    """Return a rented scratch buffer (no-op with the fast path off)."""
-    if fast_path_enabled():
-        _WORKSPACE.giveback(array)
+def _scratch(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A fresh, uninitialized scratch block, counted for
+    :func:`workspace_stats`."""
+    global _scratch_allocs
+    with _SCRATCH_LOCK:
+        _scratch_allocs += 1
+    return np.empty(shape, dtype)
 
 
 def workspace_stats() -> dict:
-    """Counters of the attention scratch arena (telemetry reads this)."""
-    return _WORKSPACE.stats()
+    """Scratch counters in the shape of an arena's: ``hits`` is always 0
+    (no scratch is reused), ``misses`` counts the block kernels' scratch
+    allocations, so ``perf/`` reads a workspace hit rate of 0."""
+    return {"hits": 0, "misses": _scratch_allocs}
+
 
 # ----------------------------------------------------------------------
 # Reference (quadratic-memory) attention
@@ -210,7 +204,7 @@ def online_block_update(
         )
     b, sq, h, _ = q.shape
     sk = k_blk.shape[1]
-    scores = workspace_rent((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
+    scores = _scratch((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
     cached_einsum("bqhd,bkhd->bhqk", q, k_blk, out=scores)
     scores *= scale
     if causal:
@@ -227,13 +221,11 @@ def online_block_update(
     correction = np.where(np.isneginf(state.m), 0.0, np.exp(state.m - safe_m))
     state.l *= correction
     state.l += p.sum(axis=-1)
-    pv = workspace_rent(state.acc.shape, state.acc.dtype)
+    pv = _scratch(state.acc.shape, state.acc.dtype)
     cached_einsum("bhqk,bkhd->bqhd", p, v_blk, out=pv)
     state.acc *= correction.transpose(0, 2, 1)[..., None]
     state.acc += pv
     state.m = m_new
-    workspace_return(pv)
-    workspace_return(scores)
     return state
 
 
@@ -290,7 +282,7 @@ def attention_block_backward(
         raise ShapeError("causal block backward got a fully-invisible block")
     b, sq, h, _ = q.shape
     sk = k_blk.shape[1]
-    scores = workspace_rent((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
+    scores = _scratch((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
     cached_einsum("bqhd,bkhd->bhqk", q, k_blk, out=scores)
     scores *= scale
     if causal:
@@ -300,7 +292,7 @@ def attention_block_backward(
     scores -= lse[..., None]
     p = np.exp(scores, out=scores)  # masked entries: exp(-inf) = 0
     dv = cached_einsum("bhqk,bqhd->bkhd", p, do, out=dv_out)
-    dp = workspace_rent(p.shape, p.dtype)
+    dp = _scratch(p.shape, p.dtype)
     cached_einsum("bqhd,bkhd->bhqk", do, v_blk, out=dp)
     dp -= delta[..., None]
     ds = np.multiply(p, dp, out=dp)
@@ -308,8 +300,6 @@ def attention_block_backward(
     dq *= scale
     dk = cached_einsum("bhqk,bqhd->bkhd", ds, q, out=dk_out)
     dk *= scale
-    workspace_return(dp)
-    workspace_return(scores)
     return dq, dk, dv
 
 

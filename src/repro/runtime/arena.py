@@ -1,15 +1,14 @@
 """Buffer-arena allocator: the zero-copy fast path's free list.
 
-Every hot loop in the runtime — the chunked all-to-alls of the FPDT
-schedule, the online-attention block updates, the Fig. 7 nested
-backward — cycles through tensors of a handful of fixed shapes.  A
-naive implementation allocates a fresh NumPy array per iteration and
-hands it back to the OS a few microseconds later; at multi-megabyte
-chunk sizes that is mmap/munmap churn and page-fault storms on every
-single collective.  The :class:`BufferArena` keeps returned buffers on
-a free list keyed by ``(shape, dtype)`` so steady-state loops allocate
-*nothing*: they rent a warm buffer, fill it, and eventually give it
-back.
+The hot collective loops of the runtime — the chunked all-to-alls of
+the FPDT schedule above all — cycle through receive buffers of a
+handful of fixed shapes.  A naive implementation allocates a fresh
+NumPy array per iteration and hands it back to the OS a few
+microseconds later; at multi-megabyte chunk sizes that is mmap/munmap
+churn and page-fault storms on every single collective.  The
+:class:`BufferArena` keeps returned buffers on a free list keyed by
+``(shape, dtype)`` so steady-state loops allocate *nothing*: they rent
+a warm buffer, fill it, and eventually give it back.
 
 Renting is **accounting-neutral**: arenas recycle NumPy *storage*
 only.  Pool byte accounting (:class:`~repro.runtime.memory.MemoryPool`)
@@ -18,10 +17,9 @@ memory figures — peaks, timelines, Table 2 footprints — are identical
 with the fast path on or off, which the tests assert.
 
 The module-level **fast-path switch** gates every arena in the
-process: collectives and attention kernels consult
-:func:`fast_path_enabled` when sourcing scratch/receive buffers.  The
-switch changes *where bytes live*, never *what the bytes are* —
-outputs are bit-identical either way.
+process: collectives consult :func:`fast_path_enabled` when sourcing
+receive buffers.  The switch changes *where bytes live*, never *what
+the bytes are* — outputs are bit-identical either way.
 
 Aliasing discipline (the reason this is safe):
 
@@ -60,8 +58,8 @@ _STATE = threading.local()
 
 
 def fast_path_enabled() -> bool:
-    """Whether the zero-copy fast path (arena-backed receive buffers and
-    attention workspaces) is active.  On by default."""
+    """Whether the zero-copy fast path (arena-backed receive buffers) is
+    active.  On by default."""
     return getattr(_STATE, "enabled", True)
 
 
@@ -118,10 +116,9 @@ class BufferArena:
         self.name = name
         self.max_per_key = max_per_key
         self._free: dict[tuple, list[np.ndarray]] = {}
-        # Rank-executor threads rent/giveback concurrently (the shared
-        # attention workspace arena especially); the pop/push +
-        # counter updates must be atomic or two threads can rent the
-        # same buffer.
+        # Rank-executor threads may rent/giveback concurrently; the
+        # pop/push + counter updates must be atomic or two threads can
+        # rent the same buffer.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0

@@ -56,15 +56,12 @@ class StepRecord:
     collective_count: int = 0
     h2d_bytes: int = 0
     d2h_bytes: int = 0
-    # Zero-copy fast-path counters.  The arena fields sum the per-rank
-    # HBM buffer arenas; the workspace fields are the process-wide
-    # attention scratch arena.  All are *cumulative* snapshots (the
-    # counters only grow), not per-step deltas.
+    # Zero-copy fast-path counters, summed over the per-rank HBM buffer
+    # arenas.  All are *cumulative* snapshots (the counters only grow),
+    # not per-step deltas.
     arena_hits: int = 0
     arena_misses: int = 0
     arena_reused_bytes: int = 0
-    workspace_hits: int = 0
-    workspace_misses: int = 0
     einsum_paths_cached: int = 0
     # Rank-executor utilization (process-wide, cumulative snapshots like
     # the arena counters): pool size, fork-join sections run, and the
@@ -278,7 +275,6 @@ class RunLogger:
             summary["arena_hits"] = last.arena_hits
             summary["arena_misses"] = last.arena_misses
             summary["arena_reused_bytes"] = last.arena_reused_bytes
-            summary["workspace_hits"] = last.workspace_hits
             summary["einsum_paths_cached"] = last.einsum_paths_cached
             summary["executor_workers"] = last.executor_workers
             summary["executor_fork_joins"] = last.executor_fork_joins

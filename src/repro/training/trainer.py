@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.common.einsum_cache import path_cache_stats
 from repro.core.fpdt_model import FPDTModelRunner
-from repro.models.attention import workspace_stats
 from repro.models.transformer import GPTModel
 from repro.runtime.executor import executor_stats
 from repro.runtime.trace_analysis import summarize
@@ -230,9 +229,6 @@ class Trainer:
             record.arena_hits = sum(a["hits"] for a in arenas)
             record.arena_misses = sum(a["misses"] for a in arenas)
             record.arena_reused_bytes = sum(a["reused_bytes"] for a in arenas)
-        ws = workspace_stats()
-        record.workspace_hits = ws["hits"]
-        record.workspace_misses = ws["misses"]
         record.einsum_paths_cached = path_cache_stats()["entries"]
         ex = executor_stats()
         record.executor_workers = ex["workers"] if ex["parallel"] else 1

@@ -2,6 +2,9 @@
 numerical differentiation, and the chunk-offset causal semantics FPDT
 relies on."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from repro.models.attention import (
     online_attention_backward,
     online_attention_forward,
     online_block_update,
+    workspace_stats,
 )
 
 from .helpers import numerical_grad, rng
@@ -118,6 +122,36 @@ class TestOnlineForward:
         state = OnlineSoftmaxState.zeros(1, 2, 2, 4)
         with pytest.raises(ShapeError):
             finalize_online(state)
+
+    def test_scratch_is_not_retained_across_key_lengths(self):
+        """A chunked prefill or decode loop meets a new key length on every
+        chunk; no score block may outlive the call that built it."""
+        g = rng(11)
+        q = g.normal(size=(1, 256, 4, 16))
+        score_block = 1 * 4 * 256 * 256 * 8  # float64 [b, h, sq, sk=256], the smallest
+        tracemalloc.start()
+        try:
+            held_before, _ = tracemalloc.get_traced_memory()
+            for sk in range(256, 4096 + 1, 256):
+                k = g.normal(size=(1, sk, 4, 16))
+                v = g.normal(size=(1, sk, 4, 16))
+                o, lse = online_attention_forward(q, k, v, causal=False)
+                del k, v, o, lse
+            gc.collect()
+            held_after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held_after - held_before < score_block
+
+    def test_workspace_stats_count_every_scratch_block_as_a_miss(self):
+        g = rng(12)
+        q, k, v = (g.normal(size=(1, 8, 2, 4)) for _ in range(3))
+        before = workspace_stats()
+        online_attention_forward(q, k, v, block_k=4, causal=False)
+        after = workspace_stats()
+        # two key blocks, each a score block and a PV partial; no reuse
+        assert after["misses"] - before["misses"] == 4
+        assert after["hits"] == 0
 
     @settings(max_examples=25, deadline=None)
     @given(

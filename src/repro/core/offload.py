@@ -58,7 +58,7 @@ class ChunkCache:
         """
         if key in self._store:
             raise KeyError(f"chunk cache already holds {key!r}")
-        self._inject("d2h", f"offload:{key}", device.rank)
+        inject_transfer_fault(self.cluster, "d2h", f"offload:{key}", device.rank)
         alloc = self.cluster.host.pool.alloc(tensor.nbytes, f"cache:{key}")
         self.cluster.trace.record(
             "d2h", f"offload:{key}", rank=device.rank, stream="d2h", nbytes=tensor.nbytes
@@ -82,7 +82,7 @@ class ChunkCache:
         """Copy the cached chunk to ``device`` (host copy retained).
         Returns a device tensor the caller must free after use."""
         data, dtype, _ = self._must_get(key)
-        self._inject("h2d", f"fetch:{key}", device.rank)
+        inject_transfer_fault(self.cluster, "h2d", f"fetch:{key}", device.rank)
         tensor = device.from_numpy(data, dtype, f"fetch:{key}")
         self.cluster.trace.record(
             "h2d", f"fetch:{key}", rank=device.rank, stream=stream, nbytes=tensor.nbytes
@@ -121,16 +121,19 @@ class ChunkCache:
         for key in list(self._store):
             self.discard(key)
 
-    def _inject(self, direction: str, label: str, rank: int) -> None:
-        """Fault-injection hook before an H2D/D2H transfer (flaky PCIe
-        link model); duck-typed like the collectives' hook so the cache
-        has no dependency on :mod:`repro.faults`."""
-        injector = getattr(self.cluster, "fault_injector", None)
-        if injector is not None:
-            injector.before_transfer(self.cluster, direction, label, rank)
-
     def _must_get(self, key: object):
         try:
             return self._store[key]
         except KeyError:
             raise KeyError(f"chunk cache has no entry {key!r}") from None
+
+
+def inject_transfer_fault(
+    cluster: VirtualCluster, direction: str, label: str, rank: int
+) -> None:
+    """Fault-injection hook before an H2D/D2H transfer (flaky PCIe link
+    model); duck-typed like the collectives' hook so offload code has no
+    dependency on :mod:`repro.faults`."""
+    injector = getattr(cluster, "fault_injector", None)
+    if injector is not None:
+        injector.before_transfer(cluster, direction, label, rank)

@@ -14,8 +14,12 @@ Two implementations of the same math:
 Block functions carry **absolute position offsets** ``(q_offset,
 k_offset)`` so the causal mask stays exact when FPDT processes chunk
 pairs off the diagonal (the Fig. 6 discussion).  All shapes are
-``[b, s, h, d]``; GQA inputs must be expanded with
-:func:`repro.models.layers.repeat_kv` before these kernels.
+``[b, s, h, d]``.  :func:`online_block_update` (and so the blockwise
+forward) also takes grouped-query K/V with ``hk`` heads, ``h % hk == 0``:
+it views ``q`` as ``[b, hk, g*sq, d]`` and contracts each KV head once
+against its ``g`` query heads, so nothing is repeated over the context.
+The backward and reference kernels take K/V expanded to ``h`` heads with
+:func:`repro.models.layers.repeat_kv`.
 
 The contractions run through :func:`repro.common.einsum_cache
 .cached_einsum` (memoized ``np.einsum_path``, matmul ``out=``
@@ -117,7 +121,7 @@ def attention_forward_reference(
     ``q``: ``[b, sq, h, d]``; ``k``/``v``: ``[b, sk, h, d]``.
     ``window`` enables sliding-window attention (causal only).
     """
-    _check_qkv(q, k, v)
+    _check_qkv(q, k, v, grouped=False)
     if window is not None and not causal:
         raise ShapeError("window requires causal attention")
     scale = scale if scale is not None else 1.0 / np.sqrt(q.shape[-1])
@@ -193,8 +197,16 @@ def online_block_update(
     (see :func:`block_is_visible`); FPDT's schedule guarantees this by
     construction (q_i attends only to k_j with j <= i, and with a
     window only to chunks overlapping ``(i*C - window, (i+1)*C]``).
+
+    ``k_blk``/``v_blk`` may carry ``hk`` KV heads for ``h`` query heads
+    (``h % hk == 0``, query head ``i`` reads KV head ``i // (h // hk)``,
+    the :func:`~repro.models.layers.repeat_kv` layout).  Then scores and
+    ``p @ v`` are batched matmuls over ``hk`` with ``q`` viewed as
+    ``[b, hk, g*sq, d]``; equal to the expanded path up to float
+    rounding.  With ``hk == h`` the contraction is the einsum it always
+    was.
     """
-    _check_qkv(q, k_blk, v_blk)
+    group = _check_qkv(q, k_blk, v_blk)
     if causal and not block_is_visible(
         q.shape[1], k_blk.shape[1], q_offset, k_offset, window
     ):
@@ -202,10 +214,18 @@ def online_block_update(
             f"causal online update got a fully-invisible block: "
             f"q_offset={q_offset}, k_offset={k_offset}, window={window}"
         )
-    b, sq, h, _ = q.shape
-    sk = k_blk.shape[1]
+    b, sq, h, d = q.shape
+    sk, hk = k_blk.shape[1], k_blk.shape[2]
     scores = _scratch((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
-    cached_einsum("bqhd,bkhd->bhqk", q, k_blk, out=scores)
+    if group == 1:
+        cached_einsum("bqhd,bkhd->bhqk", q, k_blk, out=scores)
+    else:
+        # [b, h, sq, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
+        qg = q.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
+        np.matmul(
+            qg, k_blk.transpose(0, 2, 3, 1),
+            out=scores.reshape(b, hk, group * sq, sk),
+        )
     scores *= scale
     if causal:
         bias = _causal_bias(sq, sk, q_offset, k_offset, window)
@@ -221,8 +241,13 @@ def online_block_update(
     correction = np.where(np.isneginf(state.m), 0.0, np.exp(state.m - safe_m))
     state.l *= correction
     state.l += p.sum(axis=-1)
-    pv = _scratch(state.acc.shape, state.acc.dtype)
-    cached_einsum("bhqk,bkhd->bqhd", p, v_blk, out=pv)
+    if group == 1:
+        pv = _scratch(state.acc.shape, state.acc.dtype)
+        cached_einsum("bhqk,bkhd->bqhd", p, v_blk, out=pv)
+    else:
+        pv = np.matmul(
+            p.reshape(b, hk, group * sq, sk), v_blk.transpose(0, 2, 1, 3)
+        ).reshape(b, h, sq, d).transpose(0, 2, 1, 3)
     state.acc *= correction.transpose(0, 2, 1)[..., None]
     state.acc += pv
     state.m = m_new
@@ -275,7 +300,7 @@ def attention_block_backward(
     trio every iteration so no per-block gradient buffers are allocated.
     They must not alias ``q``/``k_blk``/``v_blk``/``do``.
     """
-    _check_qkv(q, k_blk, v_blk)
+    _check_qkv(q, k_blk, v_blk, grouped=False)
     if causal and not block_is_visible(
         q.shape[1], k_blk.shape[1], q_offset, k_offset, window
     ):
@@ -364,7 +389,7 @@ def online_attention_backward(
     window: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blockwise attention backward from saved ``(o, lse)``."""
-    _check_qkv(q, k, v)
+    _check_qkv(q, k, v, grouped=False)
     if window is not None and not causal:
         raise ShapeError("window requires causal attention")
     b, sq, h, d = q.shape
@@ -396,12 +421,25 @@ def online_attention_backward(
     return dq, dk, dv
 
 
-def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
+def _check_qkv(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, *, grouped: bool = True
+) -> int:
+    """Validate the shapes; returns the query heads per KV head.  Only
+    kernels that contract grouped heads pass ``grouped=True``; the rest
+    need ``k`` expanded to ``q``'s head count."""
     if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
         raise ShapeError("q, k, v must be [batch, seq, heads, head_dim]")
     if k.shape != v.shape:
         raise ShapeError(f"k/v shapes differ: {k.shape} vs {v.shape}")
-    if q.shape[0] != k.shape[0] or q.shape[2:] != k.shape[2:]:
+    h, hk = q.shape[2], k.shape[2]
+    if q.shape[0] != k.shape[0] or q.shape[3] != k.shape[3] or h % hk:
         raise ShapeError(
-            f"q {q.shape} incompatible with k {k.shape} (batch/heads/dim must match)"
+            f"q {q.shape} incompatible with k {k.shape} (batch/dim must "
+            f"match and k's heads must divide q's)"
         )
+    if hk != h and not grouped:
+        raise ShapeError(
+            f"q {q.shape} incompatible with k {k.shape} (this kernel needs "
+            f"k expanded to q's heads; see repeat_kv)"
+        )
+    return h // hk

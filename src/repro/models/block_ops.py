@@ -7,6 +7,7 @@ parallel schemes (Ulysses, Megatron-SP, Ring, FPDT) exploit, so we
 expose the phases as pure functions over a parameter dict:
 
 * :func:`attn_pre_forward`   — norm + QKV projections + RoPE + GQA expand
+  (:func:`attn_qkv_forward` stops before the expand: the KV-cache rows)
 * (attention core — supplied by the strategy)
 * :func:`attn_post_forward`  — output projection + residual
 * :func:`ffn_forward`        — the MLP with its own norm + residual
@@ -76,6 +77,17 @@ def attn_pre_forward(
     ``(qh, kh, vh, cache)`` with full (GQA-expanded) heads,
     ``[b, s, H, d]``.
     """
+    qh, kh, vh, cache = attn_qkv_forward(params, cfg, x, positions)
+    g = cache["group"]
+    return qh, repeat_kv(kh, g), repeat_kv(vh, g), cache
+
+
+def attn_qkv_forward(
+    params: Params, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """:func:`attn_pre_forward` without the GQA expansion: ``kh``/``vh``
+    keep ``cfg.num_kv_heads`` heads (the post-RoPE rows a KV cache
+    stores)."""
     gpt = cfg.arch == "gpt"
     if gpt:
         normed, norm_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
@@ -97,7 +109,7 @@ def attn_pre_forward(
         "norm": norm_cache, "q": q_cache, "k": k_cache, "v": v_cache,
         "rope": rope_cache, "gpt": gpt, "group": g,
     }
-    return qh, repeat_kv(kh, g), repeat_kv(vh, g), cache
+    return qh, kh, vh, cache
 
 
 def attn_pre_backward(

@@ -2,8 +2,9 @@
 
 The downstream purpose of a long-context model is to *use* the context;
 this module gives the reference model an incremental decoding path: the
-prompt is encoded once, per-layer key/value tensors are cached, and each
-new token runs O(1) projections plus attention against the cache.
+prompt is encoded once, per-layer key/value rows are cached in the
+model's KV heads and appended in place, and each new token runs O(1)
+projections plus attention against the cache.
 Greedy and temperature sampling are supported; equivalence with
 full-recompute decoding is tested, which also re-validates the attention
 kernels from the inference side.
@@ -24,20 +25,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ShapeError
-from repro.models.block_ops import attn_post_forward, attn_pre_forward, ffn_forward
+from repro.models.block_ops import attn_post_forward, attn_qkv_forward, ffn_forward
 from repro.models.layers import layernorm_forward, rmsnorm_forward
 from repro.models.transformer import GPTModel
 
 
 class KVCache:
-    """Per-layer key/value tensors, grown as decoding proceeds.
+    """Per-layer key/value rows in KV heads, appended in place.
+
+    Each layer keeps one ``[b, capacity, hk, d]`` buffer for K and one
+    for V, holding the post-RoPE rows of the model's ``num_kv_heads``
+    heads (attention contracts grouped heads directly, so nothing is
+    expanded).  An append writes after the last row; a full buffer is
+    replaced by one half again as large as the retained rows plus the
+    append, so a long decode copies its cache O(log length) times, not
+    once per token.
 
     With ``window`` set (sliding-window attention), entries whose
     absolute position can no longer be seen by any present or future
-    query are evicted on append, bounding the cached length at
-    ``window - 1`` plus the append size.  ``seq_len`` keeps counting
-    *absolute* positions (tokens ever appended); ``cached_len`` is what
-    is actually retained.
+    query are evicted on append by advancing the layer's offset, which
+    bounds ``cached_len`` at ``window - 1`` plus the append size; a
+    regrow copies only the retained rows, so ``capacity`` stays
+    O(window) too.  ``seq_len`` keeps counting *absolute* positions
+    (tokens ever appended); ``cached_len`` is what is actually retained.
     """
 
     def __init__(self, num_layers: int, *, window: int | None = None):
@@ -45,34 +55,16 @@ class KVCache:
             raise ValueError("window must be >= 1 or None")
         self.num_layers = num_layers
         self.window = window
-        self.keys: list[np.ndarray | None] = [None] * num_layers
-        self.values: list[np.ndarray | None] = [None] * num_layers
-        # Absolute position of the first *retained* entry / one past the
-        # last appended entry, per layer.
+        self._k: list[np.ndarray | None] = [None] * num_layers
+        self._v: list[np.ndarray | None] = [None] * num_layers
+        # Absolute position of buffer row 0 / of the first *retained*
+        # entry / one past the last appended entry, per layer.
+        self._base = [0] * num_layers
         self._offsets = [0] * num_layers
         self._totals = [0] * num_layers
 
-    @classmethod
-    def restore(
-        cls,
-        keys: list[np.ndarray],
-        values: list[np.ndarray],
-        *,
-        offset: int,
-        total: int,
-        window: int | None = None,
-    ) -> "KVCache":
-        """Rebuild a cache from externally-held per-layer arrays (the
-        serving KV store round-trips caches through host memory)."""
-        cache = cls(len(keys), window=window)
-        cache.keys = list(keys)
-        cache.values = list(values)
-        cache._offsets = [offset] * len(keys)
-        cache._totals = [total] * len(keys)
-        return cache
-
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Extend layer ``layer``'s cache; returns the full (k, v).
+        """Extend layer ``layer``'s cache; returns the retained (k, v).
 
         With a window, entries at absolute positions ``<= start - window``
         (where ``start`` is the first new position of this append) are
@@ -83,19 +75,33 @@ class KVCache:
         """
         start = self._totals[layer]
         if self.window is not None:
-            drop = (start - self.window + 1) - self._offsets[layer]
-            if drop > 0 and self.keys[layer] is not None:
-                self.keys[layer] = self.keys[layer][:, drop:]
-                self.values[layer] = self.values[layer][:, drop:]
-                self._offsets[layer] += drop
-        if self.keys[layer] is None:
-            self.keys[layer] = k
-            self.values[layer] = v
-        else:
-            self.keys[layer] = np.concatenate([self.keys[layer], k], axis=1)
-            self.values[layer] = np.concatenate([self.values[layer], v], axis=1)
-        self._totals[layer] = start + k.shape[1]
-        return self.keys[layer], self.values[layer]
+            self._offsets[layer] = max(self._offsets[layer], start - self.window + 1)
+        lo = self._offsets[layer] - self._base[layer]
+        hi = start - self._base[layer]
+        n = k.shape[1]
+        if self._k[layer] is None or hi + n > self._k[layer].shape[1]:
+            rows = hi - lo + n
+            shape = (k.shape[0], rows + rows // 2, *k.shape[2:])
+            for bufs, new in ((self._k, k), (self._v, v)):
+                grown = np.empty(shape, new.dtype)
+                if bufs[layer] is not None:
+                    grown[:, : hi - lo] = bufs[layer][:, lo:hi]
+                bufs[layer] = grown
+            self._base[layer] = self._offsets[layer]
+            lo, hi = 0, hi - lo
+        self._k[layer][:, hi : hi + n] = k
+        self._v[layer][:, hi : hi + n] = v
+        self._totals[layer] = start + n
+        return self._k[layer][:, lo : hi + n], self._v[layer][:, lo : hi + n]
+
+    def rows(self, layer: int, start: int = 0) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Layer ``layer``'s retained (k, v) from absolute position
+        ``start`` (clamped to the offset) to the end."""
+        if self._k[layer] is None:
+            return None, None
+        lo = max(start, self._offsets[layer]) - self._base[layer]
+        hi = self._totals[layer] - self._base[layer]
+        return self._k[layer][:, lo:hi], self._v[layer][:, lo:hi]
 
     def layer_offset(self, layer: int) -> int:
         """Absolute position of layer ``layer``'s first retained entry."""
@@ -116,17 +122,12 @@ class KVCache:
     @property
     def cached_len(self) -> int:
         """Entries actually retained (== ``seq_len`` without a window)."""
-        return 0 if self.keys[0] is None else self.keys[0].shape[1]
+        return self._totals[0] - self._offsets[0]
 
     @property
-    def nbytes(self) -> int:
-        """NumPy bytes of the retained keys and values across layers."""
-        return sum(
-            t.nbytes
-            for pair in zip(self.keys, self.values)
-            for t in pair
-            if t is not None
-        )
+    def capacity(self) -> int:
+        """Rows the layer-0 buffers can hold before the next regrow."""
+        return 0 if self._k[0] is None else self._k[0].shape[1]
 
 
 def forward_cached(
@@ -147,7 +148,7 @@ def forward_cached(
             raise ShapeError("generation exceeded the position table")
         x = x + model.params["embed.positions"][positions][None, :, :]
     for layer, block in enumerate(model.blocks):
-        qh, kh, vh, _ = attn_pre_forward(block.params, cfg, x, positions)
+        qh, kh, vh, _ = attn_qkv_forward(block.params, cfg, x, positions)
         k_full, v_full = cache.append(layer, kh, vh)
         # New queries attend to everything cached; the causal offset is
         # the cache length before this call, and the key offset is the
@@ -166,13 +167,11 @@ def forward_cached(
     return normed[:, -1] @ model.params["embed.table"].T
 
 
-# Backward-compatible alias (pre-serving name).
-_forward_cached = forward_cached
-
-
 def _prefix_causal_attention(qh, k_full, v_full, q_offset, cfg, *, k_offset=0):
     """Attention of new queries (at absolute offset ``q_offset``) over
-    the full cached prefix, with the correct causal mask and window."""
+    the full cached prefix, with the correct causal mask and window.
+    ``k_full``/``v_full`` keep the model's KV heads; the kernel contracts
+    each against its group of query heads."""
     from repro.models.attention import (
         OnlineSoftmaxState,
         finalize_online,

@@ -18,11 +18,12 @@ guarantees:
   pins the serial path exactly like ``VirtualCluster.rank_map`` (the
   injector's per-op draws are an ordered sequence).
 
-Between steps every request's KV lives host-side in the
-:class:`~repro.serving.kvstore.RequestKVStore` (set ``offload=False``
-to keep caches in plain arrays instead; numerics are identical, only
-the pools and PCIe traffic differ — the same contract the FPDT
-attention keeps).
+Between steps every request's KV lives host-side in the append-only
+:class:`~repro.serving.kvstore.RequestKVStore`, in the model's KV
+heads: a forward reads the retained rows H2D once and sends only the
+rows it appended D2H (set ``offload=False`` to keep caches in plain
+arrays instead; numerics are identical, only the pools and PCIe
+traffic differ — the same contract the FPDT attention keeps).
 
 Greedy decode through the engine is **bitwise identical** to
 :func:`repro.models.generate.generate` per request, for any prefill
@@ -255,15 +256,18 @@ class ServingEngine:
     # -- KV residency -------------------------------------------------------
 
     def _checkout(self, state: DecodeState) -> KVCache:
+        """The request's cache for one forward: inline, fetched from the
+        store (retained rows H2D), or new on the first prefill chunk."""
         window = self.model.config.attention_window
-        if not self.config.offload:
-            if state.kv is None:
-                state.kv = KVCache(len(self.model.blocks), window=window)
-            return state.kv
-        if state.rid in self.store:
-            return self.store.load(state.rid, window=window)
-        return KVCache(len(self.model.blocks), window=window)
+        if self.config.offload:
+            if state.rid in self.store:
+                return self.store.load(state.rid)
+            return KVCache(len(self.model.blocks), window=window)
+        if state.kv is None:
+            state.kv = KVCache(len(self.model.blocks), window=window)
+        return state.kv
 
     def _checkin(self, state: DecodeState, kv: KVCache) -> None:
+        """After the forward: the appended rows go D2H (offload only)."""
         if self.config.offload:
             self.store.save(state.rid, kv)

@@ -1,39 +1,69 @@
-"""Per-request KV residency: host offload between decode steps.
+"""Per-request KV residency: an append-only host store.
 
 Serving a long-context model means the KV caches, not the activations,
 dominate HBM — a single 512K-token request at bf16 dwarfs the model's
-working set.  The same machinery FPDT uses for training chunks applies
-directly: between engine steps every request's per-layer K/V lives in
-the :class:`~repro.core.offload.ChunkCache` (host memory), and a step
-*fetches* the one request it is about to advance, runs the token, and
-*offloads* the grown cache back.  At any moment HBM holds at most the
-in-flight requests' KV — the serving analogue of the paper's "1/u
-footprint" claim, and the reason the engine's device pool stays flat as
-the request population grows.
+working set.  FPDT's answer for training applies directly: each KV chunk
+goes to host memory *once* and is only fetched back afterwards (§4.1).
+Between engine steps a request's per-layer K/V rows live host-side:
 
-Because every movement goes through the chunk cache, the PR-4 fault
-injector's ``before_transfer`` hook fires on serving traffic too: a
-flaky-PCIe chaos plan exercises the scheduler exactly like the trainer,
-and — since injected transients retry without perturbing payloads —
-served tokens stay bitwise identical under chaos.
+* :meth:`RequestKVStore.save` sends D2H only the rows appended since the
+  request was last loaded (every row crosses to the host once);
+* :meth:`RequestKVStore.load` fetches the retained rows to the device,
+  one H2D per (layer, k|v), and the host copy stays;
+* rows that fall behind a sliding window are dropped from the host on
+  the next save, and :meth:`RequestKVStore.evict` frees the rest when
+  the request finishes.
+
+Rows are stored in the model's KV heads (no GQA expansion), so each
+transfer is as wide as the model's ``num_kv_heads`` need.  A fetched
+tensor's HBM bytes are released once its array is handed to the cache,
+so HBM holds at most one layer tensor of one in-flight request at a time
+— the serving analogue of the paper's "1/u footprint" claim.  Every
+decode step still reads the retained prefix H2D once, just as FPDT
+fetches each earlier KV chunk once per later query chunk.
+
+The host copy and the device copy hold the same values, so both are the
+one :class:`~repro.models.generate.KVCache` the store keeps per request;
+an append writes only rows past the host's, and the store's pools and
+trace account the two placements.  Every transfer calls the fault
+injector's ``before_transfer`` hook, like the chunk cache: a flaky-PCIe
+chaos plan exercises the scheduler exactly like the trainer and, since
+injected transients retry without perturbing payloads, served tokens
+stay bitwise identical under chaos.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+import numpy as np
+
 from repro.common.dtypes import DType
-from repro.core.offload import ChunkCache
+from repro.core.offload import inject_transfer_fault
 from repro.models.generate import KVCache
 from repro.runtime.device import VirtualCluster
+from repro.runtime.memory import Allocation
+
+
+@dataclass
+class _Resident:
+    kv: KVCache
+    #: Absolute position one past the last row already on host.
+    saved: int = 0
+    #: Host-pool charge of the retained rows, per (layer, k|v).
+    allocs: list[Allocation] = field(default_factory=list)
+    #: Whether the rows are on the device (between ``load`` and ``save``).
+    loaded: bool = False
 
 
 class RequestKVStore:
-    """Host-offloaded KV caches keyed by request id.
+    """Host-resident KV caches keyed by request id.
 
-    Entries are ``(rid, layer, "k"|"v")`` in one :class:`ChunkCache`;
     D2H/H2D traffic and host-pool bytes are accounted on the cluster
-    like any training offload.  ``load`` is fetch-and-evict: the engine
-    re-saves the grown cache after its step, so the host never holds two
-    generations of one request.
+    like any training offload, with trace labels ``offload:(rid, layer,
+    kind)`` / ``fetch:(rid, layer, kind)``.  A request is either resident
+    (after ``save``) or loaded (after ``load``); saving a resident request
+    or loading a loaded one raises ``KeyError``.
     """
 
     def __init__(
@@ -45,63 +75,87 @@ class RequestKVStore:
     ):
         self.cluster = cluster
         self.device = cluster.devices[0]
-        self.cache = ChunkCache(cluster)
         self.num_layers = num_layers
         self.dtype = dtype
-        # rid -> (offset, total) of the stored KVCache (uniform across
-        # layers between forwards); window travels with the engine.
-        self._meta: dict[str, tuple[int, int]] = {}
+        self._held: dict[str, _Resident] = {}
 
     def __contains__(self, rid: str) -> bool:
-        return rid in self._meta
+        return rid in self._held
 
     def __len__(self) -> int:
-        return len(self._meta)
+        return len(self._held)
 
     @property
     def host_bytes(self) -> int:
-        """Accounted host bytes of every resident request."""
-        return self.cache.host_bytes
-
-    def save(self, rid: str, kv: KVCache) -> None:
-        """Offload ``rid``'s cache to host (one D2H per layer tensor)."""
-        if rid in self._meta:
-            raise KeyError(f"kv store already holds request {rid!r}")
-        for layer in range(self.num_layers):
-            for kind, arr in (("k", kv.keys[layer]), ("v", kv.values[layer])):
-                tensor = self.device.from_numpy(arr, self.dtype, f"kv:{rid}")
-                self.cache.store((rid, layer, kind), tensor, self.device)
-        self._meta[rid] = (kv.offset, kv.seq_len)
-
-    def load(self, rid: str, *, window: int | None = None) -> KVCache:
-        """Fetch ``rid``'s cache back to the device (one H2D per layer
-        tensor) and drop the host copies; returns the rebuilt
-        :class:`KVCache` ready for :func:`~repro.models.generate
-        .forward_cached`."""
-        try:
-            offset, total = self._meta.pop(rid)
-        except KeyError:
-            raise KeyError(f"kv store has no request {rid!r}") from None
-        keys, values = [], []
-        for layer in range(self.num_layers):
-            for kind, into in (("k", keys), ("v", values)):
-                tensor = self.cache.fetch((rid, layer, kind), self.device)
-                into.append(tensor.free())
-                self.cache.discard((rid, layer, kind))
-        return KVCache.restore(
-            keys, values, offset=offset, total=total, window=window
+        """Accounted host bytes of every held request."""
+        return sum(
+            alloc.nbytes for held in self._held.values() for alloc in held.allocs
         )
 
-    def evict(self, rid: str) -> None:
-        """Drop a finished request's host copies without fetching."""
-        try:
-            del self._meta[rid]
-        except KeyError:
-            raise KeyError(f"kv store has no request {rid!r}") from None
+    def save(self, rid: str, kv: KVCache) -> None:
+        """Send ``rid``'s rows appended since its last :meth:`load` to
+        host (one D2H per layer tensor that grew) and recharge the host
+        pool for the retained rows (rows behind a window drop out)."""
+        held = self._held.get(rid)
+        if held is None:
+            held = self._held[rid] = _Resident(kv)
+        elif not held.loaded:
+            raise KeyError(f"kv store already holds request {rid!r}")
+        pool = self.cluster.host.pool
+        stale, held.allocs = iter(held.allocs), []
         for layer in range(self.num_layers):
-            self.cache.discard((rid, layer, "k"))
-            self.cache.discard((rid, layer, "v"))
+            pairs = zip("kv", kv.rows(layer, held.saved), kv.rows(layer))
+            for kind, new, retained in pairs:
+                key = (rid, layer, kind)
+                nbytes = 0 if retained is None else retained.size * self.dtype.nbytes
+                held.allocs.append(pool.alloc(nbytes, f"cache:{key}"))
+                if new is not None and new.shape[1]:
+                    self._transfer("d2h", f"offload:{key}", new)
+                previous = next(stale, None)
+                if previous is not None:
+                    pool.free(previous)
+        held.saved = kv.seq_len
+        held.loaded = False
+
+    def load(self, rid: str) -> KVCache:
+        """Fetch ``rid``'s retained rows to the device (one H2D per layer
+        tensor; the host copy stays) and return the cache, ready for
+        :func:`~repro.models.generate.forward_cached`."""
+        held = self._must_get(rid)
+        if held.loaded:
+            raise KeyError(f"kv store request {rid!r} is already loaded")
+        for layer in range(self.num_layers):
+            for kind, rows in zip("kv", held.kv.rows(layer)):
+                if rows is not None and rows.shape[1]:
+                    self._transfer("h2d", f"fetch:{(rid, layer, kind)}", rows)
+        held.loaded = True
+        return held.kv
+
+    def evict(self, rid: str) -> None:
+        """Drop a finished request's host rows without fetching."""
+        held = self._must_get(rid)
+        del self._held[rid]
+        for alloc in held.allocs:
+            self.cluster.host.pool.free(alloc)
 
     def clear(self) -> None:
-        for rid in list(self._meta):
+        for rid in list(self._held):
             self.evict(rid)
+
+    def _transfer(self, direction: str, label: str, rows: np.ndarray) -> None:
+        """Account one PCIe transfer of ``rows``: the fault hook, the
+        rows' HBM charge (released once the array changes hands) and
+        the trace event."""
+        rank = self.device.rank
+        inject_transfer_fault(self.cluster, direction, label, rank)
+        tensor = self.device.from_numpy(rows, self.dtype, label)
+        self.cluster.trace.record(
+            direction, label, rank=rank, stream=direction, nbytes=tensor.nbytes
+        )
+        tensor.free()
+
+    def _must_get(self, rid: str) -> _Resident:
+        try:
+            return self._held[rid]
+        except KeyError:
+            raise KeyError(f"kv store has no request {rid!r}") from None

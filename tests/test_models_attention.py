@@ -270,3 +270,106 @@ class TestChunkOffsets:
         online_block_update(state, q, k, v, scale=0.5, q_offset=0, k_offset=0)
         o, _ = finalize_online(state)
         np.testing.assert_allclose(o[:, 0], v[:, 0], rtol=1e-12)
+
+
+class TestGroupedQueryHeads:
+    """K/V with ``hk`` heads for ``h`` query heads: the kernel contracts
+    grouped heads directly instead of repeating K/V over the context."""
+
+    H, HK, D = 8, 2, 16
+
+    def _inputs(self, sq, sk, seed=30):
+        g = rng(seed)
+        q = g.normal(size=(1, sq, self.H, self.D))
+        k = g.normal(size=(1, sk, self.HK, self.D))
+        v = g.normal(size=(1, sk, self.HK, self.D))
+        return q, k, v
+
+    @staticmethod
+    def _fold(q, k, v, **kw):
+        b, sq, h, d = q.shape
+        state = OnlineSoftmaxState.zeros(b, sq, h, d)
+        online_block_update(state, q, k, v, scale=1 / np.sqrt(d), **kw)
+        return state
+
+    @pytest.mark.parametrize("sq", [1, 256])
+    @pytest.mark.parametrize("window", [None, 300], ids=["causal", "window"])
+    def test_matches_the_repeat_kv_path(self, sq, window):
+        from repro.models.layers import repeat_kv
+
+        sk = 512
+        q, k, v = self._inputs(sq, sk)
+        g = self.H // self.HK
+        kw = dict(q_offset=sk - sq, k_offset=0, window=window)
+        grouped = self._fold(q, k, v, **kw)
+        expanded = self._fold(q, repeat_kv(k, g), repeat_kv(v, g), **kw)
+        for name in ("acc", "m", "l"):
+            np.testing.assert_allclose(
+                getattr(grouped, name), getattr(expanded, name), rtol=1e-12
+            )
+
+    @pytest.mark.parametrize("sq", [1, 256])
+    @pytest.mark.parametrize("window", [None, 300], ids=["causal", "window"])
+    def test_prefix_attention_matches_the_repeat_kv_path(self, sq, window):
+        from types import SimpleNamespace
+
+        from repro.models.generate import _prefix_causal_attention
+        from repro.models.layers import repeat_kv
+
+        sk = 512
+        q, k, v = self._inputs(sq, sk, seed=31)
+        cfg = SimpleNamespace(attention_window=window)
+        g = self.H // self.HK
+        grouped = _prefix_causal_attention(q, k, v, sk - sq, cfg)
+        expanded = _prefix_causal_attention(
+            q, repeat_kv(k, g), repeat_kv(v, g), sk - sq, cfg
+        )
+        np.testing.assert_allclose(grouped, expanded, rtol=1e-12)
+
+    @pytest.mark.parametrize("sq,sk,q_offset", [(1, 64, 63), (16, 16, 0), (8, 32, 0)])
+    def test_full_heads_are_bitwise_the_einsum_kernel(self, sq, sk, q_offset):
+        """``hk == h`` runs the einsum contraction it always ran: equal
+        bit for bit to the kernel written out."""
+        from repro.common.einsum_cache import cached_einsum
+        from repro.models.attention import _causal_bias
+
+        q, k, v = _qkv(32, s=sq, h=4, d=8, sk=sk)
+        scale = 1 / np.sqrt(8)
+        state = OnlineSoftmaxState.zeros(1, sq, 4, 8)
+        online_block_update(state, q, k, v, scale=scale, q_offset=q_offset)
+        online_block_update(state, q, k, v, scale=scale, q_offset=q_offset)
+
+        acc, m, l = np.zeros((1, sq, 4, 8)), np.full((1, 4, sq), -np.inf), np.zeros((1, 4, sq))
+        for _ in range(2):
+            scores = cached_einsum("bqhd,bkhd->bhqk", q, k) * scale
+            bias = _causal_bias(sq, sk, q_offset, 0)
+            if bias is not None:
+                scores += bias
+            m_new = np.maximum(m, scores.max(axis=-1))
+            safe_m = np.where(np.isneginf(m_new), 0.0, m_new)
+            p = np.exp(scores - safe_m[..., None])
+            correction = np.where(np.isneginf(m), 0.0, np.exp(m - safe_m))
+            l = l * correction + p.sum(axis=-1)
+            acc = acc * correction.transpose(0, 2, 1)[..., None]
+            acc += cached_einsum("bhqk,bkhd->bqhd", p, v)
+            m = m_new
+        np.testing.assert_array_equal(state.acc, acc)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.l, l)
+
+    def test_heads_that_do_not_divide_raise_naming_both_shapes(self):
+        q = np.zeros((1, 2, 4, 8))
+        k = np.zeros((1, 2, 3, 8))
+        state = OnlineSoftmaxState.zeros(1, 2, 4, 8)
+        with pytest.raises(ShapeError) as err:
+            online_block_update(state, q, k, k, scale=1.0)
+        assert str(q.shape) in str(err.value) and str(k.shape) in str(err.value)
+
+    def test_kernels_without_grouping_reject_kv_heads(self):
+        q, k, v = self._inputs(4, 4)
+        with pytest.raises(ShapeError, match="repeat_kv"):
+            attention_forward_reference(q, k, v)
+        with pytest.raises(ShapeError, match="repeat_kv"):
+            online_attention_backward(
+                q, k, v, q, q, np.zeros((1, self.H, 4))
+            )

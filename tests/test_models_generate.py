@@ -122,6 +122,21 @@ class TestGenerationBehavior:
         k2, _ = cache.append(0, np.ones((1, 1, 2, 4)), np.ones((1, 1, 2, 4)))
         assert cache.seq_len == 4
         assert k2.shape == (1, 4, 2, 4)
+        np.testing.assert_array_equal(k2[:, :3], k)
+        np.testing.assert_array_equal(k2[:, 3:], 1.0)
+
+    def test_kv_cache_appends_in_place(self):
+        """Appends write into the existing buffer until it is full: one
+        regrow per geometric step, not one copy per token."""
+        cache = KVCache(1)
+        capacities = set()
+        for t in range(64):
+            row = np.full((1, 1, 2, 4), float(t))
+            k, v = cache.append(0, row, -row)
+            capacities.add(cache.capacity)
+        assert len(capacities) <= 10 and cache.capacity < 2 * 64
+        np.testing.assert_array_equal(k[0, :, 0, 0], np.arange(64.0))
+        np.testing.assert_array_equal(v, -k)
 
     def test_empty_prompt_raises_shape_error(self):
         """An empty prompt is a documented ShapeError, not a bare NumPy
@@ -177,8 +192,9 @@ class TestWindowedKVCacheEviction:
         return GPTModel(cfg.scaled(attention_window=window), seed=0)
 
     def test_cache_is_bounded(self):
-        """Decoding far past the window keeps ``cached_len`` bounded
-        while ``seq_len`` keeps counting absolute positions."""
+        """Decoding far past the window keeps ``cached_len`` and the
+        buffer capacity bounded while ``seq_len`` keeps counting absolute
+        positions."""
         model = self._model("llama", window=4)
         cache = KVCache(len(model.blocks), window=4)
         logits = forward_cached(model, np.zeros((1, 2), dtype=int), cache)
@@ -187,9 +203,11 @@ class TestWindowedKVCacheEviction:
             logits = forward_cached(
                 model, np.array([[nxt]], dtype=np.int64), cache
             )
+            assert cache.capacity <= 2 * 4
         assert cache.seq_len == 22
         assert cache.cached_len <= 4
         assert cache.offset == cache.seq_len - cache.cached_len
+        assert cache.rows(0)[0].shape[2] == model.config.num_kv_heads
 
     @pytest.mark.parametrize("arch", ["gpt", "llama"])
     def test_eviction_is_bitwise_invisible(self, arch):
@@ -222,24 +240,6 @@ class TestWindowedKVCacheEviction:
         for _ in range(window + 3):
             seq.append(_full_recompute_next(model, np.array(seq)))
         np.testing.assert_array_equal(out, np.array(seq))
-
-    def test_restore_round_trip(self):
-        """``KVCache.restore`` rebuilds a cache that continues decoding
-        exactly where the original left off."""
-        model = self._model("llama", window=4)
-        layers = len(model.blocks)
-        cache = KVCache(layers, window=4)
-        forward_cached(model, np.array([[1, 2, 3, 4, 5]], dtype=np.int64), cache)
-        restored = KVCache.restore(
-            [k.copy() for k in cache.keys],
-            [v.copy() for v in cache.values],
-            offset=cache.offset, total=cache.seq_len, window=4,
-        )
-        step = np.array([[6]], dtype=np.int64)
-        np.testing.assert_array_equal(
-            forward_cached(model, step, cache),
-            forward_cached(model, step, restored),
-        )
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.models import GPTModel, tiny_gpt, tiny_llama
 from repro.models.generate import generate
 from repro.runtime import VirtualCluster
+from repro.runtime.trace_analysis import summarize
 from repro.serving import (
     EngineConfig,
     Request,
@@ -189,26 +190,117 @@ class TestEngineLifecycle:
             Request(rid="r0", prompt=np.array([1]), max_new_tokens=1, temperature=-1)
 
 
+class TestKVTraffic:
+    """Serving KV moves each row to host once, in KV heads, and reads the
+    retained prefix back once per forward."""
+
+    @pytest.mark.parametrize("window", [None, 4], ids=["full", "window4"])
+    def test_bytes_match_the_append_only_model(self, window):
+        model = _llama(window=window)
+        cfg = model.config
+        cluster = VirtualCluster(1)
+        chunk, prompt_len, new_tokens = 3, 8, 6
+        engine = ServingEngine(
+            model, config=EngineConfig(prefill_chunk=chunk), cluster=cluster
+        )
+        prompt = rng(21).integers(0, 32, size=prompt_len)
+        state = _drive(engine, Request(rid="r0", prompt=prompt,
+                                       max_new_tokens=new_tokens))
+        np.testing.assert_array_equal(
+            state.output(), generate(model, prompt, max_new_tokens=new_tokens)
+        )
+        # bf16 bytes of one position's K (or V) rows across all layers.
+        row = cfg.num_kv_heads * cfg.head_dim * 2 * cfg.num_layers
+        appended = prompt_len + new_tokens - 1  # no forward after the last
+        # Appends (start, rows): the prefill chunks, then one row per
+        # decode forward.  Each load after the first append fetches the
+        # rows the previous append left retained; a window evicts rows at
+        # positions <= start - window on append.
+        appends = [(lo, min(chunk, prompt_len - lo))
+                   for lo in range(0, prompt_len, chunk)]
+        appends += [(pos, 1) for pos in range(prompt_len, appended)]
+        retained, offset = [], 0
+        for start, rows in appends[:-1]:
+            if window is not None:
+                offset = max(offset, start - window + 1)
+            retained.append(start + rows - offset)
+        traffic = summarize(cluster.trace)
+        assert traffic.d2h_bytes == appended * row * 2
+        assert traffic.h2d_bytes == sum(retained) * row * 2
+        assert cluster.host.pool.in_use == 0
+
 class TestRequestKVStore:
+    #: Bytes of one bf16 row of the ``[1, s, 2, 4]`` test tensors.
+    ROW = 2 * 4 * 2
+
+    def _rows(self, seed, n):
+        return rng(seed).normal(size=(1, n, 2, 4))
+
     def test_save_load_round_trip(self):
+        """``load`` keeps the host copy; a second ``save`` moves only
+        the rows appended since the ``load``."""
         cluster = VirtualCluster(1)
         store = RequestKVStore(cluster, num_layers=2)
         from repro.models.generate import KVCache
 
         kv = KVCache(2)
         for layer in range(2):
-            kv.append(layer, rng(layer).normal(size=(1, 3, 2, 4)),
-                      rng(layer + 5).normal(size=(1, 3, 2, 4)))
-        keys_before = [k.copy() for k in kv.keys]
+            kv.append(layer, self._rows(layer, 3), self._rows(layer + 5, 3))
+        keys_before = [kv.rows(layer)[0].copy() for layer in range(2)]
         store.save("r0", kv)
         assert "r0" in store and len(store) == 1
-        assert store.host_bytes > 0
+        assert store.host_bytes == 2 * 2 * 3 * self.ROW
+        assert summarize(cluster.trace).d2h_bytes == 2 * 2 * 3 * self.ROW
         restored = store.load("r0")
-        assert "r0" not in store
-        assert store.host_bytes == 0
+        assert "r0" in store
+        assert store.host_bytes == 2 * 2 * 3 * self.ROW
+        assert summarize(cluster.trace).h2d_bytes == 2 * 2 * 3 * self.ROW
         for layer in range(2):
-            np.testing.assert_array_equal(restored.keys[layer], keys_before[layer])
+            np.testing.assert_array_equal(restored.rows(layer)[0], keys_before[layer])
         assert restored.seq_len == 3 and restored.offset == 0
+        cluster.trace.clear()
+        for layer in range(2):
+            restored.append(layer, self._rows(9, 1), self._rows(10, 1))
+        store.save("r0", restored)
+        assert summarize(cluster.trace).d2h_bytes == 2 * 2 * 1 * self.ROW
+        assert store.host_bytes == 2 * 2 * 4 * self.ROW
+        assert cluster.devices[0].hbm.in_use == 0
+        store.evict("r0")
+        assert store.host_bytes == 0 and cluster.host.pool.in_use == 0
+
+    def test_windowed_host_bytes_stay_bounded_by_the_window(self):
+        """Rows behind a sliding window leave the host on the next save:
+        host bytes stay O(window) however long the decode runs."""
+        cluster = VirtualCluster(1)
+        store = RequestKVStore(cluster, num_layers=1)
+        from repro.models.generate import KVCache
+
+        kv = KVCache(1, window=4)
+        kv.append(0, self._rows(0, 3), self._rows(1, 3))
+        store.save("r0", kv)
+        for step in range(30):
+            kv = store.load("r0")
+            kv.append(0, self._rows(step, 1), self._rows(step + 50, 1))
+            store.save("r0", kv)
+            assert store.host_bytes <= 2 * 4 * self.ROW
+        assert kv.seq_len == 33
+        assert cluster.host.pool.in_use == store.host_bytes
+        # During a save one tensor's new charge overlaps the old pair.
+        assert cluster.host.pool.peak <= 3 * 4 * self.ROW
+
+    def test_save_while_loaded_only(self):
+        """Loading a loaded request is a bookkeeping error, like saving
+        a resident one."""
+        cluster = VirtualCluster(1)
+        store = RequestKVStore(cluster, num_layers=1)
+        from repro.models.generate import KVCache
+
+        kv = KVCache(1)
+        kv.append(0, np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4)))
+        store.save("r0", kv)
+        store.load("r0")
+        with pytest.raises(KeyError, match="already loaded"):
+            store.load("r0")
 
     def test_double_save_raises(self):
         cluster = VirtualCluster(1)

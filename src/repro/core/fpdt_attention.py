@@ -2,12 +2,15 @@
 
 Forward, per sequence chunk ``i`` (of ``u`` chunks per rank):
 
-1. the caller projects chunk ``i``'s tokens to ``q_i, k_i, v_i``
-   (``[b, c, H, d]`` — a *fraction 1/u* of the Ulysses working set);
-2. one all-to-all scatters heads / gathers sequence:
-   ``q̂_i, k̂_i, v̂_i`` are ``[b, s_global/u, h_local, d]`` and, thanks to
-   the rank-ordinal shuffle, gathered chunk ``i`` is the ``i``-th
-   contiguous global segment;
+1. the caller projects chunk ``i``'s tokens to ``q_i`` (``[b, c, H, d]``
+   — a *fraction 1/u* of the Ulysses working set) and ``k_i, v_i`` in KV
+   heads (``[b, c, Hk, d]``, ``Hk`` = ``lcm(num_kv_heads, world)``, see
+   :func:`repro.models.block_ops.kv_head_repeats`);
+2. one all-to-all per tensor scatters heads / gathers sequence:
+   ``q̂_i`` is ``[b, s_global/u, H/world, d]``, ``k̂_i, v̂_i`` are
+   ``[b, s_global/u, Hk/world, d]`` — each rank's query heads with the
+   KV heads they read — and, thanks to the rank-ordinal shuffle,
+   gathered chunk ``i`` is the ``i``-th contiguous global segment;
 3. online attention folds the cached chunks ``k̂_j, v̂_j (j < i)`` —
    fetched from host one at a time through the double buffer — and the
    diagonal chunk into ``q̂_i``'s running state;
@@ -22,6 +25,13 @@ outer iteration ``j == i`` (its diagonal).  Finalized ``(dq̂_j, dk̂_j,
 dv̂_j)`` are immediately all-to-all'd back so the caller can run the
 projection backward for chunk ``j`` while later chunks are still in
 flight.
+
+K/V and their gradients move in KV heads end to end: the ``k/v/dk/dv``
+all-to-alls, the cached ``k̂/v̂`` chunks (one D2H each, every H2D
+prefetch of them) and the ``dk̂/dv̂`` accumulators are ``Hk/H`` the size
+of query-head tensors, and the block kernels contract grouped heads.
+FLOPs follow query heads, so the FLOP hints and trace FLOPs do not
+depend on ``Hk``.
 
 With ``offload=False`` the cached chunks simply stay in HBM ("FPDT w/
 chunking" in Fig. 11/12); the numerics are identical, only the pools
@@ -73,6 +83,8 @@ class FPDTAttentionContext:
     # Per-rank, per-chunk saved attention outputs and LSE (host-resident).
     o_hat: list[list[np.ndarray]]
     lse: list[list[np.ndarray]]
+    # KV heads per rank in the gathered layout (dk/dv accumulator width).
+    kv_heads_local: int
     # Sliding-window span; None = full causal attention.
     window: int | None = None
     # offload=False keeps the gathered q/k/v chunks live on HBM instead.
@@ -124,9 +136,11 @@ def fpdt_attention_forward(
     """Run the chunked distributed attention.
 
     ``q_chunks[r][i]`` is rank ``r``'s ``i``-th local chunk,
-    ``[b, chunk_len, H, d]`` (GQA already expanded).  Returns per-rank
-    per-chunk local attention outputs (same shape as ``q_chunks``) and
-    the context for :func:`fpdt_attention_backward`.
+    ``[b, chunk_len, H, d]``; ``k_chunks``/``v_chunks`` carry ``Hk``
+    heads with ``H % Hk == 0`` and ``Hk % world == 0`` (query head ``i``
+    reads KV head ``i // (H // Hk)``, the ``repeat_kv`` layout).
+    Returns per-rank per-chunk local attention outputs (same shape as
+    ``q_chunks``) and the context for :func:`fpdt_attention_backward`.
 
     With sliding-window attention (``window``), KV chunks entirely
     behind the window are **neither fetched nor computed** — the chunk
@@ -148,6 +162,7 @@ def fpdt_attention_forward(
         window=window,
         o_hat=[[None] * u for _ in range(world)],
         lse=[[None] * u for _ in range(world)],
+        kv_heads_local=k_chunks[0][0].shape[2] // world,
     )
     store = _ChunkStore(cluster, ctx)
     o_local: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
@@ -254,7 +269,8 @@ def fpdt_attention_backward(
 
     ``do_chunks[r][i]`` is the local-layout output gradient of chunk
     ``i`` on rank ``r``.  Returns ``(dq, dk, dv)`` in the same local
-    per-rank per-chunk layout, ready for the projection backward.
+    per-rank per-chunk layout, ready for the projection backward;
+    ``dk``/``dv`` have the forward's ``Hk`` KV heads.
     The context's cached chunks are released on completion.
     """
     layout = ctx.layout
@@ -263,6 +279,7 @@ def fpdt_attention_backward(
     scale = scale if scale is not None else 1.0 / np.sqrt(d)
     big_c = layout.gathered_chunk_len
     h_local = h // world
+    kv_shape = (b, big_c, ctx.kv_heads_local, d)
     # One rank's FLOPs for a full block; the diagonal block does half.
     block_flops = _attn_bwd_flops(b, big_c, big_c, h_local, d)
     offload = ctx.offloaded
@@ -300,8 +317,8 @@ def fpdt_attention_backward(
     # allocs.  Per-rank trios (not one shared trio) because the rank
     # closures of a fork-join round run concurrently.
     dq_ws = [np.empty((b, big_c, h_local, d)) for _ in range(world)]
-    dk_ws = [np.empty((b, big_c, h_local, d)) for _ in range(world)]
-    dv_ws = [np.empty((b, big_c, h_local, d)) for _ in range(world)]
+    dk_ws = [np.empty(kv_shape) for _ in range(world)]
+    dv_ws = [np.empty(kv_shape) for _ in range(world)]
 
     ahead = prefetch_depth >= 2  # see the forward: depth 1 cannot overlap
     for j in range(u):  # outer loop: KV chunks
@@ -333,10 +350,10 @@ def fpdt_attention_backward(
             # gradient accumulation runs at full precision like the
             # reference backward.
             dk_acc = cluster.devices[r].from_numpy(
-                np.zeros((b, big_c, h_local, d)), ACT_DTYPE, "fpdt.dk_acc"
+                np.zeros(kv_shape), ACT_DTYPE, "fpdt.dk_acc"
             )
             dv_acc = cluster.devices[r].from_numpy(
-                np.zeros((b, big_c, h_local, d)), ACT_DTYPE, "fpdt.dv_acc"
+                np.zeros(kv_shape), ACT_DTYPE, "fpdt.dv_acc"
             )
 
             for pos, i in enumerate(visible_q):  # inner loop: visible query chunks

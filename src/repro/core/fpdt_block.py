@@ -37,11 +37,13 @@ from repro.models.block_ops import (
     attn_post_backward,
     attn_post_forward,
     attn_pre_backward,
-    attn_pre_forward,
+    attn_qkv_forward,
     ffn_backward,
     ffn_forward,
+    kv_head_repeats,
 )
 from repro.models.config import ModelConfig
+from repro.models.layers import repeat_kv
 from repro.runtime.device import VirtualCluster
 
 ACT_DTYPE = DType.BF16
@@ -117,18 +119,21 @@ def fpdt_block_forward(
     # them and each section's rank_map hint is their sum.
     chunk_tokens = [sl.stop - sl.start for sl in map(layout.local_slice, range(u))]
     qkv_flops = [_qkv_proj_flops(cfg, batch, n) for n in chunk_tokens]
+    # K/V stay in KV heads, repeated only so each rank's head slice
+    # holds whole query groups (the all-to-alls split heads world-ways).
+    repeats = kv_head_repeats(cfg, world)
 
     def qkv_rank(r):
         caches, qs, ks, vs = [], [], [], []
         for i in range(u):
             sl = layout.local_slice(i)
-            qh, kh, vh, cache = attn_pre_forward(
+            qh, kh, vh, cache = attn_qkv_forward(
                 params, cfg, x_shards[r][:, sl], layout.global_positions(r, i)
             )
             caches.append(cache)
             qs.append(qh)
-            ks.append(kh)
-            vs.append(vh)
+            ks.append(repeat_kv(kh, repeats))
+            vs.append(repeat_kv(vh, repeats))
             cluster.devices[r].compute("fpdt.qkv_proj_fwd", flops=qkv_flops[i])
         return caches, qs, ks, vs
 

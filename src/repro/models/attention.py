@@ -14,11 +14,13 @@ Two implementations of the same math:
 Block functions carry **absolute position offsets** ``(q_offset,
 k_offset)`` so the causal mask stays exact when FPDT processes chunk
 pairs off the diagonal (the Fig. 6 discussion).  All shapes are
-``[b, s, h, d]``.  :func:`online_block_update` (and so the blockwise
-forward) also takes grouped-query K/V with ``hk`` heads, ``h % hk == 0``:
-it views ``q`` as ``[b, hk, g*sq, d]`` and contracts each KV head once
-against its ``g`` query heads, so nothing is repeated over the context.
-The backward and reference kernels take K/V expanded to ``h`` heads with
+``[b, s, h, d]``.  The block kernels :func:`online_block_update` and
+:func:`attention_block_backward` (and so both blockwise passes) also take
+grouped-query K/V with ``hk`` heads, ``h % hk == 0``: they view ``q``
+(and ``do``) as ``[b, hk, g*sq, d]`` and contract each KV head once
+against its ``g`` query heads, so nothing is repeated over the context
+and ``dk``/``dv`` come back with ``hk`` heads.  The reference kernels
+take K/V expanded to ``h`` heads with
 :func:`repro.models.layers.repeat_kv`.
 
 The contractions run through :func:`repro.common.einsum_cache
@@ -142,6 +144,7 @@ def attention_backward_reference(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact attention backward; returns ``(dq, dk, dv)``."""
     q, k, v, probs, scale = cache
+    _check_qkv(q, k, v, grouped=False)
     dv = cached_einsum("bhqk,bqhd->bkhd", probs, do)
     dprobs = cached_einsum("bqhd,bkhd->bhqk", do, v)
     # softmax backward: ds = p * (dp - sum(dp * p))
@@ -298,17 +301,35 @@ def attention_block_backward(
     ``dq_out``/``dk_out``/``dv_out`` are optional preallocated
     destinations (fully overwritten, then returned); loops pass the same
     trio every iteration so no per-block gradient buffers are allocated.
-    They must not alias ``q``/``k_blk``/``v_blk``/``do``.
+    They must not alias ``q``/``k_blk``/``v_blk``/``do``, and ``dq_out``
+    must be C-contiguous (the grouped path writes it through a reshape).
+
+    Grouped K/V (``hk`` heads, ``h % hk == 0``) is taken as in
+    :func:`online_block_update`: ``q`` and ``do`` are viewed as ``[b, hk,
+    g*sq, d]``, every contraction is one batched matmul over ``hk``, and
+    ``dk``/``dv`` (``hk`` heads) sum over the query group inside it.
+    Equal to :func:`~repro.models.layers.repeat_kv` in and
+    :func:`~repro.models.layers.reduce_kv_grad` out up to float rounding;
+    with ``hk == h`` the contractions are the einsums they always were.
     """
-    _check_qkv(q, k_blk, v_blk, grouped=False)
+    group = _check_qkv(q, k_blk, v_blk)
     if causal and not block_is_visible(
         q.shape[1], k_blk.shape[1], q_offset, k_offset, window
     ):
         raise ShapeError("causal block backward got a fully-invisible block")
-    b, sq, h, _ = q.shape
-    sk = k_blk.shape[1]
-    scores = _scratch((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
-    cached_einsum("bqhd,bkhd->bhqk", q, k_blk, out=scores)
+    b, sq, h, d = q.shape
+    sk, hk = k_blk.shape[1], k_blk.shape[2]
+    dtype = np.result_type(q.dtype, k_blk.dtype)
+    scores = _scratch((b, h, sq, sk), dtype)
+    # [b, h, sq, sk] viewed per KV head: rows (j, q) of query head kv * g + j.
+    grouped = (b, hk, group * sq, sk)
+    if group == 1:
+        cached_einsum("bqhd,bkhd->bhqk", q, k_blk, out=scores)
+    else:
+        # [b, sq, h, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
+        qg = q.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
+        dog = do.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
+        np.matmul(qg, k_blk.transpose(0, 2, 3, 1), out=scores.reshape(grouped))
     scores *= scale
     if causal:
         bias = _causal_bias(sq, sk, q_offset, k_offset, window)
@@ -316,14 +337,39 @@ def attention_block_backward(
             scores += bias
     scores -= lse[..., None]
     p = np.exp(scores, out=scores)  # masked entries: exp(-inf) = 0
-    dv = cached_einsum("bhqk,bqhd->bkhd", p, do, out=dv_out)
     dp = _scratch(p.shape, p.dtype)
-    cached_einsum("bqhd,bkhd->bhqk", do, v_blk, out=dp)
+    if group == 1:
+        dv = cached_einsum("bhqk,bqhd->bkhd", p, do, out=dv_out)
+        cached_einsum("bqhd,bkhd->bhqk", do, v_blk, out=dp)
+    else:
+        # dk/dv destinations viewed [b, hk, sk, d]; the matmuls' inner
+        # dimension g*sq sums each KV head's gradient over its group.
+        dv = np.empty(k_blk.shape, dtype) if dv_out is None else dv_out
+        np.matmul(
+            p.reshape(grouped).transpose(0, 1, 3, 2), dog,
+            out=dv.transpose(0, 2, 1, 3),
+        )
+        np.matmul(dog, v_blk.transpose(0, 2, 3, 1), out=dp.reshape(grouped))
     dp -= delta[..., None]
     ds = np.multiply(p, dp, out=dp)
-    dq = cached_einsum("bhqk,bkhd->bqhd", ds, k_blk, out=dq_out)
+    if group == 1:
+        dq = cached_einsum("bhqk,bkhd->bqhd", ds, k_blk, out=dq_out)
+        dk = cached_einsum("bhqk,bqhd->bkhd", ds, q, out=dk_out)
+    else:
+        # dq keeps its query heads: batch over (hk, g) with each KV head
+        # broadcast over its group, written straight into [b, sq, h, d].
+        dq = np.empty(q.shape, dtype) if dq_out is None else dq_out
+        np.matmul(
+            ds.reshape(b, hk, group, sq, sk),
+            k_blk.transpose(0, 2, 1, 3)[:, :, None],
+            out=dq.reshape(b, sq, hk, group, d).transpose(0, 2, 3, 1, 4),
+        )
+        dk = np.empty(k_blk.shape, dtype) if dk_out is None else dk_out
+        np.matmul(
+            ds.reshape(grouped).transpose(0, 1, 3, 2), qg,
+            out=dk.transpose(0, 2, 1, 3),
+        )
     dq *= scale
-    dk = cached_einsum("bhqk,bqhd->bkhd", ds, q, out=dk_out)
     dk *= scale
     return dq, dk, dv
 
@@ -388,8 +434,12 @@ def online_attention_backward(
     scale: float | None = None,
     window: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blockwise attention backward from saved ``(o, lse)``."""
-    _check_qkv(q, k, v, grouped=False)
+    """Blockwise attention backward from saved ``(o, lse)``.
+
+    Like the forward it takes grouped K/V (``hk`` heads): ``dk``/``dv``
+    come back with ``hk`` heads, already summed over each query group.
+    """
+    _check_qkv(q, k, v)
     if window is not None and not causal:
         raise ShapeError("window requires causal attention")
     b, sq, h, d = q.shape

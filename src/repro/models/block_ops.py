@@ -7,7 +7,9 @@ parallel schemes (Ulysses, Megatron-SP, Ring, FPDT) exploit, so we
 expose the phases as pure functions over a parameter dict:
 
 * :func:`attn_pre_forward`   — norm + QKV projections + RoPE + GQA expand
-  (:func:`attn_qkv_forward` stops before the expand: the KV-cache rows)
+  to all query heads (:func:`attn_qkv_forward` stops before the expand:
+  the KV-cache rows, and the K/V the sequence-parallel blocks exchange,
+  repeated only :func:`kv_head_repeats` times)
 * (attention core — supplied by the strategy)
 * :func:`attn_post_forward`  — output projection + residual
 * :func:`ffn_forward`        — the MLP with its own norm + residual
@@ -21,6 +23,8 @@ near-bitwise agreement.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -78,7 +82,7 @@ def attn_pre_forward(
     ``[b, s, H, d]``.
     """
     qh, kh, vh, cache = attn_qkv_forward(params, cfg, x, positions)
-    g = cache["group"]
+    g = cfg.gqa_group_size
     return qh, repeat_kv(kh, g), repeat_kv(vh, g), cache
 
 
@@ -104,12 +108,26 @@ def attn_qkv_forward(
         rope_cache = make_rope_cache(cfg.head_dim, positions, cfg.rope_theta)
         qh = rope_forward(qh, rope_cache)
         kh = rope_forward(kh, rope_cache)
-    g = cfg.gqa_group_size
     cache = {
         "norm": norm_cache, "q": q_cache, "k": k_cache, "v": v_cache,
-        "rope": rope_cache, "gpt": gpt, "group": g,
+        "rope": rope_cache, "gpt": gpt,
     }
     return qh, kh, vh, cache
+
+
+def kv_head_repeats(cfg: ModelConfig, ranks: int) -> int:
+    """Copies of each KV head a head-scatter over ``ranks`` needs.
+
+    Sequence-parallel attention splits heads across ``ranks`` (FPDT's
+    world, USP's Ulysses axis, 1 for flat Ring).  Repeated to
+    ``lcm(num_kv_heads, ranks)`` heads, every rank receives whole query
+    groups together with the KV heads they read (``H / ranks`` query
+    heads over ``lcm / ranks`` KV heads, the :func:`repeat_kv` layout),
+    so K/V travel at the model's KV-head count whenever ``ranks``
+    divides it and are repeated only when there are fewer KV heads than
+    ranks.
+    """
+    return math.lcm(cfg.num_kv_heads, ranks) // cfg.num_kv_heads
 
 
 def attn_pre_backward(
@@ -120,11 +138,15 @@ def attn_pre_backward(
     cache: dict,
 ) -> tuple[np.ndarray, Grads]:
     """Adjoint of :func:`attn_pre_forward`; returns ``(dx, grads)`` where
-    ``dx`` is the gradient w.r.t. the phase *input* (pre-residual)."""
+    ``dx`` is the gradient w.r.t. the phase *input* (pre-residual).
+
+    ``dkh_full``/``dvh_full`` may carry the KV heads repeated any number
+    of times (all query heads, :func:`kv_head_repeats` copies, or none);
+    the copies are summed back to ``cfg.num_kv_heads``."""
     grads: Grads = {}
-    group = cache["group"]
-    dkh = reduce_kv_grad(dkh_full, group)
-    dvh = reduce_kv_grad(dvh_full, group)
+    repeats = dkh_full.shape[2] // cfg.num_kv_heads
+    dkh = reduce_kv_grad(dkh_full, repeats)
+    dvh = reduce_kv_grad(dvh_full, repeats)
     if cache["rope"] is not None:
         dqh = rope_backward(dqh, cache["rope"])
         dkh = rope_backward(dkh, cache["rope"])

@@ -10,8 +10,11 @@ each mesh **column** is a Ring group (KV rotation between rows).  Rank
 all-to-all it holds the row's *gathered* segment — positions ``[i*seg,
 (i+1)*seg)`` with ``seg = U*s_local`` — for its ``H/U`` local heads, and
 the ring then folds the other rows' KV segments into an online-softmax
-state.  Everything outside attention is token-local and reuses the
-reference block kernels.
+state.  K/V travel in KV heads (the DeepSpeed-Ulysses rule): repeated
+only to ``lcm(num_kv_heads, U)`` heads so each row member receives whole
+query groups, and contracted grouped by the attention kernels.
+Everything outside attention is token-local and reuses the reference
+block kernels.
 
 The two flat strategies are the degenerate corners of the mesh, not
 separate code — :class:`UlyssesModelRunner` and :class:`RingModelRunner`
@@ -66,11 +69,13 @@ from repro.models.block_ops import (
     attn_post_backward,
     attn_post_forward,
     attn_pre_backward,
-    attn_pre_forward,
+    attn_qkv_forward,
     ffn_backward,
     ffn_forward,
+    kv_head_repeats,
 )
 from repro.models.config import ModelConfig
+from repro.models.layers import repeat_kv
 from repro.parallel.mesh import DeviceMesh, ProcessGroup
 from repro.parallel.model_runner import ContiguousShardRunner
 from repro.runtime.collectives import all_to_all, ring_shift
@@ -162,7 +167,8 @@ class USPBlockContext:
 
     ``q/k/v_heads`` are per-rank in the *ring layout*: the row-gathered
     ``[b, seg, H/U, d]`` segment when ``ulysses > 1``, the plain local
-    shard when ``ulysses == 1``.  ``o_heads``/``lse`` match that layout.
+    shard when ``ulysses == 1``; ``k/v_heads`` carry ``Hk/U`` KV heads
+    (``Hk = lcm(num_kv_heads, U)``).  ``o_heads``/``lse`` match ``q``.
     """
 
     pre_caches: list[dict]
@@ -200,14 +206,21 @@ def usp_block_forward(
     s_local = x_shards[0].shape[1]
     window = cfg.attention_window
 
-    # Phase 1 (token-local): norm + QKV projection (+RoPE, +GQA expand)
-    # at the rank's *global* positions — shards are contiguous in rank
-    # order regardless of the mesh factorization.
-    pre = cluster.rank_map(
-        lambda rank: attn_pre_forward(
+    # Phase 1 (token-local): norm + QKV projection (+RoPE) at the rank's
+    # *global* positions — shards are contiguous in rank order regardless
+    # of the mesh factorization.  K/V keep their KV heads, repeated only
+    # so each row member's head slice holds whole query groups: the row
+    # all-to-alls and every ring rotation move KV heads, and the kernels
+    # contract grouped heads (flat Ring, U == 1, never repeats).
+    repeats = kv_head_repeats(cfg, U)
+
+    def pre_rank(rank):
+        qh, kh, vh, cache = attn_qkv_forward(
             params, cfg, x_shards[rank], _positions(rank, s_local)
         )
-    )
+        return qh, repeat_kv(kh, repeats), repeat_kv(vh, repeats), cache
+
+    pre = cluster.rank_map(pre_rank)
     qs = [p[0] for p in pre]
     ks = [p[1] for p in pre]
     vs = [p[2] for p in pre]

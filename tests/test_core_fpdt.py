@@ -188,6 +188,47 @@ class TestFPDTMemoryClaims:
         assert cluster.host.pool.in_use == 0
 
 
+class TestFPDTKVTraffic:
+    """K/V move in ``lcm(num_kv_heads, world)`` heads: every K/V
+    all-to-all, offload and prefetch is that fraction of a query-head
+    tensor's bytes (half on 8 heads / 4 KV at world 4), and a model with
+    fewer KV heads than ranks repeats them to exactly the expanded size."""
+
+    @pytest.mark.parametrize(
+        "heads,kv_heads,hidden,wire_kv_heads",
+        [(8, 4, 64, 4), (4, 2, 32, 4)],
+        ids=["kv-heads", "kv-below-world"],
+    )
+    def test_offload_traffic_follows_the_kv_head_byte_model(
+        self, heads, kv_heads, hidden, wire_kv_heads
+    ):
+        u = 4
+        cfg = tiny_llama(hidden_size=hidden, num_heads=heads, num_kv_heads=kv_heads)
+        block, x, dy, *_ = _make_case(cfg)
+        _, _, _, cluster = _run_fpdt(block, cfg, x, dy, u, offload=True)
+        # One rank's gathered chunk, BF16 on the wire and in the pools.
+        big_c = x.shape[1] // u
+        q_hat = big_c * (heads // WORLD) * cfg.head_dim * 2
+        kv_hat = big_c * (wire_kv_heads // WORLD) * cfg.head_dim * 2
+        # Offload: q, k, v in the forward and do in the backward, once
+        # each.  Fetch: forward chunk i reads k/v of chunks j < i; the
+        # backward's outer j reads k/v_j once, its inner i >= j q_i, do_i.
+        d2h = u * (2 * q_hat + 2 * kv_hat)
+        h2d = (u * (u - 1) // 2 + u) * 2 * kv_hat + u * (u + 1) // 2 * 2 * q_hat
+        assert cluster.trace.total_bytes("d2h") == WORLD * d2h
+        assert cluster.trace.total_bytes("h2d") == WORLD * h2d
+        # One all-to-all per chunk and tensor; each rank keeps 1/WORLD.
+        wire = {"q": q_hat, "o": q_hat, "do": q_hat, "dq": q_hat,
+                "k": kv_hat, "v": kv_hat, "dk": kv_hat, "dv": kv_hat}
+        for tag, nbytes in wire.items():
+            events = [
+                e for e in cluster.trace.filter(kind="collective")
+                if e.label == f"all_to_all:fpdt.{tag}"
+            ]
+            assert len(events) == u, tag
+            assert sum(e.nbytes for e in events) == u * nbytes * (WORLD - 1) // WORLD, tag
+
+
 class TestFPDTTraceStructure:
     def test_forward_all_to_all_count(self):
         """Forward issues 4 all-to-alls per chunk (q, k, v, o) — the

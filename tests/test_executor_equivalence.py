@@ -50,6 +50,12 @@ def _llama():
     return tiny_llama(hidden_size=32, num_heads=4, num_kv_heads=2, num_layers=2)
 
 
+def _llama_kv_heads():
+    """8 heads over 4 KV heads: at world 4 FPDT keeps K/V in KV heads
+    and runs the grouped kernels (``_llama``'s 2 KV heads expand to 4)."""
+    return tiny_llama(hidden_size=64, num_heads=8, num_kv_heads=4, num_layers=2)
+
+
 def _data(cfg, seed=0):
     g = rng(seed)
     return (
@@ -89,6 +95,14 @@ STRATEGIES = {
     ),
     "fpdt_offload": (
         _llama,
+        lambda m, c: FPDTModelRunner(m, c, num_chunks=2, offload=True),
+    ),
+    "fpdt_kv_heads": (
+        _llama_kv_heads,
+        lambda m, c: FPDTModelRunner(m, c, num_chunks=2, offload=False),
+    ),
+    "fpdt_offload_kv_heads": (
+        _llama_kv_heads,
         lambda m, c: FPDTModelRunner(m, c, num_chunks=2, offload=True),
     ),
     "usp_2x2": (

@@ -273,8 +273,13 @@ class TestChunkOffsets:
 
 
 class TestGroupedQueryHeads:
-    """K/V with ``hk`` heads for ``h`` query heads: the kernel contracts
-    grouped heads directly instead of repeating K/V over the context."""
+    """K/V with ``hk`` heads for ``h`` query heads: the kernels contract
+    grouped heads directly instead of repeating K/V over the context, and
+    the backward sums ``dk``/``dv`` over each query group."""
+
+    #: Gradients sum signed terms, so entries that cancel to ~1e-6 differ
+    #: from the expanded path in the last bits; atol covers only those.
+    GRAD_TOL = dict(rtol=1e-12, atol=1e-15)
 
     H, HK, D = 8, 2, 16
 
@@ -326,6 +331,90 @@ class TestGroupedQueryHeads:
         )
         np.testing.assert_allclose(grouped, expanded, rtol=1e-12)
 
+    @pytest.mark.parametrize("sq", [1, 256])
+    @pytest.mark.parametrize("window", [None, 300], ids=["causal", "window"])
+    @pytest.mark.parametrize(
+        "offsets", [(256, 0), (221, 5)], ids=["aligned", "unaligned"]
+    )
+    def test_block_backward_matches_the_repeat_kv_path(self, sq, window, offsets):
+        """``attention_block_backward`` at ``hk < h`` equals ``repeat_kv``
+        in and ``reduce_kv_grad`` out; the unaligned block straddles the
+        diagonal at offsets that are no multiple of the block sizes."""
+        from repro.models.layers import reduce_kv_grad, repeat_kv
+
+        sk = 512
+        q_off, k_off = offsets[0] + 256 - sq, offsets[1]
+        q, k, v = self._inputs(sq, sk, seed=33)
+        do = rng(34).normal(size=q.shape)
+        g = self.H // self.HK
+        ke, ve = repeat_kv(k, g), repeat_kv(v, g)
+        kw = dict(q_offset=q_off, k_offset=k_off, window=window)
+        o, lse = finalize_online(self._fold(q, ke, ve, **kw))
+        delta = compute_delta(o, do)
+        scale = 1 / np.sqrt(self.D)
+        dq, dk, dv = attention_block_backward(
+            q, k, v, do, lse, delta, scale=scale, **kw
+        )
+        dq_e, dk_e, dv_e = attention_block_backward(
+            q, ke, ve, do, lse, delta, scale=scale, **kw
+        )
+        assert dk.shape == dv.shape == k.shape
+        np.testing.assert_allclose(dq, dq_e, **self.GRAD_TOL)
+        np.testing.assert_allclose(dk, reduce_kv_grad(dk_e, g), **self.GRAD_TOL)
+        np.testing.assert_allclose(dv, reduce_kv_grad(dv_e, g), **self.GRAD_TOL)
+
+    @pytest.mark.parametrize("window", [None, 20], ids=["causal", "window"])
+    def test_blockwise_backward_matches_the_repeat_kv_path(self, window):
+        """``online_attention_backward`` with blocks that do not tile the
+        diagonal evenly (``block_q`` 16, ``block_k`` 24)."""
+        from repro.models.layers import reduce_kv_grad, repeat_kv
+
+        q, k, v = self._inputs(64, 64, seed=35)
+        do = rng(36).normal(size=q.shape)
+        g = self.H // self.HK
+        ke, ve = repeat_kv(k, g), repeat_kv(v, g)
+        blocks = dict(block_q=16, block_k=24, window=window)
+        o, lse = online_attention_forward(q, k, v, **blocks)
+        dq, dk, dv = online_attention_backward(q, k, v, o, do, lse, **blocks)
+        dq_e, dk_e, dv_e = online_attention_backward(q, ke, ve, o, do, lse, **blocks)
+        np.testing.assert_allclose(dq, dq_e, **self.GRAD_TOL)
+        np.testing.assert_allclose(dk, reduce_kv_grad(dk_e, g), **self.GRAD_TOL)
+        np.testing.assert_allclose(dv, reduce_kv_grad(dv_e, g), **self.GRAD_TOL)
+
+    @pytest.mark.parametrize("sq,sk,q_offset", [(1, 64, 63), (16, 16, 0), (8, 32, 0)])
+    def test_full_heads_backward_is_bitwise_the_einsum_kernel(self, sq, sk, q_offset):
+        """``hk == h`` backward runs the einsums it always ran, bit for
+        bit, through the preallocated ``out=`` trio FPDT passes."""
+        from repro.common.einsum_cache import cached_einsum
+        from repro.models.attention import _causal_bias
+
+        q, k, v = _qkv(37, s=sq, h=4, d=8, sk=sk)
+        do = rng(38).normal(size=q.shape)
+        scale = 1 / np.sqrt(8)
+        state = OnlineSoftmaxState.zeros(1, sq, 4, 8)
+        online_block_update(state, q, k, v, scale=scale, q_offset=q_offset)
+        o, lse = finalize_online(state)
+        delta = compute_delta(o, do)
+        trio = (np.empty_like(q), np.empty_like(k), np.empty_like(v))
+        got = attention_block_backward(
+            q, k, v, do, lse, delta, scale=scale, q_offset=q_offset,
+            dq_out=trio[0], dk_out=trio[1], dv_out=trio[2],
+        )
+        assert all(a is b for a, b in zip(got, trio))
+
+        scores = cached_einsum("bqhd,bkhd->bhqk", q, k) * scale
+        bias = _causal_bias(sq, sk, q_offset, 0)
+        if bias is not None:
+            scores += bias
+        p = np.exp(scores - lse[..., None])
+        dv = cached_einsum("bhqk,bqhd->bkhd", p, do)
+        dp = cached_einsum("bqhd,bkhd->bhqk", do, v) - delta[..., None]
+        ds = p * dp
+        dq = cached_einsum("bhqk,bkhd->bqhd", ds, k) * scale
+        dk = cached_einsum("bhqk,bqhd->bkhd", ds, q) * scale
+        for name, want, have in zip(("dq", "dk", "dv"), (dq, dk, dv), got):
+            np.testing.assert_array_equal(have, want, err_msg=name)
+
     @pytest.mark.parametrize("sq,sk,q_offset", [(1, 64, 63), (16, 16, 0), (8, 32, 0)])
     def test_full_heads_are_bitwise_the_einsum_kernel(self, sq, sk, q_offset):
         """``hk == h`` runs the einsum contraction it always ran: equal
@@ -361,15 +450,22 @@ class TestGroupedQueryHeads:
         q = np.zeros((1, 2, 4, 8))
         k = np.zeros((1, 2, 3, 8))
         state = OnlineSoftmaxState.zeros(1, 2, 4, 8)
-        with pytest.raises(ShapeError) as err:
-            online_block_update(state, q, k, k, scale=1.0)
-        assert str(q.shape) in str(err.value) and str(k.shape) in str(err.value)
+        lse = np.zeros((1, 4, 2))
+        for call in (
+            lambda: online_block_update(state, q, k, k, scale=1.0),
+            lambda: attention_block_backward(q, k, k, q, lse, lse, scale=1.0),
+            lambda: online_attention_backward(q, k, k, q, q, lse),
+        ):
+            with pytest.raises(ShapeError) as err:
+                call()
+            assert str(q.shape) in str(err.value) and str(k.shape) in str(err.value)
 
     def test_kernels_without_grouping_reject_kv_heads(self):
+        """The reference kernels are what the grouped ones are checked
+        against, so they stay expanded-only."""
         q, k, v = self._inputs(4, 4)
         with pytest.raises(ShapeError, match="repeat_kv"):
             attention_forward_reference(q, k, v)
+        probs = np.zeros((1, self.H, 4, 4))
         with pytest.raises(ShapeError, match="repeat_kv"):
-            online_attention_backward(
-                q, k, v, q, q, np.zeros((1, self.H, 4))
-            )
+            attention_backward_reference(q, (q, k, v, probs, 1.0))

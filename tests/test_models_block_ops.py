@@ -15,9 +15,12 @@ from repro.models.block_ops import (
     attn_post_forward,
     attn_pre_backward,
     attn_pre_forward,
+    attn_qkv_forward,
     ffn_backward,
     ffn_forward,
+    kv_head_repeats,
 )
+from repro.models.layers import reduce_kv_grad
 
 from .helpers import numerical_grad, rng
 
@@ -95,6 +98,42 @@ class TestAttnPrePhase:
 
         numeric = numerical_grad(f, params["attn.wq"].copy())
         np.testing.assert_allclose(grads["attn.wq"], numeric, rtol=1e-4, atol=1e-7)
+
+
+class TestKVHeadRepeats:
+    """The head-scatter rule: repeat K/V to ``lcm(num_kv_heads, ranks)``
+    heads, so each rank holds whole query groups with their KV heads."""
+
+    @pytest.mark.parametrize(
+        "heads,kv_heads,ranks,repeats",
+        [(8, 4, 4, 1), (8, 4, 1, 1), (8, 4, 8, 2), (4, 2, 4, 2), (4, 4, 4, 1), (12, 3, 2, 2)],
+    )
+    def test_lcm_rule(self, heads, kv_heads, ranks, repeats):
+        cfg = tiny_llama(hidden_size=4 * heads, num_heads=heads, num_kv_heads=kv_heads)
+        assert kv_head_repeats(cfg, ranks) == repeats
+        wire = kv_heads * repeats
+        assert wire % ranks == 0 and (heads // ranks) % (heads // wire) == 0
+
+    @pytest.mark.parametrize("repeats", [2, 4])
+    def test_pre_backward_sums_any_repetition(self, repeats):
+        """``attn_pre_backward`` reduces by ``dk.shape[2] // num_kv_heads``:
+        K/V gradients repeated 2x (a head-scattered path) or 4x (all 8
+        query heads) land as their per-KV-head sums would."""
+        cfg = tiny_llama(hidden_size=32, num_heads=8, num_kv_heads=2)
+        params = _params(cfg)
+        g = rng(4)
+        x = g.normal(size=(1, 3, cfg.hidden_size))
+        dq = g.normal(size=(1, 3, 8, cfg.head_dim))
+        dk = g.normal(size=(1, 3, 2 * repeats, cfg.head_dim))
+        dv = g.normal(size=dk.shape)
+        _, _, _, cache = attn_qkv_forward(params, cfg, x, np.arange(3))
+        dx, grads = attn_pre_backward(cfg, dq, dk, dv, cache)
+        dx_kv, grads_kv = attn_pre_backward(
+            cfg, dq, reduce_kv_grad(dk, repeats), reduce_kv_grad(dv, repeats), cache
+        )
+        np.testing.assert_array_equal(dx, dx_kv)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], grads_kv[name], err_msg=name)
 
 
 class TestAttnPostAndFfnPhases:

@@ -115,6 +115,52 @@ class TestMixedFactorizations:
         _assert_bitwise(_run(make, cfg), _run(make, cfg))
 
 
+def _collective_bytes(make_runner, cfg):
+    """Total collective bytes and per-event sizes by tag, summed over
+    the mesh's groups (``all_to_all:usp.ulysses0:ulysses.k`` counts as
+    ``ulysses.k``)."""
+    tokens, labels = _data(cfg)
+    cluster = VirtualCluster(WORLD)
+    make_runner(GPTModel(cfg, seed=7), cluster).forward_backward(tokens, labels)
+    totals, sizes = {}, {}
+    for e in cluster.trace.filter(kind="collective"):
+        tag = e.label.rsplit(":", 1)[-1]
+        totals[tag] = totals.get(tag, 0) + e.nbytes
+        sizes.setdefault(tag, set()).add(e.nbytes)
+    return totals, sizes
+
+
+class TestKVHeadsOnTheWire:
+    """The row all-to-alls and the ring move K/V in ``lcm(num_kv_heads,
+    ulysses)`` heads: half a query-head tensor at 8 heads / 4 KV on a
+    ``(4, 2)`` mesh, the full expanded size when KV heads are fewer than
+    the row's ranks."""
+
+    #: One rank's ``[b, s_local, H, d]`` query shard in BF16 — also the
+    #: size of its row-gathered ``[b, U*s_local, H/U, d]`` query segment.
+    @staticmethod
+    def _q_bytes(cfg):
+        return SEQ // WORLD * cfg.hidden_size * 2
+
+    def test_kv_heads_halve_the_kv_traffic(self):
+        cfg = _cfg(num_heads=8, num_kv_heads=4)
+        totals, sizes = _collective_bytes(
+            lambda m, c: USPModelRunner(m, c, seq_parallel=(4, 2)), cfg
+        )
+        for tag in ("k", "v", "dk", "dv"):
+            assert 2 * totals[f"ulysses.{tag}"] == totals["ulysses.q"], tag
+            assert sizes[f"ring.{tag}"] == {self._q_bytes(cfg) // 2}, tag
+
+    def test_fewer_kv_heads_than_row_ranks_stay_expanded(self):
+        cfg = _cfg(num_heads=4, num_kv_heads=2)  # lcm(2, 4) = 4 = H
+        totals, sizes = _collective_bytes(
+            lambda m, c: USPModelRunner(m, c, seq_parallel=(4, 2)), cfg
+        )
+        for tag in ("k", "v", "dk", "dv"):
+            assert totals[f"ulysses.{tag}"] == totals["ulysses.q"], tag
+            assert sizes[f"ring.{tag}"] == {self._q_bytes(cfg)}, tag
+
+
 class TestHeadDivisibility:
     def test_flat_ulysses_error_names_group_size_and_axis(self):
         """World 8 with 4 heads: flat Ulysses cannot scatter — the error

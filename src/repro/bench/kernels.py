@@ -64,11 +64,7 @@ def _drop(outputs) -> None:
     """Discard collective outputs the way a consumer that is done with
     them would, so arena-owned buffers return to the free list."""
     for t in outputs:
-        release = getattr(t, "release", None)
-        if release is not None:
-            release()
-        else:  # pragma: no cover - pre-release() compatibility
-            t.free()
+        t.release()
 
 
 def _bench_all_to_all(quick: bool) -> Callable[[], None]:

@@ -15,21 +15,20 @@ Block functions carry **absolute position offsets** ``(q_offset,
 k_offset)`` so the causal mask stays exact when FPDT processes chunk
 pairs off the diagonal (the Fig. 6 discussion).  All shapes are
 ``[b, s, h, d]``.  The block kernels :func:`online_block_update` and
-:func:`attention_block_backward` (and so both blockwise passes) also take
-grouped-query K/V with ``hk`` heads, ``h % hk == 0``: they view ``q``
-(and ``do``) as ``[b, hk, g*sq, d]`` and contract each KV head once
-against its ``g`` query heads, so nothing is repeated over the context
-and ``dk``/``dv`` come back with ``hk`` heads.  The reference kernels
-take K/V expanded to ``h`` heads with
-:func:`repro.models.layers.repeat_kv`.
+:func:`attention_block_backward` (and so both blockwise passes) take K/V
+with ``hk`` heads for any ``h % hk == 0`` through one contraction path:
+they view ``q`` (and ``do``) as ``[b, hk, g*sq, d]`` and contract each KV
+head once against its ``g`` query heads as a batched ``np.matmul``, so
+nothing is repeated over the context and ``dk``/``dv`` come back with
+``hk`` heads.  At ``g == 1`` the view is a transpose of ``q`` (no copy)
+and the matmuls are the plain per-head ones.  The reference kernels take
+K/V expanded to ``h`` heads with :func:`repro.models.layers.repeat_kv`.
 
-The contractions run through :func:`repro.common.einsum_cache
-.cached_einsum` (memoized ``np.einsum_path``, matmul ``out=``
-destinations).  Each block kernel allocates its score / ``pv`` / ``dp``
-scratch with ``np.empty`` and drops it on return, so working memory
-stays O(block) however many distinct key lengths a chunked prefill or
-decode loop visits; a scratch cache keyed by shape would keep one score
-block per key length ever seen.
+Each block kernel allocates its score / ``dp`` scratch with ``np.empty``
+and drops it on return, so working memory stays O(block) however many
+distinct key lengths a chunked prefill or decode loop visits; a scratch
+cache keyed by shape would keep one score block per key length ever
+seen.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.einsum_cache import cached_einsum
 from repro.common.errors import ShapeError
 
 
@@ -127,7 +125,8 @@ def attention_forward_reference(
     if window is not None and not causal:
         raise ShapeError("window requires causal attention")
     scale = scale if scale is not None else 1.0 / np.sqrt(q.shape[-1])
-    scores = cached_einsum("bqhd,bkhd->bhqk", q, k) * scale
+    # [b, sq, h, d] x [b, sk, h, d] -> [b, h, sq, sk]
+    scores = np.matmul(q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1)) * scale
     if causal:
         bias = _causal_bias(q.shape[1], k.shape[1], 0, 0, window)
         if bias is not None:
@@ -135,7 +134,7 @@ def attention_forward_reference(
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=-1, keepdims=True)
-    o = cached_einsum("bhqk,bkhd->bqhd", probs, v)
+    o = _matmul_heads_last(probs, v.transpose(0, 2, 1, 3))
     return o, (q, k, v, probs, scale)
 
 
@@ -145,13 +144,25 @@ def attention_backward_reference(
     """Exact attention backward; returns ``(dq, dk, dv)``."""
     q, k, v, probs, scale = cache
     _check_qkv(q, k, v, grouped=False)
-    dv = cached_einsum("bhqk,bqhd->bkhd", probs, do)
-    dprobs = cached_einsum("bqhd,bkhd->bhqk", do, v)
+    do_h = do.transpose(0, 2, 1, 3)  # [b, h, sq, d]
+    dv = _matmul_heads_last(probs.transpose(0, 1, 3, 2), do_h)
+    dprobs = np.matmul(do_h, v.transpose(0, 2, 3, 1))
     # softmax backward: ds = p * (dp - sum(dp * p))
     dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dq = cached_einsum("bhqk,bkhd->bqhd", dscores, k) * scale
-    dk = cached_einsum("bhqk,bqhd->bkhd", dscores, q) * scale
+    dq = _matmul_heads_last(dscores, k.transpose(0, 2, 1, 3)) * scale
+    dk = _matmul_heads_last(
+        dscores.transpose(0, 1, 3, 2), q.transpose(0, 2, 1, 3)
+    ) * scale
     return dq, dk, dv
+
+
+def _matmul_heads_last(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``lhs @ rhs`` over ``[b, h]`` batches, written straight into a
+    fresh ``[b, s, h, d]`` array through a transposed view."""
+    bsz, h, s, _ = lhs.shape
+    out = np.empty((bsz, s, h, rhs.shape[3]), np.result_type(lhs, rhs))
+    np.matmul(lhs, rhs, out=out.transpose(0, 2, 1, 3))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -201,13 +212,12 @@ def online_block_update(
     construction (q_i attends only to k_j with j <= i, and with a
     window only to chunks overlapping ``(i*C - window, (i+1)*C]``).
 
-    ``k_blk``/``v_blk`` may carry ``hk`` KV heads for ``h`` query heads
+    ``k_blk``/``v_blk`` carry ``hk`` KV heads for ``h`` query heads
     (``h % hk == 0``, query head ``i`` reads KV head ``i // (h // hk)``,
-    the :func:`~repro.models.layers.repeat_kv` layout).  Then scores and
+    the :func:`~repro.models.layers.repeat_kv` layout).  Scores and
     ``p @ v`` are batched matmuls over ``hk`` with ``q`` viewed as
-    ``[b, hk, g*sq, d]``; equal to the expanded path up to float
-    rounding.  With ``hk == h`` the contraction is the einsum it always
-    was.
+    ``[b, hk, g*sq, d]``; with ``hk < h`` equal to the expanded path up
+    to float rounding.
     """
     group = _check_qkv(q, k_blk, v_blk)
     if causal and not block_is_visible(
@@ -220,15 +230,12 @@ def online_block_update(
     b, sq, h, d = q.shape
     sk, hk = k_blk.shape[1], k_blk.shape[2]
     scores = _scratch((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
-    if group == 1:
-        cached_einsum("bqhd,bkhd->bhqk", q, k_blk, out=scores)
-    else:
-        # [b, h, sq, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
-        qg = q.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
-        np.matmul(
-            qg, k_blk.transpose(0, 2, 3, 1),
-            out=scores.reshape(b, hk, group * sq, sk),
-        )
+    # [b, sq, h, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
+    qg = q.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
+    np.matmul(
+        qg, k_blk.transpose(0, 2, 3, 1),
+        out=scores.reshape(b, hk, group * sq, sk),
+    )
     scores *= scale
     if causal:
         bias = _causal_bias(sq, sk, q_offset, k_offset, window)
@@ -244,13 +251,9 @@ def online_block_update(
     correction = np.where(np.isneginf(state.m), 0.0, np.exp(state.m - safe_m))
     state.l *= correction
     state.l += p.sum(axis=-1)
-    if group == 1:
-        pv = _scratch(state.acc.shape, state.acc.dtype)
-        cached_einsum("bhqk,bkhd->bqhd", p, v_blk, out=pv)
-    else:
-        pv = np.matmul(
-            p.reshape(b, hk, group * sq, sk), v_blk.transpose(0, 2, 1, 3)
-        ).reshape(b, h, sq, d).transpose(0, 2, 1, 3)
+    pv = np.matmul(
+        p.reshape(b, hk, group * sq, sk), v_blk.transpose(0, 2, 1, 3)
+    ).reshape(b, h, sq, d).transpose(0, 2, 1, 3)
     state.acc *= correction.transpose(0, 2, 1)[..., None]
     state.acc += pv
     state.m = m_new
@@ -304,13 +307,12 @@ def attention_block_backward(
     They must not alias ``q``/``k_blk``/``v_blk``/``do``, and ``dq_out``
     must be C-contiguous (the grouped path writes it through a reshape).
 
-    Grouped K/V (``hk`` heads, ``h % hk == 0``) is taken as in
+    K/V with ``hk`` heads (``h % hk == 0``) is taken as in
     :func:`online_block_update`: ``q`` and ``do`` are viewed as ``[b, hk,
     g*sq, d]``, every contraction is one batched matmul over ``hk``, and
     ``dk``/``dv`` (``hk`` heads) sum over the query group inside it.
-    Equal to :func:`~repro.models.layers.repeat_kv` in and
-    :func:`~repro.models.layers.reduce_kv_grad` out up to float rounding;
-    with ``hk == h`` the contractions are the einsums they always were.
+    With ``hk < h`` equal to :func:`~repro.models.layers.repeat_kv` in and
+    :func:`~repro.models.layers.reduce_kv_grad` out up to float rounding.
     """
     group = _check_qkv(q, k_blk, v_blk)
     if causal and not block_is_visible(
@@ -323,13 +325,10 @@ def attention_block_backward(
     scores = _scratch((b, h, sq, sk), dtype)
     # [b, h, sq, sk] viewed per KV head: rows (j, q) of query head kv * g + j.
     grouped = (b, hk, group * sq, sk)
-    if group == 1:
-        cached_einsum("bqhd,bkhd->bhqk", q, k_blk, out=scores)
-    else:
-        # [b, sq, h, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
-        qg = q.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
-        dog = do.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
-        np.matmul(qg, k_blk.transpose(0, 2, 3, 1), out=scores.reshape(grouped))
+    # [b, sq, h, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
+    qg = q.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
+    dog = do.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
+    np.matmul(qg, k_blk.transpose(0, 2, 3, 1), out=scores.reshape(grouped))
     scores *= scale
     if causal:
         bias = _causal_bias(sq, sk, q_offset, k_offset, window)
@@ -338,37 +337,29 @@ def attention_block_backward(
     scores -= lse[..., None]
     p = np.exp(scores, out=scores)  # masked entries: exp(-inf) = 0
     dp = _scratch(p.shape, p.dtype)
-    if group == 1:
-        dv = cached_einsum("bhqk,bqhd->bkhd", p, do, out=dv_out)
-        cached_einsum("bqhd,bkhd->bhqk", do, v_blk, out=dp)
-    else:
-        # dk/dv destinations viewed [b, hk, sk, d]; the matmuls' inner
-        # dimension g*sq sums each KV head's gradient over its group.
-        dv = np.empty(k_blk.shape, dtype) if dv_out is None else dv_out
-        np.matmul(
-            p.reshape(grouped).transpose(0, 1, 3, 2), dog,
-            out=dv.transpose(0, 2, 1, 3),
-        )
-        np.matmul(dog, v_blk.transpose(0, 2, 3, 1), out=dp.reshape(grouped))
+    # dk/dv destinations viewed [b, hk, sk, d]; the matmuls' inner
+    # dimension g*sq sums each KV head's gradient over its group.
+    dv = np.empty(k_blk.shape, dtype) if dv_out is None else dv_out
+    np.matmul(
+        p.reshape(grouped).transpose(0, 1, 3, 2), dog,
+        out=dv.transpose(0, 2, 1, 3),
+    )
+    np.matmul(dog, v_blk.transpose(0, 2, 3, 1), out=dp.reshape(grouped))
     dp -= delta[..., None]
     ds = np.multiply(p, dp, out=dp)
-    if group == 1:
-        dq = cached_einsum("bhqk,bkhd->bqhd", ds, k_blk, out=dq_out)
-        dk = cached_einsum("bhqk,bqhd->bkhd", ds, q, out=dk_out)
-    else:
-        # dq keeps its query heads: batch over (hk, g) with each KV head
-        # broadcast over its group, written straight into [b, sq, h, d].
-        dq = np.empty(q.shape, dtype) if dq_out is None else dq_out
-        np.matmul(
-            ds.reshape(b, hk, group, sq, sk),
-            k_blk.transpose(0, 2, 1, 3)[:, :, None],
-            out=dq.reshape(b, sq, hk, group, d).transpose(0, 2, 3, 1, 4),
-        )
-        dk = np.empty(k_blk.shape, dtype) if dk_out is None else dk_out
-        np.matmul(
-            ds.reshape(grouped).transpose(0, 1, 3, 2), qg,
-            out=dk.transpose(0, 2, 1, 3),
-        )
+    # dq keeps its query heads: batch over (hk, g) with each KV head
+    # broadcast over its group, written straight into [b, sq, h, d].
+    dq = np.empty(q.shape, dtype) if dq_out is None else dq_out
+    np.matmul(
+        ds.reshape(b, hk, group, sq, sk),
+        k_blk.transpose(0, 2, 1, 3)[:, :, None],
+        out=dq.reshape(b, sq, hk, group, d).transpose(0, 2, 3, 1, 4),
+    )
+    dk = np.empty(k_blk.shape, dtype) if dk_out is None else dk_out
+    np.matmul(
+        ds.reshape(grouped).transpose(0, 1, 3, 2), qg,
+        out=dk.transpose(0, 2, 1, 3),
+    )
     dq *= scale
     dk *= scale
     return dq, dk, dv

@@ -36,8 +36,6 @@ from repro.models.layers import (
     layernorm_backward,
     layernorm_forward,
     make_rope_cache,
-    reduce_kv_grad,
-    repeat_kv,
     rmsnorm_backward,
     rmsnorm_forward,
     rope_backward,
@@ -103,7 +101,7 @@ class MegatronBlockContext:
     normed_full: list[np.ndarray]
     normed2_full: list[np.ndarray]
     q_heads: list[np.ndarray]
-    k_heads: list[np.ndarray]  # pre-GQA-expansion local kv heads
+    k_heads: list[np.ndarray]  # local kv heads, never GQA-expanded
     v_heads: list[np.ndarray]
     o_heads: list[np.ndarray]
     lse: list[np.ndarray]
@@ -180,10 +178,7 @@ def megatron_block_forward(
         if rope_cache is not None:
             qh = rope_forward(qh, rope_cache)
             kh = rope_forward(kh, rope_cache)
-        g = cfg.gqa_group_size
-        o, lse = online_attention_forward(
-            qh, repeat_kv(kh, g), repeat_kv(vh, g), window=cfg.attention_window
-        )
+        o, lse = online_attention_forward(qh, kh, vh, window=cfg.attention_window)
         merged = o.reshape(b, s_global, sharding.h_local * d)
         partial = merged @ params["attn.wo"][sharding.q_cols(rank), :]
         return qh, kh, vh, o, lse, partial
@@ -344,8 +339,6 @@ def megatron_block_backward(
     dmid_dev = as_device_tensors(cluster, list(dmid_shards), ACT_DTYPE, "mp.dattn")
     dpartial_full = free_all(all_gather(cluster, dmid_dev, axis=1, tag="mp.dattn"))
 
-    g = cfg.gqa_group_size
-
     def attn_bwd_rank(rank):
         dpart = dpartial_full[rank]
         qc, kc = sh.q_cols(rank), sh.kv_cols(rank)
@@ -355,12 +348,9 @@ def megatron_block_backward(
         dmerged = dpart @ params["attn.wo"][qc, :].T
         do = dmerged.reshape(b, s_global, sh.h_local, d)
         qh, kh, vh = ctx.q_heads[rank], ctx.k_heads[rank], ctx.v_heads[rank]
-        dqh, dkh_f, dvh_f = online_attention_backward(
-            qh, repeat_kv(kh, g), repeat_kv(vh, g), o, do, ctx.lse[rank],
-            window=cfg.attention_window,
+        dqh, dkh, dvh = online_attention_backward(
+            qh, kh, vh, o, do, ctx.lse[rank], window=cfg.attention_window
         )
-        dkh = reduce_kv_grad(dkh_f, g)
-        dvh = reduce_kv_grad(dvh_f, g)
         if ctx.rope_cache is not None:
             dqh = rope_backward(dqh, ctx.rope_cache)
             dkh = rope_backward(dkh, ctx.rope_cache)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import ScheduleError
 from repro.hardware.specs import NodeSpec
 from repro.hardware.topology import ClusterSpec, make_cluster
+from repro.models.block_ops import kv_head_repeats
 from repro.models.config import ModelConfig
 from repro.perfmodel.calibration import CALIBRATION, Calibration
 from repro.perfmodel.flops import (
@@ -105,11 +106,17 @@ class StreamSimulator:
 
 
 def _chunk_geometry(cfg: ModelConfig, s_global: int, chunk_tokens: int, world: int):
+    """``(chunk, u, c_local, h_local, kv_local)``: the per-rank query
+    width ``h_local`` and K/V width ``kv_local`` after the head scatter.
+    K/V travel at ``num_kv_heads``, repeated only
+    :func:`~repro.models.block_ops.kv_head_repeats` times when there are
+    fewer KV heads than ranks."""
     chunk = min(chunk_tokens, s_global)
     u = max(1, -(-s_global // chunk))
     c_local = s_global // world // u
     h_local = cfg.num_heads // world * cfg.head_dim
-    return chunk, u, c_local, h_local
+    kv_local = cfg.kv_hidden_size * kv_head_repeats(cfg, world) // world
+    return chunk, u, c_local, h_local, kv_local
 
 
 def _local_compute_flops(cfg: ModelConfig, tokens: int, batch: int) -> float:
@@ -132,7 +139,9 @@ def fpdt_forward_tasks(
     world = cluster.world_size
     node = cluster.node
     gpu = node.gpu
-    chunk, u, c_local, h_local = _chunk_geometry(cfg, s_global, chunk_tokens, world)
+    chunk, u, c_local, h_local, kv_local = _chunk_geometry(
+        cfg, s_global, chunk_tokens, world
+    )
     heads_local = cfg.num_heads // world
     d = cfg.head_dim
 
@@ -140,9 +149,10 @@ def fpdt_forward_tasks(
         cfg.hidden_size + 2 * cfg.kv_hidden_size
     )
     post_flops = _local_compute_flops(cfg, c_local, batch) - qkv_flops
-    a2a_bytes = 3 * batch * c_local * cfg.hidden_size * ACT
-    kv_bytes = 2 * batch * chunk * h_local * ACT
-    qkv_chunk_bytes = 3 * batch * chunk * h_local * ACT
+    o_bytes = batch * c_local * cfg.hidden_size * ACT
+    a2a_bytes = batch * c_local * (cfg.hidden_size + 2 * kv_local * world) * ACT
+    kv_bytes = 2 * batch * chunk * kv_local * ACT
+    qkv_chunk_bytes = batch * chunk * (h_local + 2 * kv_local) * ACT
 
     t_attn_full = attention_forward_latency(
         gpu, batch=batch, sq=chunk, sk=chunk, heads=heads_local, head_dim=d, calib=calib
@@ -150,7 +160,7 @@ def fpdt_forward_tasks(
     t_fetch_kv = fetch_latency(node, kv_bytes, calib=calib)
     t_offload = offload_latency(node, qkv_chunk_bytes, calib=calib)
     t_a2a = hierarchical_alltoall_latency(cluster, a2a_bytes, calib=calib)
-    t_a2a_o = hierarchical_alltoall_latency(cluster, a2a_bytes // 3, calib=calib)
+    t_a2a_o = hierarchical_alltoall_latency(cluster, o_bytes, calib=calib)
 
     window = cfg.attention_window
     from repro.models.attention import block_is_visible
@@ -206,13 +216,16 @@ def fpdt_backward_tasks(
     world = cluster.world_size
     node = cluster.node
     gpu = node.gpu
-    chunk, u, c_local, h_local = _chunk_geometry(cfg, s_global, chunk_tokens, world)
+    chunk, u, c_local, h_local, kv_local = _chunk_geometry(
+        cfg, s_global, chunk_tokens, world
+    )
     heads_local = cfg.num_heads // world
     d = cfg.head_dim
 
     local_bwd_flops = 2.0 * _local_compute_flops(cfg, c_local, batch)
     a2a_bytes = batch * c_local * cfg.hidden_size * ACT
-    kv_bytes = 2 * batch * chunk * h_local * ACT
+    a2a_kv_bytes = batch * c_local * kv_local * world * ACT
+    kv_bytes = 2 * batch * chunk * kv_local * ACT
     qdo_bytes = 2 * batch * chunk * h_local * ACT
 
     t_attn_bwd = attention_backward_latency(
@@ -221,6 +234,7 @@ def fpdt_backward_tasks(
     t_fetch = fetch_latency(node, kv_bytes, calib=calib)
     t_fetch_qdo = fetch_latency(node, qdo_bytes, calib=calib)
     t_a2a = hierarchical_alltoall_latency(cluster, a2a_bytes, calib=calib)
+    t_a2a_kv = hierarchical_alltoall_latency(cluster, a2a_kv_bytes, calib=calib)
 
     window = cfg.attention_window
     from repro.models.attention import block_is_visible
@@ -261,7 +275,10 @@ def fpdt_backward_tasks(
             dur = t_attn_bwd / 2 if i == j else t_attn_bwd
             tasks.append(Task(f"attn_bwd:{j}:{i}", "compute", dur, tuple(deps)))
         tasks.append(
-            Task(f"a2a_dqkv:{j}", "comm", 3 * t_a2a, (f"attn_bwd:{j}:{visible_q[-1]}",))
+            Task(
+                f"a2a_dqkv:{j}", "comm", t_a2a + 2 * t_a2a_kv,
+                (f"attn_bwd:{j}:{visible_q[-1]}",),
+            )
         )
         tasks.append(
             Task(

@@ -62,7 +62,6 @@ class StepRecord:
     arena_hits: int = 0
     arena_misses: int = 0
     arena_reused_bytes: int = 0
-    einsum_paths_cached: int = 0
     # Rank-executor utilization (process-wide, cumulative snapshots like
     # the arena counters): pool size, fork-join sections run, and the
     # busy fraction busy/(wall*workers) of parallel sections so far.
@@ -275,7 +274,6 @@ class RunLogger:
             summary["arena_hits"] = last.arena_hits
             summary["arena_misses"] = last.arena_misses
             summary["arena_reused_bytes"] = last.arena_reused_bytes
-            summary["einsum_paths_cached"] = last.einsum_paths_cached
             summary["executor_workers"] = last.executor_workers
             summary["executor_fork_joins"] = last.executor_fork_joins
             summary["executor_busy_fraction"] = last.executor_busy_fraction

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.common.einsum_cache import path_cache_stats
 from repro.core.fpdt_model import FPDTModelRunner
 from repro.models.transformer import GPTModel
 from repro.runtime.executor import executor_stats
@@ -229,7 +228,6 @@ class Trainer:
             record.arena_hits = sum(a["hits"] for a in arenas)
             record.arena_misses = sum(a["misses"] for a in arenas)
             record.arena_reused_bytes = sum(a["reused_bytes"] for a in arenas)
-        record.einsum_paths_cached = path_cache_stats()["entries"]
         ex = executor_stats()
         record.executor_workers = ex["workers"] if ex["parallel"] else 1
         record.executor_fork_joins = ex["fork_joins"]

@@ -149,8 +149,8 @@ class TestOnlineForward:
         before = workspace_stats()
         online_attention_forward(q, k, v, block_k=4, causal=False)
         after = workspace_stats()
-        # two key blocks, each a score block and a PV partial; no reuse
-        assert after["misses"] - before["misses"] == 4
+        # two key blocks, one score block each; no reuse
+        assert after["misses"] - before["misses"] == 2
         assert after["hits"] == 0
 
     @settings(max_examples=25, deadline=None)
@@ -381,57 +381,78 @@ class TestGroupedQueryHeads:
         np.testing.assert_allclose(dk, reduce_kv_grad(dk_e, g), **self.GRAD_TOL)
         np.testing.assert_allclose(dv, reduce_kv_grad(dv_e, g), **self.GRAD_TOL)
 
-    @pytest.mark.parametrize("sq,sk,q_offset", [(1, 64, 63), (16, 16, 0), (8, 32, 0)])
-    def test_full_heads_backward_is_bitwise_the_einsum_kernel(self, sq, sk, q_offset):
-        """``hk == h`` backward runs the einsums it always ran, bit for
-        bit, through the preallocated ``out=`` trio FPDT passes."""
-        from repro.common.einsum_cache import cached_einsum
+    #: ``(sq, sk, h, d, q_offset, k_offset, window)`` at one query head per
+    #: KV head: a decode row, square and rectangular blocks,
+    #: ``train_fpdt_small``'s per-rank block (1 head, ``d`` 16), and a
+    #: windowed block straddling the diagonal at unaligned offsets.
+    ONE_PER_KV_HEAD = [
+        (1, 64, 4, 8, 63, 0, None),
+        (16, 16, 4, 8, 0, 0, None),
+        (8, 32, 4, 8, 0, 0, None),
+        (64, 64, 1, 16, 0, 0, None),
+        (24, 40, 4, 8, 29, 5, 20),
+    ]
+
+    @pytest.mark.parametrize("sq,sk,h,d,q_offset,k_offset,window", ONE_PER_KV_HEAD)
+    def test_one_query_head_per_kv_head_backward_is_bitwise_the_matmuls(
+        self, sq, sk, h, d, q_offset, k_offset, window
+    ):
+        """At ``hk == h`` the grouped backward is the per-head matmuls
+        written out, bit for bit, through the preallocated ``out=`` trio
+        FPDT passes."""
         from repro.models.attention import _causal_bias
 
-        q, k, v = _qkv(37, s=sq, h=4, d=8, sk=sk)
+        q, k, v = _qkv(37, s=sq, h=h, d=d, sk=sk)
         do = rng(38).normal(size=q.shape)
-        scale = 1 / np.sqrt(8)
-        state = OnlineSoftmaxState.zeros(1, sq, 4, 8)
-        online_block_update(state, q, k, v, scale=scale, q_offset=q_offset)
+        scale = 1 / np.sqrt(d)
+        kw = dict(q_offset=q_offset, k_offset=k_offset, window=window)
+        state = OnlineSoftmaxState.zeros(1, sq, h, d)
+        online_block_update(state, q, k, v, scale=scale, **kw)
         o, lse = finalize_online(state)
         delta = compute_delta(o, do)
         trio = (np.empty_like(q), np.empty_like(k), np.empty_like(v))
         got = attention_block_backward(
-            q, k, v, do, lse, delta, scale=scale, q_offset=q_offset,
-            dq_out=trio[0], dk_out=trio[1], dv_out=trio[2],
+            q, k, v, do, lse, delta, scale=scale,
+            dq_out=trio[0], dk_out=trio[1], dv_out=trio[2], **kw,
         )
         assert all(a is b for a, b in zip(got, trio))
 
-        scores = cached_einsum("bqhd,bkhd->bhqk", q, k) * scale
-        bias = _causal_bias(sq, sk, q_offset, 0)
+        # [b, s, h, d] -> [b, h, s, d]; every product below is per head.
+        qt, kt, vt, dot = (x.transpose(0, 2, 1, 3) for x in (q, k, v, do))
+        scores = np.matmul(qt, kt.transpose(0, 1, 3, 2)) * scale
+        bias = _causal_bias(sq, sk, q_offset, k_offset, window)
         if bias is not None:
             scores += bias
         p = np.exp(scores - lse[..., None])
-        dv = cached_einsum("bhqk,bqhd->bkhd", p, do)
-        dp = cached_einsum("bqhd,bkhd->bhqk", do, v) - delta[..., None]
+        dv = np.matmul(p.transpose(0, 1, 3, 2), dot)
+        dp = np.matmul(dot, vt.transpose(0, 1, 3, 2)) - delta[..., None]
         ds = p * dp
-        dq = cached_einsum("bhqk,bkhd->bqhd", ds, k) * scale
-        dk = cached_einsum("bhqk,bqhd->bkhd", ds, q) * scale
+        dq = np.matmul(ds, kt) * scale
+        dk = np.matmul(ds.transpose(0, 1, 3, 2), qt) * scale
         for name, want, have in zip(("dq", "dk", "dv"), (dq, dk, dv), got):
-            np.testing.assert_array_equal(have, want, err_msg=name)
+            np.testing.assert_array_equal(
+                have, want.transpose(0, 2, 1, 3), err_msg=name
+            )
 
-    @pytest.mark.parametrize("sq,sk,q_offset", [(1, 64, 63), (16, 16, 0), (8, 32, 0)])
-    def test_full_heads_are_bitwise_the_einsum_kernel(self, sq, sk, q_offset):
-        """``hk == h`` runs the einsum contraction it always ran: equal
-        bit for bit to the kernel written out."""
-        from repro.common.einsum_cache import cached_einsum
+    @pytest.mark.parametrize("sq,sk,h,d,q_offset,k_offset,window", ONE_PER_KV_HEAD)
+    def test_one_query_head_per_kv_head_is_bitwise_the_matmuls(
+        self, sq, sk, h, d, q_offset, k_offset, window
+    ):
+        """At ``hk == h`` two grouped folds equal the per-head matmul
+        kernel written out, bit for bit."""
         from repro.models.attention import _causal_bias
 
-        q, k, v = _qkv(32, s=sq, h=4, d=8, sk=sk)
-        scale = 1 / np.sqrt(8)
-        state = OnlineSoftmaxState.zeros(1, sq, 4, 8)
-        online_block_update(state, q, k, v, scale=scale, q_offset=q_offset)
-        online_block_update(state, q, k, v, scale=scale, q_offset=q_offset)
+        q, k, v = _qkv(32, s=sq, h=h, d=d, sk=sk)
+        scale = 1 / np.sqrt(d)
+        kw = dict(q_offset=q_offset, k_offset=k_offset, window=window)
+        state = OnlineSoftmaxState.zeros(1, sq, h, d)
+        online_block_update(state, q, k, v, scale=scale, **kw)
+        online_block_update(state, q, k, v, scale=scale, **kw)
 
-        acc, m, l = np.zeros((1, sq, 4, 8)), np.full((1, 4, sq), -np.inf), np.zeros((1, 4, sq))
+        acc, m, l = np.zeros((1, sq, h, d)), np.full((1, h, sq), -np.inf), np.zeros((1, h, sq))
         for _ in range(2):
-            scores = cached_einsum("bqhd,bkhd->bhqk", q, k) * scale
-            bias = _causal_bias(sq, sk, q_offset, 0)
+            scores = np.matmul(q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1)) * scale
+            bias = _causal_bias(sq, sk, q_offset, k_offset, window)
             if bias is not None:
                 scores += bias
             m_new = np.maximum(m, scores.max(axis=-1))
@@ -440,7 +461,7 @@ class TestGroupedQueryHeads:
             correction = np.where(np.isneginf(m), 0.0, np.exp(m - safe_m))
             l = l * correction + p.sum(axis=-1)
             acc = acc * correction.transpose(0, 2, 1)[..., None]
-            acc += cached_einsum("bhqk,bkhd->bqhd", p, v)
+            acc += np.matmul(p, v.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
             m = m_new
         np.testing.assert_array_equal(state.acc, acc)
         np.testing.assert_array_equal(state.m, m)

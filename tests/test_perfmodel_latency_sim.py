@@ -6,7 +6,7 @@ import pytest
 from repro.common.errors import ScheduleError
 from repro.common.units import parse_tokens
 from repro.hardware import make_cluster, paper_node_a100_80g
-from repro.models import LLAMA_8B
+from repro.models import GPT_6_7B, LLAMA_8B
 from repro.perfmodel import (
     FPDT_FULL,
     MEGATRON_SP,
@@ -175,6 +175,28 @@ class TestFPDTPipeline:
     def test_invalid_phase(self):
         with pytest.raises(ValueError):
             simulate_fpdt_layer(LLAMA_8B, CLUSTER4, self.S, 1024, phase="sideways")
+
+    @pytest.mark.parametrize("cfg", [LLAMA_8B, GPT_6_7B], ids=lambda c: c.name)
+    def test_kv_fetch_and_offload_are_charged_at_kv_head_width(self, cfg):
+        """Cached K/V chunks move at ``num_kv_heads``: LLaMA-8B's 8 KV
+        heads for 32 query heads fetch and offload K/V at 8/32 of the
+        query-head bytes, while an MHA config is charged as before."""
+        from repro.perfmodel.latency import ACT, offload_latency
+        from repro.perfmodel.pipeline_sim import fpdt_backward_tasks, fpdt_forward_tasks
+
+        chunk = parse_tokens("64K")
+        q_bytes = chunk * cfg.hidden_size // 4 * ACT  # one rank's query heads
+        kv_bytes = 2 * q_bytes * cfg.num_kv_heads // cfg.num_heads
+        fwd = fpdt_forward_tasks(cfg, CLUSTER4, self.S, chunk)
+        bwd = fpdt_backward_tasks(cfg, CLUSTER4, self.S, chunk)
+        fetches = [t for t in fwd if t.task_id.startswith("fetch:")]
+        fetches += [t for t in bwd if t.task_id.startswith("fetch_kv:")]
+        offloads = [t for t in fwd if t.task_id.startswith("offload:")]
+        assert fetches and offloads
+        assert {t.duration for t in fetches} == {fetch_latency(NODE, kv_bytes)}
+        assert {t.duration for t in offloads} == {
+            offload_latency(NODE, q_bytes + kv_bytes)
+        }
 
 
 class TestStepTime:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.common.units import parse_tokens
 from repro.hardware import paper_node_a100_40g, paper_node_a100_80g
-from repro.models import GPT_2_7B, LLAMA_8B, LLAMA_70B
+from repro.models import GPT_2_7B, GPT_6_7B, LLAMA_8B, LLAMA_70B
 from repro.perfmodel import (
     autotune_layout,
     autotune_strategy,
@@ -20,10 +20,15 @@ NODE40 = paper_node_a100_40g()
 
 
 class TestSuggestChunkTokens:
+    # The starving knee is set by the bytes of each cached K/V fetch.
+    # GPT-6.7B fetches K/V at all 32 heads; LLaMA-8B, same width and
+    # query heads, fetches its 8 KV heads, a quarter of the bytes, so
+    # its knee sits below the smallest (8K) candidate.
+
     def test_sweet_spot_in_paper_window(self):
         """§5.3: the tuned chunk lands on the MFU plateau above the
         starving knee — 16K-128K around the paper's 64K default."""
-        choice = suggest_chunk_tokens(LLAMA_8B, 4, parse_tokens("512K"), NODE80)
+        choice = suggest_chunk_tokens(GPT_6_7B, 4, parse_tokens("512K"), NODE80)
         assert choice is not None
         assert parse_tokens("16K") <= choice.chunk_tokens <= parse_tokens("128K")
         assert choice.mfu > 0.5
@@ -31,7 +36,7 @@ class TestSuggestChunkTokens:
     def test_rejects_starving_chunks(self):
         """8K chunks are below the fetch/compute crossover: the tuner
         must not pick them (Fig. 8)."""
-        choice = suggest_chunk_tokens(LLAMA_8B, 4, parse_tokens("512K"), NODE80)
+        choice = suggest_chunk_tokens(GPT_6_7B, 4, parse_tokens("512K"), NODE80)
         assert choice.chunk_tokens > parse_tokens("8K")
         small = choice.swept[parse_tokens("8K")]
         assert small.mfu < choice.mfu - 0.005

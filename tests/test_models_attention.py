@@ -394,12 +394,13 @@ class TestGroupedQueryHeads:
     ]
 
     @pytest.mark.parametrize("sq,sk,h,d,q_offset,k_offset,window", ONE_PER_KV_HEAD)
-    def test_one_query_head_per_kv_head_backward_is_bitwise_the_matmuls(
+    def test_full_heads_backward_is_bitwise_the_einsum_kernel(
         self, sq, sk, h, d, q_offset, k_offset, window
     ):
-        """At ``hk == h`` the grouped backward is the per-head matmuls
-        written out, bit for bit, through the preallocated ``out=`` trio
-        FPDT passes."""
+        """At one query head per KV head (``hk == h``) the grouped
+        backward is the einsum kernel it replaced, bit for bit, through
+        the preallocated ``out=`` trio FPDT passes.  The reference spells
+        each einsum as the per-head matmul it lowered to."""
         from repro.models.attention import _causal_bias
 
         q, k, v = _qkv(37, s=sq, h=h, d=d, sk=sk)
@@ -435,11 +436,13 @@ class TestGroupedQueryHeads:
             )
 
     @pytest.mark.parametrize("sq,sk,h,d,q_offset,k_offset,window", ONE_PER_KV_HEAD)
-    def test_one_query_head_per_kv_head_is_bitwise_the_matmuls(
+    def test_full_heads_are_bitwise_the_einsum_kernel(
         self, sq, sk, h, d, q_offset, k_offset, window
     ):
-        """At ``hk == h`` two grouped folds equal the per-head matmul
-        kernel written out, bit for bit."""
+        """At one query head per KV head (``hk == h``) two grouped folds
+        equal the einsum kernel they replaced, bit for bit.  The
+        reference spells each einsum as the per-head matmul it lowered
+        to."""
         from repro.models.attention import _causal_bias
 
         q, k, v = _qkv(32, s=sq, h=h, d=d, sk=sk)

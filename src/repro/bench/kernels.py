@@ -187,6 +187,63 @@ def _bench_attention_backward_block(quick: bool) -> Callable[[], None]:
     return run
 
 
+def _bench_attention_block_fpdt_long(quick: bool) -> Callable[[], None]:
+    """``train_fpdt_long``'s per-rank block (8 heads / 4 KV heads over 4
+    ranks, 256-token chunks): one off-diagonal and one diagonal block,
+    forward and backward, through the ``out=`` trio FPDT passes."""
+    from repro.models.attention import (
+        OnlineSoftmaxState,
+        attention_block_backward,
+        compute_delta,
+        finalize_online,
+        online_block_update,
+    )
+
+    rng = np.random.default_rng(4)
+    c, h, hk, d = 256, 2, 1, 16
+    q = rng.standard_normal((1, c, h, d))
+    kv = [rng.standard_normal((1, 2 * c, hk, d)) for _ in range(2)]
+    do = rng.standard_normal(q.shape)
+    trio = (np.empty_like(q), np.empty((1, c, hk, d)), np.empty((1, c, hk, d)))
+    blocks = [
+        (kv[0][:, k0 : k0 + c], kv[1][:, k0 : k0 + c], k0) for k0 in (0, c)
+    ]
+    kw = dict(scale=1.0 / np.sqrt(d), q_offset=c)
+
+    def run() -> None:
+        state = OnlineSoftmaxState.zeros(1, c, h, d)
+        for k, v, k0 in blocks:
+            online_block_update(state, q, k, v, k_offset=k0, **kw)
+        o, lse = finalize_online(state)
+        delta = compute_delta(o, do)
+        for k, v, k0 in blocks:
+            attention_block_backward(
+                q, k, v, do, lse, delta, k_offset=k0,
+                dq_out=trio[0], dk_out=trio[1], dv_out=trio[2], **kw,
+            )
+
+    return run
+
+
+def _bench_attention_prefix_prefill(quick: bool) -> Callable[[], None]:
+    """One 256-token prefill chunk against a 4,096-token cached prefix
+    (``serve_longdoc``'s longest prompt) on its model's 4 heads / 2 KV
+    heads."""
+    from repro.models.config import tiny_llama
+    from repro.models.generate import _prefix_causal_attention
+
+    cfg = tiny_llama(hidden_size=64)
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal((1, 256, cfg.num_heads, cfg.head_dim))
+    k = rng.standard_normal((1, 4096, cfg.num_kv_heads, cfg.head_dim))
+    v = rng.standard_normal(k.shape)
+
+    def run() -> None:
+        _prefix_causal_attention(q, k, v, 4096 - 256, cfg)
+
+    return run
+
+
 def _fpdt_setup(quick: bool):
     from repro.core.chunking import ChunkLayout
     from repro.runtime.device import VirtualCluster
@@ -240,6 +297,8 @@ BENCH_CASES: list[BenchCase] = [
     BenchCase("hierarchical_all_to_all", "collective", _bench_hierarchical_all_to_all),
     BenchCase("attention_forward_block", "attention", _bench_attention_forward_block),
     BenchCase("attention_backward_block", "attention", _bench_attention_backward_block),
+    BenchCase("attention_block_fpdt_long", "attention", _bench_attention_block_fpdt_long),
+    BenchCase("attention_prefix_prefill", "attention", _bench_attention_prefix_prefill),
     BenchCase("fpdt_attention_forward", "attention", _bench_fpdt_forward, repeats=(5, 3)),
     BenchCase("fpdt_attention_fwd_bwd", "attention", _bench_fpdt_fwd_bwd, repeats=(5, 3)),
 ]

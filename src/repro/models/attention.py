@@ -17,18 +17,32 @@ pairs off the diagonal (the Fig. 6 discussion).  All shapes are
 ``[b, s, h, d]``.  The block kernels :func:`online_block_update` and
 :func:`attention_block_backward` (and so both blockwise passes) take K/V
 with ``hk`` heads for any ``h % hk == 0`` through one contraction path:
-they view ``q`` (and ``do``) as ``[b, hk, g*sq, d]`` and contract each KV
-head once against its ``g`` query heads as a batched ``np.matmul``, so
-nothing is repeated over the context and ``dk``/``dv`` come back with
-``hk`` heads.  At ``g == 1`` the view is a transpose of ``q`` (no copy)
-and the matmuls are the plain per-head ones.  The reference kernels take
-K/V expanded to ``h`` heads with :func:`repro.models.layers.repeat_kv`.
+they copy ``q`` (and ``do``) head-major as ``[b, hk, g*sq, d]`` and
+contract each KV head once against its ``g`` query heads as a batched
+``np.matmul``, so nothing is repeated over the context and ``dk``/``dv``
+come back with ``hk`` heads.  The reference kernels take K/V expanded to
+``h`` heads with :func:`repro.models.layers.repeat_kv`.
 
-Each block kernel allocates its score / ``dp`` scratch with ``np.empty``
-and drops it on return, so working memory stays O(block) however many
-distinct key lengths a chunked prefill or decode loop visits; a scratch
-cache keyed by shape would keep one score block per key length ever
-seen.
+A score block is bound by its full-block elementwise passes, not by its
+GEMM FLOPs, so the block kernels keep those passes few:
+
+* The softmax scale multiplies ``q`` (``[sq, d]``), not the scores
+  (``[sq, sk]``).
+* The causal/window mask is a boolean *band* over only the key columns
+  it can hide (:func:`_band`), written with ``np.copyto``; a fully
+  visible block has none.  There is no float bias, and no masked score
+  reaches ``np.exp`` as ``-inf`` (NumPy exponentiates ``-inf`` ~5x
+  slower than finite input): masked entries are exponentiated as zeros
+  and cleared.
+* The backward folds ``-lse`` and ``-delta`` into its GEMMs as one extra
+  column, ``[q·s | -lse] @ [k | 1]ᵀ`` and ``[do | -delta] @ [v | 1]ᵀ``,
+  which leaves ``exp`` and ``p * dp`` as its only full-block passes.
+
+Each block kernel allocates its score / ``dp`` scratch per call and drops
+it on return, so working memory is O(block), and a caller that bounds
+its blocks bounds it: serving folds a long cached prefix one tile at a
+time (``models/generate._prefix_causal_attention``).  A scratch cache
+keyed by shape would keep one score block per key length ever seen.
 """
 
 from __future__ import annotations
@@ -66,32 +80,39 @@ def workspace_stats() -> dict:
 # ----------------------------------------------------------------------
 
 
-def _causal_bias(
+def _band(
     sq: int, sk: int, q_offset: int, k_offset: int, window: int | None = None
-) -> np.ndarray | None:
-    """Additive mask or None if the whole block is visible.
+) -> tuple[slice, np.ndarray] | None:
+    """The keys a causal (+ window) mask hides in a block, or None if the
+    whole block is visible.
 
     Causal: keys after the query are hidden.  With ``window`` (sliding-
     window attention, the Mistral/Longformer-style extension), keys more
     than ``window - 1`` positions behind the query are hidden too:
-    query ``i`` sees keys in ``(i - window, i]``.
+    query ``i`` sees keys in ``(i - window, i]``.  Returns ``(cols,
+    hidden)``: ``hidden`` is a boolean ``[sq, w]`` over the key columns
+    ``cols``, the span from the first to the last column either rule can
+    hide; every column outside it is visible to every query.
     """
     if window is not None and window < 1:
         raise ShapeError(f"window must be >= 1, got {window}")
-    # Offset arithmetic, as in block_is_visible: the last key is not after
-    # the first query and the first key is inside the last query's window.
-    if k_offset + sk - 1 <= q_offset and (
-        window is None or k_offset > q_offset + sq - 1 - window
-    ):
-        return None  # fully visible block, no mask needed
+    # Offset arithmetic, as in block_is_visible: the causal rule hides
+    # keys after the first query, the window keys up to the last query's
+    # window edge.
+    lo = max(0, q_offset + 1 - k_offset)
+    hi = sk if lo < sk else 0
+    if window is not None:
+        behind = min(sk, q_offset + sq - window - k_offset)
+        if behind > 0:
+            lo, hi = 0, max(hi, behind)
+    if lo >= hi:
+        return None
     iq = q_offset + np.arange(sq)[:, None]
-    ik = k_offset + np.arange(sk)[None, :]
+    ik = k_offset + np.arange(lo, hi)[None, :]
     hidden = ik > iq
     if window is not None:
-        hidden = hidden | (ik <= iq - window)
-    if not hidden.any():
-        return None  # fully visible block, no mask needed
-    return np.where(hidden, -np.inf, 0.0)
+        hidden |= ik <= iq - window
+    return slice(lo, hi), hidden
 
 
 def block_is_visible(
@@ -127,10 +148,9 @@ def attention_forward_reference(
     scale = scale if scale is not None else 1.0 / np.sqrt(q.shape[-1])
     # [b, sq, h, d] x [b, sk, h, d] -> [b, h, sq, sk]
     scores = np.matmul(q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1)) * scale
-    if causal:
-        bias = _causal_bias(q.shape[1], k.shape[1], 0, 0, window)
-        if bias is not None:
-            scores = scores + bias
+    band = _band(q.shape[1], k.shape[1], 0, 0, window) if causal else None
+    if band is not None:
+        np.copyto(scores[..., band[0]], -np.inf, where=band[1])
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -162,6 +182,22 @@ def _matmul_heads_last(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     bsz, h, s, _ = lhs.shape
     out = np.empty((bsz, s, h, rhs.shape[3]), np.result_type(lhs, rhs))
     np.matmul(lhs, rhs, out=out.transpose(0, 2, 1, 3))
+    return out
+
+
+def _head_major(
+    x: np.ndarray, scale: float, last: np.ndarray | float | None = None
+) -> np.ndarray:
+    """``x * scale`` as a fresh head-major ``[b, h, s, d]`` array, so the
+    grouped ``[b, hk, g*s, d]`` view of it is free.  With ``last`` (a
+    ``[b, h, s]`` array or a scalar) it is ``[x * scale | last]``, one
+    column wider: a GEMM of two such operands adds ``last * last'`` to
+    every dot product."""
+    b, s, h, d = x.shape
+    out = np.empty((b, h, s, d + (last is not None)), x.dtype)
+    np.multiply(x.transpose(0, 2, 1, 3), scale, out=out[..., :d])
+    if last is not None:
+        out[..., d] = last
     return out
 
 
@@ -230,25 +266,30 @@ def online_block_update(
     b, sq, h, d = q.shape
     sk, hk = k_blk.shape[1], k_blk.shape[2]
     scores = _scratch((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
-    # [b, sq, h, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
-    qg = q.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
+    # [b, h, sq, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
+    qg = _head_major(q, scale).reshape(b, hk, group * sq, d)
     np.matmul(
         qg, k_blk.transpose(0, 2, 3, 1),
         out=scores.reshape(b, hk, group * sq, sk),
     )
-    scores *= scale
-    if causal:
-        bias = _causal_bias(sq, sk, q_offset, k_offset, window)
-        if bias is not None:
-            scores += bias
+    band = _band(sq, sk, q_offset, k_offset, window) if causal else None
+    if band is not None:
+        cols, hidden = band
+        np.copyto(scores[..., cols], -np.inf, where=hidden)
     m_new = np.maximum(state.m, scores.max(axis=-1))
     # Rows that have seen nothing yet (m_new == -inf: fully-masked so far,
     # e.g. an unaligned block straddling the diagonal) must pass through
     # untouched; substitute a finite max so exp() yields exact zeros.
     safe_m = np.where(np.isneginf(m_new), 0.0, m_new)
     scores -= safe_m[..., None]
+    if band is not None:
+        # exp(-inf) runs NumPy's ~5x slower special-value path: exponentiate
+        # zeros in the band instead and clear them afterwards.
+        np.copyto(scores[..., cols], 0.0, where=hidden)
     p = np.exp(scores, out=scores)
-    correction = np.where(np.isneginf(state.m), 0.0, np.exp(state.m - safe_m))
+    if band is not None:
+        np.copyto(p[..., cols], 0.0, where=hidden)
+    correction = np.exp(state.m - safe_m)  # 0 where nothing was seen yet
     state.l *= correction
     state.l += p.sum(axis=-1)
     pv = np.matmul(
@@ -325,27 +366,35 @@ def attention_block_backward(
     scores = _scratch((b, h, sq, sk), dtype)
     # [b, h, sq, sk] viewed per KV head: rows (j, q) of query head kv * g + j.
     grouped = (b, hk, group * sq, sk)
-    # [b, sq, h, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
-    qg = q.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
-    dog = do.transpose(0, 2, 1, 3).reshape(b, hk, group * sq, d)
-    np.matmul(qg, k_blk.transpose(0, 2, 3, 1), out=scores.reshape(grouped))
-    scores *= scale
-    if causal:
-        bias = _causal_bias(sq, sk, q_offset, k_offset, window)
-        if bias is not None:
-            scores += bias
-    scores -= lse[..., None]
-    p = np.exp(scores, out=scores)  # masked entries: exp(-inf) = 0
+    # [q·s | -lse] and [do | -delta] viewed [b, hk, g*sq, d + 1] against
+    # [k | 1] and [v | 1]: the extra column subtracts lse and delta inside
+    # the GEMMs instead of in passes over the block.
+    rows = (b, hk, group * sq, d + 1)
+    qe = _head_major(q, scale, -lse).reshape(rows)
+    doe = _head_major(do, 1.0, -delta).reshape(rows)
+    np.matmul(
+        qe, _head_major(k_blk, 1.0, 1.0).transpose(0, 1, 3, 2),
+        out=scores.reshape(grouped),
+    )
+    band = _band(sq, sk, q_offset, k_offset, window) if causal else None
+    if band is not None:
+        cols, hidden = band
+        np.copyto(scores[..., cols], 0.0, where=hidden)  # keep exp finite
+    p = np.exp(scores, out=scores)
+    if band is not None:
+        np.copyto(p[..., cols], 0.0, where=hidden)
     dp = _scratch(p.shape, p.dtype)
     # dk/dv destinations viewed [b, hk, sk, d]; the matmuls' inner
     # dimension g*sq sums each KV head's gradient over its group.
     dv = np.empty(k_blk.shape, dtype) if dv_out is None else dv_out
     np.matmul(
-        p.reshape(grouped).transpose(0, 1, 3, 2), dog,
+        p.reshape(grouped).transpose(0, 1, 3, 2), doe[..., :d],
         out=dv.transpose(0, 2, 1, 3),
     )
-    np.matmul(dog, v_blk.transpose(0, 2, 3, 1), out=dp.reshape(grouped))
-    dp -= delta[..., None]
+    np.matmul(
+        doe, _head_major(v_blk, 1.0, 1.0).transpose(0, 1, 3, 2),
+        out=dp.reshape(grouped),
+    )
     ds = np.multiply(p, dp, out=dp)
     # dq keeps its query heads: batch over (hk, g) with each KV head
     # broadcast over its group, written straight into [b, sq, h, d].
@@ -355,13 +404,13 @@ def attention_block_backward(
         k_blk.transpose(0, 2, 1, 3)[:, :, None],
         out=dq.reshape(b, sq, hk, group, d).transpose(0, 2, 3, 1, 4),
     )
+    # dk contracts with q·s, so it needs no scale pass of its own.
     dk = np.empty(k_blk.shape, dtype) if dk_out is None else dk_out
     np.matmul(
-        ds.reshape(grouped).transpose(0, 1, 3, 2), qg,
+        ds.reshape(grouped).transpose(0, 1, 3, 2), qe[..., :d],
         out=dk.transpose(0, 2, 1, 3),
     )
     dq *= scale
-    dk *= scale
     return dq, dk, dv
 
 

@@ -29,6 +29,10 @@ from repro.models.block_ops import attn_post_forward, attn_qkv_forward, ffn_forw
 from repro.models.layers import layernorm_forward, rmsnorm_forward
 from repro.models.transformer import GPTModel
 
+#: Query rows, and the key tile for a full query tile, of one
+#: :func:`_prefix_causal_attention` block.
+PREFIX_TILE = 256
+
 
 class KVCache:
     """Per-layer key/value rows in KV heads, appended in place.
@@ -169,35 +173,51 @@ def forward_cached(
 
 def _prefix_causal_attention(qh, k_full, v_full, q_offset, cfg, *, k_offset=0):
     """Attention of new queries (at absolute offset ``q_offset``) over
-    the full cached prefix, with the correct causal mask and window.
-    ``k_full``/``v_full`` keep the model's KV heads; the kernel contracts
-    each against its group of query heads."""
+    the cached prefix (first retained key at absolute ``k_offset``), with
+    the causal mask and ``cfg.attention_window``.
+
+    The prefix is folded one tile at a time, as FPDT folds KV chunks
+    (§4.1): query rows go in tiles of ``PREFIX_TILE``, and each query tile
+    folds its keys in tiles of ``PREFIX_TILE * max(1, PREFIX_TILE //
+    rows)`` aligned to absolute key positions, so no score block holds
+    more than ``PREFIX_TILE ** 2`` entries per head (a one-row decode
+    stays one block up to 65,536 keys).  A query tile reads only the keys
+    it can see, from its first query's window edge to its last query, so a
+    fully hidden tile is never built, and a cache that evicted the keys
+    behind the window builds the same tiles: eviction stays
+    bitwise-invisible.  ``k_full``/``v_full`` keep the model's KV heads;
+    the kernel contracts each against its group of query heads.
+    """
     from repro.models.attention import (
         OnlineSoftmaxState,
         finalize_online,
         online_block_update,
     )
 
-    if cfg.attention_window is not None:
-        # Slice to the union of the queries' visible ranges before any
-        # arithmetic.  Fully-masked keys contribute exactly zero either
-        # way, but a different key-array length changes the GEMM
-        # reduction order (ULP-level drift) — slicing here makes cache
-        # eviction bitwise-invisible by construction, not just in exact
-        # arithmetic.
-        lo = (q_offset - cfg.attention_window + 1) - k_offset
-        if lo > 0:
-            k_full = k_full[:, lo:]
-            v_full = v_full[:, lo:]
-            k_offset += lo
+    window = cfg.attention_window
     b, sq, h, d = qh.shape
-    state = OnlineSoftmaxState.zeros(b, sq, h, d)
-    online_block_update(
-        state, qh, k_full, v_full,
-        scale=1.0 / np.sqrt(d), q_offset=q_offset, k_offset=k_offset,
-        window=cfg.attention_window,
-    )
-    o, _ = finalize_online(state)
+    k_end = k_offset + k_full.shape[1]
+    o = np.empty(qh.shape)
+    for q0 in range(0, sq, PREFIX_TILE):
+        rows = min(PREFIX_TILE, sq - q0)
+        first = q_offset + q0
+        span = PREFIX_TILE * max(1, PREFIX_TILE // rows)
+        # Slicing (not masking) the keys behind the window keeps the key
+        # tiles, and so the reduction order, the same with and without
+        # eviction.
+        lo = k_offset if window is None else max(k_offset, first - window + 1)
+        hi = min(k_end, first + rows)
+        state = OnlineSoftmaxState.zeros(b, rows, h, d)
+        for t0 in range(lo - lo % span, hi, span):
+            a, z = max(t0, lo), min(t0 + span, hi)
+            online_block_update(
+                state, qh[:, q0 : q0 + rows],
+                k_full[:, a - k_offset : z - k_offset],
+                v_full[:, a - k_offset : z - k_offset],
+                scale=1.0 / np.sqrt(d), q_offset=first, k_offset=a,
+                window=window,
+            )
+        o[:, q0 : q0 + rows] = finalize_online(state)[0]
     return o
 
 

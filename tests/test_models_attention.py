@@ -37,6 +37,17 @@ def _qkv(seed=0, b=1, s=8, h=2, d=4, sk=None):
     )
 
 
+def _hidden(sq, sk, q_offset, k_offset, window=None):
+    """The causal (+ window) rule written out: query ``iq`` cannot see key
+    ``ik`` when ``ik > iq`` or ``ik <= iq - window``."""
+    iq = q_offset + np.arange(sq)[:, None]
+    ik = k_offset + np.arange(sk)[None, :]
+    hidden = ik > iq
+    if window is not None:
+        hidden |= ik <= iq - window
+    return hidden
+
+
 class TestReferenceAttention:
     def test_causal_mask_blocks_future(self):
         q, k, v = _qkv(0, s=6)
@@ -81,6 +92,32 @@ class TestReferenceAttention:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             attention_forward_reference(np.zeros((2, 3, 4)), np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3, 4)))
+
+
+class TestBandMask:
+    def test_band_hides_exactly_the_causal_window_rule(self):
+        """The band (columns + boolean mask) the kernels and the reference
+        mask through hides exactly ``ik > iq | ik <= iq - window``; every
+        column outside it is visible to every query, and its first and
+        last columns each hide something."""
+        from itertools import product
+
+        from repro.models.attention import _band
+
+        for sq, sk, q_offset, k_offset, window in product(
+            (1, 3, 8), (1, 5, 8), (0, 2, 7, 12), (0, 3, 9), (None, 1, 2, 4, 9)
+        ):
+            want = _hidden(sq, sk, q_offset, k_offset, window)
+            got = np.zeros((sq, sk), bool)
+            band = _band(sq, sk, q_offset, k_offset, window)
+            if band is not None:
+                cols, hidden = band
+                assert hidden.shape == (sq, cols.stop - cols.start)
+                assert hidden[:, 0].any() and hidden[:, -1].any()
+                got[:, cols] = hidden
+            np.testing.assert_array_equal(
+                got, want, err_msg=str((sq, sk, q_offset, k_offset, window))
+            )
 
 
 class TestOnlineForward:
@@ -398,11 +435,10 @@ class TestGroupedQueryHeads:
         self, sq, sk, h, d, q_offset, k_offset, window
     ):
         """At one query head per KV head (``hk == h``) the grouped
-        backward is the einsum kernel it replaced, bit for bit, through
-        the preallocated ``out=`` trio FPDT passes.  The reference spells
-        each einsum as the per-head matmul it lowered to."""
-        from repro.models.attention import _causal_bias
-
+        backward is the per-head matmul kernel, bit for bit, through the
+        preallocated ``out=`` trio FPDT passes.  The reference spells the
+        kernel's folded order: ``q·s`` first, ``-lse``/``-delta`` as the
+        last column of the score and ``dp`` GEMMs."""
         q, k, v = _qkv(37, s=sq, h=h, d=d, sk=sk)
         do = rng(38).normal(size=q.shape)
         scale = 1 / np.sqrt(d)
@@ -420,16 +456,21 @@ class TestGroupedQueryHeads:
 
         # [b, s, h, d] -> [b, h, s, d]; every product below is per head.
         qt, kt, vt, dot = (x.transpose(0, 2, 1, 3) for x in (q, k, v, do))
-        scores = np.matmul(qt, kt.transpose(0, 1, 3, 2)) * scale
-        bias = _causal_bias(sq, sk, q_offset, k_offset, window)
-        if bias is not None:
-            scores += bias
-        p = np.exp(scores - lse[..., None])
+        ones = np.ones((*kt.shape[:-1], 1))
+        qs = qt * scale
+        scores = np.concatenate([qs, -lse[..., None]], axis=-1) @ (
+            np.concatenate([kt, ones], axis=-1).transpose(0, 1, 3, 2)
+        )
+        p = np.where(
+            _hidden(sq, sk, q_offset, k_offset, window), 0.0, np.exp(scores)
+        )
         dv = np.matmul(p.transpose(0, 1, 3, 2), dot)
-        dp = np.matmul(dot, vt.transpose(0, 1, 3, 2)) - delta[..., None]
+        dp = np.concatenate([dot, -delta[..., None]], axis=-1) @ (
+            np.concatenate([vt, ones], axis=-1).transpose(0, 1, 3, 2)
+        )
         ds = p * dp
         dq = np.matmul(ds, kt) * scale
-        dk = np.matmul(ds.transpose(0, 1, 3, 2), qt) * scale
+        dk = np.matmul(ds.transpose(0, 1, 3, 2), qs)
         for name, want, have in zip(("dq", "dk", "dv"), (dq, dk, dv), got):
             np.testing.assert_array_equal(
                 have, want.transpose(0, 2, 1, 3), err_msg=name
@@ -440,11 +481,8 @@ class TestGroupedQueryHeads:
         self, sq, sk, h, d, q_offset, k_offset, window
     ):
         """At one query head per KV head (``hk == h``) two grouped folds
-        equal the einsum kernel they replaced, bit for bit.  The
-        reference spells each einsum as the per-head matmul it lowered
-        to."""
-        from repro.models.attention import _causal_bias
-
+        equal the per-head matmul kernel, bit for bit.  The reference
+        spells the kernel's folded order: ``q·s`` first, then the scores."""
         q, k, v = _qkv(32, s=sq, h=h, d=d, sk=sk)
         scale = 1 / np.sqrt(d)
         kw = dict(q_offset=q_offset, k_offset=k_offset, window=window)
@@ -452,12 +490,13 @@ class TestGroupedQueryHeads:
         online_block_update(state, q, k, v, scale=scale, **kw)
         online_block_update(state, q, k, v, scale=scale, **kw)
 
+        hidden = _hidden(sq, sk, q_offset, k_offset, window)
         acc, m, l = np.zeros((1, sq, h, d)), np.full((1, h, sq), -np.inf), np.zeros((1, h, sq))
         for _ in range(2):
-            scores = np.matmul(q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1)) * scale
-            bias = _causal_bias(sq, sk, q_offset, k_offset, window)
-            if bias is not None:
-                scores += bias
+            scores = np.matmul(
+                (q * scale).transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1)
+            )
+            scores = np.where(hidden, -np.inf, scores)
             m_new = np.maximum(m, scores.max(axis=-1))
             safe_m = np.where(np.isneginf(m_new), 0.0, m_new)
             p = np.exp(scores - safe_m[..., None])

@@ -244,3 +244,71 @@ class TestWindowedKVCacheEviction:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             KVCache(1, window=0)
+
+
+class TestPrefixTiles:
+    """``_prefix_causal_attention`` folds the cached prefix one tile at a
+    time, so its working memory is O(tile) whatever the prefix length."""
+
+    H, D = 4, 16
+
+    def _inputs(self, sq, sk, hk, seed=50):
+        g = rng(seed)
+        q = g.normal(size=(1, sq, self.H, self.D))
+        k = g.normal(size=(1, sk, hk, self.D))
+        v = g.normal(size=(1, sk, hk, self.D))
+        return q, k, v
+
+    @pytest.mark.parametrize("sq", [1, 7, 256, 300])
+    @pytest.mark.parametrize("group", [1, 2])
+    @pytest.mark.parametrize(
+        "window,evicted",
+        [(None, 0), (200, 0), (200, 1)],
+        ids=["causal", "window", "window-evicted"],
+    )
+    def test_matches_the_reference(self, sq, group, window, evicted):
+        """Equal to exact attention over the whole sequence within 1e-12:
+        300 queries cross a query tile, 556 prefix keys cross key tiles
+        at unaligned offsets, and an evicted cache starts at the first
+        query's window edge (``k_offset > 0``)."""
+        from types import SimpleNamespace
+
+        from repro.models.attention import attention_forward_reference
+        from repro.models.generate import _prefix_causal_attention
+        from repro.models.layers import repeat_kv
+
+        q_offset = 556
+        total = q_offset + sq
+        q, k, v = self._inputs(total, total, self.H // group)
+        o_ref, _ = attention_forward_reference(
+            q, repeat_kv(k, group), repeat_kv(v, group), window=window
+        )
+        k_offset = q_offset - window + 1 if evicted else 0
+        o = _prefix_causal_attention(
+            q[:, q_offset:], k[:, k_offset:], v[:, k_offset:], q_offset,
+            SimpleNamespace(attention_window=window), k_offset=k_offset,
+        )
+        np.testing.assert_allclose(o, o_ref[:, q_offset:], rtol=1e-12, atol=1e-12)
+
+    def test_prefill_chunk_peaks_in_one_tile(self):
+        """256 queries over a 4,096-key prefix: a whole-prefix score block
+        would be 32 MiB (float64 ``[4, 256, 4096]``) plus its mask; one
+        256x256 tile is 2 MiB."""
+        import gc
+        import tracemalloc
+        from types import SimpleNamespace
+
+        from repro.models.generate import _prefix_causal_attention
+
+        q, k, v = self._inputs(256, 4096, 2, seed=51)
+        cfg = SimpleNamespace(attention_window=None)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            o = _prefix_causal_attention(q, k, v, 4096 - 256, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert o.shape == q.shape
+        assert peak - base < 4 * 2**20

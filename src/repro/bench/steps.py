@@ -169,9 +169,9 @@ def _bench_serve_decode_tick(quick: bool) -> Callable[[], None]:
     """Decode-tick microbench: the serving engine's continuous-batching
     inner step.  Each run admits a fresh 4-request batch against the
     *same* engine (the serving steady state), prefills the short
-    prompts, and
-    drives ``decode_batch`` ticks to completion — the per-tick
-    ``rank_map`` dispatch is the cost under test."""
+    prompts, and drives ``decode_batch`` ticks to completion — one
+    stacked forward per tick for the whole batch, plus each request's
+    KV load and save, is the cost under test."""
     import itertools
 
     from repro.models import GPTModel, tiny_llama

@@ -12,7 +12,9 @@ kernels from the inference side.
 :func:`forward_cached` is the single-step primitive the serving engine
 (:mod:`repro.serving`) builds on: it accepts any number of *new* tokens,
 so a long prompt can be encoded chunk by chunk under a fixed activation
-budget (chunked prefill) and decode steps pass one token at a time.
+budget (chunked prefill), and any number of rows, one cache each, so a
+decode tick runs one stacked forward for every live request, bitwise
+equal to one forward per request.
 
 With sliding-window attention (``cfg.attention_window``) the cache
 evicts entries that fall behind the window: the mask already zeroes
@@ -21,6 +23,8 @@ decode memory drops from O(total length) to O(window).
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -135,31 +139,55 @@ class KVCache:
 
 
 def forward_cached(
-    model: GPTModel, tokens: np.ndarray, cache: KVCache
+    model: GPTModel, tokens: np.ndarray, caches: Sequence[KVCache]
 ) -> np.ndarray:
-    """Run ``tokens`` (the new positions only) through the model against
-    the cache; returns next-token logits for the final position."""
+    """Run ``tokens`` (``[B, s]``, the new positions only) through the
+    model, row ``i`` against ``caches[i]``; returns ``[B, vocab]``
+    next-token logits for each row's final position.
+
+    Continuous batching in the arithmetic: the embedding, the norms, the
+    Q/K/V/O and FFN products and the LM head run once over the stacked
+    ``[B, s, ·]`` activation, every product as ``[B, s, k] @ [k, n]``.
+    NumPy computes each row of such a product with the same kernel as a
+    one-row ``[1, s, k] @ [k, n]`` call (a 2-D ``[B, k] @ [k, n]`` GEMM
+    rounds differently), and norms, RoPE and the activations are
+    row-local, so a batched call is bitwise equal to ``B`` one-row calls.
+    Positions, cache appends and attention stay per row: each row has its
+    own cache length and window.
+    """
     cfg = model.config
     if tokens.ndim != 2:
         raise ShapeError(f"cached forward tokens must be [b, s], got {tokens.shape}")
     if tokens.shape[1] == 0:
         raise ShapeError("cached forward requires at least one new token")
-    start = cache.seq_len
-    positions = np.arange(start, start + tokens.shape[1])
+    if len(caches) != tokens.shape[0]:
+        raise ShapeError(
+            f"cached forward needs one cache per row: {len(caches)} caches "
+            f"for {tokens.shape[0]} rows"
+        )
+    starts = [cache.seq_len for cache in caches]
+    positions = np.add.outer(starts, np.arange(tokens.shape[1]))
     x = model.params["embed.table"][tokens]
     if not cfg.uses_rope:
         if positions.max() >= model.params["embed.positions"].shape[0]:
             raise ShapeError("generation exceeded the position table")
-        x = x + model.params["embed.positions"][positions][None, :, :]
+        x = x + model.params["embed.positions"][positions]
     for layer, block in enumerate(model.blocks):
         qh, kh, vh, _ = attn_qkv_forward(block.params, cfg, x, positions)
-        k_full, v_full = cache.append(layer, kh, vh)
-        # New queries attend to everything cached; the causal offset is
-        # the cache length before this call, and the key offset is the
-        # absolute position of the first retained (unevicted) entry.
-        o = _prefix_causal_attention(
-            qh, k_full, v_full, start, cfg, k_offset=cache.layer_offset(layer)
-        )
+        rows = []
+        for row, cache in enumerate(caches):
+            k_full, v_full = cache.append(
+                layer, kh[row : row + 1], vh[row : row + 1]
+            )
+            # New queries attend to everything cached; the causal offset
+            # is the cache length before this call, and the key offset is
+            # the absolute position of the first retained (unevicted) entry.
+            rows.append(_prefix_causal_attention(
+                qh[row : row + 1], k_full, v_full, starts[row], cfg,
+                k_offset=cache.layer_offset(layer),
+            ))
+        # A prefill chunk is one row: use its output as is, no copy.
+        o = rows[0] if len(rows) == 1 else np.concatenate(rows)
         mid, _ = attn_post_forward(block.params, x, o)
         x, _ = ffn_forward(block.params, cfg, mid)
     if cfg.arch == "gpt":
@@ -168,7 +196,7 @@ def forward_cached(
         )
     else:
         normed, _ = rmsnorm_forward(x, model.params["final_norm.gamma"])
-    return normed[:, -1] @ model.params["embed.table"].T
+    return (normed[:, -1:] @ model.params["embed.table"].T)[:, 0]
 
 
 def _prefix_causal_attention(qh, k_full, v_full, q_offset, cfg, *, k_offset=0):
@@ -255,16 +283,16 @@ def generate(
         raise ShapeError("prompt must contain at least one token")
     rng = np.random.default_rng(seed)
     cache = KVCache(len(model.blocks), window=model.config.attention_window)
-    logits = forward_cached(model, tokens, cache)
-    out = tokens
+    logits = forward_cached(model, tokens, [cache])
+    new_tokens = []
     for step in range(max_new_tokens):
         nxt = sample_token(logits[0], temperature, rng)
-        out = np.concatenate([out, np.array([[nxt]], dtype=np.int64)], axis=1)
+        new_tokens.append(nxt)
         # The final sampled token needs no forward: logits past the
         # returned sequence would be discarded, and running it would
         # also grow the cache one step beyond the output.
         if step + 1 < max_new_tokens:
             logits = forward_cached(
-                model, np.array([[nxt]], dtype=np.int64), cache
+                model, np.array([[nxt]], dtype=np.int64), [cache]
             )
-    return out[0]
+    return np.concatenate([tokens[0], np.asarray(new_tokens, dtype=np.int64)])

@@ -184,18 +184,19 @@ class RopeCache:
     across chunks is part of what the equivalence tests check.
     """
 
-    cos: np.ndarray  # [s, d/2]
-    sin: np.ndarray  # [s, d/2]
+    cos: np.ndarray  # [s, d/2], or [b, s, d/2] for per-row positions
+    sin: np.ndarray  # same shape as cos
 
 
 def make_rope_cache(
     head_dim: int, positions: np.ndarray, theta: float = 500_000.0
 ) -> RopeCache:
-    """Cos/sin tables for the given absolute ``positions`` (1-D array)."""
+    """Cos/sin tables for the given absolute ``positions``: ``[s]``, or
+    ``[b, s]`` when each row of a batch starts at its own offset."""
     if head_dim % 2 != 0:
         raise ValueError("head_dim must be even for RoPE")
     inv_freq = theta ** (-np.arange(0, head_dim, 2) / head_dim)
-    angles = positions[:, None] * inv_freq[None, :]
+    angles = positions[..., None] * inv_freq
     return RopeCache(cos=np.cos(angles), sin=np.sin(angles))
 
 
@@ -203,14 +204,15 @@ def rope_forward(x: np.ndarray, cache: RopeCache) -> np.ndarray:
     """Rotate pairs ``(x[2i], x[2i+1])`` by the position angle.
 
     ``x`` is ``[b, s, h, d]``; the cache must cover exactly ``s``
-    positions.  RoPE is orthogonal, so the backward pass is the rotation
-    by the negated angle (see :func:`rope_backward`).
+    positions (per row, for a ``[b, s, d/2]`` cache).  RoPE is
+    orthogonal, so the backward pass is the rotation by the negated
+    angle (see :func:`rope_backward`).
     """
     b, s, h, d = x.shape
     x_pairs = x.reshape(b, s, h, d // 2, 2)
     x0, x1 = x_pairs[..., 0], x_pairs[..., 1]
-    cos = cache.cos[None, :, None, :]
-    sin = cache.sin[None, :, None, :]
+    cos = cache.cos[..., None, :]
+    sin = cache.sin[..., None, :]
     out = np.empty_like(x_pairs)
     out[..., 0] = x0 * cos - x1 * sin
     out[..., 1] = x0 * sin + x1 * cos

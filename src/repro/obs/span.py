@@ -261,20 +261,29 @@ class SpanTracer:
         exception the error listeners fire *before* the span closes, so
         a flight recorder sees it (and its ancestors) still in
         flight."""
-        sp = self.start_span(name, **kwargs)
-        stack = self._stack()
-        stack.append(sp)
-        try:
+        with self.active(self.start_span(name, **kwargs)) as sp:
             yield sp
+
+    @contextmanager
+    def active(self, span: Span, *, end: bool = True):
+        """Make the open ``span`` this thread's attribution target for
+        the block, then close it (leave it open with ``end=False``, so a
+        later block can resume it).  An exception closes it either way,
+        after the error listeners, exactly as :meth:`span` does."""
+        stack = self._stack()
+        stack.append(span)
+        try:
+            yield span
         except BaseException as exc:
             for listener in list(self.error_listeners):
-                listener(sp, exc)
+                listener(span, exc)
             stack.pop()
-            self.end_span(sp, error=f"{type(exc).__name__}: {exc}")
+            self.end_span(span, error=f"{type(exc).__name__}: {exc}")
             raise
         else:
             stack.pop()
-            self.end_span(sp)
+            if end:
+                self.end_span(span)
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._tls, "stack", None)

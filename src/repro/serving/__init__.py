@@ -3,9 +3,11 @@
 The serving pillar reuses the training stack's machinery for inference:
 prompts are encoded chunk by chunk with the FPDT-style cached forward
 (:func:`repro.models.generate.forward_cached`), per-request KV caches
-live host-side in the :class:`~repro.core.offload.ChunkCache` between
-steps, and a deterministic continuous-batching scheduler interleaves
-prefill and decode over the rank executor.  Every served token sequence
+live host-side in the append-only
+:class:`~repro.serving.kvstore.RequestKVStore` between steps, and a
+deterministic continuous-batching scheduler interleaves prefill chunks
+with decode ticks, each tick one stacked forward over every decoding
+request.  Every served token sequence
 is bitwise identical to single-request :func:`repro.models.generate
 .generate` — with any prefill chunking, with or without offload, and
 under injected transfer faults.

@@ -9,14 +9,14 @@ guarantees:
   materializes full-sequence activations — each chunk's working set is
   ``O(chunk)``, the sequence-chunked prefill that FPDT's forward is —
   and the logits of non-final chunks are never computed into tokens.
-* :meth:`ServingEngine.decode_step` samples one token from the last
-  logits and (unless the budget is spent) runs the one-token forward
-  for the next step.  :meth:`ServingEngine.decode_batch` fans a batch
-  of independent decode steps onto the process-wide
-  :class:`~repro.runtime.executor.RankExecutor` — requests share no
-  state, so the fork-join is bitwise invisible, and fault injection
-  pins the serial path exactly like ``VirtualCluster.rank_map`` (the
-  injector's per-op draws are an ordered sequence).
+* :meth:`ServingEngine.decode_batch` is the continuous-batching decode
+  tick: every live request samples one token from its last logits, and
+  those that continue run *one* stacked forward, row ``i`` against
+  request ``i``'s KV cache.  The embedding, norms, projections and LM
+  head run once over the batch, each product keeping the batch on a
+  stacked axis, so every row is bitwise equal to a one-request forward;
+  positions, cache appends and attention stay per request.
+  :meth:`ServingEngine.decode_step` is the batch of one.
 
 Between steps every request's KV lives host-side in the append-only
 :class:`~repro.serving.kvstore.RequestKVStore`, in the model's KV
@@ -42,7 +42,6 @@ from repro.common.dtypes import DType
 from repro.models.generate import KVCache, forward_cached, sample_token
 from repro.models.transformer import GPTModel
 from repro.runtime.device import VirtualCluster
-from repro.runtime.executor import rank_map
 from repro.serving.kvstore import RequestKVStore
 from repro.serving.request import Request, RequestState
 
@@ -163,13 +162,18 @@ class ServingEngine:
         return state
 
     def _work_span(self, state: DecodeState, phase: str, name: str, attrs: dict):
-        """Span context for one unit of engine work, parented under the
-        request's open phase span (or its root); a no-op without a
-        tracer so the untraced hot path stays untouched."""
+        """Open the span of one unit of engine work, parented under the
+        request's open phase span (or its root); ``None`` without a
+        tracer, so the untraced hot path stays untouched."""
         if self.tracer is None or state.span is None:
-            return nullcontext()
+            return None
         parent = state.phase_spans.get(phase, state.span)
-        return self.tracer.span(name, parent=parent, kind=phase, attrs=attrs)
+        return self.tracer.start_span(name, parent=parent, kind=phase, attrs=attrs)
+
+    def _inside(self, span, *, end: bool = True):
+        """Attribute the block's transfers to ``span`` and close it at
+        the end unless ``end=False`` (a no-op for ``None``)."""
+        return nullcontext() if span is None else self.tracer.active(span, end=end)
 
     def prefill_step(self, state: DecodeState) -> bool:
         """Encode the next prompt chunk; returns ``True`` when the whole
@@ -180,11 +184,12 @@ class ServingEngine:
         chunk = self.config.prefill_chunk or prompt.shape[1]
         lo = state.prefill_pos
         hi = min(lo + chunk, prompt.shape[1])
-        with self._work_span(
+        span = self._work_span(
             state, "prefill", f"prefill-chunk[{lo}:{hi}]", {"lo": lo, "hi": hi}
-        ):
+        )
+        with self._inside(span):
             kv = self._checkout(state)
-            logits = forward_cached(self.model, prompt[:, lo:hi], kv)
+            logits = forward_cached(self.model, prompt[:, lo:hi], [kv])
             self._checkin(state, kv)
         state.prefill_pos = hi
         if self._prefill_tokens is not None:
@@ -196,44 +201,60 @@ class ServingEngine:
         return False
 
     def decode_step(self, state: DecodeState) -> int:
-        """Sample one token; run the next one-token forward unless the
-        decode budget is now spent.  Returns the sampled token."""
-        if state.state is not RequestState.DECODE:
-            raise RuntimeError(f"request {state.rid!r} is not decoding")
-        request = state.request
-        index = len(state.new_tokens)
-        with self._work_span(
-            state, "decode", f"decode-step[{index}]", {"index": index}
-        ):
-            nxt = sample_token(state.logits[0], request.temperature, state.rng)
-            state.new_tokens.append(nxt)
-            if len(state.new_tokens) < request.max_new_tokens:
-                kv = self._checkout(state)
-                state.logits = forward_cached(
-                    self.model, np.array([[nxt]], dtype=np.int64), kv
-                )
-                self._checkin(state, kv)
-            else:
-                # Mirror the fixed generate() loop: no forward after the
-                # final token, so the cache never grows past the output.
-                state.logits = None
-                state.state = RequestState.DONE
-        return nxt
+        """:meth:`decode_batch` of one request; returns its token."""
+        return self.decode_batch([state])[0]
 
     def decode_batch(self, states: list[DecodeState]) -> list[int]:
         """One decode token for every request in ``states`` — the
-        continuous-batching inner step.  Per-request forwards touch no
-        shared state, so they fan out on the rank executor; fault
-        injection forces the serial path (ordered per-op draws), the
-        same guard ``VirtualCluster.rank_map`` applies."""
-        if not states:
-            return []
-        tokens = rank_map(
-            lambda i: self.decode_step(states[i]),
-            len(states),
-            trace=self.cluster.trace,
-            force_serial=self.cluster.fault_injector is not None,
-        )
+        continuous-batching inner step, batched in the arithmetic.
+
+        Every state samples a token from its last logits.  Each one whose
+        budget is not yet spent has its KV loaded, then one stacked
+        forward runs all of their new tokens (row ``i`` against request
+        ``i``'s cache, bitwise equal to a forward per request), then each
+        cache is saved.  A state whose budget is spent runs no forward
+        and is ``DONE``, like the final step of ``generate()``.  Every
+        transfer is still one request's ``load`` / ``save``, attributed
+        to that request's ``decode-step`` span, in one fixed order (all
+        loads, then all saves), so fault-injection draws stay
+        deterministic.  Returns the sampled tokens in ``states`` order.
+        """
+        for state in states:
+            if state.state is not RequestState.DECODE:
+                raise RuntimeError(f"request {state.rid!r} is not decoding")
+        tokens, spans, kvs = [], [], []
+        for state in states:
+            request, index = state.request, len(state.new_tokens)
+            span = self._work_span(
+                state, "decode", f"decode-step[{index}]", {"index": index}
+            )
+            kv = None
+            with self._inside(span, end=False):
+                nxt = sample_token(state.logits[0], request.temperature, state.rng)
+                state.new_tokens.append(nxt)
+                if len(state.new_tokens) < request.max_new_tokens:
+                    kv = self._checkout(state)
+                else:
+                    # Mirror the generate() loop: no forward after the
+                    # final token, so the cache never grows past the output.
+                    state.logits = None
+                    state.state = RequestState.DONE
+            tokens.append(nxt)
+            spans.append(span)
+            kvs.append(kv)
+        rows = [i for i, kv in enumerate(kvs) if kv is not None]
+        if rows:
+            logits = forward_cached(
+                self.model,
+                np.array([[tokens[i]] for i in rows], dtype=np.int64),
+                [kvs[i] for i in rows],
+            )
+            for row, i in enumerate(rows):
+                states[i].logits = logits[row : row + 1]
+        for state, span, kv in zip(states, spans, kvs):
+            with self._inside(span):
+                if kv is not None:
+                    self._checkin(state, kv)
         if self._decode_tokens is not None:
             self._decode_tokens.inc(len(states))
         return tokens

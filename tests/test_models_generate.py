@@ -8,7 +8,7 @@ import pytest
 import repro.models.generate as generate_mod
 from repro.common.errors import ShapeError
 from repro.models import GPTModel, tiny_gpt, tiny_llama
-from repro.models.generate import KVCache, forward_cached, generate
+from repro.models.generate import PREFIX_TILE, KVCache, forward_cached, generate
 from repro.training import SyntheticCorpus
 from repro.training.trainer import Trainer
 
@@ -147,7 +147,7 @@ class TestGenerationBehavior:
             generate(model, np.zeros(0, dtype=int), max_new_tokens=2)
         with pytest.raises(ShapeError, match="at least one"):
             forward_cached(
-                model, np.zeros((1, 0), dtype=int), KVCache(len(model.blocks))
+                model, np.zeros((1, 0), dtype=int), [KVCache(len(model.blocks))]
             )
 
     def test_no_forward_after_final_token(self, monkeypatch):
@@ -197,11 +197,11 @@ class TestWindowedKVCacheEviction:
         positions."""
         model = self._model("llama", window=4)
         cache = KVCache(len(model.blocks), window=4)
-        logits = forward_cached(model, np.zeros((1, 2), dtype=int), cache)
+        logits = forward_cached(model, np.zeros((1, 2), dtype=int), [cache])
         for _ in range(20):
             nxt = int(np.argmax(logits[0]))
             logits = forward_cached(
-                model, np.array([[nxt]], dtype=np.int64), cache
+                model, np.array([[nxt]], dtype=np.int64), [cache]
             )
             assert cache.capacity <= 2 * 4
         assert cache.seq_len == 22
@@ -217,13 +217,13 @@ class TestWindowedKVCacheEviction:
         layers = len(model.blocks)
         evicting, unbounded = KVCache(layers, window=3), KVCache(layers)
         prompt = np.array([[5, 2, 7, 1]], dtype=np.int64)
-        a = forward_cached(model, prompt, evicting)
-        b = forward_cached(model, prompt, unbounded)
+        a = forward_cached(model, prompt, [evicting])
+        b = forward_cached(model, prompt, [unbounded])
         for _ in range(12):
             np.testing.assert_array_equal(a, b)
             nxt = np.array([[int(np.argmax(a[0]))]], dtype=np.int64)
-            a = forward_cached(model, nxt, evicting)
-            b = forward_cached(model, nxt, unbounded)
+            a = forward_cached(model, nxt, [evicting])
+            b = forward_cached(model, nxt, [unbounded])
         np.testing.assert_array_equal(a, b)
         assert evicting.cached_len < unbounded.cached_len
 
@@ -312,3 +312,85 @@ class TestPrefixTiles:
             tracemalloc.stop()
         assert o.shape == q.shape
         assert peak - base < 4 * 2**20
+
+
+class TestBatchedForward:
+    """``forward_cached`` over ``B`` stacked rows, one cache each, is
+    bitwise equal to ``B`` one-row calls — the property the serving
+    engine's one-forward-per-tick decode rests on."""
+
+    #: Prefix lengths of up to eight rows; the first crosses a key tile.
+    LENGTHS = [300, 1, 7, 2, 12, 5, 3, 9]
+
+    def _model(self, arch, window=None, **overrides):
+        if arch == "gpt":
+            cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=2,
+                           vocab_size=32, **overrides)
+        else:
+            cfg = tiny_llama(hidden_size=32, num_heads=4, num_kv_heads=2,
+                             num_layers=2, vocab_size=32)
+        if window is not None:
+            cfg = cfg.scaled(attention_window=window)
+        return GPTModel(cfg, seed=0)
+
+    def _prefilled(self, model, lengths):
+        """One cache per row, its prompt encoded in chunks of five (so a
+        windowed cache has evicted by the end of a long prompt)."""
+        caches = []
+        for i, n in enumerate(lengths):
+            cache = KVCache(len(model.blocks), window=model.config.attention_window)
+            prompt = rng(60 + i).integers(0, 32, size=(1, n))
+            for lo in range(0, n, 5):
+                forward_cached(model, prompt[:, lo : lo + 5], [cache])
+            caches.append(cache)
+        return caches
+
+    @pytest.mark.parametrize("arch", ["gpt", "llama"])
+    @pytest.mark.parametrize("window", [None, 4], ids=["causal", "window4"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
+    @pytest.mark.parametrize("new", [1, 3], ids=["decode", "chunk3"])
+    def test_rows_bitwise_equal_one_row_calls(self, arch, window, batch, new):
+        """Logits and every retained cache row after three batched steps
+        equal the one-row calls exactly: GPT (biases, learned positions)
+        and Llama (RoPE, GQA), with and without a window, with a row
+        whose prefix crosses ``PREFIX_TILE`` keys and, under the window,
+        rows that have already evicted."""
+        model = self._model(arch, window)
+        lengths = self.LENGTHS[:batch]
+        assert max(lengths) > PREFIX_TILE
+        batched = self._prefilled(model, lengths)
+        single = self._prefilled(model, lengths)
+        if window is not None:
+            assert batched[0].offset > 0
+        g = rng(70)
+        for _ in range(3):
+            tokens = g.integers(0, 32, size=(batch, new))
+            logits = forward_cached(model, tokens, batched)
+            assert logits.shape == (batch, 32)
+            for i, cache in enumerate(single):
+                np.testing.assert_array_equal(
+                    logits[i : i + 1], forward_cached(model, tokens[i : i + 1], [cache])
+                )
+            for a, b in zip(batched, single):
+                assert (a.seq_len, a.offset) == (b.seq_len, b.offset)
+                for layer in range(len(model.blocks)):
+                    for rows_a, rows_b in zip(a.rows(layer), b.rows(layer)):
+                        np.testing.assert_array_equal(rows_a, rows_b)
+
+    def test_gpt_row_past_the_position_table_appends_nothing(self):
+        """One row past the learned position table fails the whole call
+        before any cache grows, so no row is left half-appended."""
+        model = self._model("gpt", max_position_embeddings=8)
+        caches = self._prefilled(model, [3, 8])
+        before = [[c.rows(layer)[0].copy() for layer in range(2)] for c in caches]
+        with pytest.raises(ShapeError, match="position table"):
+            forward_cached(model, np.zeros((2, 1), dtype=int), caches)
+        for cache, n, keys in zip(caches, [3, 8], before):
+            assert cache.seq_len == n
+            for layer in range(2):
+                np.testing.assert_array_equal(cache.rows(layer)[0], keys[layer])
+
+    def test_one_cache_per_row(self):
+        model = self._model("llama")
+        with pytest.raises(ShapeError, match="one cache per row"):
+            forward_cached(model, np.zeros((2, 1), dtype=int), self._prefilled(model, [2]))

@@ -9,6 +9,7 @@ from repro.common.errors import ShapeError
 from repro.faults import FaultInjector, FaultPlan
 from repro.models import GPTModel, tiny_gpt, tiny_llama
 from repro.models.generate import generate
+from repro.obs import SpanTracer
 from repro.runtime import VirtualCluster
 from repro.runtime.trace_analysis import summarize
 from repro.serving import (
@@ -130,27 +131,92 @@ class TestEngineLifecycle:
 
     def test_decode_batch_is_per_request_independent(self):
         """A batched decode step produces exactly the per-request serial
-        tokens (continuous batching never mixes request arithmetic)."""
+        tokens (continuous batching never mixes request arithmetic):
+        greedy and sampled requests with their own seeds share every
+        stacked forward, each draws its own RNG stream, and each equals
+        ``generate()`` with its temperature and seed — GPT and Llama."""
+        for model in (_gpt(), _llama()):
+            engine = ServingEngine(model, config=EngineConfig(prefill_chunk=3))
+            requests = [
+                Request(rid=f"r{i}", prompt=rng(10 + i).integers(0, 32, size=3 + 2 * i),
+                        max_new_tokens=3 + i, temperature=t, seed=40 + i)
+                for i, t in enumerate([0.0, 0.8, 1.3, 0.5])
+            ]
+            states = [engine.start(r) for r in requests]
+            for state in states:
+                while state.state is RequestState.PREFILL:
+                    engine.prefill_step(state)
+            while live := [s for s in states if s.state is RequestState.DECODE]:
+                engine.decode_batch(live)
+            for state, request in zip(states, requests):
+                engine.finish(state)
+                np.testing.assert_array_equal(state.output(), generate(
+                    model, request.prompt, max_new_tokens=request.max_new_tokens,
+                    temperature=request.temperature, seed=request.seed,
+                ))
+
+    def test_decode_batch_checks_every_state_before_it_mutates(self):
+        """A batch holding a request that is not decoding raises before
+        any request samples a token or any cache is loaded."""
         model = _gpt()
-        engine = ServingEngine(model, config=EngineConfig(prefill_chunk=4))
-        prompts = [rng(10 + i).integers(0, 32, size=4 + i) for i in range(3)]
-        states = []
-        for i, prompt in enumerate(prompts):
-            state = engine.start(
-                Request(rid=f"r{i}", prompt=prompt, max_new_tokens=4)
+        cluster = VirtualCluster(1)
+        engine = ServingEngine(model, config=EngineConfig(prefill_chunk=2),
+                               cluster=cluster)
+        ready = engine.start(Request(rid="r0", prompt=np.array([1, 2]),
+                                     max_new_tokens=3, temperature=1.0))
+        engine.prefill_step(ready)
+        waiting = engine.start(Request(rid="r1", prompt=np.array([3, 4, 5]),
+                                       max_new_tokens=3))
+        engine.prefill_step(waiting)
+        logits, rng_state = ready.logits, ready.rng.bit_generator.state
+        h2d = summarize(cluster.trace).h2d_count
+        with pytest.raises(RuntimeError, match="'r1' is not decoding"):
+            engine.decode_batch([ready, waiting])
+        assert ready.new_tokens == [] and ready.logits is logits
+        assert ready.rng.bit_generator.state == rng_state
+        assert summarize(cluster.trace).h2d_count == h2d
+        (token,) = engine.decode_batch([ready])
+        assert token == generate(
+            model, np.array([1, 2]), max_new_tokens=1, temperature=1.0
+        )[-1]
+
+    def test_decode_batch_attributes_transfers_to_each_request(self):
+        """Each request's load and save land on its own ``decode-step``
+        span, exactly as when the requests decode one at a time."""
+
+        def decode_spans(batched):
+            tracer = SpanTracer()
+            engine = ServingEngine(
+                _llama(), config=EngineConfig(prefill_chunk=4), tracer=tracer
             )
-            while state.state is RequestState.PREFILL:
-                engine.prefill_step(state)
-            states.append(state)
-        while any(s.state is RequestState.DECODE for s in states):
-            engine.decode_batch(
-                [s for s in states if s.state is RequestState.DECODE]
-            )
-        for state, prompt in zip(states, prompts):
-            engine.finish(state)
-            np.testing.assert_array_equal(
-                state.output(), generate(model, prompt, max_new_tokens=4)
-            )
+            states = [
+                engine.start(Request(
+                    rid=f"r{i}", prompt=rng(50 + i).integers(0, 32, size=5 + 2 * i),
+                    max_new_tokens=2 + i,
+                ))
+                for i in range(3)
+            ]
+            for state in states:
+                while state.state is RequestState.PREFILL:
+                    engine.prefill_step(state)
+            while live := [s for s in states if s.state is RequestState.DECODE]:
+                if batched:
+                    engine.decode_batch(live)
+                else:
+                    for state in live:
+                        engine.decode_step(state)
+            return [
+                (s.trace_id, s.name, s.event_counts, s.event_bytes)
+                for s in tracer.spans if s.name.startswith("decode-step")
+            ]
+
+        spans = decode_spans(batched=True)
+        assert spans == decode_spans(batched=False)
+        assert len(spans) == 2 + 3 + 4
+        # Every step but each request's last loads and saves its cache.
+        moved = [counts for _, _, counts, _ in spans if counts]
+        assert len(moved) == 1 + 2 + 3
+        assert all(set(counts) == {"h2d", "d2h"} for counts in moved)
 
     def test_prefill_chunk_boundaries(self):
         """Chunk sizes that don't divide the prompt still encode every

@@ -14,7 +14,9 @@ kernels from the inference side.
 so a long prompt can be encoded chunk by chunk under a fixed activation
 budget (chunked prefill), and any number of rows, one cache each, so a
 decode tick runs one stacked forward for every live request, bitwise
-equal to one forward per request.
+equal to one forward per request.  A long prefill chunk's attention runs
+one executor task per KV head (heads never mix), bitwise equal to the
+one-call fold; short chunks and decode rows stay on the calling thread.
 
 With sliding-window attention (``cfg.attention_window``) the cache
 evicts entries that fall behind the window: the mask already zeroes
@@ -28,7 +30,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
+import repro.runtime.executor as rank_executor
 from repro.common.errors import ShapeError
+from repro.models.attention import (
+    OnlineSoftmaxState,
+    finalize_online,
+    online_block_update,
+)
 from repro.models.block_ops import attn_post_forward, attn_qkv_forward, ffn_forward
 from repro.models.layers import layernorm_forward, rmsnorm_forward
 from repro.models.transformer import GPTModel
@@ -215,26 +223,62 @@ def _prefix_causal_attention(qh, k_full, v_full, q_offset, cfg, *, k_offset=0):
     behind the window builds the same tiles: eviction stays
     bitwise-invisible.  ``k_full``/``v_full`` keep the model's KV heads;
     the kernel contracts each against its group of query heads.
-    """
-    from repro.models.attention import (
-        OnlineSoftmaxState,
-        finalize_online,
-        online_block_update,
-    )
 
+    Heads never mix, which is why Ulysses and FPDT can scatter them
+    across devices: when one KV head's share of the fold (``4 * b * rows
+    * keys * group * d`` FLOPs over the keys the tiles read) reaches the
+    executor's ``PARALLEL_MIN_FLOPS``, each KV head with its query heads
+    is one :func:`~repro.runtime.executor.rank_map` task, and the outputs
+    are concatenated on the head axis.  Every GEMM runs per KV head and
+    every other pass per row either way, so the split returns exactly the
+    one-call array.  A decode row or a short chunk stays on the calling
+    thread and never builds the executor.
+    """
     window = cfg.attention_window
     b, sq, h, d = qh.shape
-    k_end = k_offset + k_full.shape[1]
-    o = np.empty(qh.shape)
+    hk = k_full.shape[2]
+    tiles = list(_query_tiles(
+        sq, q_offset, k_offset, k_offset + k_full.shape[1], window
+    ))
+    if hk > 1 and h % hk == 0:
+        g = h // hk
+        per_head = 4.0 * b * g * d * sum(rows * (hi - lo) for _, rows, lo, hi in tiles)
+        # Read at call time, so lowering the module's threshold reaches here.
+        if per_head >= rank_executor.PARALLEL_MIN_FLOPS:
+            def head(kv):
+                return _fold_tiles(
+                    qh[:, :, kv * g : (kv + 1) * g],
+                    k_full[:, :, kv : kv + 1], v_full[:, :, kv : kv + 1],
+                    tiles, q_offset, k_offset, window,
+                )
+
+            return np.concatenate(
+                rank_executor.rank_map(head, hk, flops=per_head), axis=2
+            )
+    return _fold_tiles(qh, k_full, v_full, tiles, q_offset, k_offset, window)
+
+
+def _query_tiles(sq, q_offset, k_offset, k_end, window):
+    """``(q0, rows, lo, hi)`` per query tile: its first row, its row count
+    and the absolute keys ``[lo, hi)`` it can see among the retained keys
+    ``[k_offset, k_end)``."""
     for q0 in range(0, sq, PREFIX_TILE):
         rows = min(PREFIX_TILE, sq - q0)
         first = q_offset + q0
-        span = PREFIX_TILE * max(1, PREFIX_TILE // rows)
         # Slicing (not masking) the keys behind the window keeps the key
         # tiles, and so the reduction order, the same with and without
         # eviction.
         lo = k_offset if window is None else max(k_offset, first - window + 1)
-        hi = min(k_end, first + rows)
+        yield q0, rows, lo, min(k_end, first + rows)
+
+
+def _fold_tiles(qh, k_full, v_full, tiles, q_offset, k_offset, window):
+    """Fold each query tile's keys in tiles aligned to absolute key
+    positions; the ``[b, sq, h, d]`` attention output."""
+    b, sq, h, d = qh.shape
+    o = np.empty(qh.shape)
+    for q0, rows, lo, hi in tiles:
+        span = PREFIX_TILE * max(1, PREFIX_TILE // rows)
         state = OnlineSoftmaxState.zeros(b, rows, h, d)
         for t0 in range(lo - lo % span, hi, span):
             a, z = max(t0, lo), min(t0 + span, hi)
@@ -242,7 +286,7 @@ def _prefix_causal_attention(qh, k_full, v_full, q_offset, cfg, *, k_offset=0):
                 state, qh[:, q0 : q0 + rows],
                 k_full[:, a - k_offset : z - k_offset],
                 v_full[:, a - k_offset : z - k_offset],
-                scale=1.0 / np.sqrt(d), q_offset=first, k_offset=a,
+                scale=1.0 / np.sqrt(d), q_offset=q_offset + q0, k_offset=a,
                 window=window,
             )
         o[:, q0 : q0 + rows] = finalize_online(state)[0]

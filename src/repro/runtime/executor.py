@@ -6,7 +6,9 @@ multi-core host that serializes work the simulated devices would run
 concurrently, so a world-8 step costs ~8x what the hardware allows.
 :func:`rank_map` is the fork-join primitive that fixes it: dispatch one
 closure per rank onto a persistent thread pool (NumPy/BLAS releases the
-GIL, so the ranks genuinely overlap), join in rank order.
+GIL, so the ranks genuinely overlap), join in rank order.  A "rank" is
+any independent share of one computation: prefill attention
+(``models/generate._prefix_causal_attention``) maps one task per KV head.
 
 Determinism contract (what makes executor-on bitwise identical to
 executor-off):

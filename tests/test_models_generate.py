@@ -9,6 +9,7 @@ import repro.models.generate as generate_mod
 from repro.common.errors import ShapeError
 from repro.models import GPTModel, tiny_gpt, tiny_llama
 from repro.models.generate import PREFIX_TILE, KVCache, forward_cached, generate
+from repro.runtime.executor import PARALLEL_MIN_FLOPS as SHIPPED_MIN_FLOPS
 from repro.training import SyntheticCorpus
 from repro.training.trainer import Trainer
 
@@ -312,6 +313,78 @@ class TestPrefixTiles:
             tracemalloc.stop()
         assert o.shape == q.shape
         assert peak - base < 4 * 2**20
+
+
+class TestHeadParallelPrefill:
+    """Above ``PARALLEL_MIN_FLOPS`` per KV head, ``_prefix_causal_attention``
+    runs one executor task per KV head and returns exactly the one-call
+    fold; below it, and with one KV head, it never reaches the executor."""
+
+    D = 16
+
+    def _call(self, monkeypatch, sq, sk, h, hk, *, min_flops=SHIPPED_MIN_FLOPS,
+              window=None, k_offset=0, **executor_kw):
+        """``(output, fork_joins)`` of ``sq`` queries ending at key ``sk``
+        under ``executor(**executor_kw)`` and threshold ``min_flops``."""
+        from types import SimpleNamespace
+
+        import repro.runtime.executor as executor_module
+        from repro.models.generate import _prefix_causal_attention
+
+        monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", min_flops)
+        g = rng(60)
+        q = g.normal(size=(1, sq, h, self.D))
+        k = g.normal(size=(1, sk - k_offset, hk, self.D))
+        v = g.normal(size=k.shape)
+        cfg = SimpleNamespace(attention_window=window)
+        with executor_module.executor(**executor_kw) as ex:
+            o = _prefix_causal_attention(q, k, v, sk - sq, cfg, k_offset=k_offset)
+            return o, ex.stats()["fork_joins"]
+
+    @pytest.mark.parametrize(
+        "h,hk", [(4, 4), (4, 2), (8, 2)], ids=["g1", "g2", "g4"]
+    )
+    @pytest.mark.parametrize("sq", [256, 300])
+    @pytest.mark.parametrize(
+        "sk,window,k_offset",
+        [(700, None, 0), (4096, None, 0), (2048, 1000, 700)],
+        ids=["causal-700", "causal-4096", "window-evicted"],
+    )
+    def test_split_is_bitwise_the_one_call_fold(
+        self, monkeypatch, h, hk, sq, sk, window, k_offset
+    ):
+        """300 queries cross a query tile; the windowed cache evicted the
+        700 keys no query can see (``k_offset > 0``).  The reference is
+        the one-call fold (no threshold reached) and the serial
+        executor's loop over the same tasks."""
+        def call(**kw):
+            return self._call(monkeypatch, sq, sk, h, hk, window=window,
+                              k_offset=k_offset, **kw)
+
+        one_call, _ = call(min_flops=np.inf, backend="serial")
+        serial, _ = call(backend="serial")
+        split, fork_joins = call(workers=2)
+        assert fork_joins == 1
+        np.testing.assert_array_equal(split, one_call)
+        np.testing.assert_array_equal(split, serial)
+
+    def test_decode_row_and_one_kv_head_stay_on_the_calling_thread(
+        self, monkeypatch
+    ):
+        """At the shipped threshold a one-row decode over 4,096 keys is
+        ~0.5 MFLOP per KV head; one KV head has nothing to split."""
+        assert self._call(monkeypatch, 1, 4096, 4, 2, workers=2)[1] == 0
+        assert self._call(monkeypatch, 256, 4096, 4, 1, workers=2)[1] == 0
+
+    def test_every_kv_head_splits_without_a_threshold(self, monkeypatch):
+        """With the threshold at 0 (the threaded suite) a decode row
+        splits too, and still returns the one-call row."""
+        one_call, _ = self._call(monkeypatch, 1, 300, 4, 2, min_flops=np.inf,
+                                 backend="serial")
+        split, fork_joins = self._call(monkeypatch, 1, 300, 4, 2, min_flops=0.0,
+                                       workers=2)
+        assert fork_joins == 1
+        np.testing.assert_array_equal(split, one_call)
 
 
 class TestBatchedForward:

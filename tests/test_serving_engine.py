@@ -77,6 +77,28 @@ class TestEngineMatchesGenerate:
             state.output(), generate(model, prompt, max_new_tokens=8)
         )
 
+    def test_long_prompt_prefill_splits_by_kv_head(self, monkeypatch):
+        """Of a 1,100-token prompt's 256-token chunks, the two over 768 and
+        1,024 keys reach the 1e7 per-KV-head threshold (12.6 and 16.8
+        MFLOP at head dim 8, two query heads per KV head) in both layers,
+        so two workers run four head-parallel fork-joins; the shorter
+        chunks and every decode row stay serial.  The served tokens equal
+        ``generate()`` run as one-call folds under the serial executor."""
+        import repro.runtime.executor as executor_module
+
+        monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", 1e7)
+        model = _llama()
+        prompt = rng(8).integers(0, 32, size=1100)
+        request = Request(rid="r0", prompt=prompt, max_new_tokens=4)
+        with executor_module.executor(workers=2) as ex:
+            engine = ServingEngine(model, config=EngineConfig(prefill_chunk=256))
+            state = _drive(engine, request)
+            assert ex.stats()["fork_joins"] == 4
+        monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", np.inf)
+        with executor_module.executor(backend="serial"):
+            reference = generate(model, prompt, max_new_tokens=4)
+        np.testing.assert_array_equal(state.output(), reference)
+
     def test_temperature_sampling_matches_by_seed(self):
         """Seeded temperature sampling consumes the identical RNG stream
         in the engine and in ``generate()``."""

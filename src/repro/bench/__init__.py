@@ -2,10 +2,10 @@
 
 ``repro bench`` times the runtime's hot kernels — collectives and the
 chunked-attention paths — at fixed seeds and sizes, writes the results
-to ``results/BENCH_kernels.json``, and diffs them against a committed
-baseline with relative tolerances, failing on wall-clock regressions.
-The committed baseline was captured from the pre-fast-path kernels, so
-the JSON doubles as the record of the fast path's speedups.
+to ``results/BENCH_kernels.json`` (not committed), and diffs them
+against a committed baseline with relative tolerances, failing on
+wall-clock regressions.  Whole training steps and served requests are
+timed by ``perf/run.py``, not here.
 """
 
 from repro.bench.kernels import BENCH_CASES, BenchCase

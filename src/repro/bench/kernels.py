@@ -302,9 +302,3 @@ BENCH_CASES: list[BenchCase] = [
     BenchCase("fpdt_attention_forward", "attention", _bench_fpdt_forward, repeats=(5, 3)),
     BenchCase("fpdt_attention_fwd_bwd", "attention", _bench_fpdt_fwd_bwd, repeats=(5, 3)),
 ]
-
-# End-to-end step cases live in their own module (they pull in the model
-# stack); imported last so they can reuse BenchCase.
-from repro.bench.steps import STEP_CASES  # noqa: E402
-
-BENCH_CASES += STEP_CASES

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: units, dtypes, errors, RNG helpers.
+"""Shared low-level utilities: units, dtypes, errors.
 
 These modules have no dependencies on the rest of :mod:`repro`; everything
 else builds on them.

@@ -28,11 +28,10 @@ same contract the rank executor keeps (PR 5):
 * no numpy state, RNG, or pool accounting is touched — loss, grads,
   and peak memory are unchanged (pinned by the obs-on/off invariance
   tests);
-* spans completed inside rank-executor closures land on per-rank
-  buffers and are merged at the fork-join in (rank, sequence) order
-  (:meth:`SpanTracer.buffered` / :meth:`SpanTracer.merge`, mirroring
-  ``Trace.buffered``), so the completed-span log is identical between
-  the serial and threaded executors.
+* spans are opened and closed only on the calling thread (the trainer,
+  the serving engine, the scheduler), never inside a rank-executor
+  closure, so the completed-span log is identical between the serial
+  and threaded executors.
 
 Event attribution: while a span context is open on a thread, every
 trace event that thread records is counted into the span
@@ -52,7 +51,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 
 @dataclass
@@ -63,8 +62,7 @@ class Span:
     training steps); ``end`` is ``None`` while the span is open —
     exactly the spans a flight-recorder dump reports as *in flight*.
     ``seq`` is the position in the completed-span log, assigned at
-    completion (or at the executor join for spans ended inside rank
-    closures), mirroring trace-event ids.
+    completion, mirroring trace-event ids.
     """
 
     trace_id: str
@@ -141,12 +139,9 @@ class SpanTracer:
     attribution; drive the logical clock by assigning :attr:`tick`
     (the scheduler and trainer do this each tick/step).
 
-    Thread model: span *contexts* are thread-local stacks (a decode
-    step opened on a worker thread attributes that thread's events);
-    the completed-span log, open-span registry, and counters are
-    lock-guarded; spans ended inside :meth:`buffered` sections park on
-    a per-thread buffer and take their ``seq`` at :meth:`merge`, in
-    the order the executor joins ranks.
+    Thread model: span *contexts* are thread-local stacks; the
+    completed-span log, open-span registry, and counters are
+    lock-guarded.
     """
 
     def __init__(self) -> None:
@@ -176,14 +171,7 @@ class SpanTracer:
         touched — the trace byte stream is identical with or without an
         attached tracer."""
         trace.observer = self.observe_event
-        trace.tracer = self
         return self
-
-    @staticmethod
-    def detach(trace) -> None:
-        """Remove any attached tracer from ``trace``."""
-        trace.observer = None
-        trace.tracer = None
 
     # -- span lifecycle -----------------------------------------------------
 
@@ -234,8 +222,7 @@ class SpanTracer:
         self, span: Span, *, end: float | None = None, error: str | None = None
     ) -> Span:
         """Close ``span`` at ``end`` (default: the current tick) and
-        append it to the completed log (or the thread's executor
-        buffer)."""
+        append it to the completed log."""
         span.end = float(self.tick) if end is None else float(end)
         if error is not None:
             span.error = error
@@ -243,13 +230,8 @@ class SpanTracer:
             self._open.pop(id(span), None)
             self._ambient = [s for s in self._ambient if s is not span]
             self.emitted += 1
-        buffer = getattr(self._tls, "buffer", None)
-        if buffer is not None:
-            buffer.append(span)
-        else:
-            with self._lock:
-                span.seq = next(self._seq)
-                self.spans.append(span)
+            span.seq = next(self._seq)
+            self.spans.append(span)
         for listener in list(self.listeners):
             listener(span)
         return span
@@ -321,31 +303,6 @@ class SpanTracer:
                 if span.first_event is None:
                     span.first_event = event.event_id
                 span.last_event = event.event_id
-
-    # -- executor integration ----------------------------------------------
-
-    @contextmanager
-    def buffered(self):
-        """Redirect this thread's completed spans to a fresh buffer —
-        the rank executor wraps each rank closure in one and passes the
-        buffers to :meth:`merge` at the join, exactly like
-        ``Trace.buffered``."""
-        buffer: list[Span] = []
-        previous = getattr(self._tls, "buffer", None)
-        self._tls.buffer = buffer
-        try:
-            yield buffer
-        finally:
-            self._tls.buffer = previous
-
-    def merge(self, buffers: Iterable[list[Span]]) -> None:
-        """Append buffered spans in the given (rank) order, assigning
-        definitive ``seq`` numbers.  Serial-section call only."""
-        with self._lock:
-            for buffer in buffers:
-                for span in buffer:
-                    span.seq = next(self._seq)
-                    self.spans.append(span)
 
     # -- readback -----------------------------------------------------------
 

@@ -187,8 +187,6 @@ def usp_block_forward(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
     x_shards: list[np.ndarray],
-    *,
-    block_k: int | None = None,
 ) -> tuple[list[np.ndarray], USPBlockContext]:
     """One transformer block under 2D (Ulysses × Ring) parallelism.
 
@@ -244,7 +242,7 @@ def usp_block_forward(
         def attn_rank(rank):
             o, lse = online_attention_forward(
                 q_hat[rank].data, k_hat[rank].data, v_hat[rank].data,
-                block_k=block_k, window=window,
+                window=window,
             )
             return o, lse, cluster.devices[rank].from_numpy(o, ACT_DTYPE, "ulysses.o")
 
@@ -332,8 +330,6 @@ def usp_block_backward(
     cfg: ModelConfig,
     ctx: USPBlockContext,
     dy_shards: list[np.ndarray],
-    *,
-    block_k: int | None = None,
 ) -> tuple[list[np.ndarray], Grads]:
     """Backward of :func:`usp_block_forward`: rows all-to-all ``do`` into
     the ring layout, columns rotate ``(k, v, dk, dv)`` for a full cycle,
@@ -381,7 +377,7 @@ def usp_block_backward(
             dq, dk, dv = online_attention_backward(
                 q_t.data, k_t.data, v_t.data,
                 ctx.o_heads[rank], do_hat[rank].data, ctx.lse[rank],
-                block_k=block_k, window=window,
+                window=window,
             )
             free_all([q_t, k_t, v_t])
             return (
@@ -484,7 +480,6 @@ class USPModelRunner(ContiguousShardRunner):
         *,
         seq_parallel: tuple[int, int],
         loss_chunks: int = 1,
-        block_k: int | None = None,
     ):
         super().__init__(model, cluster, loss_chunks=loss_chunks)
         u, r = seq_parallel
@@ -492,20 +487,17 @@ class USPModelRunner(ContiguousShardRunner):
         self.ring_degree = int(r)
         self.mesh = seq_parallel_mesh(cluster, self.ulysses_degree, self.ring_degree)
         validate_ulysses_heads(model.config, self.mesh.groups("ulysses")[0])
-        self.block_k = block_k
 
     def block_forward(self, block, x_shards):
         """USP block forward (row a2a, ring fold across rows)."""
         return usp_block_forward(
-            self.cluster, self.mesh, block.params, block.config, x_shards,
-            block_k=self.block_k,
+            self.cluster, self.mesh, block.params, block.config, x_shards
         )
 
     def block_backward(self, block, ctx, dy_shards):
         """USP block backward."""
         return usp_block_backward(
-            self.cluster, self.mesh, block.config, ctx, dy_shards,
-            block_k=self.block_k,
+            self.cluster, self.mesh, block.config, ctx, dy_shards
         )
 
 

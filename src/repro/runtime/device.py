@@ -38,10 +38,6 @@ class VirtualDevice:
         """Place ``array`` on this device, charging the HBM pool."""
         return DeviceTensor(np.ascontiguousarray(array), dtype, self.hbm, tag)
 
-    def empty(self, shape: tuple[int, ...], dtype: DType, tag: str) -> DeviceTensor:
-        """An uninitialized device tensor (receive buffers, accumulators)."""
-        return DeviceTensor(np.empty(shape, dtype.np_dtype), dtype, self.hbm, tag)
-
     def rent(
         self, shape: tuple[int, ...], np_dtype, dtype: DType, tag: str
     ) -> DeviceTensor:

@@ -267,11 +267,6 @@ class RankExecutor:
             return [fn(r) for r in range(world)]
         pool = self._ensure_pool()
         buffers: list[list | None] = [None] * world
-        # Spans completed inside rank closures mirror the trace-event
-        # contract: per-rank buffers, merged in rank order at the join,
-        # so the completed-span log matches the serial loop's.
-        tracer = getattr(trace, "tracer", None) if trace is not None else None
-        span_buffers: list[list | None] = [None] * world
         durations = [0.0] * world
 
         def task(r: int):
@@ -281,12 +276,7 @@ class RankExecutor:
                 if trace is not None:
                     with trace.buffered() as buffer:
                         buffers[r] = buffer
-                        if tracer is not None:
-                            with tracer.buffered() as span_buffer:
-                                span_buffers[r] = span_buffer
-                                out = fn(r)
-                        else:
-                            out = fn(r)
+                        out = fn(r)
                 else:
                     out = fn(r)
                 durations[r] = time.perf_counter() - start
@@ -306,8 +296,6 @@ class RankExecutor:
                 results.append(None)
         if trace is not None:
             trace.merge(b for b in buffers if b is not None)
-        if tracer is not None:
-            tracer.merge(b for b in span_buffers if b is not None)
         wall = time.perf_counter() - wall_start
         with self._lock:
             self.fork_joins += 1

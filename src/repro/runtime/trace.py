@@ -74,9 +74,6 @@ class Trace:
         # event as it is recorded, read-only — the event stream itself
         # is never altered, so tracing stays bitwise-invisible.
         self.observer = None
-        # The attached SpanTracer, if any; the rank executor mirrors its
-        # trace buffering onto the tracer's span buffers at fork-joins.
-        self.tracer = None
 
     @contextmanager
     def buffered(self):

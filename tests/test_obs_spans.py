@@ -128,21 +128,6 @@ class TestSpanTracer:
         assert amb.event_counts == {"d2h": 1}
         assert t.current() is None
 
-    def test_buffered_merge_assigns_seq_in_rank_order(self):
-        t = SpanTracer()
-        buffers = []
-        for rank in range(3):
-            with t.buffered() as buf:
-                sp = t.start_span(f"rank{rank}", trace_id="x")
-                t.end_span(sp)
-                assert sp.seq == -1  # parked, no seq yet
-            buffers.append(buf)
-        # Merge in reverse rank order: seq follows merge order exactly.
-        t.merge(reversed(buffers))
-        assert [s.name for s in t.spans] == ["rank2", "rank1", "rank0"]
-        assert [s.seq for s in t.spans] == [0, 1, 2]
-        assert t.emitted == 3
-
     def test_dump_round_trip(self, tmp_path):
         t = SpanTracer()
         with t.span("root", trace_id="r", attrs={"k": 1}) as root:

@@ -71,20 +71,6 @@ class TestUlysses:
         dx_shards_d, grads = usp_block_backward(cluster, _ulysses(cluster), cfg, ctx, dy_shards)
         _check(cluster, block, y_ref, dx_ref, y_shards_d, dx_shards_d, grads)
 
-    def test_blockwise_attention_inside_ulysses(self):
-        """block_k chunking inside the Ulysses attention core must not
-        change results (the knob FPDT later drives)."""
-        cfg = tiny_gpt(hidden_size=32, num_heads=4)
-        block, x, dy, y_ref, dx_ref, x_shards, dy_shards = _make_case(cfg, seed=3)
-        cluster = VirtualCluster(WORLD)
-        y_shards_d, ctx = usp_block_forward(
-            cluster, _ulysses(cluster), block.params, cfg, x_shards, block_k=3
-        )
-        dx_shards_d, grads = usp_block_backward(
-            cluster, _ulysses(cluster), cfg, ctx, dy_shards, block_k=5
-        )
-        _check(cluster, block, y_ref, dx_ref, y_shards_d, dx_shards_d, grads)
-
     def test_head_divisibility_enforced(self):
         cfg = tiny_gpt(hidden_size=32, num_heads=2)  # 2 heads, 4 ranks
         cluster = VirtualCluster(WORLD)

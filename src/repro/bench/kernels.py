@@ -244,6 +244,30 @@ def _bench_attention_prefix_prefill(quick: bool) -> Callable[[], None]:
     return run
 
 
+def _bench_attention_decode_row(quick: bool) -> Callable[[], None]:
+    """One decode row of the serving model (4 heads / 2 KV heads, head
+    dim 16) over 160 cached keys (``serve_chat``'s longest context) and
+    over 4,096 (``serve_longdoc``'s).  A repeat takes well under a
+    millisecond: a decode row costs per-call set-up more than FLOPs, and
+    that set-up is what this case times."""
+    from repro.models.config import tiny_llama
+    from repro.models.generate import _prefix_causal_attention
+
+    cfg = tiny_llama(hidden_size=64)
+    rng = np.random.default_rng(6)
+    rows = []
+    for keys in (160, 4096):
+        q = rng.standard_normal((1, 1, cfg.num_heads, cfg.head_dim))
+        k = rng.standard_normal((1, keys, cfg.num_kv_heads, cfg.head_dim))
+        rows.append((q, k, rng.standard_normal(k.shape), keys - 1))
+
+    def run() -> None:
+        for q, k, v, q_offset in rows:
+            _prefix_causal_attention(q, k, v, q_offset, cfg)
+
+    return run
+
+
 def _fpdt_setup(quick: bool):
     from repro.core.chunking import ChunkLayout
     from repro.runtime.device import VirtualCluster
@@ -299,6 +323,7 @@ BENCH_CASES: list[BenchCase] = [
     BenchCase("attention_backward_block", "attention", _bench_attention_backward_block),
     BenchCase("attention_block_fpdt_long", "attention", _bench_attention_block_fpdt_long),
     BenchCase("attention_prefix_prefill", "attention", _bench_attention_prefix_prefill),
+    BenchCase("attention_decode_row", "attention", _bench_attention_decode_row),
     BenchCase("fpdt_attention_forward", "attention", _bench_fpdt_forward, repeats=(5, 3)),
     BenchCase("fpdt_attention_fwd_bwd", "attention", _bench_fpdt_fwd_bwd, repeats=(5, 3)),
 ]

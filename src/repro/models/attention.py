@@ -20,8 +20,12 @@ with ``hk`` heads for any ``h % hk == 0`` through one contraction path:
 they copy ``q`` (and ``do``) head-major as ``[b, hk, g*sq, d]`` and
 contract each KV head once against its ``g`` query heads as a batched
 ``np.matmul``, so nothing is repeated over the context and ``dk``/``dv``
-come back with ``hk`` heads.  The reference kernels take K/V expanded to
-``h`` heads with :func:`repro.models.layers.repeat_kv`.
+come back with ``hk`` heads.  The forward's two contractions are
+:func:`grouped_scores` (``q`` against ``k``) and :func:`grouped_pv`
+(``p`` against ``v``); the serving decode row's one-block softmax
+(``models/generate._softmax_row``) calls the same two.  The reference
+kernels take K/V expanded to ``h`` heads with
+:func:`repro.models.layers.repeat_kv`.
 
 A score block is bound by its full-block elementwise passes, not by its
 GEMM FLOPs, so the block kernels keep those passes few:
@@ -201,6 +205,34 @@ def _head_major(
     return out
 
 
+def grouped_scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """Scores ``(q * scale) @ kᵀ`` as a fresh ``[b, h, sq, sk]`` block,
+    for ``k`` with ``hk`` heads (``h % hk == 0``): ``q`` is copied
+    head-major and viewed ``[b, hk, g*sq, d]`` (query head ``i = kv * g
+    + j``), so each KV head is contracted once against its ``g`` query
+    heads in one batched matmul."""
+    b, sq, h, d = q.shape
+    sk, hk = k.shape[1], k.shape[2]
+    scores = _scratch((b, h, sq, sk), np.result_type(q.dtype, k.dtype))
+    np.matmul(
+        _head_major(q, scale).reshape(b, hk, h // hk * sq, d),
+        k.transpose(0, 2, 3, 1),
+        out=scores.reshape(b, hk, h // hk * sq, sk),
+    )
+    return scores
+
+
+def grouped_pv(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``p @ v`` for ``[b, h, sq, sk]`` weights and ``v`` with ``hk``
+    heads, grouped as in :func:`grouped_scores`; a ``[b, sq, h, d]``
+    view."""
+    b, h, sq, sk = p.shape
+    hk, d = v.shape[2], v.shape[3]
+    return np.matmul(
+        p.reshape(b, hk, h // hk * sq, sk), v.transpose(0, 2, 1, 3)
+    ).reshape(b, h, sq, d).transpose(0, 2, 1, 3)
+
+
 # ----------------------------------------------------------------------
 # Online (blockwise) attention
 # ----------------------------------------------------------------------
@@ -255,7 +287,7 @@ def online_block_update(
     ``[b, hk, g*sq, d]``; with ``hk < h`` equal to the expanded path up
     to float rounding.
     """
-    group = _check_qkv(q, k_blk, v_blk)
+    _check_qkv(q, k_blk, v_blk)
     if causal and not block_is_visible(
         q.shape[1], k_blk.shape[1], q_offset, k_offset, window
     ):
@@ -263,15 +295,8 @@ def online_block_update(
             f"causal online update got a fully-invisible block: "
             f"q_offset={q_offset}, k_offset={k_offset}, window={window}"
         )
-    b, sq, h, d = q.shape
-    sk, hk = k_blk.shape[1], k_blk.shape[2]
-    scores = _scratch((b, h, sq, sk), np.result_type(q.dtype, k_blk.dtype))
-    # [b, h, sq, d] -> [b, hk, g*sq, d]: query head i = kv * g + j.
-    qg = _head_major(q, scale).reshape(b, hk, group * sq, d)
-    np.matmul(
-        qg, k_blk.transpose(0, 2, 3, 1),
-        out=scores.reshape(b, hk, group * sq, sk),
-    )
+    sq, sk = q.shape[1], k_blk.shape[1]
+    scores = grouped_scores(q, k_blk, scale)
     band = _band(sq, sk, q_offset, k_offset, window) if causal else None
     if band is not None:
         cols, hidden = band
@@ -292,11 +317,8 @@ def online_block_update(
     correction = np.exp(state.m - safe_m)  # 0 where nothing was seen yet
     state.l *= correction
     state.l += p.sum(axis=-1)
-    pv = np.matmul(
-        p.reshape(b, hk, group * sq, sk), v_blk.transpose(0, 2, 1, 3)
-    ).reshape(b, h, sq, d).transpose(0, 2, 1, 3)
     state.acc *= correction.transpose(0, 2, 1)[..., None]
-    state.acc += pv
+    state.acc += grouped_pv(p, v_blk)
     state.m = m_new
     return state
 

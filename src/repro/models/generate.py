@@ -14,9 +14,13 @@ kernels from the inference side.
 so a long prompt can be encoded chunk by chunk under a fixed activation
 budget (chunked prefill), and any number of rows, one cache each, so a
 decode tick runs one stacked forward for every live request, bitwise
-equal to one forward per request.  A long prefill chunk's attention runs
-one executor task per KV head (heads never mix), bitwise equal to the
-one-call fold; short chunks and decode rows stay on the calling thread.
+equal to one forward per request.  Attention folds the cached prefix
+tile by tile, as FPDT folds KV chunks, except where a fold has nothing
+to do: a decode row sees every key it is given, and unless they cross a
+65,536-key tile boundary it attends in one exact softmax, bitwise the
+fold's output.  A long prefill chunk's attention runs one executor task
+per KV head (heads never mix), bitwise equal to the one-call fold; short
+chunks and decode rows stay on the calling thread.
 
 With sliding-window attention (``cfg.attention_window``) the cache
 evicts entries that fall behind the window: the mask already zeroes
@@ -35,6 +39,8 @@ from repro.common.errors import ShapeError
 from repro.models.attention import (
     OnlineSoftmaxState,
     finalize_online,
+    grouped_pv,
+    grouped_scores,
     online_block_update,
 )
 from repro.models.block_ops import attn_post_forward, attn_qkv_forward, ffn_forward
@@ -216,13 +222,22 @@ def _prefix_causal_attention(qh, k_full, v_full, q_offset, cfg, *, k_offset=0):
     (§4.1): query rows go in tiles of ``PREFIX_TILE``, and each query tile
     folds its keys in tiles of ``PREFIX_TILE * max(1, PREFIX_TILE //
     rows)`` aligned to absolute key positions, so no score block holds
-    more than ``PREFIX_TILE ** 2`` entries per head (a one-row decode
-    stays one block up to 65,536 keys).  A query tile reads only the keys
-    it can see, from its first query's window edge to its last query, so a
-    fully hidden tile is never built, and a cache that evicted the keys
-    behind the window builds the same tiles: eviction stays
-    bitwise-invisible.  ``k_full``/``v_full`` keep the model's KV heads;
-    the kernel contracts each against its group of query heads.
+    more than ``PREFIX_TILE ** 2`` entries per head.  A query tile reads
+    only the keys it can see, from its first query's window edge to its
+    last query, so a fully hidden tile is never built, and a cache that
+    evicted the keys behind the window builds the same tiles: eviction
+    stays bitwise-invisible.  ``k_full``/``v_full`` keep the model's KV
+    heads; the kernel contracts each against its group of query heads.
+
+    A one-row tile (every decode row) whose keys lie in one key tile, so
+    at most 65,536 keys not straddling a 65,536-aligned boundary, is one
+    exact softmax with no fold (:func:`_softmax_row`): grouped scores,
+    row max, subtract, ``exp``, row sum, grouped ``p @ v``, divide.  The
+    row sees every key it is given, so nothing is masked, and on a zero
+    state the fold's rescale multiplies zeros by ``exp(-inf) = 0``; what
+    is left are the fold's own operations on the same operands, so the
+    output is bitwise the fold's.  A row whose keys cross a key tile
+    still folds.
 
     Heads never mix, which is why Ulysses and FPDT can scatter them
     across devices: when one KV head's share of the fold (``4 * b * rows
@@ -231,8 +246,9 @@ def _prefix_causal_attention(qh, k_full, v_full, q_offset, cfg, *, k_offset=0):
     is one :func:`~repro.runtime.executor.rank_map` task, and the outputs
     are concatenated on the head axis.  Every GEMM runs per KV head and
     every other pass per row either way, so the split returns exactly the
-    one-call array.  A decode row or a short chunk stays on the calling
-    thread and never builds the executor.
+    one-call array; a split decode row runs its block once per KV head.
+    A decode row or a short chunk stays below the threshold, on the
+    calling thread, and never builds the executor.
     """
     window = cfg.attention_window
     b, sq, h, d = qh.shape
@@ -274,23 +290,51 @@ def _query_tiles(sq, q_offset, k_offset, k_end, window):
 
 def _fold_tiles(qh, k_full, v_full, tiles, q_offset, k_offset, window):
     """Fold each query tile's keys in tiles aligned to absolute key
-    positions; the ``[b, sq, h, d]`` attention output."""
+    positions; the ``[b, sq, h, d]`` attention output (a single tile's
+    output as is, no copy).  A one-row tile whose keys lie in one key
+    tile is one :func:`_softmax_row` instead."""
     b, sq, h, d = qh.shape
-    o = np.empty(qh.shape)
+    scale = 1.0 / np.sqrt(d)
+    outs = []
     for q0, rows, lo, hi in tiles:
+        q = qh[:, q0 : q0 + rows]
         span = PREFIX_TILE * max(1, PREFIX_TILE // rows)
+        if rows == 1 and lo // span == (hi - 1) // span:
+            outs.append(_softmax_row(
+                q, k_full[:, lo - k_offset : hi - k_offset],
+                v_full[:, lo - k_offset : hi - k_offset], scale,
+            ))
+            continue
         state = OnlineSoftmaxState.zeros(b, rows, h, d)
         for t0 in range(lo - lo % span, hi, span):
             a, z = max(t0, lo), min(t0 + span, hi)
             online_block_update(
-                state, qh[:, q0 : q0 + rows],
-                k_full[:, a - k_offset : z - k_offset],
+                state, q, k_full[:, a - k_offset : z - k_offset],
                 v_full[:, a - k_offset : z - k_offset],
-                scale=1.0 / np.sqrt(d), q_offset=q_offset + q0, k_offset=a,
+                scale=scale, q_offset=q_offset + q0, k_offset=a,
                 window=window,
             )
-        o[:, q0 : q0 + rows] = finalize_online(state)[0]
-    return o
+        outs.append(finalize_online(state)[0])
+    return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+
+
+def _softmax_row(q, k, v, scale):
+    """One query row's attention over keys it sees all of, as one exact
+    softmax: scores, row max, subtract, ``exp``, row sum, ``p @ v``,
+    divide.
+
+    This is :func:`online_block_update` on a zero state followed by
+    :func:`finalize_online`, with every step that is an identity there
+    left out: the max against ``-inf``, the rescale by ``exp(-inf) = 0``
+    of a zero accumulator and denominator, the visibility and band
+    checks (none of the keys is hidden) and the ``lse``.  The steps kept
+    are the same operations on the same operands, so the row is bitwise
+    the fold's.
+    """
+    scores = grouped_scores(q, k, scale)
+    scores -= scores.max(axis=-1)[..., None]
+    p = np.exp(scores, out=scores)
+    return grouped_pv(p, v) / p.sum(axis=-1).transpose(0, 2, 1)[..., None]
 
 
 def sample_token(row: np.ndarray, temperature: float, rng: np.random.Generator) -> int:

@@ -467,3 +467,122 @@ class TestBatchedForward:
         model = self._model("llama")
         with pytest.raises(ShapeError, match="one cache per row"):
             forward_cached(model, np.zeros((2, 1), dtype=int), self._prefilled(model, [2]))
+
+
+class TestDecodeRowBlock:
+    """A one-row query tile whose visible keys lie in one key tile is one
+    exact softmax, bitwise the online fold it replaces; a row whose keys
+    cross a key tile still folds."""
+
+    D = 16
+
+    def _row(self, keys, h, hk, window, evicted, seed=80):
+        """``(q, k, v, q_offset, k_offset)`` for the query at position
+        ``keys - 1`` against a cache of ``keys`` keys, or, evicted, of the
+        keys from its window edge on."""
+        g = rng(seed)
+        k_offset = max(0, keys - window) if evicted else 0
+        q = g.normal(size=(1, 1, h, self.D))
+        k = g.normal(size=(1, keys - k_offset, hk, self.D))
+        v = g.normal(size=k.shape)
+        return q, k, v, keys - 1, k_offset
+
+    @pytest.mark.parametrize("keys", [1, 2, 255, 256, 257, 4096])
+    @pytest.mark.parametrize("h,hk", [(4, 4), (4, 2), (8, 2)], ids=["g1", "g2", "g4"])
+    @pytest.mark.parametrize(
+        "window,evicted", [(None, False), (200, False), (200, True)],
+        ids=["causal", "window", "window-evicted"],
+    )
+    def test_bitwise_the_fold(self, keys, h, hk, window, evicted):
+        """Equal to ``finalize_online`` of one ``online_block_update`` on
+        a zero state over the row's visible keys; an evicted cache starts
+        at the window edge (``k_offset > 0`` once the row passed it)."""
+        from types import SimpleNamespace
+
+        from repro.models.attention import (
+            OnlineSoftmaxState,
+            finalize_online,
+            online_block_update,
+        )
+        from repro.models.generate import _prefix_causal_attention
+
+        q, k, v, q_offset, k_offset = self._row(keys, h, hk, window, evicted)
+        lo = 0 if window is None else max(0, q_offset - window + 1)
+        state = OnlineSoftmaxState.zeros(1, 1, h, self.D)
+        online_block_update(
+            state, q, k[:, lo - k_offset :], v[:, lo - k_offset :],
+            scale=1.0 / np.sqrt(self.D), q_offset=q_offset, k_offset=lo,
+            window=window,
+        )
+        o = _prefix_causal_attention(
+            q, k, v, q_offset, SimpleNamespace(attention_window=window),
+            k_offset=k_offset,
+        )
+        np.testing.assert_array_equal(o, finalize_online(state)[0])
+
+    def _count_updates(self, monkeypatch):
+        calls = []
+        real = generate_mod.online_block_update
+        monkeypatch.setattr(
+            generate_mod, "online_block_update",
+            lambda *a, **kw: calls.append(kw["k_offset"]) or real(*a, **kw),
+        )
+        return calls
+
+    @pytest.mark.parametrize("window", [None, 4], ids=["causal", "window4"])
+    def test_decode_forward_never_folds(self, monkeypatch, window):
+        """A stacked decode tick over rows of 1 to 300 cached keys (one
+        past a query tile, evicted under the window) runs no online
+        update, while the prefill before it does."""
+        cfg = tiny_llama(hidden_size=32, num_heads=4, num_kv_heads=2,
+                         num_layers=2, vocab_size=32)
+        if window is not None:
+            cfg = cfg.scaled(attention_window=window)
+        model = GPTModel(cfg, seed=0)
+        calls = self._count_updates(monkeypatch)
+        caches = []
+        for i, n in enumerate([300, 1, 7]):
+            caches.append(KVCache(len(model.blocks), window=window))
+            forward_cached(model, rng(90 + i).integers(0, 32, size=(1, n)),
+                           caches[-1:])
+        assert calls
+        calls.clear()
+        for step in range(3):
+            forward_cached(model, np.full((3, 1), step), caches)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "keys,window,evicted",
+        [(2**16 + 1, None, False), (2**16 + 50, 200, True)],
+        ids=["causal", "window-evicted"],
+    )
+    @pytest.mark.parametrize(
+        "min_flops,tasks", [(np.inf, 1), (0.0, 2)], ids=["one-call", "split"]
+    )
+    def test_row_across_a_key_tile_still_folds(
+        self, monkeypatch, keys, window, evicted, min_flops, tasks
+    ):
+        """The row's keys cross the 65,536-aligned key tile: two updates,
+        one per tile (in each KV head's task when split), and exact
+        attention within 1e-12."""
+        from types import SimpleNamespace
+
+        import repro.runtime.executor as executor_module
+        from repro.models.attention import attention_forward_reference
+        from repro.models.generate import _prefix_causal_attention
+        from repro.models.layers import repeat_kv
+
+        monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", min_flops)
+        q, k, v, q_offset, k_offset = self._row(keys, 4, 2, window, evicted)
+        calls = self._count_updates(monkeypatch)
+        o = _prefix_causal_attention(
+            q, k, v, q_offset, SimpleNamespace(attention_window=window),
+            k_offset=k_offset,
+        )
+        lo = 0 if window is None else q_offset - window + 1
+        assert sorted(calls) == sorted([lo, 2**16] * tasks)
+        o_ref, _ = attention_forward_reference(
+            q, repeat_kv(k[:, lo - k_offset :], 2),
+            repeat_kv(v[:, lo - k_offset :], 2), causal=False,
+        )
+        np.testing.assert_allclose(o, o_ref, rtol=1e-12, atol=1e-12)

@@ -60,7 +60,6 @@ class CheckpointedFPDTStack:
         *,
         offload_chunks: bool = True,
         resident_window: int = 2,
-        ffn_chunk_factor: int = 2,
         prefetch_depth: int = 2,
     ):
         if resident_window < 1:
@@ -70,7 +69,6 @@ class CheckpointedFPDTStack:
         self.layout = layout
         self.offload_chunks = offload_chunks
         self.resident_window = resident_window
-        self.ffn_chunk_factor = ffn_chunk_factor
         self.prefetch_depth = prefetch_depth
         self._ckpt = ChunkCache(cluster)
         # Layer checkpoints still resident in HBM (index -> per-rank
@@ -100,8 +98,7 @@ class CheckpointedFPDTStack:
                     self._ckpt.store(("ckpt", oldest, rank), tensor, cluster.devices[rank])
             y_shards, ctx = fpdt_block_forward(
                 cluster, block.params, block.config, self.layout, x_shards,
-                offload=self.offload_chunks, ffn_chunk_factor=self.ffn_chunk_factor,
-                prefetch_depth=self.prefetch_depth,
+                offload=self.offload_chunks, prefetch_depth=self.prefetch_depth,
             )
             # AC: the saved attention/projection state is dropped; the
             # backward recomputes it from the checkpoint.
@@ -139,8 +136,7 @@ class CheckpointedFPDTStack:
             # run the FPDT nested-loop backward.
             _, ctx = fpdt_block_forward(
                 cluster, block.params, block.config, self.layout, x_shards,
-                offload=self.offload_chunks, ffn_chunk_factor=self.ffn_chunk_factor,
-                prefetch_depth=self.prefetch_depth,
+                offload=self.offload_chunks, prefetch_depth=self.prefetch_depth,
             )
             dy_shards, block_grads = fpdt_block_backward(
                 cluster, block.config, ctx, dy_shards

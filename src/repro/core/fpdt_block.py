@@ -47,6 +47,8 @@ from repro.models.layers import repeat_kv
 from repro.runtime.device import VirtualCluster
 
 ACT_DTYPE = DType.BF16
+#: FFN chunks per attention chunk (§5.4).
+FFN_CHUNK_FACTOR = 2
 
 
 def _qkv_proj_flops(cfg: ModelConfig, batch: int, tokens: int) -> float:
@@ -90,7 +92,6 @@ def fpdt_block_forward(
     x_shards: list[np.ndarray],
     *,
     offload: bool = True,
-    ffn_chunk_factor: int = 2,
     prefetch_depth: int = 2,
 ) -> tuple[list[np.ndarray], FPDTBlockContext]:
     """One transformer block, fully chunked.
@@ -179,7 +180,7 @@ def fpdt_block_forward(
         mid_shards.append(mid)
 
     # Phase 4: FFN at 2x the attention chunk count, never offloaded.
-    ffn_chunks = max(1, ffn_chunk_factor * u)
+    ffn_chunks = FFN_CHUNK_FACTOR * u
     ffn_caches: list[list[dict]] = [[] for _ in range(world)]
     ffn_bounds = _ffn_bounds(layout.s_local, ffn_chunks)
     ffn_flops = [_ffn_flops(cfg, batch, hi - lo) for lo, hi in ffn_bounds]

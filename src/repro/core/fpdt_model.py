@@ -1,44 +1,38 @@
 """End-to-end FPDT model execution.
 
 Drives a :class:`repro.models.transformer.GPTModel`'s parameters through
-the FPDT pipeline on a virtual cluster: rank-ordinal-shuffled input
-shards, chunked blocks, per-rank chunked loss head (§5.4), and a full
-backward returning gradients in the reference model's naming scheme —
-so the same optimizer step applies and the convergence experiment
-(Fig. 14) can compare FPDT against the baseline trainer token for token.
+the FPDT pipeline on a virtual cluster.  The step itself — embedding,
+per-rank loss head, backward and the gradients in the reference model's
+naming scheme — is the one every strategy shares,
+:class:`repro.models.runner.ShardedModelRunner`, so the same optimizer
+step applies and the convergence experiment (Fig. 14) can compare FPDT
+against the baseline trainer token for token.  FPDT supplies:
 
-The dataloader-side shuffle means labels are sharded with the *same*
-permutation as tokens (the paper: "we also reorder the labels
-accordingly, so that the loss still matches").
+* the rank-ordinal shuffle (Fig. 6) as the shard layout.  It is done in
+  the dataloader, so labels are sharded with the *same* permutation as
+  tokens (the paper: "we also reorder the labels accordingly, so that
+  the loss still matches");
+* the chunked block pair, ``fpdt_block_forward`` / ``_backward``, and
+  with activation checkpointing the
+  :class:`~repro.core.checkpoint.CheckpointedFPDTStack` in its place;
+* the ``forward`` / ``backward`` phase markers the profiler rolls up;
+* the paper's vocabulary-chunk count for the loss head (§5.4).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import ShapeError
-from repro.core.chunking import ChunkLayout, shard_sequence, unshard_sequence
+from repro.core.checkpoint import CheckpointedFPDTStack
+from repro.core.chunking import ChunkLayout, shard_sequence
 from repro.core.fpdt_block import fpdt_block_backward, fpdt_block_forward
-from repro.models.block_ops import accumulate_grads
-from repro.models.layers import (
-    embedding_backward,
-    embedding_forward,
-    layernorm_backward,
-    layernorm_forward,
-    rmsnorm_backward,
-    rmsnorm_forward,
-)
-from repro.models.loss import (
-    IGNORE_INDEX,
-    chunked_lm_head_backward,
-    chunked_lm_head_forward,
-    suggested_loss_chunks,
-)
+from repro.models.loss import suggested_loss_chunks
+from repro.models.runner import ShardedModelRunner
 from repro.models.transformer import GPTModel
 from repro.runtime.device import VirtualCluster
 
 
-class FPDTModelRunner:
+class FPDTModelRunner(ShardedModelRunner):
     """Run training steps of ``model`` under FPDT on ``cluster``.
 
     Parameters
@@ -69,206 +63,62 @@ class FPDTModelRunner:
         *,
         num_chunks: int,
         offload: bool = True,
-        ffn_chunk_factor: int = 2,
         loss_chunks: int | None = None,
         activation_checkpoint: bool = False,
         prefetch_depth: int = 2,
     ):
-        self.model = model
-        self.cluster = cluster
+        cfg = model.config
+        super().__init__(
+            model, cluster,
+            loss_chunks=(
+                loss_chunks
+                if loss_chunks is not None
+                else suggested_loss_chunks(cfg.vocab_size, cfg.hidden_size)
+            ),
+        )
         self.num_chunks = num_chunks
         self.offload = offload
-        self.ffn_chunk_factor = ffn_chunk_factor
         self.activation_checkpoint = activation_checkpoint
         self.prefetch_depth = prefetch_depth
-        cfg = model.config
-        self.loss_chunks = (
-            loss_chunks
-            if loss_chunks is not None
-            else suggested_loss_chunks(cfg.vocab_size, cfg.hidden_size)
-        )
 
     def _layout(self, s_global: int) -> ChunkLayout:
         return ChunkLayout(s_global, self.cluster.world_size, self.num_chunks)
 
-    # ------------------------------------------------------------------
+    def _shard_layout(self, x_shards) -> ChunkLayout:
+        return self._layout(x_shards[0].shape[1] * self.cluster.world_size)
 
-    def forward_backward(
-        self, tokens: np.ndarray, labels: np.ndarray
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """One full step: returns ``(loss, grads)`` where ``grads`` uses
-        the reference model's flat parameter names (summed over ranks,
-        i.e. the post-all-reduce gradients)."""
-        if tokens.shape != labels.shape or tokens.ndim != 2:
-            raise ShapeError(
-                f"tokens/labels must be matching [b, s], got {tokens.shape}, {labels.shape}"
-            )
-        model, cfg, cluster = self.model, self.model.config, self.cluster
+    def shard(self, tokens: np.ndarray, labels: np.ndarray):
+        """The rank-ordinal shuffle, labels permuted with the tokens."""
         layout = self._layout(tokens.shape[1])
-        world = cluster.world_size
+        positions = [layout.shard_indices(r) for r in range(layout.world)]
+        return shard_sequence(tokens, layout), shard_sequence(labels, layout), positions
 
-        cluster.trace.mark_phase("forward")
-        token_shards = shard_sequence(tokens, layout)
-        label_shards = shard_sequence(labels, layout)
-        positions = [layout.shard_indices(r) for r in range(world)]
+    def blocks_forward(self, x_shards):
+        """Chunked blocks; with AC, layer state is dropped and recomputed
+        in the backward from host-offloaded checkpoints."""
+        self.cluster.trace.mark_phase("forward")
+        if not self.activation_checkpoint:
+            return super().blocks_forward(x_shards)
+        stack = CheckpointedFPDTStack(
+            self.model.blocks, self.cluster, self._shard_layout(x_shards),
+            offload_chunks=self.offload, prefetch_depth=self.prefetch_depth,
+        )
+        return stack.forward(x_shards), stack
 
-        # Embedding (+ learned positions for GPT), token-local.
-        def embed_rank(r):
-            x, cache = embedding_forward(token_shards[r], model.params["embed.table"])
-            if not cfg.uses_rope:
-                table = model.params["embed.positions"]
-                if positions[r].max() >= table.shape[0]:
-                    raise ShapeError("sequence longer than position table")
-                x = x + table[positions[r]][None, :, :]
-            return x, cache
+    def blocks_backward(self, ctx, dy_shards):
+        """Backward of :meth:`blocks_forward`."""
+        self.cluster.trace.mark_phase("backward")
+        if not self.activation_checkpoint:
+            return super().blocks_backward(ctx, dy_shards)
+        return ctx.backward(dy_shards)
 
-        embedded = cluster.rank_map(embed_rank)
-        x_shards = [x for x, _ in embedded]
-        embed_caches = [cache for _, cache in embedded]
+    def block_forward(self, block, x_shards):
+        """One FPDT block over the shuffled shards."""
+        return fpdt_block_forward(
+            self.cluster, block.params, block.config, self._shard_layout(x_shards),
+            x_shards, offload=self.offload, prefetch_depth=self.prefetch_depth,
+        )
 
-        # Chunked blocks: with AC, layer state is dropped and recomputed
-        # in the backward from host-offloaded checkpoints.
-        block_ctxs = []
-        ckpt_stack = None
-        if self.activation_checkpoint:
-            from repro.core.checkpoint import CheckpointedFPDTStack
-
-            ckpt_stack = CheckpointedFPDTStack(
-                model.blocks, cluster, layout,
-                offload_chunks=self.offload, ffn_chunk_factor=self.ffn_chunk_factor,
-                prefetch_depth=self.prefetch_depth,
-            )
-            x_shards = ckpt_stack.forward(x_shards)
-        else:
-            for block in model.blocks:
-                x_shards, ctx = fpdt_block_forward(
-                    cluster, block.params, cfg, layout, x_shards,
-                    offload=self.offload, ffn_chunk_factor=self.ffn_chunk_factor,
-                    prefetch_depth=self.prefetch_depth,
-                )
-                block_ctxs.append(ctx)
-
-        # Final norm + chunked loss head, per rank.
-        n_valid_global = int(np.sum(labels != IGNORE_INDEX))
-
-        def loss_rank(r):
-            if cfg.arch == "gpt":
-                normed, fn_cache = layernorm_forward(
-                    x_shards[r],
-                    model.params["final_norm.gamma"],
-                    model.params["final_norm.beta"],
-                )
-            else:
-                normed, fn_cache = rmsnorm_forward(
-                    x_shards[r], model.params["final_norm.gamma"]
-                )
-            b, s_local, h = normed.shape
-            flat_labels = label_shards[r].reshape(b * s_local)
-            loss_r, head_cache = chunked_lm_head_forward(
-                normed.reshape(b * s_local, h),
-                model.params["embed.table"],
-                flat_labels,
-                num_chunks=self.loss_chunks,
-            )
-            n_valid_r = int(np.sum(flat_labels != IGNORE_INDEX))
-            return loss_r, n_valid_r, fn_cache, head_cache, (b, s_local, h)
-
-        # Join fold in rank order: the loss sum keeps the serial loop's
-        # exact float reduction order (executor-on/off bitwise identity).
-        total_loss = 0.0
-        fn_caches, head_caches = [], []
-        for loss_r, n_valid_r, fn_cache, head_cache, shape in cluster.rank_map(loss_rank):
-            total_loss += loss_r * n_valid_r
-            fn_caches.append(fn_cache)
-            head_caches.append((head_cache, n_valid_r, shape))
-        loss = total_loss / max(n_valid_global, 1)
-
-        # ---------------- backward ----------------
-        cluster.trace.mark_phase("backward")
-        grads: dict[str, np.ndarray] = {}
-
-        def head_bwd_rank(r):
-            head_cache, n_valid_r, (b, s_local, h) = head_caches[r]
-            # Rescale the per-rank mean gradient to the global mean.
-            scale = n_valid_r / max(n_valid_global, 1)
-            dhid_flat, dembed_head = chunked_lm_head_backward(head_cache, grad_scale=scale)
-            dnormed = dhid_flat.reshape(b, s_local, h)
-            if cfg.arch == "gpt":
-                dx, dg, dbeta = layernorm_backward(dnormed, fn_caches[r])
-                g_norm = {"final_norm.gamma": dg, "final_norm.beta": dbeta}
-            else:
-                dx, dg = rmsnorm_backward(dnormed, fn_caches[r])
-                g_norm = {"final_norm.gamma": dg}
-            return dembed_head, dx, g_norm
-
-        dx_shards = []
-        dembed_head_total = 0
-        for dembed_head, dx, g_norm in cluster.rank_map(head_bwd_rank):
-            dembed_head_total = dembed_head_total + dembed_head
-            accumulate_grads(grads, g_norm)
-            dx_shards.append(dx)
-
-        if ckpt_stack is not None:
-            dx_shards, stack_grads = ckpt_stack.backward(dx_shards)
-            accumulate_grads(grads, stack_grads)
-        else:
-            for block, ctx in zip(reversed(model.blocks), reversed(block_ctxs)):
-                dx_shards, block_grads = fpdt_block_backward(cluster, cfg, ctx, dx_shards)
-                accumulate_grads(
-                    grads, {f"{block.name}.{k}": v for k, v in block_grads.items()}
-                )
-
-        # Embedding backward (positions table + token table), summed over ranks.
-        def embed_bwd_rank(r):
-            dpos_r = None if cfg.uses_rope else dx_shards[r].sum(axis=0)
-            return dpos_r, embedding_backward(dx_shards[r], embed_caches[r])
-
-        dtable_total = dembed_head_total
-        dpos_total = None
-        for r, (dpos_r, dtable_r) in enumerate(cluster.rank_map(embed_bwd_rank)):
-            if dpos_r is not None:
-                if dpos_total is None:
-                    dpos_total = np.zeros_like(model.params["embed.positions"])
-                np.add.at(dpos_total, positions[r], dpos_r)
-            dtable_total = dtable_total + dtable_r
-        grads["embed.table"] = dtable_total
-        if dpos_total is not None:
-            grads["embed.positions"] = dpos_total
-        return loss, grads
-
-    # ------------------------------------------------------------------
-
-    def forward_hidden(self, tokens: np.ndarray) -> np.ndarray:
-        """Global-order final-norm hidden states (diagnostics/tests)."""
-        model, cfg, cluster = self.model, self.model.config, self.cluster
-        layout = self._layout(tokens.shape[1])
-        world = cluster.world_size
-        token_shards = shard_sequence(tokens, layout)
-        positions = [layout.shard_indices(r) for r in range(world)]
-        def embed_rank(r):
-            x, _ = embedding_forward(token_shards[r], model.params["embed.table"])
-            if not cfg.uses_rope:
-                x = x + model.params["embed.positions"][positions[r]][None, :, :]
-            return x
-
-        x_shards = cluster.rank_map(embed_rank)
-        for block in model.blocks:
-            x_shards, ctx = fpdt_block_forward(
-                cluster, block.params, cfg, layout, x_shards,
-                offload=self.offload, ffn_chunk_factor=self.ffn_chunk_factor,
-                prefetch_depth=self.prefetch_depth,
-            )
-            ctx.attn_ctx.release()
-        def norm_rank(r):
-            if cfg.arch == "gpt":
-                normed, _ = layernorm_forward(
-                    x_shards[r],
-                    model.params["final_norm.gamma"],
-                    model.params["final_norm.beta"],
-                )
-            else:
-                normed, _ = rmsnorm_forward(x_shards[r], model.params["final_norm.gamma"])
-            return normed
-
-        outs = cluster.rank_map(norm_rank)
-        return unshard_sequence(outs, layout)
+    def block_backward(self, block, ctx, dy_shards):
+        """The FPDT nested-loop block backward."""
+        return fpdt_block_backward(self.cluster, block.config, ctx, dy_shards)

@@ -33,6 +33,7 @@ from repro.models.loss import (
     softmax_cross_entropy_forward,
 )
 from repro.models.transformer import GPTModel, TransformerBlock
+from repro.models.runner import ShardedModelRunner
 
 __all__ = [
     "ModelConfig",
@@ -57,4 +58,5 @@ __all__ = [
     "chunked_lm_head_backward",
     "GPTModel",
     "TransformerBlock",
+    "ShardedModelRunner",
 ]

@@ -66,6 +66,29 @@ def accumulate_grads(into: Grads, new: Grads) -> None:
             into[key] = np.array(val, copy=True)
 
 
+def norm_forward(
+    params: Params, cfg: ModelConfig, x: np.ndarray, which: str
+) -> tuple[np.ndarray, dict]:
+    """The norm named ``which`` (``ln1``, ``ln2``, ``final_norm``):
+    LayerNorm for GPT, RMSNorm for Llama."""
+    if cfg.arch == "gpt":
+        return layernorm_forward(x, params[f"{which}.gamma"], params[f"{which}.beta"])
+    return rmsnorm_forward(x, params[f"{which}.gamma"])
+
+
+def norm_backward(
+    cfg: ModelConfig, dy: np.ndarray, cache: dict, which: str
+) -> tuple[np.ndarray, tuple[tuple[str, np.ndarray], ...]]:
+    """Adjoint of :func:`norm_forward`: returns ``(dx, contributions)``,
+    the parameter gradients as ``(key, value)`` pairs in accumulation
+    order (``gamma`` before ``beta``)."""
+    if cfg.arch == "gpt":
+        dx, dg, db = layernorm_backward(dy, cache)
+        return dx, ((f"{which}.gamma", dg), (f"{which}.beta", db))
+    dx, dg = rmsnorm_backward(dy, cache)
+    return dx, ((f"{which}.gamma", dg),)
+
+
 # ----------------------------------------------------------------------
 # Phase 1: norm + QKV projection (+ RoPE, + GQA expansion)
 # ----------------------------------------------------------------------
@@ -92,11 +115,7 @@ def attn_qkv_forward(
     """:func:`attn_pre_forward` without the GQA expansion: ``kh``/``vh``
     keep ``cfg.num_kv_heads`` heads (the post-RoPE rows a KV cache
     stores)."""
-    gpt = cfg.arch == "gpt"
-    if gpt:
-        normed, norm_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
-    else:
-        normed, norm_cache = rmsnorm_forward(x, params["ln1.gamma"])
+    normed, norm_cache = norm_forward(params, cfg, x, "ln1")
     q, q_cache = linear_forward(normed, params["attn.wq"], params.get("attn.bq"))
     k, k_cache = linear_forward(normed, params["attn.wk"], params.get("attn.bk"))
     v, v_cache = linear_forward(normed, params["attn.wv"], params.get("attn.bv"))
@@ -110,7 +129,7 @@ def attn_qkv_forward(
         kh = rope_forward(kh, rope_cache)
     cache = {
         "norm": norm_cache, "q": q_cache, "k": k_cache, "v": v_cache,
-        "rope": rope_cache, "gpt": gpt,
+        "rope": rope_cache,
     }
     return qh, kh, vh, cache
 
@@ -158,11 +177,8 @@ def attn_pre_backward(
     dn_v, grads["attn.wv"], dbv = linear_backward(dv, cache["v"])
     if dbq is not None:
         grads["attn.bq"], grads["attn.bk"], grads["attn.bv"] = dbq, dbk, dbv
-    dnormed = dn_q + dn_k + dn_v
-    if cache["gpt"]:
-        dx, grads["ln1.gamma"], grads["ln1.beta"] = layernorm_backward(dnormed, cache["norm"])
-    else:
-        dx, grads["ln1.gamma"] = rmsnorm_backward(dnormed, cache["norm"])
+    dx, contribs = norm_backward(cfg, dn_q + dn_k + dn_v, cache["norm"], "ln1")
+    grads.update(contribs)
     return dx, grads
 
 
@@ -217,23 +233,20 @@ def ffn_forward(
     ``y_out`` is an optional preallocated destination for the result; it
     is fully overwritten and must not alias ``x``.
     """
+    normed, norm_cache = norm_forward(params, cfg, x, "ln2")
     if cfg.arch == "gpt":
-        normed, norm_cache = layernorm_forward(x, params["ln2.gamma"], params["ln2.beta"])
         h1, c1 = linear_forward(normed, params["ffn.w1"], params["ffn.b1"])
         act, act_cache = gelu_forward(h1)
         out, c2 = linear_forward(act, params["ffn.w2"], params["ffn.b2"], out=y_out)
-        cache = {"norm": norm_cache, "c1": c1, "act": act_cache, "c2": c2, "gpt": True}
+        cache = {"c1": c1, "act": act_cache, "c2": c2}
     else:
-        normed, norm_cache = rmsnorm_forward(x, params["ln2.gamma"])
         gate, cg = linear_forward(normed, params["ffn.w_gate"])
         up, cu = linear_forward(normed, params["ffn.w_up"])
         sgate, act_cache = silu_forward(gate)
         prod = sgate * up
         out, cd = linear_forward(prod, params["ffn.w_down"], out=y_out)
-        cache = {
-            "norm": norm_cache, "cg": cg, "cu": cu, "act": act_cache,
-            "sgate": sgate, "up": up, "cd": cd, "gpt": False,
-        }
+        cache = {"cg": cg, "cu": cu, "act": act_cache, "sgate": sgate, "up": up, "cd": cd}
+    cache["norm"], cache["cfg"] = norm_cache, cfg
     if y_out is None:
         return x + out, cache
     out += x
@@ -243,13 +256,11 @@ def ffn_forward(
 def ffn_backward(dy: np.ndarray, cache: dict) -> tuple[np.ndarray, Grads]:
     """Returns ``(dx, grads)`` with the residual already folded in."""
     grads: Grads = {}
-    if cache["gpt"]:
+    cfg = cache["cfg"]
+    if cfg.arch == "gpt":
         dact, grads["ffn.w2"], grads["ffn.b2"] = linear_backward(dy, cache["c2"])
         dh1 = gelu_backward(dact, cache["act"])
         dnormed, grads["ffn.w1"], grads["ffn.b1"] = linear_backward(dh1, cache["c1"])
-        dx_norm, grads["ln2.gamma"], grads["ln2.beta"] = layernorm_backward(
-            dnormed, cache["norm"]
-        )
     else:
         dprod, grads["ffn.w_down"], _ = linear_backward(dy, cache["cd"])
         dsgate = dprod * cache["up"]
@@ -258,5 +269,6 @@ def ffn_backward(dy: np.ndarray, cache: dict) -> tuple[np.ndarray, Grads]:
         dn_g, grads["ffn.w_gate"], _ = linear_backward(dgate, cache["cg"])
         dn_u, grads["ffn.w_up"], _ = linear_backward(dup, cache["cu"])
         dnormed = dn_g + dn_u
-        dx_norm, grads["ln2.gamma"] = rmsnorm_backward(dnormed, cache["norm"])
+    dx_norm, contribs = norm_backward(cfg, dnormed, cache["norm"], "ln2")
+    grads.update(contribs)
     return dy + dx_norm, grads

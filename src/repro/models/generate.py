@@ -43,8 +43,12 @@ from repro.models.attention import (
     grouped_scores,
     online_block_update,
 )
-from repro.models.block_ops import attn_post_forward, attn_qkv_forward, ffn_forward
-from repro.models.layers import layernorm_forward, rmsnorm_forward
+from repro.models.block_ops import (
+    attn_post_forward,
+    attn_qkv_forward,
+    ffn_forward,
+    norm_forward,
+)
 from repro.models.transformer import GPTModel
 
 #: Query rows, and the key tile for a full query tile, of one
@@ -204,12 +208,7 @@ def forward_cached(
         o = rows[0] if len(rows) == 1 else np.concatenate(rows)
         mid, _ = attn_post_forward(block.params, x, o)
         x, _ = ffn_forward(block.params, cfg, mid)
-    if cfg.arch == "gpt":
-        normed, _ = layernorm_forward(
-            x, model.params["final_norm.gamma"], model.params["final_norm.beta"]
-        )
-    else:
-        normed, _ = rmsnorm_forward(x, model.params["final_norm.gamma"])
+    normed, _ = norm_forward(model.params, cfg, x, "final_norm")
     return (normed[:, -1:] @ model.params["embed.table"].T)[:, 0]
 
 

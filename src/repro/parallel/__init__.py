@@ -31,7 +31,6 @@ from repro.parallel.zero import FlatParamSpace, ZeroAdam, zero_model_state_bytes
 from repro.parallel.zero3_params import Zero3ParamStore, gathered_params
 from repro.parallel.grad_reduce import bucketed_grad_allreduce, fused_grad_allreduce
 from repro.parallel.megatron_model import MegatronModelRunner
-from repro.parallel.model_runner import ContiguousShardRunner
 from repro.parallel.usp import (
     RingModelRunner,
     UlyssesModelRunner,
@@ -44,7 +43,6 @@ from repro.parallel.usp import (
 )
 
 __all__ = [
-    "ContiguousShardRunner",
     "DeviceMesh",
     "ProcessGroup",
     "world_group",

@@ -3,21 +3,21 @@
 Completes the baseline set at model level: contiguous sequence shards,
 per-layer all-gather + tensor-parallel compute + reduce-scatter via
 :mod:`repro.parallel.megatron_sp`.  The shared frame lives in
-:class:`repro.parallel.model_runner.ContiguousShardRunner`; this class
-supplies only the Megatron block pair (whose backward also needs the
+:class:`repro.models.runner.ShardedModelRunner`; this class supplies
+only the Megatron block pair (whose backward also needs the
 parameters for the transposed GEMMs).
 """
 
 from __future__ import annotations
 
+from repro.models.runner import ShardedModelRunner
 from repro.parallel.megatron_sp import (
     megatron_block_backward,
     megatron_block_forward,
 )
-from repro.parallel.model_runner import ContiguousShardRunner
 
 
-class MegatronModelRunner(ContiguousShardRunner):
+class MegatronModelRunner(ShardedModelRunner):
     """Training steps of a model under Megatron-SP tensor + sequence
     parallelism on a virtual cluster."""
 

@@ -29,15 +29,12 @@ from repro.models.attention import (
     online_attention_backward,
     online_attention_forward,
 )
+from repro.models.block_ops import norm_backward, norm_forward
 from repro.models.config import ModelConfig
 from repro.models.layers import (
     gelu_backward,
     gelu_forward,
-    layernorm_backward,
-    layernorm_forward,
     make_rope_cache,
-    rmsnorm_backward,
-    rmsnorm_forward,
     rope_backward,
     rope_forward,
     silu_backward,
@@ -113,23 +110,6 @@ class MegatronBlockContext:
     mid_shards: list[np.ndarray]
 
 
-def _norm_fwd(params, cfg, x, which):
-    if cfg.arch == "gpt":
-        return layernorm_forward(x, params[f"{which}.gamma"], params[f"{which}.beta"])
-    return rmsnorm_forward(x, params[f"{which}.gamma"])
-
-
-def _norm_bwd(cfg, dy, cache, which):
-    """Pure norm backward: returns ``(dx, contributions)`` where the
-    contributions are ``(key, value)`` pairs in accumulation order — the
-    caller folds them with :func:`_acc` at the fork-join."""
-    if cfg.arch == "gpt":
-        dx, dg, db = layernorm_backward(dy, cache)
-        return dx, ((f"{which}.gamma", dg), (f"{which}.beta", db))
-    dx, dg = rmsnorm_backward(dy, cache)
-    return dx, ((f"{which}.gamma", dg),)
-
-
 def _acc(grads: dict, key: str, val: np.ndarray) -> None:
     grads[key] = grads.get(key, 0) + val
 
@@ -150,7 +130,7 @@ def megatron_block_forward(
     gpt = cfg.arch == "gpt"
 
     # --- attention sub-layer ---
-    norm1 = cluster.rank_map(lambda r: _norm_fwd(params, cfg, x_shards[r], "ln1"))
+    norm1 = cluster.rank_map(lambda r: norm_forward(params, cfg, x_shards[r], "ln1"))
     normed_shards = [n for n, _ in norm1]
     norm1_caches = [c for _, c in norm1]
     normed_dev = as_device_tensors(cluster, normed_shards, ACT_DTYPE, "mp.normed")
@@ -203,7 +183,7 @@ def megatron_block_forward(
     mid_shards = cluster.rank_map(residual_rank)
 
     # --- FFN sub-layer ---
-    norm2 = cluster.rank_map(lambda r: _norm_fwd(params, cfg, mid_shards[r], "ln2"))
+    norm2 = cluster.rank_map(lambda r: norm_forward(params, cfg, mid_shards[r], "ln2"))
     normed2_shards = [n for n, _ in norm2]
     norm2_caches = [c for _, c in norm2]
     normed2_dev = as_device_tensors(cluster, normed2_shards, ACT_DTYPE, "mp.normed2")
@@ -323,7 +303,7 @@ def megatron_block_backward(
     dnormed2_shards = free_all(reduce_scatter(cluster, dn2_dev, axis=1, tag="mp.dnormed2"))
 
     def dmid_rank(rank):
-        dmid, contribs = _norm_bwd(cfg, dnormed2_shards[rank], ctx.norm2_caches[rank], "ln2")
+        dmid, contribs = norm_backward(cfg, dnormed2_shards[rank], ctx.norm2_caches[rank], "ln2")
         return dmid + dy_shards[rank], contribs  # FFN residual
 
     dmid_shards = []
@@ -399,7 +379,7 @@ def megatron_block_backward(
     dnormed_shards = free_all(reduce_scatter(cluster, dn_dev, axis=1, tag="mp.dnormed"))
 
     def dx_rank(rank):
-        dx, contribs = _norm_bwd(cfg, dnormed_shards[rank], ctx.norm1_caches[rank], "ln1")
+        dx, contribs = norm_backward(cfg, dnormed_shards[rank], ctx.norm1_caches[rank], "ln1")
         return dx + dmid_shards[rank], contribs  # attention residual
 
     dx_shards = []

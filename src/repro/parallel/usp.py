@@ -76,8 +76,8 @@ from repro.models.block_ops import (
 )
 from repro.models.config import ModelConfig
 from repro.models.layers import repeat_kv
+from repro.models.runner import ShardedModelRunner
 from repro.parallel.mesh import DeviceMesh, ProcessGroup
-from repro.parallel.model_runner import ContiguousShardRunner
 from repro.runtime.collectives import all_to_all, ring_shift
 from repro.runtime.device import VirtualCluster, as_device_tensors, free_all
 from repro.runtime.tensor import DeviceTensor
@@ -464,7 +464,7 @@ def usp_block_backward(
     return dx_shards, grads
 
 
-class USPModelRunner(ContiguousShardRunner):
+class USPModelRunner(ShardedModelRunner):
     """Training steps under 2D ``seq_parallel=(ulysses, ring)``.
 
     ``seq_parallel=(world, 1)`` is flat Ulysses and ``(1, world)`` flat

@@ -4,6 +4,9 @@ subpackage imports cleanly (catches broken __init__ exports early)."""
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,20 @@ class TestImports:
     @pytest.mark.parametrize("module_name", _walk_modules())
     def test_module_imports(self, module_name):
         importlib.import_module(module_name)
+
+    @pytest.mark.parametrize("package", [
+        "repro.models", "repro.core", "repro.parallel", "repro.training",
+        "repro.serving",
+    ])
+    def test_package_imports_first_in_a_fresh_interpreter(self, package):
+        """Each package imports on its own: an import cycle shows only
+        when its package is the first one a process imports."""
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", f"import {package}"],
+            cwd=src, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_all_exports_resolve(self):
         """Every name in a package's __all__ actually exists."""

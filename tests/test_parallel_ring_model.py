@@ -1,4 +1,4 @@
-"""Model-level Ring Attention runner (via the shared contiguous-shard
+"""Model-level Ring Attention runner (via the shared sharded-model
 frame) and four-way cross-runner agreement."""
 
 import numpy as np
@@ -83,10 +83,10 @@ class TestFourWayAgreement:
                 )
 
     def test_base_class_hooks_are_abstract(self):
-        from repro.parallel import ContiguousShardRunner
+        from repro.models import ShardedModelRunner
 
         cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=1)
-        runner = ContiguousShardRunner(GPTModel(cfg), VirtualCluster(2))
+        runner = ShardedModelRunner(GPTModel(cfg), VirtualCluster(2))
         tokens, labels = _data(cfg, seed=5, s=16)
         with pytest.raises(NotImplementedError):
             runner.forward_backward(tokens, labels)

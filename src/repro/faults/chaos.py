@@ -156,11 +156,11 @@ def chaos_run(
             from repro.obs import FlightRecorder, SpanTracer
 
             tracer = SpanTracer()
-            recorder = FlightRecorder().attach(tracer)
+            recorder = FlightRecorder().attach(tracer, logger)
             recorder.arm(flight_recorder_path)
         trainer = Trainer(
             model, corpus, runner=runner, lr=5e-3, grad_clip=1.0,
-            telemetry=logger, tracer=tracer, flight_recorder=recorder,
+            telemetry=logger, tracer=tracer,
         )
         crashed_losses: list[float] = []
         resumed_from: int | None = None

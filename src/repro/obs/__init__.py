@@ -7,6 +7,11 @@ dumps with open spans), and *is the fleet meeting its objectives* (SLO
 evaluation lives in :mod:`repro.telemetry.monitors`, fed by the same
 registry histograms).
 
+The tracer's completed-span log is the only store of spans: the flight
+recorder, the span trees and the Perfetto export are views of it (and
+of the run logger's step records, for the recorder).  ``repro.obs``
+does not import :mod:`repro.telemetry`.
+
 Everything is bitwise-invisible to the systems it observes — see
 :mod:`repro.obs.span` for the contract.
 """

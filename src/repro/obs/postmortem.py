@@ -168,7 +168,7 @@ def render_spans(
 
 def render_postmortem(doc: dict) -> str:
     """Render a flight-recorder dump (``repro obs postmortem``): crash
-    cause, in-flight span trees at the moment of death, ring stats, and
+    cause, in-flight span trees at the moment of death, span-tail stats, and
     the last step records."""
     lines: list[str] = []
     lines.append(f"flight recorder — reason: {doc.get('reason', '?')}")
@@ -178,7 +178,7 @@ def render_postmortem(doc: dict) -> str:
     if doc.get("tick") is not None:
         lines.append(f"logical clock at dump: {_num(doc['tick'])}")
     lines.append(
-        f"ring: {len(doc.get('spans', []))} spans retained "
+        f"tail: {len(doc.get('spans', []))} spans retained "
         f"(capacity {doc.get('capacity', '?')}, "
         f"high watermark {doc.get('high_watermark', '?')}, "
         f"dropped {doc.get('dropped_spans', 0)})"
@@ -188,7 +188,7 @@ def render_postmortem(doc: dict) -> str:
     if in_flight:
         # In-flight spans form (possibly partial) trees on their own;
         # missing ancestors were never opened-and-lost, they are simply
-        # already completed into the ring — show those flat.
+        # already completed into the span log — show those flat.
         forests = build_trees(in_flight)
         rendered = set()
         for tid in sorted(forests):

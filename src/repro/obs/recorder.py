@@ -1,20 +1,22 @@
-"""Crash flight recorder: bounded span/step rings dumped on failure.
+"""Crash flight recorder: a tail view of the span and run logs, dumped
+on failure.
 
 Production long-context runs die mid-step — an injected crash in the
 chaos gate, a permanent link failure after the retry budget, an SLO
 monitor tripping on a saturated replay.  The run log tells you *that*
 the run died; the flight recorder tells you *what was in flight*: the
-last N completed spans, the last M step records, and — the part no
-other artifact has — the spans still open at the moment of death (the
+last completed spans, the last step records, and — the part no other
+artifact has — the spans still open at the moment of death (the
 crashing train step, the prefill chunk whose d2h transfer never
 finished).
 
-The recorder is a :class:`~repro.telemetry.monitors.HealthMonitor`
-(step records arrive through the normal monitor path) that also
-subscribes to a :class:`~repro.obs.span.SpanTracer`'s completion and
-error listeners.  It keeps bounded ``deque`` rings — memory stays
-constant over million-span replays — and tracks a high-watermark so
-telemetry can report how full the ring ran.
+The recorder stores nothing of its own.  The
+:class:`~repro.obs.span.SpanTracer`'s completed-span log and the
+:class:`~repro.telemetry.runlog.RunLogger`'s step records are the only
+stores; a dump reads their newest :data:`SPAN_TAIL` / :data:`STEP_TAIL`
+entries, and the open-span registry, at the moment it is written.  The
+recorder subscribes only to the tracer's error listeners, which arm the
+crash dump.
 
 Dumps are atomic (temp file + ``os.replace``): a dump interrupted by
 the process dying never leaves a torn JSON for ``repro obs
@@ -24,56 +26,41 @@ postmortem`` to choke on.
 from __future__ import annotations
 
 import traceback
-from collections import deque
 from pathlib import Path
 
 from repro.common.errors import InjectedCrash, PermanentFaultError
 from repro.obs.span import Span, SpanTracer, atomic_write_json
-from repro.telemetry.monitors import HealthAlert, HealthMonitor
 
 #: Exceptions that trigger an armed dump from inside a failing span.
 DEFAULT_DUMP_EXCEPTIONS = (InjectedCrash, PermanentFaultError)
 
+#: Newest completed spans a dump carries.
+SPAN_TAIL = 512
+#: Newest step records a dump carries.
+STEP_TAIL = 64
 
-class FlightRecorder(HealthMonitor):
-    """Bounded ring of recent spans + step records with crash dumps.
 
-    Parameters
-    ----------
-    capacity:
-        Completed spans retained (oldest evicted first).
-    step_capacity:
-        Step records retained.
-    """
+class FlightRecorder:
+    """Crash dumps of the newest spans and step records."""
 
-    name = "flight_recorder"
-
-    def __init__(self, *, capacity: int = 512, step_capacity: int = 64):
-        super().__init__()
-        if capacity < 1 or step_capacity < 1:
-            raise ValueError("recorder capacities must be >= 1")
-        self.capacity = capacity
-        self.step_capacity = step_capacity
-        self._spans: deque[Span] = deque(maxlen=capacity)
-        self._steps: deque[dict] = deque(maxlen=step_capacity)
-        #: Most spans simultaneously resident in the ring.
-        self.high_watermark = 0
-        #: Spans evicted from the ring (total seen - capacity retained).
-        self.dropped_spans = 0
+    def __init__(self) -> None:
         #: Path of the last dump written, if any.
         self.dumped: Path | None = None
         self._tracer: SpanTracer | None = None
+        self._logger = None
         self._armed_path: Path | None = None
         self._dump_exceptions: tuple = DEFAULT_DUMP_EXCEPTIONS
 
     # -- wiring -------------------------------------------------------------
 
-    def attach(self, tracer: SpanTracer) -> "FlightRecorder":
-        """Subscribe to ``tracer``: completed spans feed the ring, and
-        span-scoped exceptions (while the failing span is still open)
-        trigger an armed dump."""
+    def attach(self, tracer: SpanTracer, logger=None) -> "FlightRecorder":
+        """Read spans from ``tracer`` and step records from ``logger``
+        (a :class:`~repro.telemetry.runlog.RunLogger`, optional), and
+        subscribe to the tracer's error listeners so span-scoped
+        exceptions (while the failing span is still open) trigger an
+        armed dump."""
         self._tracer = tracer
-        tracer.listeners.append(self.observe_span)
+        self._logger = logger
         tracer.error_listeners.append(self.on_error)
         return self
 
@@ -89,21 +76,6 @@ class FlightRecorder(HealthMonitor):
     def armed(self) -> bool:
         """Whether a crash-dump path has been armed."""
         return self._armed_path is not None
-
-    # -- feeds --------------------------------------------------------------
-
-    def observe_span(self, span: Span) -> None:
-        """Ring-buffer one completed span."""
-        if len(self._spans) == self._spans.maxlen:
-            self.dropped_spans += 1
-        self._spans.append(span)
-        self.high_watermark = max(self.high_watermark, len(self._spans))
-
-    def observe_step(self, record) -> list[HealthAlert]:
-        """Monitor hook: ring-buffer the step record (as its run-log
-        row).  Never alerts — the recorder observes, others judge."""
-        self._steps.append(record.to_record())
-        return []
 
     def on_error(self, span: Span, exc: BaseException) -> None:
         """Error-listener hook, called *before* the failing span closes
@@ -130,30 +102,35 @@ class FlightRecorder(HealthMonitor):
     ) -> Path:
         """Atomically write the flight-recorder document.
 
-        The document is self-contained: ring contents, in-flight spans
-        (from the attached tracer), the triggering exception, and ring
-        statistics — everything ``repro obs postmortem`` needs.
+        The document is self-contained: the span and step tails,
+        in-flight spans, the triggering exception, and how much of the
+        span log the tail kept — everything ``repro obs postmortem``
+        needs.
         """
         if path is None:
             path = self._armed_path
         if path is None:
             raise ValueError("no dump path: pass one or arm() the recorder")
-        in_flight = (
-            [s.to_dict() for s in self._tracer.open_spans()]
-            if self._tracer is not None
-            else []
-        )
+        tracer = self._tracer
+        spans = tracer.spans if tracer is not None else []
+        total = len(spans)
+        kept = spans[max(0, total - SPAN_TAIL):total]
+        steps = self._logger.steps[-STEP_TAIL:] if self._logger is not None else []
         doc = {
             "record": "flight_recorder",
             "reason": reason,
             "exception": None,
-            "tick": self._tracer.tick if self._tracer is not None else None,
-            "capacity": self.capacity,
-            "high_watermark": self.high_watermark,
-            "dropped_spans": self.dropped_spans,
-            "in_flight": in_flight,
-            "spans": [s.to_dict() for s in self._spans],
-            "step_records": list(self._steps),
+            "tick": tracer.tick if tracer is not None else None,
+            "capacity": SPAN_TAIL,
+            "high_watermark": len(kept),
+            "dropped_spans": total - len(kept),
+            "in_flight": (
+                [s.to_dict() for s in tracer.open_spans()]
+                if tracer is not None
+                else []
+            ),
+            "spans": [s.to_dict() for s in kept],
+            "step_records": [r.to_record() for r in steps],
         }
         if exc is not None:
             doc["exception"] = {
@@ -165,16 +142,3 @@ class FlightRecorder(HealthMonitor):
             }
         self.dumped = atomic_write_json(path, doc)
         return self.dumped
-
-    # -- readback -----------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Ring statistics for telemetry (`flight_recorder_*` fields)."""
-        return {
-            "capacity": self.capacity,
-            "resident_spans": len(self._spans),
-            "high_watermark": self.high_watermark,
-            "dropped_spans": self.dropped_spans,
-            "step_records": len(self._steps),
-            "dumped": str(self.dumped) if self.dumped else None,
-        }

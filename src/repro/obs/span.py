@@ -147,12 +147,8 @@ class SpanTracer:
     def __init__(self) -> None:
         #: Completed spans in seq order (append-only).
         self.spans: list[Span] = []
-        #: Completed-span count — the ``spans_emitted_total`` counter.
-        self.emitted = 0
         #: Logical clock stamped onto span start/end by default.
         self.tick: float = 0
-        #: Called with each completed span (the flight recorder).
-        self.listeners: list[Callable[[Span], None]] = []
         #: Called with ``(span, exc)`` while the failing span and its
         #: ancestors are still open — the crash-dump window.
         self.error_listeners: list[Callable[[Span, BaseException], None]] = []
@@ -229,11 +225,8 @@ class SpanTracer:
         with self._lock:
             self._open.pop(id(span), None)
             self._ambient = [s for s in self._ambient if s is not span]
-            self.emitted += 1
             span.seq = next(self._seq)
             self.spans.append(span)
-        for listener in list(self.listeners):
-            listener(span)
         return span
 
     @contextmanager

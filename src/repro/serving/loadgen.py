@@ -30,6 +30,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.models.generate import generate
 from repro.models.transformer import GPTModel
+from repro.obs.postmortem import orphan_spans
 from repro.runtime.device import VirtualCluster
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.request import Request
@@ -211,16 +212,6 @@ def _percentile(stats: dict, key: str) -> float:
     return 0.0 if math.isnan(value) else value
 
 
-def _count_orphans(spans) -> int:
-    """Spans whose parent is absent from their trace — must be zero."""
-    present = {(s.trace_id, s.span_id) for s in spans}
-    return sum(
-        1
-        for s in spans
-        if s.parent_id is not None and (s.trace_id, s.parent_id) not in present
-    )
-
-
 def run_load(
     model: GPTModel,
     requests: list[Request],
@@ -326,8 +317,8 @@ def run_load(
     spans_emitted = 0
     orphans = 0
     if tracer is not None:
-        spans_emitted = tracer.emitted
-        orphans = _count_orphans(tracer.spans)
+        spans_emitted = len(tracer.spans)
+        orphans = len(orphan_spans(tracer.to_dicts()))
         registry.gauge(
             "spans_emitted_total", "completed causal spans"
         ).set(spans_emitted)

@@ -1,7 +1,8 @@
 """Live telemetry: per-step metrics, run logs, health monitors, gate.
 
 The observability pillar (see docs/INTERNALS.md, "Telemetry & health
-monitors").  Data flows registry → sinks → monitors → gate::
+monitors").  Data flows trainer → run logger (registry, monitors,
+sinks) → gate::
 
     from repro.telemetry import (
         RunLogger, JSONLSink, MemoryWatermarkMonitor, DesyncMonitor,

@@ -14,10 +14,10 @@ monitors need:
 
 A :class:`MetricsRegistry` hands out instruments by name (get-or-create,
 so call sites never coordinate), snapshots the whole set as a flat dict,
-and renders Prometheus text exposition.  Sinks (JSONL / CSV / Prometheus
-file, :mod:`repro.telemetry.sinks`) attach to the registry and receive a
-``{"record": "metrics", ...}`` row on every :meth:`MetricsRegistry
-.flush`.
+and renders Prometheus text exposition.  The registry emits nothing
+itself: the :class:`~repro.telemetry.runlog.RunLogger` is the only
+emitter, and a :class:`~repro.telemetry.sinks.PrometheusTextSink` renders
+the registry's current state whenever the logger emits a record.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class _TimerContext:
 
 
 class MetricsRegistry:
-    """Named instruments plus pluggable sinks.
+    """Named instruments.
 
     ``counter``/``gauge``/``histogram``/``timer`` are get-or-create:
     asking twice for the same name returns the same instrument, and
@@ -189,7 +189,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self.sinks: list = []
 
     def _get(self, cls, name: str, help: str, **kwargs):
         name = sanitize_metric_name(name)
@@ -227,20 +226,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict[str, float | dict[str, float]]:
         """Flat ``{name: value}`` (histograms/timers nest their summary
-        dict) — the payload sinks receive on :meth:`flush`."""
+        dict)."""
         return {name: self._metrics[name].sample() for name in self.names()}
-
-    def register_sink(self, sink) -> None:
-        """Attach a sink (any object with ``emit(record)``/``close()``)."""
-        self.sinks.append(sink)
-
-    def flush(self, step: int | None = None) -> dict:
-        """Push the current snapshot to every sink as a
-        ``{"record": "metrics"}`` row; returns the emitted record."""
-        record = {"record": "metrics", "step": step, "metrics": self.snapshot()}
-        for sink in self.sinks:
-            sink.emit(record)
-        return record
 
     def prometheus_text(self) -> str:
         """Prometheus text exposition of the current state.

@@ -6,16 +6,21 @@ One training run produces a JSONL stream of records:
   pre-clip grad norm, tokens, per-rank HBM live/peak bytes, host pool
   bytes, and the step's collective/H2D/D2H byte deltas from the trace;
 * ``{"record": "alert", ...}`` — a health monitor fired;
-* ``{"record": "metrics", ...}`` — a registry snapshot (optional);
 * ``{"record": "run_summary", ...}`` — one final roll-up: final loss,
   peak HBM, total wire bytes, simulated MFU and tokens/sec when a
   profile was attached.  This is the row ``repro metrics diff`` gates
   on.
 
-:class:`RunLogger` is the hub: the :class:`~repro.training.trainer
-.Trainer` hands it step records, it updates the shared
+:class:`RunLogger` is the hub and the only emitter: the
+:class:`~repro.training.trainer.Trainer` hands it step records, it keeps
+them (:attr:`RunLogger.steps` is the one store of them — the flight
+recorder reads its tail), updates the shared
 :class:`~repro.telemetry.metrics.MetricsRegistry`, feeds the health
 monitors, forwards everything to the sinks, and computes the summary.
+
+The cumulative snapshot counters are named once, in :data:`SNAPSHOTS`:
+each is a :class:`StepRecord` field, a registry gauge of the same name,
+and — from the last step — a ``run_summary`` key.
 """
 
 from __future__ import annotations
@@ -76,13 +81,9 @@ class StepRecord:
     fault_count: int = 0
     retry_count: int = 0
     retry_backoff_s: float = 0.0
-    # Observability counters (repro.obs): completed causal spans,
-    # SLO-objective violations, and the flight-recorder ring's fullest
-    # moment.  Cumulative snapshots like the arena counters, and
-    # report-only in the metrics gate.
+    # Completed causal spans (repro.obs).  A cumulative snapshot like
+    # the arena counters, and report-only in the metrics gate.
     spans_emitted_total: int = 0
-    slo_violations_total: int = 0
-    flight_recorder_high_watermark: int = 0
     param_checksums: dict[int, float] = field(default_factory=dict)
 
     def to_record(self) -> dict:
@@ -92,6 +93,21 @@ class StepRecord:
             str(r): c for r, c in self.param_checksums.items()
         }
         return {"record": "step", **payload}
+
+
+#: Process-wide snapshot fields of :class:`StepRecord` (not per-step
+#: deltas), by name with their gauge help.  Each is a registry gauge set
+#: every step; the last step's value goes into the ``run_summary``,
+#: report-only in ``repro metrics diff`` until a baseline records it.
+SNAPSHOTS = {
+    "arena_hits": "buffer-arena rent hits (cumulative)",
+    "arena_misses": "buffer-arena rent misses (cumulative)",
+    "arena_reused_bytes": "bytes served from recycled arena buffers",
+    "executor_workers": "rank-executor thread-pool size",
+    "executor_fork_joins": "parallel fork-join sections run (cumulative)",
+    "executor_busy_fraction": "rank-executor busy/(wall*workers)",
+    "spans_emitted_total": "completed causal spans",
+}
 
 
 class RunLogger:
@@ -125,18 +141,13 @@ class RunLogger:
         self.steps: list[StepRecord] = []
         self.alerts: list[HealthAlert] = []
         self.summary: dict | None = None
-        self._profiles_seen: set[int] = set()
+        self._last_profile = None
 
     # ------------------------------------------------------------------
 
     def log_step(self, record: StepRecord) -> None:
         """Ingest one step: update the registry, run the monitors, and
         forward the step (plus any alerts it raised) to the sinks."""
-        for monitor in self.monitors:
-            # The SLO monitor's running violation count rides on every
-            # step record so the run log always carries the latest.
-            if getattr(monitor, "name", "") == "slo":
-                record.slo_violations_total = monitor.violations
         self.steps.append(record)
         self._update_registry(record)
         self._emit(record.to_record())
@@ -149,10 +160,13 @@ class RunLogger:
         """Feed the end-of-run simulated-time profile to the monitors
         (straggler detection needs per-rank compute times).  Observing
         the same profile twice — e.g. once from ``train(profile=True)``
-        and again from :meth:`finish` — is a no-op the second time."""
-        if id(profile) in self._profiles_seen:
+        and again from :meth:`finish` — is a no-op the second time.
+        The profile object is kept and compared by identity: an ``id``
+        alone would be reused by a later profile once this one is
+        freed."""
+        if profile is self._last_profile:
             return
-        self._profiles_seen.add(id(profile))
+        self._last_profile = profile
         for monitor in self.monitors:
             for alert in monitor.observe_profile(profile):
                 self.alerts.append(alert)
@@ -204,29 +218,11 @@ class RunLogger:
             reg.gauge("mem_hbm_peak_bytes",
                       "max-over-ranks peak HBM bytes").set(max(rec.hbm_peak_bytes))
         reg.gauge("mem_host_live_bytes", "live host pool bytes").set(rec.host_live_bytes)
-        reg.gauge("arena_hits", "buffer-arena rent hits (cumulative)") \
-            .set(rec.arena_hits)
-        reg.gauge("arena_misses", "buffer-arena rent misses (cumulative)") \
-            .set(rec.arena_misses)
-        reg.gauge("arena_reused_bytes",
-                  "bytes served from recycled arena buffers").set(rec.arena_reused_bytes)
-        reg.gauge("executor_workers", "rank-executor thread-pool size") \
-            .set(rec.executor_workers)
-        reg.gauge("executor_fork_joins",
-                  "parallel fork-join sections run (cumulative)") \
-            .set(rec.executor_fork_joins)
-        reg.gauge("executor_busy_fraction",
-                  "rank-executor busy/(wall*workers)").set(rec.executor_busy_fraction)
+        for name, text in SNAPSHOTS.items():
+            reg.gauge(name, text).set(getattr(rec, name))
         reg.gauge("executor_backend",
                   "rank-executor backend (0=serial, 1=threads)") \
             .set({"serial": 0, "threads": 1}.get(rec.executor_backend, 0))
-        reg.gauge("spans_emitted_total",
-                  "completed causal spans").set(rec.spans_emitted_total)
-        reg.gauge("slo_violations_total",
-                  "SLO objectives found violated").set(rec.slo_violations_total)
-        reg.gauge("flight_recorder_high_watermark",
-                  "fullest the flight-recorder span ring has been") \
-            .set(rec.flight_recorder_high_watermark)
         if rec.fault_count:
             reg.counter("faults_injected_total",
                         "injected faults survived").inc(rec.fault_count)
@@ -267,22 +263,10 @@ class RunLogger:
             "retry_backoff_s": float(sum(r.retry_backoff_s for r in steps)),
         }
         if steps:
-            # Arena counters are cumulative, so the last step's snapshot
-            # is the run total.  Report-only in `repro metrics diff`
-            # until a baseline records them.
             last = steps[-1]
-            summary["arena_hits"] = last.arena_hits
-            summary["arena_misses"] = last.arena_misses
-            summary["arena_reused_bytes"] = last.arena_reused_bytes
-            summary["executor_workers"] = last.executor_workers
-            summary["executor_fork_joins"] = last.executor_fork_joins
-            summary["executor_busy_fraction"] = last.executor_busy_fraction
+            for name in SNAPSHOTS:
+                summary[name] = getattr(last, name)
             summary["executor_backend"] = last.executor_backend
-            summary["spans_emitted_total"] = last.spans_emitted_total
-            summary["slo_violations_total"] = last.slo_violations_total
-            summary["flight_recorder_high_watermark"] = (
-                last.flight_recorder_high_watermark
-            )
         if profile is not None:
             summary["sim_makespan_s"] = profile.makespan
             summary["sim_mfu"] = profile.rollup().mfu
@@ -301,7 +285,6 @@ class RunLog:
     path: Path
     steps: list[dict] = field(default_factory=list)
     alerts: list[dict] = field(default_factory=list)
-    metrics: list[dict] = field(default_factory=list)
     summary: dict | None = None
 
     @property
@@ -323,8 +306,6 @@ def read_run_log(path: str | Path) -> RunLog:
             log.steps.append(record)
         elif kind == "alert":
             log.alerts.append(record)
-        elif kind == "metrics":
-            log.metrics.append(record)
         elif kind == "run_summary":
             log.summary = record
     return log

@@ -1,16 +1,17 @@
-"""Telemetry sinks: where run records and metric snapshots land.
+"""Telemetry sinks: where run records land.
 
-Every sink consumes flat-ish dict *records* (``{"record": "step", ...}``
-rows from the run logger, ``{"record": "metrics", ...}`` snapshots from
-the registry) via ``emit`` and releases resources on ``close``.  The
+Every sink consumes flat-ish dict *records* (the ``step`` / ``alert`` /
+``run_summary`` rows of :class:`~repro.telemetry.runlog.RunLogger`, the
+only emitter) via ``emit`` and releases resources on ``close``.  The
 formats:
 
 * :class:`JSONLSink` — one JSON object per line, flushed per record, so
   a crashed run still leaves a readable log (the CI gate diffs these);
 * :class:`CSVSink` — flattened columns for spreadsheet people;
-* :class:`PrometheusTextSink` — rewrites a ``.prom`` text-exposition
-  file from a bound :class:`~repro.telemetry.metrics.MetricsRegistry`
-  on every emit (node-exporter textfile-collector style);
+* :class:`PrometheusTextSink` — ignores the record and rewrites a
+  ``.prom`` text-exposition file from a bound
+  :class:`~repro.telemetry.metrics.MetricsRegistry` on every emit
+  (node-exporter textfile-collector style);
 * :class:`MemorySink` — in-process list, for tests and experiments.
 """
 

@@ -96,7 +96,6 @@ class Trainer:
         start_step: int = 0,
         tokens_seen: int = 0,
         tracer=None,
-        flight_recorder=None,
     ):
         self.model = model
         self.corpus = corpus
@@ -108,7 +107,6 @@ class Trainer:
         # transfers, fault retries — attribute to the step that issued
         # them, and a crash dumps with the step span still in flight.
         self.tracer = tracer
-        self.flight_recorder = flight_recorder
         if tracer is not None and runner is not None:
             tracer.attach(runner.cluster.trace)
         self.lr_schedule = lr_schedule  # callable step -> lr, or None
@@ -238,12 +236,7 @@ class Trainer:
         checksum = checksum_params(self.model.all_params())
         record.param_checksums = {rank: checksum for rank in range(world)}
         if self.tracer is not None:
-            record.spans_emitted_total = self.tracer.emitted
-        if self.flight_recorder is not None:
-            record.flight_recorder_high_watermark = (
-                self.flight_recorder.high_watermark
-            )
-            self.flight_recorder.observe_step(record)
+            record.spans_emitted_total = len(self.tracer.spans)
         self.telemetry.log_step(record)
 
     def save(self, path) -> Path:

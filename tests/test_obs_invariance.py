@@ -108,7 +108,7 @@ def test_tracing_is_bitwise_invisible(name, workers):
     assert grads0 == grads1  # byte-for-byte
     assert sig0 == sig1  # trace events (ids included) + pool peaks
     # And tracing actually observed the run.
-    assert tracer.emitted == 1
+    assert len(tracer.spans) == 1
     assert tracer.spans[0].event_counts
 
 
@@ -135,7 +135,7 @@ def test_reference_model_training_unaffected_by_tracer():
     plain, _ = run(False)
     traced, tracer = run(True)
     assert plain == traced
-    assert tracer.emitted == 3
+    assert len(tracer.spans) == 3
     assert [s.trace_id for s in tracer.spans] == [
         "step-0", "step-1", "step-2"
     ]
@@ -167,5 +167,5 @@ def test_fpdt_offload_training_loop_invariant(workers):
     assert losses0 == losses1
     assert sig0 == sig1
     # Every step span attributed runtime events.
-    assert tracer.emitted == 3
+    assert len(tracer.spans) == 3
     assert all(s.event_counts for s in tracer.spans)

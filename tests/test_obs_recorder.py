@@ -1,13 +1,19 @@
-"""Flight recorder: bounded rings, armed crash dumps, postmortem
-rendering, and the chaos-gate integration (crash dump without touching
-the bitwise-recovery verdict)."""
+"""Flight recorder: tail views of the span and run logs, armed crash
+dumps, postmortem rendering, and the chaos-gate integration (crash dump
+without touching the bitwise-recovery verdict)."""
+
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.errors import InjectedCrash
 from repro.faults import FaultPlan, chaos_run
 from repro.obs import FlightRecorder, SpanTracer, load_dump, render_postmortem
-from repro.telemetry import StepRecord
+from repro.telemetry import RunLogger, StepRecord
 
 
 def _record(step, loss=1.0):
@@ -17,45 +23,64 @@ def _record(step, loss=1.0):
     )
 
 
-class TestRing:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
-        with pytest.raises(ValueError):
-            FlightRecorder(step_capacity=0)
+def _logger(*steps):
+    logger = RunLogger()
+    for step, loss in steps:
+        logger.log_step(_record(step, loss=loss))
+    return logger
 
-    def test_bounded_with_high_watermark_and_drops(self):
+
+class TestTail:
+    def test_span_tail_drops_oldest(self, tmp_path):
         tracer = SpanTracer()
-        rec = FlightRecorder(capacity=4, step_capacity=2).attach(tracer)
-        for i in range(10):
+        rec = FlightRecorder().attach(tracer)
+        for i in range(600):
             with tracer.span(f"s{i}", trace_id="x"):
                 pass
-        for i in range(5):
-            rec.observe_step(_record(i))
-        stats = rec.stats()
-        assert stats["resident_spans"] == 4
-        assert stats["high_watermark"] == 4
-        assert stats["dropped_spans"] == 6
-        assert stats["step_records"] == 2
-        # Unarmed: dump() without an explicit path must refuse.
-        assert not rec.armed
-        with pytest.raises(ValueError, match="no dump path"):
-            rec.dump()
+        log = list(tracer.spans)
+        doc = load_dump(rec.dump(tmp_path / "dump.json"))
+        assert [s["name"] for s in doc["spans"]] == [
+            f"s{i}" for i in range(88, 600)
+        ]
+        assert doc["capacity"] == 512
+        assert doc["high_watermark"] == 512
+        assert doc["dropped_spans"] == 88
+        # The dump reads the span log; it never trims it.
+        assert len(tracer.spans) == 600
+        assert all(a is b for a, b in zip(tracer.spans, log))
 
-    def test_never_alerts(self):
-        rec = FlightRecorder()
-        assert rec.observe_step(_record(0)) == []
-        assert not rec.fired
+    def test_step_tail_is_the_run_log_tail(self, tmp_path):
+        logger = _logger(*((i, 1.0 + i) for i in range(70)))
+        rec = FlightRecorder().attach(SpanTracer(), logger)
+        doc = load_dump(rec.dump(tmp_path / "dump.json"))
+        assert doc["step_records"] == [
+            r.to_record() for r in logger.steps[-64:]
+        ]
+        assert len(logger.steps) == 70
+
+    def test_no_logger_no_step_records(self, tmp_path):
+        rec = FlightRecorder().attach(SpanTracer())
+        doc = load_dump(rec.dump(tmp_path / "dump.json"))
+        assert doc["step_records"] == []
+
+    def test_recorder_holds_no_store(self):
+        tracer = SpanTracer()
+        rec = FlightRecorder().attach(tracer, _logger((0, 1.0)))
+        with tracer.span("s", trace_id="x"):
+            pass
+        assert not [
+            name for name, value in vars(rec).items()
+            if isinstance(value, (list, dict, set, deque))
+        ]
 
 
 class TestDump:
     def test_manual_dump_shape(self, tmp_path):
         tracer = SpanTracer()
-        rec = FlightRecorder(capacity=8).attach(tracer)
+        rec = FlightRecorder().attach(tracer, _logger((3, 2.5)))
         with tracer.span("done", trace_id="t"):
             pass
         tracer.start_span("stuck", trace_id="t")
-        rec.observe_step(_record(3, loss=2.5))
         path = rec.dump(tmp_path / "dump.json", reason="unit test")
         doc = load_dump(path)
         assert doc["record"] == "flight_recorder"
@@ -66,6 +91,12 @@ class TestDump:
         assert doc["in_flight"][0]["end"] is None
         assert doc["step_records"][0]["loss"] == 2.5
         assert rec.dumped == path
+
+    def test_unarmed_dump_needs_a_path(self):
+        rec = FlightRecorder().attach(SpanTracer())
+        assert not rec.armed
+        with pytest.raises(ValueError, match="no dump path"):
+            rec.dump()
 
     def test_armed_dump_fires_on_listed_exceptions_only(self, tmp_path):
         tracer = SpanTracer()
@@ -85,7 +116,7 @@ class TestDump:
         assert doc["reason"] == "crash in span fatal"
         assert doc["exception"]["type"] == "InjectedCrash"
         assert [s["name"] for s in doc["in_flight"]] == ["fatal"]
-        # The earlier retryable span completed into the ring.
+        # The earlier retryable span completed into the span log.
         assert "retryable" in [s["name"] for s in doc["spans"]]
 
     def test_custom_exception_filter(self, tmp_path):
@@ -107,9 +138,8 @@ class TestDump:
 class TestPostmortem:
     def test_render_in_flight_tree_and_steps(self, tmp_path):
         tracer = SpanTracer()
-        rec = FlightRecorder().attach(tracer)
+        rec = FlightRecorder().attach(tracer, _logger((2, 3.25)))
         rec.arm(tmp_path / "dump.json")
-        rec.observe_step(_record(2, loss=3.25))
         with pytest.raises(InjectedCrash):
             with tracer.span("train_step", trace_id="step-3", ambient=True,
                              attrs={"step": 3}):
@@ -151,6 +181,7 @@ class TestChaosIntegration:
         assert "train_step" in in_flight
         step_ids = [r["step"] for r in doc["step_records"]]
         assert step_ids == [0, 1, 2]  # records up to the crash
+        assert step_ids == list(range(doc["tick"]))
         assert "crash" in render_postmortem(doc)
 
     def test_no_recorder_no_dump(self):
@@ -162,3 +193,18 @@ class TestChaosIntegration:
         )
         assert run.bitwise_equal
         assert run.flight_recorder is None
+
+
+def test_obs_does_not_import_telemetry():
+    """The recorder reads the run logger it is handed; importing
+    ``repro.obs`` alone must not pull in ``repro.telemetry``."""
+    src = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.obs; "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith('repro.telemetry')))"],
+        cwd=src, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

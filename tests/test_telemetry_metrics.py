@@ -11,7 +11,6 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     JSONLSink,
-    MemorySink,
     MetricsRegistry,
     PrometheusTextSink,
     Timer,
@@ -93,16 +92,6 @@ class TestRegistry:
         snap = reg.snapshot()
         assert snap["steps"] == 2.0 and snap["loss"] == 1.5
         assert snap["norm"]["count"] == 1
-
-    def test_flush_emits_metrics_record_to_sinks(self):
-        reg = MetricsRegistry()
-        sink = MemorySink()
-        reg.register_sink(sink)
-        reg.counter("steps").inc()
-        record = reg.flush(step=4)
-        assert sink.records == [record]
-        assert record["record"] == "metrics" and record["step"] == 4
-        assert record["metrics"]["steps"] == 1.0
 
     def test_prometheus_text_exposition(self):
         reg = MetricsRegistry()

@@ -14,6 +14,7 @@ from repro.profiler import profile_cluster
 from repro.runtime import VirtualCluster
 from repro.telemetry import (
     DesyncMonitor,
+    HealthMonitor,
     MemorySink,
     MemoryWatermarkMonitor,
     RunLogger,
@@ -21,6 +22,7 @@ from repro.telemetry import (
     StragglerMonitor,
     checksum_params,
 )
+from repro.telemetry.runlog import SNAPSHOTS
 from repro.training import SyntheticCorpus
 from repro.training.trainer import Trainer
 
@@ -309,3 +311,41 @@ class TestRunLoggerAlertPlumbing:
         assert summary["alerts"] == 1
         assert sink.closed  # finish() closes the sinks
         assert sink.records[-1]["record"] == "run_summary"
+
+    def test_each_new_profile_reaches_the_monitors(self):
+        """Short-lived profiles are freed between calls, so CPython
+        hands their ids to the next one: the dedupe must compare the
+        objects, not their ids."""
+
+        class Counting(HealthMonitor):
+            name = "counting"
+            profiles = 0
+
+            def observe_profile(self, profile):
+                self.profiles += 1
+                return []
+
+        class StandInProfile:
+            pass
+
+        monitor = Counting()
+        logger = RunLogger(monitors=[monitor])
+        for _ in range(5):
+            logger.observe_profile(StandInProfile())
+        assert monitor.profiles == 5
+        profile = StandInProfile()
+        logger.observe_profile(profile)
+        logger.observe_profile(profile)  # the same profile again: no-op
+        assert monitor.profiles == 6
+
+    def test_snapshot_counters_reach_registry_and_summary(self):
+        logger = RunLogger()
+        record = _record(0)
+        for i, name in enumerate(SNAPSHOTS):
+            setattr(record, name, i + 1)
+        logger.log_step(record)
+        summary = logger.finish()
+        snapshot = logger.registry.snapshot()
+        for i, name in enumerate(SNAPSHOTS):
+            assert snapshot[name] == i + 1
+            assert summary[name] == i + 1

@@ -58,11 +58,10 @@ class ChunkCache:
         """
         if key in self._store:
             raise KeyError(f"chunk cache already holds {key!r}")
-        inject_transfer_fault(self.cluster, "d2h", f"offload:{key}", device.rank)
+        label = f"offload:{key}"
+        inject_transfer_fault(self.cluster, "d2h", label, device.rank)
         alloc = self.cluster.host.pool.alloc(tensor.nbytes, f"cache:{key}")
-        self.cluster.trace.record(
-            "d2h", f"offload:{key}", rank=device.rank, stream="d2h", nbytes=tensor.nbytes
-        )
+        self.cluster.trace.record("d2h", label, rank=device.rank, stream="d2h", nbytes=tensor.nbytes)
         data = tensor.free()
         self._store[key] = (data, tensor.dtype, alloc)
 
@@ -82,11 +81,10 @@ class ChunkCache:
         """Copy the cached chunk to ``device`` (host copy retained).
         Returns a device tensor the caller must free after use."""
         data, dtype, _ = self._must_get(key)
-        inject_transfer_fault(self.cluster, "h2d", f"fetch:{key}", device.rank)
-        tensor = device.from_numpy(data, dtype, f"fetch:{key}")
-        self.cluster.trace.record(
-            "h2d", f"fetch:{key}", rank=device.rank, stream=stream, nbytes=tensor.nbytes
-        )
+        label = f"fetch:{key}"
+        inject_transfer_fault(self.cluster, "h2d", label, device.rank)
+        tensor = device.from_numpy(data, dtype, label)
+        self.cluster.trace.record("h2d", label, rank=device.rank, stream=stream, nbytes=tensor.nbytes)
         return tensor
 
     def peek(self, key: object) -> np.ndarray:

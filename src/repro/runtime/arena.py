@@ -88,7 +88,7 @@ def fast_path(enabled: bool):
 
 
 class BufferArena:
-    """A free list of NumPy buffers keyed by ``(shape, dtype)``.
+    """A free list of NumPy buffers keyed by ``(shape, np.dtype)``.
 
     Parameters
     ----------
@@ -126,22 +126,19 @@ class BufferArena:
         self.discards = 0
         self.reused_bytes = 0
 
-    @staticmethod
-    def _key(shape: tuple[int, ...], dtype) -> tuple:
-        return (tuple(shape), np.dtype(dtype).str)
-
     def rent(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """An *uninitialized* C-contiguous buffer of ``shape``/``dtype``:
         a warm one from the free list when available, else fresh."""
+        dtype = np.dtype(dtype)
         with self._lock:
-            bucket = self._free.get(self._key(shape, dtype))
+            bucket = self._free.get((tuple(shape), dtype))
             if bucket:
                 self.hits += 1
                 buf = bucket.pop()
                 self.reused_bytes += buf.nbytes
                 return buf
             self.misses += 1
-        return np.empty(shape, np.dtype(dtype))
+        return np.empty(shape, dtype)
 
     def giveback(self, array: np.ndarray) -> bool:
         """Return a dead buffer to the free list.
@@ -154,9 +151,8 @@ class BufferArena:
         """
         if array.base is not None or not array.flags.c_contiguous:
             return False
-        key = self._key(array.shape, array.dtype)
         with self._lock:
-            bucket = self._free.setdefault(key, [])
+            bucket = self._free.setdefault((array.shape, array.dtype), [])
             if len(bucket) >= self.max_per_key:
                 self.discards += 1
                 return False

@@ -11,21 +11,22 @@ communication buffers and parameter shards that the paper's Table 2
 enumerates.  Kernel-internal scratch (a few blocks of an online-attention
 tile) is modeled analytically in :mod:`repro.perfmodel.memory_model`
 instead; it is orders of magnitude smaller than the tensors tracked here.
+
+The records (:class:`Allocation`, :class:`MemorySample`) are immutable
+``NamedTuple``s, the cheapest records to build: every alloc makes one.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from repro.common.errors import OutOfMemoryError
 from repro.runtime.arena import BufferArena
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """A live allocation in a :class:`MemoryPool`."""
 
     alloc_id: int
@@ -33,8 +34,7 @@ class Allocation:
     tag: str
 
 
-@dataclass(frozen=True)
-class MemorySample:
+class MemorySample(NamedTuple):
     """One point of a pool's usage timeline.
 
     ``event_index`` is the number of trace events recorded when the
@@ -120,7 +120,8 @@ class MemoryPool:
             alloc = Allocation(next(self._ids), nbytes, tag)
             self._live[alloc.alloc_id] = alloc
             self.in_use += nbytes
-            self.peak = max(self.peak, self.in_use)
+            if self.in_use > self.peak:
+                self.peak = self.in_use
             self.total_allocated += nbytes
             self.n_allocs += 1
             self._usage_by_tag[tag] = self._usage_by_tag.get(tag, 0) + nbytes

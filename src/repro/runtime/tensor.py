@@ -29,9 +29,13 @@ class DeviceTensor:
     (or ``HostMemory.from_numpy``); free with :meth:`free` when the value
     is dead.  ``free`` is idempotent-hostile on purpose: double frees are
     bugs in a schedule and should explode.
+
+    ``nbytes`` is the accounting size (storage dtype), not NumPy's
+    in-memory size: an attribute set once in ``__init__``, since every
+    transfer and collective reads it.
     """
 
-    __slots__ = ("data", "dtype", "pool", "tag", "_alloc", "_arena")
+    __slots__ = ("data", "dtype", "nbytes", "pool", "tag", "_alloc", "_arena")
 
     def __init__(
         self,
@@ -44,22 +48,18 @@ class DeviceTensor:
     ):
         self.data = data
         self.dtype = dtype
+        self.nbytes = nbytes = storage_nbytes(data.shape, dtype)
         self.pool = pool
         self.tag = tag
         # The BufferArena the storage was rented from (None for caller
         # or ad-hoc storage).  Only arena-owned storage is recycled by
         # release(); everything else is left to the garbage collector.
         self._arena = arena
-        self._alloc: Allocation | None = pool.alloc(storage_nbytes(data.shape, dtype), tag)
+        self._alloc: Allocation | None = pool.alloc(nbytes, tag)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def nbytes(self) -> int:
-        """Accounting size (storage dtype), not NumPy's in-memory size."""
-        return storage_nbytes(self.data.shape, self.dtype)
 
     @property
     def is_live(self) -> bool:

@@ -15,12 +15,12 @@ Between engine steps a request's per-layer K/V rows live host-side:
   the request finishes.
 
 Rows are stored in the model's KV heads (no GQA expansion), so each
-transfer is as wide as the model's ``num_kv_heads`` need.  A fetched
-tensor's HBM bytes are released once its array is handed to the cache,
-so HBM holds at most one layer tensor of one in-flight request at a time
-— the serving analogue of the paper's "1/u footprint" claim.  Every
-decode step still reads the retained prefix H2D once, just as FPDT
-fetches each earlier KV chunk once per later query chunk.
+transfer is as wide as the model's ``num_kv_heads`` need.  A transfer
+charges HBM with a pool alloc/free pair spanning its trace event (no
+tensor is built), so HBM holds at most one layer tensor of one in-flight
+request at a time — the serving analogue of the paper's "1/u footprint"
+claim.  Every decode step still reads the retained prefix H2D once, just
+as FPDT fetches each earlier KV chunk once per later query chunk.
 
 The host copy and the device copy hold the same values, so both are the
 one :class:`~repro.models.generate.KVCache` the store keeps per request;
@@ -48,6 +48,8 @@ from repro.runtime.memory import Allocation
 @dataclass
 class _Resident:
     kv: KVCache
+    #: ``(cache, offload, fetch)`` labels per layer and k|v, formatted once.
+    labels: list[tuple[tuple[str, str, str], ...]]
     #: Absolute position one past the last row already on host.
     saved: int = 0
     #: Host-pool charge of the retained rows, per (layer, k|v).
@@ -98,19 +100,22 @@ class RequestKVStore:
         pool for the retained rows (rows behind a window drop out)."""
         held = self._held.get(rid)
         if held is None:
-            held = self._held[rid] = _Resident(kv)
+            held = self._held[rid] = _Resident(kv, [
+                tuple((f"cache:{key}", f"offload:{key}", f"fetch:{key}")
+                      for key in ((rid, layer, "k"), (rid, layer, "v")))
+                for layer in range(self.num_layers)
+            ])
         elif not held.loaded:
             raise KeyError(f"kv store already holds request {rid!r}")
         pool = self.cluster.host.pool
         stale, held.allocs = iter(held.allocs), []
-        for layer in range(self.num_layers):
-            pairs = zip("kv", kv.rows(layer, held.saved), kv.rows(layer))
-            for kind, new, retained in pairs:
-                key = (rid, layer, kind)
+        for layer, labels in enumerate(held.labels):
+            pairs = zip(labels, kv.rows(layer, held.saved), kv.rows(layer))
+            for (cache, offload, _), new, retained in pairs:
                 nbytes = 0 if retained is None else retained.size * self.dtype.nbytes
-                held.allocs.append(pool.alloc(nbytes, f"cache:{key}"))
+                held.allocs.append(pool.alloc(nbytes, cache))
                 if new is not None and new.shape[1]:
-                    self._transfer("d2h", f"offload:{key}", new)
+                    self._transfer("d2h", offload, new)
                 previous = next(stale, None)
                 if previous is not None:
                     pool.free(previous)
@@ -124,10 +129,10 @@ class RequestKVStore:
         held = self._must_get(rid)
         if held.loaded:
             raise KeyError(f"kv store request {rid!r} is already loaded")
-        for layer in range(self.num_layers):
-            for kind, rows in zip("kv", held.kv.rows(layer)):
+        for layer, labels in enumerate(held.labels):
+            for (_, _, fetch), rows in zip(labels, held.kv.rows(layer)):
                 if rows is not None and rows.shape[1]:
-                    self._transfer("h2d", f"fetch:{(rid, layer, kind)}", rows)
+                    self._transfer("h2d", fetch, rows)
         held.loaded = True
         return held.kv
 
@@ -143,16 +148,14 @@ class RequestKVStore:
             self.evict(rid)
 
     def _transfer(self, direction: str, label: str, rows: np.ndarray) -> None:
-        """Account one PCIe transfer of ``rows``: the fault hook, the
-        rows' HBM charge (released once the array changes hands) and
-        the trace event."""
-        rank = self.device.rank
+        """Account one PCIe transfer of ``rows``: the fault hook, then an
+        HBM alloc/free pair spanning the trace event (no tensor is built)."""
+        rank, hbm = self.device.rank, self.device.hbm
         inject_transfer_fault(self.cluster, direction, label, rank)
-        tensor = self.device.from_numpy(rows, self.dtype, label)
-        self.cluster.trace.record(
-            direction, label, rank=rank, stream=direction, nbytes=tensor.nbytes
-        )
-        tensor.free()
+        nbytes = rows.size * self.dtype.nbytes
+        alloc = hbm.alloc(nbytes, label)
+        self.cluster.trace.record(direction, label, rank=rank, stream=direction, nbytes=nbytes)
+        hbm.free(alloc)
 
     def _must_get(self, rid: str) -> _Resident:
         try:

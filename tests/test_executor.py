@@ -158,12 +158,15 @@ def test_trace_events_merge_in_rank_order_with_sequential_ids():
     trace.record("phase", "before")  # id 0, outside any fork-join
     try:
 
-        def emit(r: int) -> None:
+        def emit(r: int) -> list:
             time.sleep(0.01 * (3 - r))  # scramble completion order
-            trace.record("compute", f"work[{r}].a", rank=r)
-            trace.record("compute", f"work[{r}].b", rank=r)
+            return [
+                trace.record("compute", f"work[{r}].a", rank=r, flops=1.5 * r),
+                trace.record("h2d", f"work[{r}].b", rank=r, stream="h2d",
+                             nbytes=8 * r, seconds=0.25 * r),
+            ]
 
-        ex.rank_map(emit, 3, trace=trace)
+        buffered = ex.rank_map(emit, 3, trace=trace)
     finally:
         ex.shutdown()
     labels = [e.label for e in trace.events]
@@ -174,6 +177,12 @@ def test_trace_events_merge_in_rank_order_with_sequential_ids():
         "work[2].a", "work[2].b",
     ]
     assert [e.event_id for e in trace.events] == list(range(7))
+    # The merge renumbers the buffered events and changes nothing else.
+    assert {e.event_id for events in buffered for e in events} == {-1}
+    fields = ("kind", "label", "rank", "stream", "nbytes", "flops", "seconds")
+    assert [[getattr(e, f) for f in fields] for e in trace.events[1:]] == [
+        [getattr(e, f) for f in fields] for events in buffered for e in events
+    ]
     # The log keeps extending with correct ids after the merge.
     after = trace.record("phase", "after")
     assert after.event_id == 7

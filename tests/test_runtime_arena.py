@@ -39,7 +39,9 @@ class TestBufferArena:
         arena.giveback(a)
         assert arena.rent((3, 4), np.float64) is not a  # same size, new shape
         assert arena.rent((4, 3), np.float32) is not a  # same shape, new dtype
-        assert arena.hits == 0 and arena.misses == 3
+        assert arena.rent((4, 3), ">f8") is not a  # same width, other byte order
+        assert arena.hits == 0 and arena.misses == 4
+        assert arena.rent([4, 3], "<f8") is a  # the same key, spelled otherwise
 
     def test_giveback_refuses_views(self):
         arena = BufferArena("t")

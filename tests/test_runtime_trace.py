@@ -1,6 +1,8 @@
 """Trace and cluster plumbing not covered elsewhere: filters, compute
 hooks, topology-bound clusters, and the H100 spec additions."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.hardware import (
     paper_node_a100_80g,
 )
 from repro.runtime import Trace, VirtualCluster
+from repro.runtime.memory import Allocation, MemorySample
+from repro.runtime.trace import TraceEvent
 from repro.runtime.trace_analysis import summarize
 
 
@@ -61,6 +65,30 @@ class TestTrace:
         cluster.devices[1].compute("gemm", flops=123.0, stream="compute")
         events = cluster.trace.filter(kind="compute", rank=1)
         assert events[0].flops == 123.0
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (TraceEvent, {"event_id": None, "kind": None, "label": None, "rank": None,
+                      "stream": None, "nbytes": 0, "flops": 0.0, "seconds": 0.0}),
+        (MemorySample, {"step": None, "in_use": None, "event": None, "tag": None,
+                        "event_index": -1}),
+        (Allocation, {"alloc_id": None, "nbytes": None, "tag": None}),
+    ],
+    ids=["TraceEvent", "MemorySample", "Allocation"],
+)
+def test_record_types_keep_fields_defaults_and_immutability(record, fields):
+    """The runtime records keep their field names, order and defaults
+    (``None`` marks a required field), and refuse assignment."""
+    assert [
+        (p.name, None if p.default is inspect.Parameter.empty else p.default)
+        for p in inspect.signature(record).parameters.values()
+    ] == list(fields.items())
+    value = record(*(0 for default in fields.values() if default is None))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
 
 
 class TestTraceSummary:

@@ -317,6 +317,55 @@ class TestKVTraffic:
         assert traffic.h2d_bytes == sum(retained) * row * 2
         assert cluster.host.pool.in_use == 0
 
+    def test_pool_timelines_pin_the_store_accounting(self):
+        """On a timeline cluster each KV transfer charges HBM with one
+        alloc/free pair around its own trace event, and the host pool
+        holds one ``cache:`` tag per (request, layer, k|v) while the
+        request lives."""
+        model = _llama()
+        cfg = model.config
+        cluster = VirtualCluster(1, record_timeline=True)
+        engine = ServingEngine(
+            model, config=EngineConfig(prefill_chunk=64, offload=True), cluster=cluster
+        )
+        g = rng(5)
+        states = [
+            engine.start(Request(rid=f"r{i}", prompt=g.integers(0, 32, size=n),
+                                 max_new_tokens=8))
+            for i, n in enumerate((40, 300, 17, 90))
+        ]
+        host = cluster.host.pool
+
+        def cache_tags(rids):
+            return {f"cache:{(rid, layer, kind)}" for rid in rids
+                    for layer in range(cfg.num_layers) for kind in "kv"}
+
+        for state in states:
+            while state.state is RequestState.PREFILL:
+                engine.prefill_step(state)
+        assert set(host.usage_by_tag()) == cache_tags(s.rid for s in states)
+        for done, state in enumerate(states):
+            while state.state is RequestState.DECODE:
+                engine.decode_step(state)
+            engine.finish(state)
+            live = [s.rid for s in states[done + 1:]]
+            assert set(host.usage_by_tag()) == cache_tags(live)
+        assert host.usage_by_tag() == {}
+
+        events = cluster.trace.events
+        transfers = [(i, e) for i, e in enumerate(events) if e.kind in ("h2d", "d2h")]
+        assert {e.label.partition(":")[0] for _, e in transfers} == {"fetch", "offload"}
+        hbm = cluster.devices[0].hbm
+        pairs = list(zip(hbm.timeline[::2], hbm.timeline[1::2]))
+        assert len(hbm.timeline) == 2 * len(pairs) == 2 * len(transfers)
+        for (index, event), (alloc, free) in zip(transfers, pairs):
+            assert (alloc.event, alloc.in_use, alloc.event_index) == (
+                f"alloc:{event.label}", event.nbytes, index)
+            assert (free.event, free.in_use, free.event_index) == (
+                f"free:{event.label}", 0, index + 1)
+        assert hbm.peak == max(e.nbytes for _, e in transfers)
+
+
 class TestRequestKVStore:
     #: Bytes of one bf16 row of the ``[1, s, 2, 4]`` test tensors.
     ROW = 2 * 4 * 2

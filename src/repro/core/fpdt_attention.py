@@ -20,11 +20,15 @@ Forward, per sequence chunk ``i`` (of ``u`` chunks per rank):
 Backward is the Fig. 7 nested loop: the **outer** loop walks KV chunks
 ``j``, the **inner** loop walks query chunks ``i >= j``.  ``dk̂_j, dv̂_j``
 accumulate on-device across the inner loop and are final when it ends;
-``dq̂_i`` accumulates on *host* across outer iterations and is final at
-outer iteration ``j == i`` (its diagonal).  Finalized ``(dq̂_j, dk̂_j,
-dv̂_j)`` are immediately all-to-all'd back so the caller can run the
-projection backward for chunk ``j`` while later chunks are still in
-flight.
+``dq̂_i`` accumulates across outer iterations and is final at outer
+iteration ``j == i`` (its diagonal).  The paper keeps that accumulator
+on the host; here it is a plain array per (rank, chunk) that no pool
+charges and no transfer event records (ROADMAP.md item 2, "Every byte
+a rank keeps is in a pool").  Finalized ``(dq̂_j, dk̂_j, dv̂_j)`` are
+all-to-all'd back to the local layout at the end of outer iteration
+``j``, but the function returns only after the whole nested loop, and
+the caller runs every chunk's projection backward after that (see
+:func:`repro.core.fpdt_block.fpdt_block_backward`).
 
 K/V and their gradients move in KV heads end to end: the ``k/v/dk/dv``
 all-to-alls, the cached ``k̂/v̂`` chunks (one D2H each, every H2D
@@ -80,7 +84,9 @@ class FPDTAttentionContext:
     layout: ChunkLayout
     offloaded: bool
     cache: ChunkCache
-    # Per-rank, per-chunk saved attention outputs and LSE (host-resident).
+    # Per-rank, per-chunk saved attention outputs and LSE: plain arrays
+    # kept from forward to backward, charged to no pool and moved by no
+    # transfer event (ROADMAP.md item 2).
     o_hat: list[list[np.ndarray]]
     lse: list[list[np.ndarray]]
     # KV heads per rank in the gathered layout (dk/dv accumulator width).
@@ -303,7 +309,9 @@ def fpdt_attention_backward(
 
         cluster.rank_map(delta_rank)
 
-    # Host-resident dq accumulators (fetched/updated per inner iteration).
+    # dq accumulators, one per (rank, query chunk): plain arrays that
+    # every block backward adds into, charged to no pool and moved by no
+    # transfer event (ROADMAP.md item 2).
     dq_host: list[list[np.ndarray]] = [
         [np.zeros((b, big_c, h_local, d)) for _ in range(u)] for _ in range(world)
     ]
@@ -407,8 +415,8 @@ def fpdt_attention_backward(
         dk_acc = [f[1] for f in finals]
         dv_acc = [f[2] for f in finals]
 
-        # All-to-all back to the local layout so the caller can run
-        # projection backward for chunk j now.
+        # All-to-all back to the local layout.  The caller's projection
+        # backward runs after the whole nested loop returns.
         dq_b = all_to_all(cluster, dq_dev, split_axis=1, concat_axis=2, tag="fpdt.dq")
         dk_b = all_to_all(cluster, dk_acc, split_axis=1, concat_axis=2, tag="fpdt.dk")
         dv_b = all_to_all(cluster, dv_acc, split_axis=1, concat_axis=2, tag="fpdt.dv")

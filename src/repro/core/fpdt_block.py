@@ -12,10 +12,15 @@ The hidden-state path is chunked end to end:
   memory footprint") — FFN chunks are never offloaded because a
   token-local O(N) op can't hide PCIe latency behind compute.
 
-The backward pass mirrors Fig. 13's profile: FFN gradients first
-(2u chunks), then the attention nested loop, with the projection
-backward of chunk ``j`` running as soon as the attention loop finalizes
-chunk ``j``'s gradients.
+The backward pass follows Fig. 13's profile: FFN gradients first
+(2u chunks), then the attention nested loop, then the QKV projection
+backward of every chunk.  The paper starts chunk ``j``'s projection
+backward as soon as the nested loop finalizes chunk ``j``'s gradients;
+here it runs for all chunks after
+:func:`~repro.core.fpdt_attention.fpdt_attention_backward` returns, so
+the weight-gradient contributions fold in (rank, chunk) order, the
+serial loop's order, which keeps the gradients bitwise equal under
+every executor.
 """
 
 from __future__ import annotations
@@ -216,7 +221,8 @@ def fpdt_block_backward(
     dy_shards: list[np.ndarray],
 ) -> tuple[list[np.ndarray], Grads]:
     """Backward of :func:`fpdt_block_forward`; FFN first (Fig. 13), then
-    the attention nested loop with per-chunk projection backward.
+    the attention nested loop, then the per-chunk QKV projection
+    backward.
 
     Returns per-rank input gradients and parameter gradients summed over
     ranks and chunks.

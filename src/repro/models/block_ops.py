@@ -32,8 +32,10 @@ from repro.models.config import ModelConfig
 from repro.models.layers import (
     gelu_backward,
     gelu_forward,
+    gelu_output,
     layernorm_backward,
     layernorm_forward,
+    layernorm_output,
     linear_backward,
     linear_forward,
     make_rope_cache,
@@ -42,11 +44,13 @@ from repro.models.layers import (
     repeat_kv,
     rmsnorm_backward,
     rmsnorm_forward,
+    rmsnorm_output,
     rope_backward,
     rope_forward,
-    silu_backward,
-    silu_forward,
     split_heads,
+    swiglu_backward,
+    swiglu_forward,
+    swiglu_output,
 )
 
 Params = dict[str, np.ndarray]
@@ -68,7 +72,7 @@ def accumulate_grads(into: Grads, new: Grads) -> None:
 
 def norm_forward(
     params: Params, cfg: ModelConfig, x: np.ndarray, which: str
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, tuple]:
     """The norm named ``which`` (``ln1``, ``ln2``, ``final_norm``):
     LayerNorm for GPT, RMSNorm for Llama."""
     if cfg.arch == "gpt":
@@ -76,8 +80,16 @@ def norm_forward(
     return rmsnorm_forward(x, params[f"{which}.gamma"])
 
 
+def norm_output(cfg: ModelConfig, cache: tuple) -> np.ndarray:
+    """The output of :func:`norm_forward`, rebuilt bitwise from its cache
+    (the backward's copy of a norm output no cache keeps)."""
+    if cfg.arch == "gpt":
+        return layernorm_output(cache)
+    return rmsnorm_output(cache)
+
+
 def norm_backward(
-    cfg: ModelConfig, dy: np.ndarray, cache: dict, which: str
+    cfg: ModelConfig, dy: np.ndarray, cache: tuple, which: str
 ) -> tuple[np.ndarray, tuple[tuple[str, np.ndarray], ...]]:
     """Adjoint of :func:`norm_forward`: returns ``(dx, contributions)``,
     the parameter gradients as ``(key, value)`` pairs in accumulation
@@ -127,8 +139,10 @@ def attn_qkv_forward(
         rope_cache = make_rope_cache(cfg.head_dim, positions, cfg.rope_theta)
         qh = rope_forward(qh, rope_cache)
         kh = rope_forward(kh, rope_cache)
+    # The projections' caches drop their input, the norm output: the
+    # backward rebuilds it from the norm cache (see repro.models.layers).
     cache = {
-        "norm": norm_cache, "q": q_cache, "k": k_cache, "v": v_cache,
+        "norm": norm_cache, "q": q_cache[1:], "k": k_cache[1:], "v": v_cache[1:],
         "rope": rope_cache,
     }
     return qh, kh, vh, cache
@@ -172,9 +186,10 @@ def attn_pre_backward(
     dq = merge_heads(dqh)
     dk = merge_heads(dkh)
     dv = merge_heads(dvh)
-    dn_q, grads["attn.wq"], dbq = linear_backward(dq, cache["q"])
-    dn_k, grads["attn.wk"], dbk = linear_backward(dk, cache["k"])
-    dn_v, grads["attn.wv"], dbv = linear_backward(dv, cache["v"])
+    normed = norm_output(cfg, cache["norm"])
+    dn_q, grads["attn.wq"], dbq = linear_backward(dq, (normed, *cache["q"]))
+    dn_k, grads["attn.wk"], dbk = linear_backward(dk, (normed, *cache["k"]))
+    dn_v, grads["attn.wv"], dbv = linear_backward(dv, (normed, *cache["v"]))
     if dbq is not None:
         grads["attn.bq"], grads["attn.bk"], grads["attn.bv"] = dbq, dbk, dbv
     dx, contribs = norm_backward(cfg, dn_q + dn_k + dn_v, cache["norm"], "ln1")
@@ -234,18 +249,20 @@ def ffn_forward(
     is fully overwritten and must not alias ``x``.
     """
     normed, norm_cache = norm_forward(params, cfg, x, "ln2")
+    # Every projection's cache drops its input (the norm output or the
+    # activation output); the backward rebuilds it from the norm and
+    # activation caches (see repro.models.layers).
     if cfg.arch == "gpt":
         h1, c1 = linear_forward(normed, params["ffn.w1"], params["ffn.b1"])
         act, act_cache = gelu_forward(h1)
         out, c2 = linear_forward(act, params["ffn.w2"], params["ffn.b2"], out=y_out)
-        cache = {"c1": c1, "act": act_cache, "c2": c2}
+        cache = {"c1": c1[1:], "act": act_cache, "c2": c2[1:]}
     else:
         gate, cg = linear_forward(normed, params["ffn.w_gate"])
         up, cu = linear_forward(normed, params["ffn.w_up"])
-        sgate, act_cache = silu_forward(gate)
-        prod = sgate * up
+        prod, act_cache = swiglu_forward(gate, up)
         out, cd = linear_forward(prod, params["ffn.w_down"], out=y_out)
-        cache = {"cg": cg, "cu": cu, "act": act_cache, "sgate": sgate, "up": up, "cd": cd}
+        cache = {"cg": cg[1:], "cu": cu[1:], "act": act_cache, "cd": cd[1:]}
     cache["norm"], cache["cfg"] = norm_cache, cfg
     if y_out is None:
         return x + out, cache
@@ -257,17 +274,22 @@ def ffn_backward(dy: np.ndarray, cache: dict) -> tuple[np.ndarray, Grads]:
     """Returns ``(dx, grads)`` with the residual already folded in."""
     grads: Grads = {}
     cfg = cache["cfg"]
+    act_cache = cache["act"]
     if cfg.arch == "gpt":
-        dact, grads["ffn.w2"], grads["ffn.b2"] = linear_backward(dy, cache["c2"])
-        dh1 = gelu_backward(dact, cache["act"])
-        dnormed, grads["ffn.w1"], grads["ffn.b1"] = linear_backward(dh1, cache["c1"])
+        act = gelu_output(act_cache)
+        dact, grads["ffn.w2"], grads["ffn.b2"] = linear_backward(dy, (act, *cache["c2"]))
+        dh1 = gelu_backward(dact, act_cache)
+        normed = norm_output(cfg, cache["norm"])
+        dnormed, grads["ffn.w1"], grads["ffn.b1"] = linear_backward(
+            dh1, (normed, *cache["c1"])
+        )
     else:
-        dprod, grads["ffn.w_down"], _ = linear_backward(dy, cache["cd"])
-        dsgate = dprod * cache["up"]
-        dup = dprod * cache["sgate"]
-        dgate = silu_backward(dsgate, cache["act"])
-        dn_g, grads["ffn.w_gate"], _ = linear_backward(dgate, cache["cg"])
-        dn_u, grads["ffn.w_up"], _ = linear_backward(dup, cache["cu"])
+        prod = swiglu_output(act_cache)
+        dprod, grads["ffn.w_down"], _ = linear_backward(dy, (prod, *cache["cd"]))
+        dgate, dup = swiglu_backward(dprod, act_cache)
+        normed = norm_output(cfg, cache["norm"])
+        dn_g, grads["ffn.w_gate"], _ = linear_backward(dgate, (normed, *cache["cg"]))
+        dn_u, grads["ffn.w_up"], _ = linear_backward(dup, (normed, *cache["cu"]))
         dnormed = dn_g + dn_u
     dx_norm, contribs = norm_backward(cfg, dnormed, cache["norm"], "ln2")
     grads.update(contribs)

@@ -7,6 +7,19 @@ FPDT) re-use these exact kernels on per-rank shards, so any numerical
 difference between a distributed run and the reference model can only
 come from the *parallelization*, never the math.
 
+A cache keeps the kernel's inputs and its transcendental outputs
+(``inv_std``/``inv_rms``, ``tanh``, ``sig``) and nothing the backward
+can rebuild from them with elementwise products and sums.  Those
+values -- RMSNorm's ``x_hat``, every norm and activation output -- are
+computed by one ``*_output(cache)`` helper that the forward returns
+and the backward calls again: the same IEEE operations on the same
+operands, so the rebuilt array is bitwise the forward's.  A caller
+whose input is such an output (a projection fed by a norm) drops it
+from the projection's cache and rebuilds it the same way.
+Transcendentals stay cached because a recomputed ``np.exp``/``np.tanh``
+on a fresh buffer may take another SIMD path and differ in the last
+bit.
+
 All activations are ``[batch, seq, ...]``; attention heads use
 ``[batch, seq, heads, head_dim]``.
 """
@@ -70,20 +83,27 @@ def linear_backward(
 def layernorm_forward(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
 ) -> tuple[np.ndarray, tuple]:
-    """LayerNorm over the last axis (GPT blocks)."""
+    """LayerNorm over the last axis (GPT blocks).  The cache is
+    ``(x_hat, inv_std, gamma, beta)``: ``x`` is not kept, so ``x_hat``
+    (which needs the mean) is."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean) * inv_std
-    y = gamma * x_hat + beta
-    return y, (x_hat, inv_std, gamma)
+    cache = ((x - mean) * inv_std, inv_std, gamma, beta)
+    return layernorm_output(cache), cache
+
+
+def layernorm_output(cache: tuple) -> np.ndarray:
+    """``gamma * x_hat + beta``, rebuilt bitwise from the cache."""
+    x_hat, _, gamma, beta = cache
+    return gamma * x_hat + beta
 
 
 def layernorm_backward(
     dy: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adjoint of :func:`layernorm_forward`; returns ``(dx, dgamma, dbeta)``."""
-    x_hat, inv_std, gamma = cache
+    x_hat, inv_std, gamma, _ = cache
     n = x_hat.shape[-1]
     dgamma = (dy * x_hat).reshape(-1, n).sum(axis=0)
     dbeta = dy.reshape(-1, n).sum(axis=0)
@@ -99,17 +119,28 @@ def layernorm_backward(
 def rmsnorm_forward(
     x: np.ndarray, gamma: np.ndarray, eps: float = 1e-6
 ) -> tuple[np.ndarray, tuple]:
-    """RMSNorm (Llama blocks): ``y = gamma * x / rms(x)``."""
+    """RMSNorm (Llama blocks): ``y = gamma * x / rms(x)``.  The cache is
+    ``(x, inv_rms, gamma)``."""
     ms = np.mean(x * x, axis=-1, keepdims=True)
-    inv_rms = 1.0 / np.sqrt(ms + eps)
-    x_hat = x * inv_rms
-    return gamma * x_hat, (x, x_hat, inv_rms, gamma)
+    cache = (x, 1.0 / np.sqrt(ms + eps), gamma)
+    return rmsnorm_output(cache), cache
+
+
+def _rms_hat(x: np.ndarray, inv_rms: np.ndarray) -> np.ndarray:
+    return x * inv_rms
+
+
+def rmsnorm_output(cache: tuple) -> np.ndarray:
+    """``gamma * x_hat``, rebuilt bitwise from the cache."""
+    x, inv_rms, gamma = cache
+    return gamma * _rms_hat(x, inv_rms)
 
 
 def rmsnorm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of :func:`rmsnorm_forward`; returns ``(dx, dgamma)``."""
-    x, x_hat, inv_rms, gamma = cache
+    x, inv_rms, gamma = cache
     n = x.shape[-1]
+    x_hat = _rms_hat(x, inv_rms)
     dgamma = (dy * x_hat).reshape(-1, n).sum(axis=0)
     dx_hat = dy * gamma
     # d/dx [x * inv_rms]: inv_rms * (dx_hat - x_hat * mean(dx_hat * x_hat))
@@ -125,10 +156,17 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
 def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Tanh-approximation GELU (the variant GPT uses)."""
+    """Tanh-approximation GELU (the variant GPT uses); the cache is
+    ``(x, tanh)``."""
     inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-    tanh = np.tanh(inner)
-    return 0.5 * x * (1.0 + tanh), (x, tanh)
+    cache = (x, np.tanh(inner))
+    return gelu_output(cache), cache
+
+
+def gelu_output(cache: tuple) -> np.ndarray:
+    """``0.5 * x * (1 + tanh)``, rebuilt bitwise from the cache."""
+    x, tanh = cache
+    return 0.5 * x * (1.0 + tanh)
 
 
 def gelu_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
@@ -139,15 +177,46 @@ def gelu_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
 
 
 def silu_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """SiLU / swish, the gate nonlinearity of SwiGLU."""
-    sig = 1.0 / (1.0 + np.exp(-x))
-    return x * sig, (x, sig)
+    """SiLU / swish, the gate nonlinearity of SwiGLU; the cache is
+    ``(x, sig)``."""
+    cache = (x, _sigmoid(x))
+    return silu_output(cache), cache
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def silu_output(cache: tuple) -> np.ndarray:
+    """``x * sig``, rebuilt bitwise from the cache."""
+    x, sig = cache
+    return x * sig
 
 
 def silu_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
     """Adjoint of :func:`silu_forward`."""
     x, sig = cache
     return dy * sig * (1.0 + x * (1.0 - sig))
+
+
+def swiglu_forward(gate: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """SwiGLU's product ``silu(gate) * up``; the cache is
+    ``(gate, sig, up)``."""
+    cache = (gate, _sigmoid(gate), up)
+    return swiglu_output(cache), cache
+
+
+def swiglu_output(cache: tuple) -> np.ndarray:
+    """``silu(gate) * up``, rebuilt bitwise from the cache."""
+    gate, sig, up = cache
+    return silu_output((gate, sig)) * up
+
+
+def swiglu_backward(dprod: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of :func:`swiglu_forward`; returns ``(dgate, dup)``."""
+    gate, sig, up = cache
+    dup = dprod * silu_output((gate, sig))
+    return silu_backward(dprod * up, (gate, sig)), dup
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ShapeError
-from repro.models.block_ops import accumulate_grads, norm_backward, norm_forward
+from repro.models.block_ops import (
+    accumulate_grads,
+    norm_backward,
+    norm_forward,
+    norm_output,
+)
 from repro.models.layers import embedding_backward, embedding_forward
 from repro.models.loss import (
     IGNORE_INDEX,
@@ -150,7 +155,9 @@ class ShardedModelRunner:
                 num_chunks=self.loss_chunks,
             )
             n_valid_r = int(np.sum(flat_labels != IGNORE_INDEX))
-            return loss_r, n_valid_r, fn_cache, head_cache
+            # The head's cache drops its input, the norm output: the
+            # backward rebuilds it from the norm cache.
+            return loss_r, n_valid_r, fn_cache, head_cache[1:]
 
         # Join fold in rank order: the loss sum keeps the serial loop's
         # exact float reduction order (executor-on/off bitwise identity).
@@ -164,9 +171,10 @@ class ShardedModelRunner:
 
         def head_bwd_rank(r):
             head_cache, n_valid_r = head_caches[r]
+            normed = norm_output(cfg, fn_caches[r]).reshape(-1, h)
             # Rescale the per-rank mean gradient to the global mean.
             dhid, dembed_head = chunked_lm_head_backward(
-                head_cache, grad_scale=n_valid_r / max(n_valid_global, 1)
+                (normed, *head_cache), grad_scale=n_valid_r / max(n_valid_global, 1)
             )
             dnormed = dhid.reshape(*label_shards[r].shape, h)
             dx, g_norm = norm_backward(cfg, dnormed, fn_caches[r], "final_norm")

@@ -28,16 +28,12 @@ from repro.models.block_ops import (
     attn_pre_forward,
     ffn_backward,
     ffn_forward,
+    norm_backward,
+    norm_forward,
+    norm_output,
 )
 from repro.models.config import ModelConfig
-from repro.models.layers import (
-    embedding_backward,
-    embedding_forward,
-    layernorm_backward,
-    layernorm_forward,
-    rmsnorm_backward,
-    rmsnorm_forward,
-)
+from repro.models.layers import embedding_backward, embedding_forward
 from repro.models.loss import (
     chunked_lm_head_backward,
     chunked_lm_head_forward,
@@ -212,12 +208,7 @@ class GPTModel:
             pos_used = positions
         for block in self.blocks:
             x = block.forward(x, positions)
-        if cfg.arch == "gpt":
-            normed, fn_cache = layernorm_forward(
-                x, self.params["final_norm.gamma"], self.params["final_norm.beta"]
-            )
-        else:
-            normed, fn_cache = rmsnorm_forward(x, self.params["final_norm.gamma"])
+        normed, fn_cache = norm_forward(self.params, cfg, x, "final_norm")
         self._cache = {
             "embed": embed_cache, "pos_used": pos_used, "final_norm": fn_cache,
             "shape": (b, s),
@@ -240,7 +231,9 @@ class GPTModel:
             num_chunks=self.loss_chunks,
         )
         assert self._cache is not None
-        self._cache["head"] = head_cache
+        # The head's cache drops its input, the final norm's output:
+        # backward_loss rebuilds it from the norm cache.
+        self._cache["head"] = head_cache[1:]
         return loss
 
     def backward_loss(self) -> None:
@@ -249,8 +242,11 @@ class GPTModel:
         if self._cache is None or "head" not in self._cache:
             raise RuntimeError("backward_loss requires a prior forward_loss")
         b, s = self._cache["shape"]
-        dhidden_flat, dembed_head = chunked_lm_head_backward(self._cache["head"])
         h = self.config.hidden_size
+        hidden = norm_output(self.config, self._cache["final_norm"]).reshape(b * s, h)
+        dhidden_flat, dembed_head = chunked_lm_head_backward(
+            (hidden, *self._cache["head"])
+        )
         self.backward_hidden(dhidden_flat.reshape(b, s, h), dembed_extra=dembed_head)
 
     def backward_hidden(
@@ -259,14 +255,10 @@ class GPTModel:
         """Backprop from final-norm output gradients; fills ``self.grads``."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        cfg = self.config
-        if cfg.arch == "gpt":
-            dx, dg, dbta = layernorm_backward(dnormed, self._cache["final_norm"])
-            self.grads["final_norm.gamma"] = dg
-            self.grads["final_norm.beta"] = dbta
-        else:
-            dx, dg = rmsnorm_backward(dnormed, self._cache["final_norm"])
-            self.grads["final_norm.gamma"] = dg
+        dx, contribs = norm_backward(
+            self.config, dnormed, self._cache["final_norm"], "final_norm"
+        )
+        self.grads.update(contribs)
         for block in reversed(self.blocks):
             dx = block.backward(dx)
         if self._cache["pos_used"] is not None:

@@ -34,11 +34,13 @@ from repro.models.config import ModelConfig
 from repro.models.layers import (
     gelu_backward,
     gelu_forward,
+    gelu_output,
     make_rope_cache,
     rope_backward,
     rope_forward,
-    silu_backward,
-    silu_forward,
+    swiglu_backward,
+    swiglu_forward,
+    swiglu_output,
 )
 from repro.runtime.collectives import all_gather, reduce_scatter
 from repro.runtime.device import VirtualCluster, as_device_tensors, free_all
@@ -90,7 +92,7 @@ class MegatronShardedBlock:
 
 @dataclass
 class MegatronBlockContext:
-    """Saved forward state (host-resident, as under AC+offload)."""
+    """Saved forward state: plain arrays, charged to no pool."""
 
     sharding: MegatronShardedBlock
     norm1_caches: list
@@ -102,12 +104,10 @@ class MegatronBlockContext:
     v_heads: list[np.ndarray]
     o_heads: list[np.ndarray]
     lse: list[np.ndarray]
-    act_in: list[np.ndarray]  # FC1 output pre-activation
-    act_out: list[np.ndarray]
+    # GELU's (h1, tanh) or SwiGLU's (gate, sig, up); the activation
+    # output is rebuilt from them (see repro.models.layers).
     act_caches: list
     rope_cache: object | None
-    x_shards: list[np.ndarray]
-    mid_shards: list[np.ndarray]
 
 
 def _acc(grads: dict, key: str, val: np.ndarray) -> None:
@@ -195,20 +195,15 @@ def megatron_block_forward(
         if gpt:
             h1 = full @ params["ffn.w1"][:, fc] + params["ffn.b1"][fc]
             act, a_cache = gelu_forward(h1)
-            partial = act @ params["ffn.w2"][fc, :]
-            return h1, act, a_cache, partial
+            return a_cache, act @ params["ffn.w2"][fc, :]
         gate = full @ params["ffn.w_gate"][:, fc]
         up = full @ params["ffn.w_up"][:, fc]
-        sgate, a_cache = silu_forward(gate)
-        act = sgate * up
-        partial = act @ params["ffn.w_down"][fc, :]
-        return (gate, up, sgate), act, a_cache, partial
+        act, a_cache = swiglu_forward(gate, up)
+        return a_cache, act @ params["ffn.w_down"][fc, :]
 
     ffn = cluster.rank_map(ffn_rank)
-    act_in = [f[0] for f in ffn]
-    act_out = [f[1] for f in ffn]
-    act_caches = [f[2] for f in ffn]
-    partials2 = [f[3] for f in ffn]
+    act_caches = [f[0] for f in ffn]
+    partials2 = [f[1] for f in ffn]
     partial2_dev = as_device_tensors(cluster, partials2, ACT_DTYPE, "mp.ffn_partial")
     ffn_shards = free_all(reduce_scatter(cluster, partial2_dev, axis=1, tag="mp.ffn"))
 
@@ -224,8 +219,7 @@ def megatron_block_forward(
         sharding=sharding, norm1_caches=norm1_caches, norm2_caches=norm2_caches,
         normed_full=normed_full, normed2_full=normed2_full,
         q_heads=qs, k_heads=ks, v_heads=vs, o_heads=os_, lse=lses,
-        act_in=act_in, act_out=act_out, act_caches=act_caches,
-        rope_cache=rope_cache, x_shards=x_shards, mid_shards=mid_shards,
+        act_caches=act_caches, rope_cache=rope_cache,
     )
     return y_shards, ctx
 
@@ -262,19 +256,17 @@ def megatron_block_backward(
         dpart = dpartial2_full[rank]
         fc = sh.ffn_cols(rank)
         full = ctx.normed2_full[rank]
+        a_cache = ctx.act_caches[rank]
         if gpt:
             dact = dpart @ params["ffn.w2"][fc, :].T
-            dw2 = ctx.act_out[rank].reshape(-1, dact.shape[-1]).T @ dpart.reshape(-1, H)
-            dh1 = gelu_backward(dact, ctx.act_caches[rank])
+            dw2 = gelu_output(a_cache).reshape(-1, dact.shape[-1]).T @ dpart.reshape(-1, H)
+            dh1 = gelu_backward(dact, a_cache)
             dw1 = full.reshape(-1, H).T @ dh1.reshape(-1, dh1.shape[-1])
             db1 = dh1.reshape(-1, dh1.shape[-1]).sum(axis=0)
             return (dw1, db1, dw2), dh1 @ params["ffn.w1"][:, fc].T
-        gate, up, sgate = ctx.act_in[rank]
         dact = dpart @ params["ffn.w_down"][fc, :].T
-        ddown = ctx.act_out[rank].reshape(-1, dact.shape[-1]).T @ dpart.reshape(-1, H)
-        dsgate = dact * up
-        dup = dact * sgate
-        dgate = silu_backward(dsgate, ctx.act_caches[rank])
+        ddown = swiglu_output(a_cache).reshape(-1, dact.shape[-1]).T @ dpart.reshape(-1, H)
+        dgate, dup = swiglu_backward(dact, a_cache)
         dgate_w = full.reshape(-1, H).T @ dgate.reshape(-1, dgate.shape[-1])
         dup_w = full.reshape(-1, H).T @ dup.reshape(-1, dup.shape[-1])
         dnormed2 = dgate @ params["ffn.w_gate"][:, fc].T + dup @ params["ffn.w_up"][:, fc].T

@@ -28,7 +28,7 @@ from repro.common.dtypes import DType
 from repro.core.chunking import ChunkLayout
 from repro.core.fpdt_block import fpdt_block_backward, fpdt_block_forward
 from repro.core.offload import ChunkCache
-from repro.models.block_ops import Grads, accumulate_grads
+from repro.models.block_ops import Grads
 from repro.models.transformer import TransformerBlock
 from repro.runtime.device import VirtualCluster, as_device_tensors, free_all
 
@@ -141,9 +141,8 @@ class CheckpointedFPDTStack:
             dy_shards, block_grads = fpdt_block_backward(
                 cluster, block.config, ctx, dy_shards
             )
-            accumulate_grads(
-                grads, {f"{block.name}.{k}": v for k, v in block_grads.items()}
-            )
+            # Block keys never repeat: a plain rename, nothing to sum.
+            grads.update((f"{block.name}.{k}", v) for k, v in block_grads.items())
             free_all(fetched)
             if from_host:
                 for rank in range(cluster.world_size):

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.dtypes import DType
+from repro.common.errors import ScheduleError
 from repro.core.chunking import ChunkLayout
 from repro.core.double_buffer import DoubleBufferPrefetcher
 from repro.core.offload import ChunkCache
@@ -86,7 +87,8 @@ class FPDTAttentionContext:
     cache: ChunkCache
     # Per-rank, per-chunk saved attention outputs and LSE: plain arrays
     # kept from forward to backward, charged to no pool and moved by no
-    # transfer event (ROADMAP.md item 2).
+    # transfer event (ROADMAP.md item 2).  The backward drops each o_hat
+    # entry once it has computed that chunk's delta.
     o_hat: list[list[np.ndarray]]
     lse: list[list[np.ndarray]]
     # KV heads per rank in the gathered layout (dk/dv accumulator width).
@@ -277,8 +279,16 @@ def fpdt_attention_backward(
     ``i`` on rank ``r``.  Returns ``(dq, dk, dv)`` in the same local
     per-rank per-chunk layout, ready for the projection backward;
     ``dk``/``dv`` have the forward's ``Hk`` KV heads.
-    The context's cached chunks are released on completion.
+    The backward consumes ``ctx``: each ``o_hat`` entry is dropped once
+    its delta is computed and the cached chunks are released on
+    completion, so a second call raises
+    :class:`~repro.common.errors.ScheduleError`.
     """
+    if any(o[0] is None for o in ctx.o_hat):
+        raise ScheduleError(
+            "fpdt_attention_backward: this context was consumed by an "
+            "earlier backward; run the forward again"
+        )
     layout = ctx.layout
     world, u = layout.world, layout.num_chunks
     b, c, h, d = do_chunks[0][0].shape
@@ -305,6 +315,7 @@ def fpdt_attention_backward(
 
         def delta_rank(r, i=i):
             deltas[r][i] = compute_delta(ctx.o_hat[r][i], do_hat[r].data)
+            ctx.o_hat[r][i] = None  # its only reader
             store.store("do", r, i, do_hat[r])
 
         cluster.rank_map(delta_rank)

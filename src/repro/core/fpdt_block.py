@@ -17,10 +17,15 @@ The backward pass follows Fig. 13's profile: FFN gradients first
 backward of every chunk.  The paper starts chunk ``j``'s projection
 backward as soon as the nested loop finalizes chunk ``j``'s gradients;
 here it runs for all chunks after
-:func:`~repro.core.fpdt_attention.fpdt_attention_backward` returns, so
-the weight-gradient contributions fold in (rank, chunk) order, the
-serial loop's order, which keeps the gradients bitwise equal under
-every executor.
+:func:`~repro.core.fpdt_attention.fpdt_attention_backward` returns.
+
+The backward keeps only live state.  Each phase's rank closure folds
+its chunks' weight gradients into one per-rank sum, in chunk order, and
+the join folds the per-rank sums in rank order: a rank holds one
+accumulator and one chunk's partials, not a partial per chunk, and the
+order is the same under every executor, so the gradients are bitwise
+equal under all of them.  Each closure also drops every cache entry it
+has consumed, so a context serves exactly one backward.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.dtypes import DType
+from repro.common.errors import ScheduleError
 from repro.core.chunking import ChunkLayout
 from repro.core.fpdt_attention import (
     FPDTAttentionContext,
@@ -225,8 +231,14 @@ def fpdt_block_backward(
     backward.
 
     Returns per-rank input gradients and parameter gradients summed over
-    ranks and chunks.
+    ranks and chunks.  The backward consumes ``ctx``: a second call
+    raises :class:`~repro.common.errors.ScheduleError`.
     """
+    if any(caches[0] is None for caches in ctx.ffn_caches):
+        raise ScheduleError(
+            "fpdt_block_backward: this context was consumed by an earlier "
+            "backward (each cache is dropped once read); run the forward again"
+        )
     layout = ctx.layout
     world, u = layout.world, layout.num_chunks
     grads: Grads = {}
@@ -241,48 +253,44 @@ def fpdt_block_backward(
     out_flops = [2.0 * _out_proj_flops(cfg, batch, n) for n in chunk_tokens]
     qkv_flops = [2.0 * _qkv_proj_flops(cfg, batch, n) for n in chunk_tokens]
 
-    # Weight-gradient contributions come back from the rank closures and
-    # fold at the join in (rank, chunk) order — the serial loop's exact
-    # float accumulation order (executor-on/off bitwise identity).
+    # Each closure folds its chunks' weight gradients into one per-rank
+    # sum in chunk order and drops each cache once consumed; the join
+    # folds the per-rank sums in rank order (executor-invariant).
     def ffn_bwd_rank(r):
         dmid = np.empty_like(dy_shards[r])
-        chunk_grads = []
-        for (lo, hi), cache, flops in zip(ffn_bounds, ctx.ffn_caches[r], ffn_flops):
-            dx_chunk, g = ffn_backward(dy_shards[r][:, lo:hi], cache)
-            chunk_grads.append(g)
-            dmid[:, lo:hi] = dx_chunk
+        caches, rank_grads = ctx.ffn_caches[r], {}
+        for c, ((lo, hi), flops) in enumerate(zip(ffn_bounds, ffn_flops)):
+            dmid[:, lo:hi], g = ffn_backward(dy_shards[r][:, lo:hi], caches[c])
+            caches[c] = None
+            accumulate_grads(rank_grads, g)
             cluster.devices[r].compute("fpdt.ffn_bwd", flops=flops, nbytes=(hi - lo))
-        return dmid, chunk_grads
+        return dmid, rank_grads
 
     dmid_shards = []
-    for dmid, chunk_grads in cluster.rank_map(ffn_bwd_rank, flops=sum(ffn_flops)):
-        for g in chunk_grads:
-            accumulate_grads(grads, g)
+    for dmid, rank_grads in cluster.rank_map(ffn_bwd_rank, flops=sum(ffn_flops)):
+        accumulate_grads(grads, rank_grads)
         dmid_shards.append(dmid)
 
     # Output-projection backward per chunk -> do chunks in local layout.
-    do_chunks: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
-    dres_chunks: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
-
     def out_proj_bwd_rank(r):
-        chunk_grads = []
+        caches, rank_grads = ctx.post_caches[r], {}
         dos, dress = [], []
         for i in range(u):
             sl = layout.local_slice(i)
-            do, dres, g = attn_post_backward(dmid_shards[r][:, sl], ctx.post_caches[r][i])
-            chunk_grads.append(g)
+            do, dres, g = attn_post_backward(dmid_shards[r][:, sl], caches[i])
+            caches[i] = None
+            accumulate_grads(rank_grads, g)
             dos.append(do)
             dress.append(dres)
             cluster.devices[r].compute("fpdt.out_proj_bwd", flops=out_flops[i])
-        return chunk_grads, dos, dress
+        return dos, dress, rank_grads
 
-    for r, (chunk_grads, dos, dress) in enumerate(
-        cluster.rank_map(out_proj_bwd_rank, flops=sum(out_flops))
-    ):
-        do_chunks[r] = dos
-        dres_chunks[r] = dress
-        for g in chunk_grads:
-            accumulate_grads(grads, g)
+    do_chunks, dres_chunks = [], []
+    for dos, dress, rank_grads in cluster.rank_map(out_proj_bwd_rank, flops=sum(out_flops)):
+        accumulate_grads(grads, rank_grads)
+        do_chunks.append(dos)
+        dres_chunks.append(dress)
+    del dmid_shards
 
     # Attention nested-loop backward.
     dq_chunks, dk_chunks, dv_chunks = fpdt_attention_backward(
@@ -292,21 +300,20 @@ def fpdt_block_backward(
     # QKV-projection backward per chunk (+ residual assembly).
     def qkv_bwd_rank(r):
         dx = np.empty_like(dy_shards[r])
-        chunk_grads = []
+        caches, rank_grads = ctx.pre_caches[r], {}
         for i in range(u):
             sl = layout.local_slice(i)
             dx_pre, g = attn_pre_backward(
-                cfg, dq_chunks[r][i], dk_chunks[r][i], dv_chunks[r][i],
-                ctx.pre_caches[r][i],
+                cfg, dq_chunks[r][i], dk_chunks[r][i], dv_chunks[r][i], caches[i]
             )
-            chunk_grads.append(g)
+            caches[i] = None
+            accumulate_grads(rank_grads, g)
             np.add(dres_chunks[r][i], dx_pre, out=dx[:, sl])
             cluster.devices[r].compute("fpdt.qkv_proj_bwd", flops=qkv_flops[i])
-        return dx, chunk_grads
+        return dx, rank_grads
 
     dx_shards = []
-    for dx, chunk_grads in cluster.rank_map(qkv_bwd_rank, flops=sum(qkv_flops)):
-        for g in chunk_grads:
-            accumulate_grads(grads, g)
+    for dx, rank_grads in cluster.rank_map(qkv_bwd_rank, flops=sum(qkv_flops)):
+        accumulate_grads(grads, rank_grads)
         dx_shards.append(dx)
     return dx_shards, grads

@@ -99,9 +99,8 @@ class ShardedModelRunner:
         grads: dict[str, np.ndarray] = {}
         for block, block_ctx in zip(reversed(self.model.blocks), reversed(ctx)):
             dy_shards, block_grads = self.block_backward(block, block_ctx, dy_shards)
-            accumulate_grads(
-                grads, {f"{block.name}.{k}": v for k, v in block_grads.items()}
-            )
+            # Block keys never repeat: a plain rename, nothing to sum.
+            grads.update((f"{block.name}.{k}", v) for k, v in block_grads.items())
         return dy_shards, grads
 
     def block_forward(self, block: TransformerBlock, x_shards):

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.dtypes import DType
+from repro.common.errors import ScheduleError
 from repro.models.attention import (
     OnlineSoftmaxState,
     attention_block_backward,
@@ -337,8 +338,15 @@ def usp_block_backward(
 
     Returns per-rank input gradients and the block's parameter gradients
     **summed over ranks** (the all-reduce a real run issues, since every
-    rank computes partial weight gradients from its token shard).
+    rank computes partial weight gradients from its token shard).  The
+    backward consumes ``ctx``: a second call raises
+    :class:`~repro.common.errors.ScheduleError`.
     """
+    if any(cache is None for cache in ctx.ffn_caches):
+        raise ScheduleError(
+            "usp_block_backward: this context was consumed by an earlier "
+            "backward (each cache is dropped once read); run the forward again"
+        )
     world = cluster.world_size
     U = mesh.axis_size("ulysses")
     R = mesh.axis_size("ring")
@@ -349,9 +357,11 @@ def usp_block_backward(
 
     # Phase 4 + 3 backward (token-local); weight gradients fold at the
     # join in rank order — the serial loop's exact accumulation order.
+    # Each closure drops the caches it consumes.
     def post_bwd_rank(rank):
         dmid, g_ffn = ffn_backward(dy_shards[rank], ctx.ffn_caches[rank])
         do, dres, g_post = attn_post_backward(dmid, ctx.post_caches[rank])
+        ctx.ffn_caches[rank] = ctx.post_caches[rank] = None
         return do, dres, g_ffn, g_post
 
     do_shards, dres_shards = [], []
@@ -455,6 +465,7 @@ def usp_block_backward(
         dx_pre, g_pre = attn_pre_backward(
             cfg, dq_loc[rank], dk_loc[rank], dv_loc[rank], ctx.pre_caches[rank]
         )
+        ctx.pre_caches[rank] = None
         return dres_shards[rank] + dx_pre, g_pre
 
     dx_shards = []

@@ -16,9 +16,12 @@ executor-off):
 * closures only touch **rank-local** state plus the thread-safe runtime
   (pools and arenas lock their counters; see
   :mod:`repro.runtime.memory` / :mod:`repro.runtime.arena`);
+* accumulation **within a rank** (e.g. one rank's weight gradients
+  over its sequence chunks) happens inside that rank's closure, in chunk
+  order, into rank-local state;
 * any **cross-rank accumulation** happens at the join, in rank order,
   on the values the closures return — never inside the closures — so
-  float reduction order matches the serial loop exactly;
+  float reduction order is the same under every backend;
 * trace events recorded inside a closure go to a per-rank buffer and
   are merged in (rank, sequence) order at the join
   (:meth:`repro.runtime.trace.Trace.buffered`), so the merged log is
@@ -444,8 +447,8 @@ def fold(
 ) -> dict:
     """Join-phase gradient fold: apply ``accumulate(into, contrib)`` in
     rank order.  Exists to keep call sites honest about the determinism
-    rule — accumulation happens here, after the join, never inside rank
-    closures."""
+    rule — cross-rank accumulation happens here, after the join, never
+    inside rank closures."""
     for contrib in contributions:
         if contrib:
             accumulate(into, contrib)

@@ -105,6 +105,12 @@ STRATEGIES = {
         _llama_kv_heads,
         lambda m, c: FPDTModelRunner(m, c, num_chunks=2, offload=True),
     ),
+    "fpdt_ac": (
+        _llama,
+        lambda m, c: FPDTModelRunner(
+            m, c, num_chunks=2, offload=True, activation_checkpoint=True
+        ),
+    ),
     "usp_2x2": (
         _llama,
         lambda m, c: USPModelRunner(m, c, seq_parallel=(2, 2)),

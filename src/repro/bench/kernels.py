@@ -147,42 +147,38 @@ def _attention_inputs(quick: bool):
 
 
 def _bench_attention_forward_block(quick: bool) -> Callable[[], None]:
-    from repro.models.attention import OnlineSoftmaxState, finalize_online, online_block_update
+    from repro.models.attention import AttentionFold
 
     q, k, v, scale = _attention_inputs(quick)
-    b, s, h, d = q.shape
+    s = q.shape[1]
 
     def run() -> None:
-        state = OnlineSoftmaxState.zeros(b, s, h, d)
-        online_block_update(state, q, k, v, scale=scale, q_offset=s, k_offset=0)
-        online_block_update(state, q, k, v, scale=scale, q_offset=s, k_offset=s)
-        finalize_online(state)
+        fold = AttentionFold(q, q_offset=s, scale=scale)
+        fold.update(k, v, 0)
+        fold.update(k, v, s)
+        fold.finish()
 
     return run
 
 
 def _bench_attention_backward_block(quick: bool) -> Callable[[], None]:
     from repro.models.attention import (
-        OnlineSoftmaxState,
+        AttentionFold,
         attention_block_backward,
         compute_delta,
-        finalize_online,
-        online_block_update,
     )
 
     q, k, v, scale = _attention_inputs(quick)
-    b, s, h, d = q.shape
-    state = OnlineSoftmaxState.zeros(b, s, h, d)
-    online_block_update(state, q, k, v, scale=scale, q_offset=0, k_offset=0)
-    o, lse = finalize_online(state)
+    fold = AttentionFold(q, scale=scale)
+    fold.update(k, v, 0)
+    o, lse = fold.finish()
     rng = np.random.default_rng(2)
     do = rng.standard_normal(o.shape)
     delta = compute_delta(o, do)
+    acc = (np.zeros_like(q), np.zeros_like(k), np.zeros_like(v))
 
     def run() -> None:
-        attention_block_backward(
-            q, k, v, do, lse, delta, scale=scale, q_offset=0, k_offset=0
-        )
+        attention_block_backward(q, k, v, do, lse, delta, *acc, scale=scale)
 
     return run
 
@@ -190,13 +186,11 @@ def _bench_attention_backward_block(quick: bool) -> Callable[[], None]:
 def _bench_attention_block_fpdt_long(quick: bool) -> Callable[[], None]:
     """``train_fpdt_long``'s per-rank block (8 heads / 4 KV heads over 4
     ranks, 256-token chunks): one off-diagonal and one diagonal block,
-    forward and backward, through the ``out=`` trio FPDT passes."""
+    forward and backward, adding into accumulators as FPDT does."""
     from repro.models.attention import (
-        OnlineSoftmaxState,
+        AttentionFold,
         attention_block_backward,
         compute_delta,
-        finalize_online,
-        online_block_update,
     )
 
     rng = np.random.default_rng(4)
@@ -204,22 +198,21 @@ def _bench_attention_block_fpdt_long(quick: bool) -> Callable[[], None]:
     q = rng.standard_normal((1, c, h, d))
     kv = [rng.standard_normal((1, 2 * c, hk, d)) for _ in range(2)]
     do = rng.standard_normal(q.shape)
-    trio = (np.empty_like(q), np.empty((1, c, hk, d)), np.empty((1, c, hk, d)))
+    acc = (np.zeros_like(q), np.zeros((1, c, hk, d)), np.zeros((1, c, hk, d)))
     blocks = [
         (kv[0][:, k0 : k0 + c], kv[1][:, k0 : k0 + c], k0) for k0 in (0, c)
     ]
     kw = dict(scale=1.0 / np.sqrt(d), q_offset=c)
 
     def run() -> None:
-        state = OnlineSoftmaxState.zeros(1, c, h, d)
+        fold = AttentionFold(q, **kw)
         for k, v, k0 in blocks:
-            online_block_update(state, q, k, v, k_offset=k0, **kw)
-        o, lse = finalize_online(state)
+            fold.update(k, v, k0)
+        o, lse = fold.finish()
         delta = compute_delta(o, do)
         for k, v, k0 in blocks:
             attention_block_backward(
-                q, k, v, do, lse, delta, k_offset=k0,
-                dq_out=trio[0], dk_out=trio[1], dv_out=trio[2], **kw,
+                q, k, v, do, lse, delta, *acc, k_offset=k0, **kw
             )
 
     return run
@@ -307,7 +300,7 @@ def _bench_fpdt_fwd_bwd(quick: bool) -> Callable[[], None]:
 
     def run() -> None:
         _, ctx = fpdt_attention_forward(cluster, layout, q, k, v, offload=True)
-        fpdt_attention_backward(cluster, ctx, do)
+        fpdt_attention_backward(cluster, ctx, [list(chunks) for chunks in do])
 
     return run
 

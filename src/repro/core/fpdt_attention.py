@@ -11,16 +11,19 @@ Forward, per sequence chunk ``i`` (of ``u`` chunks per rank):
    ``[b, s_global/u, Hk/world, d]`` — each rank's query heads with the
    KV heads they read — and, thanks to the rank-ordinal shuffle,
    gathered chunk ``i`` is the ``i``-th contiguous global segment;
-3. online attention folds the cached chunks ``k̂_j, v̂_j (j < i)`` —
-   fetched from host one at a time through the double buffer — and the
-   diagonal chunk into ``q̂_i``'s running state;
+3. one :class:`~repro.models.attention.AttentionFold` per rank folds
+   the cached chunks ``k̂_j, v̂_j (j < i)`` — fetched from host one at a
+   time through the double buffer — and the diagonal chunk into
+   ``q̂_i``'s running state;
 4. ``q̂_i, k̂_i, v̂_i`` are offloaded to host for the backward pass and
    the normalized output chunk ``ô_i`` is all-to-all'd back.
 
 Backward is the Fig. 7 nested loop: the **outer** loop walks KV chunks
-``j``, the **inner** loop walks query chunks ``i >= j``.  ``dk̂_j, dv̂_j``
-accumulate on-device across the inner loop and are final when it ends;
-``dq̂_i`` accumulates across outer iterations and is final at outer
+``j``, the **inner** loop walks query chunks ``i >= j``, and each block
+backward adds into the accumulators itself
+(:func:`~repro.models.attention.attention_block_backward`).  ``dk̂_j,
+dv̂_j`` accumulate on-device across the inner loop and are final when it
+ends; ``dq̂_i`` accumulates across outer iterations and is final at outer
 iteration ``j == i`` (its diagonal).  The paper keeps that accumulator
 on the host; here it is a plain array per (rank, chunk) that no pool
 charges and no transfer event records (ROADMAP.md item 2, "Every byte
@@ -54,12 +57,10 @@ from repro.core.chunking import ChunkLayout
 from repro.core.double_buffer import DoubleBufferPrefetcher
 from repro.core.offload import ChunkCache
 from repro.models.attention import (
-    OnlineSoftmaxState,
+    AttentionFold,
     attention_block_backward,
     block_is_visible,
     compute_delta,
-    finalize_online,
-    online_block_update,
 )
 from repro.runtime.collectives import all_to_all
 from repro.runtime.device import VirtualCluster, as_device_tensors
@@ -88,7 +89,8 @@ class FPDTAttentionContext:
     # Per-rank, per-chunk saved attention outputs and LSE: plain arrays
     # kept from forward to backward, charged to no pool and moved by no
     # transfer event (ROADMAP.md item 2).  The backward drops each o_hat
-    # entry once it has computed that chunk's delta.
+    # entry once it has computed that chunk's delta, and each lse entry
+    # at the end of its chunk's outer iteration.
     o_hat: list[list[np.ndarray]]
     lse: list[list[np.ndarray]]
     # KV heads per rank in the gathered layout (dk/dv accumulator width).
@@ -184,7 +186,6 @@ def fpdt_attention_forward(
         k_hat = all_to_all(cluster, k_dev, split_axis=2, concat_axis=1, tag="fpdt.k")
         v_hat = all_to_all(cluster, v_dev, split_axis=2, concat_axis=1, tag="fpdt.v")
 
-        states = [OnlineSoftmaxState.zeros(b, big_c, h_local, d) for _ in range(world)]
         q_off = layout.gathered_offset(i)
 
         # (3) fold cached chunks j < i that the (window-)mask can see,
@@ -207,6 +208,7 @@ def fpdt_attention_forward(
         # offload) independently — the whole segment between the input
         # and output all-to-alls is one fork-join region.
         def fwd_rank(r, i=i, q_off=q_off):
+            fold = AttentionFold(q_hat[r].data, q_offset=q_off, scale=scale, window=window)
             if offload:
                 pref_k = DoubleBufferPrefetcher(ctx.cache, cluster.devices[r], depth=prefetch_depth)
                 pref_v = DoubleBufferPrefetcher(ctx.cache, cluster.devices[r], depth=prefetch_depth)
@@ -225,11 +227,7 @@ def fpdt_attention_forward(
                 else:
                     k_arr = store.data("k", r, j)
                     v_arr = store.data("v", r, j)
-                online_block_update(
-                    states[r], q_hat[r].data, k_arr, v_arr,
-                    scale=scale, q_offset=q_off, k_offset=layout.gathered_offset(j),
-                    window=window,
-                )
+                fold.update(k_arr, v_arr, layout.gathered_offset(j))
                 cluster.devices[r].compute("fpdt.attn_fwd", flops=block_flops)
                 if offload:
                     k_t.free()
@@ -239,13 +237,10 @@ def fpdt_attention_forward(
                         pref_k.prefetch(("k", r, nxt))
                         pref_v.prefetch(("v", r, nxt))
             # diagonal chunk.
-            online_block_update(
-                states[r], q_hat[r].data, k_hat[r].data, v_hat[r].data,
-                scale=scale, q_offset=q_off, k_offset=q_off, window=window,
-            )
+            fold.update(k_hat[r].data, v_hat[r].data, q_off)
             cluster.devices[r].compute("fpdt.attn_fwd", flops=block_flops / 2)
             # (4) finalize, save.
-            o, lse = finalize_online(states[r])
+            o, lse = fold.finish()
             o_t = cluster.devices[r].from_numpy(o, ACT_DTYPE, "fpdt.o")
             store.store("q", r, i, q_hat[r])
             store.store("k", r, i, k_hat[r])
@@ -279,9 +274,11 @@ def fpdt_attention_backward(
     ``i`` on rank ``r``.  Returns ``(dq, dk, dv)`` in the same local
     per-rank per-chunk layout, ready for the projection backward;
     ``dk``/``dv`` have the forward's ``Hk`` KV heads.
-    The backward consumes ``ctx``: each ``o_hat`` entry is dropped once
-    its delta is computed and the cached chunks are released on
-    completion, so a second call raises
+    The backward consumes ``ctx`` and ``do_chunks``, dropping each entry
+    at its last reader: a ``do`` chunk once it is all-to-all'd, an
+    ``o_hat`` entry once its delta is computed, query chunk ``j``'s
+    ``lse`` and delta at the end of outer iteration ``j``, and the
+    cached chunks on completion.  So a second call raises
     :class:`~repro.common.errors.ScheduleError`.
     """
     if any(o[0] is None for o in ctx.o_hat):
@@ -305,12 +302,15 @@ def fpdt_attention_backward(
 
     # All-to-all every do chunk into the gathered layout once, compute its
     # delta, and stage it in the same cache as q/k/v (it is re-fetched by
-    # every outer iteration j <= i).
+    # every outer iteration j <= i).  The local do chunk is dropped once
+    # sent.
     deltas: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
     for i in range(u):
         do_dev = as_device_tensors(
             cluster, [do_chunks[r][i] for r in range(world)], ACT_DTYPE, "fpdt.do"
         )
+        for r in range(world):
+            do_chunks[r][i] = None
         do_hat = all_to_all(cluster, do_dev, split_axis=2, concat_axis=1, tag="fpdt.do")
 
         def delta_rank(r, i=i):
@@ -329,15 +329,6 @@ def fpdt_attention_backward(
     dq_local: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
     dk_local: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
     dv_local: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
-
-    # One preallocated (dq, dk, dv) destination trio **per rank** for
-    # every block backward of the nested loop — the kernel overwrites
-    # them, the accumulations below read them out, no per-block gradient
-    # allocs.  Per-rank trios (not one shared trio) because the rank
-    # closures of a fork-join round run concurrently.
-    dq_ws = [np.empty((b, big_c, h_local, d)) for _ in range(world)]
-    dk_ws = [np.empty(kv_shape) for _ in range(world)]
-    dv_ws = [np.empty(kv_shape) for _ in range(world)]
 
     ahead = prefetch_depth >= 2  # see the forward: depth 1 cannot overlap
     for j in range(u):  # outer loop: KV chunks
@@ -376,7 +367,6 @@ def fpdt_attention_backward(
             )
 
             for pos, i in enumerate(visible_q):  # inner loop: visible query chunks
-                q_off = layout.gathered_offset(i)
                 if offload:
                     if ahead and pos + 1 < len(visible_q):
                         nxt = visible_q[pos + 1]
@@ -391,17 +381,15 @@ def fpdt_attention_backward(
                     do_arr = store.data("do", r, i)
                     k_arr = store.data("k", r, j)
                     v_arr = store.data("v", r, j)
-                dq_p, dk_p, dv_p = attention_block_backward(
+                attention_block_backward(
                     q_arr, k_arr, v_arr, do_arr, ctx.lse[r][i], deltas[r][i],
-                    scale=scale, q_offset=q_off, k_offset=k_off, window=window,
-                    dq_out=dq_ws[r], dk_out=dk_ws[r], dv_out=dv_ws[r],
+                    dq_host[r][i], dk_acc.data, dv_acc.data,
+                    scale=scale, q_offset=layout.gathered_offset(i), k_offset=k_off,
+                    window=window,
                 )
                 cluster.devices[r].compute(
                     "fpdt.attn_bwd", flops=block_flops / (2 if i == j else 1)
                 )
-                dq_host[r][i] += dq_p
-                dk_acc.data += dk_p
-                dv_acc.data += dv_p
                 if offload:
                     q_t.free()
                     do_t.free()
@@ -415,8 +403,11 @@ def fpdt_attention_backward(
                 pref_q.drain()
                 pref_do.drain()
 
-            # dq_j, dk_j, dv_j are final for this rank.
+            # dq_j, dk_j, dv_j are final for this rank, and outer
+            # iteration j was the last reader of query chunk j's lse and
+            # delta.
             dq_t = cluster.devices[r].from_numpy(dq_host[r][j], ACT_DTYPE, "fpdt.dq")
+            ctx.lse[r][j] = deltas[r][j] = dq_host[r][j] = None
             return dq_t, dk_acc, dv_acc
 
         # One rank's work: every visible block, the diagonal (always
@@ -435,8 +426,6 @@ def fpdt_attention_backward(
             dq_local[r][j] = dq_b[r].free()
             dk_local[r][j] = dk_b[r].free()
             dv_local[r][j] = dv_b[r].free()
-        for r in range(world):
-            dq_host[r][j] = None  # release the host accumulator
 
     ctx.release()
     return dq_local, dk_local, dv_local

@@ -19,12 +19,12 @@ from repro.models.config import (
     tiny_llama,
 )
 from repro.models.attention import (
+    AttentionFold,
     attention_backward_reference,
     attention_block_backward,
     attention_forward_reference,
     online_attention_backward,
     online_attention_forward,
-    OnlineSoftmaxState,
 )
 from repro.models.loss import (
     chunked_lm_head_backward,
@@ -51,7 +51,7 @@ __all__ = [
     "online_attention_forward",
     "online_attention_backward",
     "attention_block_backward",
-    "OnlineSoftmaxState",
+    "AttentionFold",
     "softmax_cross_entropy_forward",
     "softmax_cross_entropy_backward",
     "chunked_lm_head_forward",

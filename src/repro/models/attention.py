@@ -5,26 +5,30 @@ Two implementations of the same math:
 * :func:`attention_forward_reference` materializes the full ``[s, s]``
   score matrix — the O(N^2)-memory baseline of the paper's §3.1, used as
   the gold standard.
-* The *online* path computes attention blockwise with a running max /
-  running denominator (online softmax), exactly the algorithm
-  FlashAttention uses and the one FPDT schedules across chunks: the
-  forward keeps only ``(acc, m, l)`` per query row, the backward
-  recomputes per-block probabilities from the saved log-sum-exp.
+* The *online* path is one fold per direction, exactly the algorithm
+  FlashAttention uses and the one FPDT schedules across chunks.
+  :class:`AttentionFold` folds KV blocks into one query block's running
+  ``(acc, m, l)`` (online softmax) through ``update(k, v, k_offset)``
+  and normalizes in ``finish()``; :func:`attention_block_backward`
+  recomputes one block's probabilities from the saved log-sum-exp and
+  adds its ``dq``/``dk``/``dv`` into the caller's accumulators.  Every
+  schedule (FPDT's chunk pipeline, USP's ring, serving's key tiles, the
+  whole-segment :func:`online_attention_forward`/``_backward`` of
+  Megatron-SP and Ulysses) drives these two and keeps its own data
+  movement between blocks.
 
-Block functions carry **absolute position offsets** ``(q_offset,
-k_offset)`` so the causal mask stays exact when FPDT processes chunk
-pairs off the diagonal (the Fig. 6 discussion).  All shapes are
-``[b, s, h, d]``.  The block kernels :func:`online_block_update` and
-:func:`attention_block_backward` (and so both blockwise passes) take K/V
-with ``hk`` heads for any ``h % hk == 0`` through one contraction path:
-they copy ``q`` (and ``do``) head-major as ``[b, hk, g*sq, d]`` and
-contract each KV head once against its ``g`` query heads as a batched
-``np.matmul``, so nothing is repeated over the context and ``dk``/``dv``
-come back with ``hk`` heads.  The forward's two contractions are
-:func:`grouped_scores` (``q`` against ``k``) and :func:`grouped_pv`
-(``p`` against ``v``); the serving decode row's one-block softmax
-(``models/generate._softmax_row``) calls the same two.  The reference
-kernels take K/V expanded to ``h`` heads with
+Both carry **absolute position offsets** ``(q_offset, k_offset)`` so
+the causal mask stays exact when FPDT processes chunk pairs off the
+diagonal (the Fig. 6 discussion).  All shapes are ``[b, s, h, d]``.
+Both take K/V with ``hk`` heads for any ``h % hk == 0`` through one
+contraction path: they copy ``q`` (and ``do``) head-major as ``[b, hk,
+g*sq, d]`` and contract each KV head once against its ``g`` query heads
+as a batched ``np.matmul``, so nothing is repeated over the context and
+``dk``/``dv`` come back with ``hk`` heads.  The forward's two
+contractions are :func:`grouped_scores` (``q`` against ``k``) and
+:func:`grouped_pv` (``p`` against ``v``); the serving decode row's
+one-block softmax (``models/generate._softmax_row``) calls the same
+two.  The reference kernels take K/V expanded to ``h`` heads with
 :func:`repro.models.layers.repeat_kv`.
 
 A score block is bound by its full-block elementwise passes, not by its
@@ -42,17 +46,17 @@ GEMM FLOPs, so the block kernels keep those passes few:
   column, ``[q·s | -lse] @ [k | 1]ᵀ`` and ``[do | -delta] @ [v | 1]ᵀ``,
   which leaves ``exp`` and ``p * dp`` as its only full-block passes.
 
-Each block kernel allocates its score / ``dp`` scratch per call and drops
-it on return, so working memory is O(block), and a caller that bounds
-its blocks bounds it: serving folds a long cached prefix one tile at a
-time (``models/generate._prefix_causal_attention``).  A scratch cache
+Each block kernel allocates its score / ``dp`` scratch (and the backward
+its gradient partials) per call and drops it on return, so working
+memory is O(block), and a caller that bounds its blocks bounds it:
+serving folds a long cached prefix one tile at a time
+(``models/generate._prefix_causal_attention``).  A scratch cache
 keyed by shape would keep one score block per key length ever seen.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,99 +242,96 @@ def grouped_pv(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class OnlineSoftmaxState:
-    """Running state of online softmax for a block of queries.
+class AttentionFold:
+    """The online-softmax fold of KV blocks into one query block.
 
-    ``acc`` is the *unnormalized* output accumulator ``[b, sq, h, d]``;
-    ``m`` the running row max and ``l`` the running denominator, both
-    ``[b, h, sq]``.  This is the "intermediate results ... rescaled in
-    the next chunk computation" state of §4.1.
+    Holds ``q`` with its absolute ``q_offset``, the softmax ``scale``
+    (default ``1 / sqrt(d)``) and the ``window``, and the running state
+    of §4.1 ("intermediate results ... rescaled in the next chunk
+    computation"): ``acc``, the *unnormalized* output ``[b, sq, h, d]``,
+    and ``m``/``l``, the running row max and denominator ``[b, h, sq]``.
+    :meth:`update` folds one KV block in, :meth:`finish` normalizes.
+    The caller owns the data movement between updates (prefetch, ring
+    shift, key-tile slice), so one fold serves every schedule.
     """
 
-    acc: np.ndarray
-    m: np.ndarray
-    l: np.ndarray
+    __slots__ = ("q", "q_offset", "scale", "window", "acc", "m", "l")
 
-    @classmethod
-    def zeros(cls, b: int, sq: int, h: int, d: int) -> "OnlineSoftmaxState":
-        return cls(
-            acc=np.zeros((b, sq, h, d)),
-            m=np.full((b, h, sq), -np.inf),
-            l=np.zeros((b, h, sq)),
-        )
-
-
-def online_block_update(
-    state: OnlineSoftmaxState,
-    q: np.ndarray,
-    k_blk: np.ndarray,
-    v_blk: np.ndarray,
-    *,
-    scale: float,
-    causal: bool = True,
-    q_offset: int = 0,
-    k_offset: int = 0,
-    window: int | None = None,
-) -> OnlineSoftmaxState:
-    """Fold one KV block into the running attention of a query block.
-
-    With causal masking the caller must only present visible blocks
-    (see :func:`block_is_visible`); FPDT's schedule guarantees this by
-    construction (q_i attends only to k_j with j <= i, and with a
-    window only to chunks overlapping ``(i*C - window, (i+1)*C]``).
-
-    ``k_blk``/``v_blk`` carry ``hk`` KV heads for ``h`` query heads
-    (``h % hk == 0``, query head ``i`` reads KV head ``i // (h // hk)``,
-    the :func:`~repro.models.layers.repeat_kv` layout).  Scores and
-    ``p @ v`` are batched matmuls over ``hk`` with ``q`` viewed as
-    ``[b, hk, g*sq, d]``; with ``hk < h`` equal to the expanded path up
-    to float rounding.
-    """
-    _check_qkv(q, k_blk, v_blk)
-    if causal and not block_is_visible(
-        q.shape[1], k_blk.shape[1], q_offset, k_offset, window
+    def __init__(
+        self,
+        q: np.ndarray,
+        *,
+        q_offset: int = 0,
+        scale: float | None = None,
+        window: int | None = None,
     ):
-        raise ShapeError(
-            f"causal online update got a fully-invisible block: "
-            f"q_offset={q_offset}, k_offset={k_offset}, window={window}"
-        )
-    sq, sk = q.shape[1], k_blk.shape[1]
-    scores = grouped_scores(q, k_blk, scale)
-    band = _band(sq, sk, q_offset, k_offset, window) if causal else None
-    if band is not None:
-        cols, hidden = band
-        np.copyto(scores[..., cols], -np.inf, where=hidden)
-    m_new = np.maximum(state.m, scores.max(axis=-1))
-    # Rows that have seen nothing yet (m_new == -inf: fully-masked so far,
-    # e.g. an unaligned block straddling the diagonal) must pass through
-    # untouched; substitute a finite max so exp() yields exact zeros.
-    safe_m = np.where(np.isneginf(m_new), 0.0, m_new)
-    scores -= safe_m[..., None]
-    if band is not None:
-        # exp(-inf) runs NumPy's ~5x slower special-value path: exponentiate
-        # zeros in the band instead and clear them afterwards.
-        np.copyto(scores[..., cols], 0.0, where=hidden)
-    p = np.exp(scores, out=scores)
-    if band is not None:
-        np.copyto(p[..., cols], 0.0, where=hidden)
-    correction = np.exp(state.m - safe_m)  # 0 where nothing was seen yet
-    state.l *= correction
-    state.l += p.sum(axis=-1)
-    state.acc *= correction.transpose(0, 2, 1)[..., None]
-    state.acc += grouped_pv(p, v_blk)
-    state.m = m_new
-    return state
+        if q.ndim != 4:
+            raise ShapeError(f"q must be [batch, seq, heads, head_dim], got {q.shape}")
+        b, sq, h, d = q.shape
+        self.q = q
+        self.q_offset = q_offset
+        self.scale = scale if scale is not None else 1.0 / np.sqrt(d)
+        self.window = window
+        self.acc = np.zeros((b, sq, h, d))
+        self.m = np.full((b, h, sq), -np.inf)
+        self.l = np.zeros((b, h, sq))
 
+    def update(self, k_blk: np.ndarray, v_blk: np.ndarray, k_offset: int) -> None:
+        """Fold one KV block at absolute ``k_offset`` into the state.
 
-def finalize_online(state: OnlineSoftmaxState) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize the accumulator; returns ``(o, lse)`` where ``lse`` is
-    the row log-sum-exp ``[b, h, sq]`` saved for the backward pass."""
-    if np.any(state.l == 0):
-        raise ShapeError("finalize_online: some query rows attended to nothing")
-    o = state.acc / state.l.transpose(0, 2, 1)[..., None]
-    lse = state.m + np.log(state.l)
-    return o, lse
+        The caller must only present visible blocks (see
+        :func:`block_is_visible`); FPDT's schedule guarantees this by
+        construction (q_i attends only to k_j with j <= i, and with a
+        window only to chunks overlapping ``(i*C - window, (i+1)*C]``).
+
+        ``k_blk``/``v_blk`` carry ``hk`` KV heads for ``h`` query heads
+        (``h % hk == 0``, query head ``i`` reads KV head ``i // (h //
+        hk)``, the :func:`~repro.models.layers.repeat_kv` layout).
+        Scores and ``p @ v`` are batched matmuls over ``hk`` with ``q``
+        viewed as ``[b, hk, g*sq, d]``; with ``hk < h`` equal to the
+        expanded path up to float rounding.
+        """
+        q, window = self.q, self.window
+        _check_qkv(q, k_blk, v_blk)
+        sq, sk = q.shape[1], k_blk.shape[1]
+        if not block_is_visible(sq, sk, self.q_offset, k_offset, window):
+            raise ShapeError(
+                f"causal online update got a fully-invisible block: "
+                f"q_offset={self.q_offset}, k_offset={k_offset}, window={window}"
+            )
+        scores = grouped_scores(q, k_blk, self.scale)
+        band = _band(sq, sk, self.q_offset, k_offset, window)
+        if band is not None:
+            cols, hidden = band
+            np.copyto(scores[..., cols], -np.inf, where=hidden)
+        m_new = np.maximum(self.m, scores.max(axis=-1))
+        # Rows that have seen nothing yet (m_new == -inf: fully-masked so far,
+        # e.g. an unaligned block straddling the diagonal) must pass through
+        # untouched; substitute a finite max so exp() yields exact zeros.
+        safe_m = np.where(np.isneginf(m_new), 0.0, m_new)
+        scores -= safe_m[..., None]
+        if band is not None:
+            # exp(-inf) runs NumPy's ~5x slower special-value path: exponentiate
+            # zeros in the band instead and clear them afterwards.
+            np.copyto(scores[..., cols], 0.0, where=hidden)
+        p = np.exp(scores, out=scores)
+        if band is not None:
+            np.copyto(p[..., cols], 0.0, where=hidden)
+        correction = np.exp(self.m - safe_m)  # 0 where nothing was seen yet
+        self.l *= correction
+        self.l += p.sum(axis=-1)
+        self.acc *= correction.transpose(0, 2, 1)[..., None]
+        self.acc += grouped_pv(p, v_blk)
+        self.m = m_new
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normalize the accumulator; returns ``(o, lse)`` where ``lse``
+        is the row log-sum-exp ``[b, h, sq]`` saved for the backward."""
+        if np.any(self.l == 0):
+            raise ShapeError("AttentionFold.finish: some query rows attended to nothing")
+        o = self.acc / self.l.transpose(0, 2, 1)[..., None]
+        lse = self.m + np.log(self.l)
+        return o, lse
 
 
 def compute_delta(o: np.ndarray, do: np.ndarray) -> np.ndarray:
@@ -346,41 +347,34 @@ def attention_block_backward(
     do: np.ndarray,
     lse: np.ndarray,
     delta: np.ndarray,
+    dq_acc: np.ndarray,
+    dk_acc: np.ndarray,
+    dv_acc: np.ndarray,
     *,
     scale: float,
-    causal: bool = True,
     q_offset: int = 0,
     k_offset: int = 0,
     window: int | None = None,
-    dq_out: np.ndarray | None = None,
-    dk_out: np.ndarray | None = None,
-    dv_out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient contribution of one (query-block, KV-block) pair.
+) -> None:
+    """Add the gradient of one (query-block, KV-block) pair into
+    ``dq_acc`` (``q``'s shape) and ``dk_acc``/``dv_acc`` (``k_blk``'s).
 
     Recomputes the block probabilities from the saved ``lse`` (no stored
     attention matrix), then applies the FlashAttention-2 formulas.
-    Returns partial ``(dq, dk_blk, dv_blk)`` to be accumulated by the
-    caller — FPDT's nested backward loop (Fig. 7) accumulates ``dk/dv``
-    over the inner (query) loop and ``dq`` over the outer (KV) loop.
-
-    ``dq_out``/``dk_out``/``dv_out`` are optional preallocated
-    destinations (fully overwritten, then returned); loops pass the same
-    trio every iteration so no per-block gradient buffers are allocated.
-    They must not alias ``q``/``k_blk``/``v_blk``/``do``, and ``dq_out``
-    must be C-contiguous (the grouped path writes it through a reshape).
+    FPDT's nested backward loop (Fig. 7) passes the same ``dk/dv``
+    accumulators over the inner (query) loop and the same ``dq`` one over
+    the outer (KV) loop.  The partials are allocated per call, like the
+    score scratch, and added in once each.
 
     K/V with ``hk`` heads (``h % hk == 0``) is taken as in
-    :func:`online_block_update`: ``q`` and ``do`` are viewed as ``[b, hk,
-    g*sq, d]``, every contraction is one batched matmul over ``hk``, and
-    ``dk``/``dv`` (``hk`` heads) sum over the query group inside it.
+    :meth:`AttentionFold.update`: ``q`` and ``do`` are viewed as ``[b,
+    hk, g*sq, d]``, every contraction is one batched matmul over ``hk``,
+    and ``dk``/``dv`` (``hk`` heads) sum over the query group inside it.
     With ``hk < h`` equal to :func:`~repro.models.layers.repeat_kv` in and
     :func:`~repro.models.layers.reduce_kv_grad` out up to float rounding.
     """
     group = _check_qkv(q, k_blk, v_blk)
-    if causal and not block_is_visible(
-        q.shape[1], k_blk.shape[1], q_offset, k_offset, window
-    ):
+    if not block_is_visible(q.shape[1], k_blk.shape[1], q_offset, k_offset, window):
         raise ShapeError("causal block backward got a fully-invisible block")
     b, sq, h, d = q.shape
     sk, hk = k_blk.shape[1], k_blk.shape[2]
@@ -398,7 +392,7 @@ def attention_block_backward(
         qe, _head_major(k_blk, 1.0, 1.0).transpose(0, 1, 3, 2),
         out=scores.reshape(grouped),
     )
-    band = _band(sq, sk, q_offset, k_offset, window) if causal else None
+    band = _band(sq, sk, q_offset, k_offset, window)
     if band is not None:
         cols, hidden = band
         np.copyto(scores[..., cols], 0.0, where=hidden)  # keep exp finite
@@ -406,9 +400,9 @@ def attention_block_backward(
     if band is not None:
         np.copyto(p[..., cols], 0.0, where=hidden)
     dp = _scratch(p.shape, p.dtype)
-    # dk/dv destinations viewed [b, hk, sk, d]; the matmuls' inner
-    # dimension g*sq sums each KV head's gradient over its group.
-    dv = np.empty(k_blk.shape, dtype) if dv_out is None else dv_out
+    # dk/dv partials viewed [b, hk, sk, d]; the matmuls' inner dimension
+    # g*sq sums each KV head's gradient over its group.
+    dv = np.empty(k_blk.shape, dtype)
     np.matmul(
         p.reshape(grouped).transpose(0, 1, 3, 2), doe[..., :d],
         out=dv.transpose(0, 2, 1, 3),
@@ -420,20 +414,22 @@ def attention_block_backward(
     ds = np.multiply(p, dp, out=dp)
     # dq keeps its query heads: batch over (hk, g) with each KV head
     # broadcast over its group, written straight into [b, sq, h, d].
-    dq = np.empty(q.shape, dtype) if dq_out is None else dq_out
+    dq = np.empty(q.shape, dtype)
     np.matmul(
         ds.reshape(b, hk, group, sq, sk),
         k_blk.transpose(0, 2, 1, 3)[:, :, None],
         out=dq.reshape(b, sq, hk, group, d).transpose(0, 2, 3, 1, 4),
     )
     # dk contracts with q·s, so it needs no scale pass of its own.
-    dk = np.empty(k_blk.shape, dtype) if dk_out is None else dk_out
+    dk = np.empty(k_blk.shape, dtype)
     np.matmul(
         ds.reshape(grouped).transpose(0, 1, 3, 2), qe[..., :d],
         out=dk.transpose(0, 2, 1, 3),
     )
     dq *= scale
-    return dq, dk, dv
+    dq_acc += dq
+    dk_acc += dk
+    dv_acc += dv
 
 
 def online_attention_forward(
@@ -441,45 +437,14 @@ def online_attention_forward(
     k: np.ndarray,
     v: np.ndarray,
     *,
-    block_q: int | None = None,
-    block_k: int | None = None,
-    causal: bool = True,
     scale: float | None = None,
     window: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full blockwise attention over one device's tensors.
-
-    Returns ``(o, lse)``.  Equivalent to the reference forward for any
-    block sizes — the property tests exercise this exhaustively.  With
-    ``window``, fully-hidden KV blocks are skipped entirely (the
-    compute saving sliding-window attention exists for).
-    """
-    _check_qkv(q, k, v)
-    if window is not None and not causal:
-        raise ShapeError("window requires causal attention")
-    b, sq, h, d = q.shape
-    sk = k.shape[1]
-    block_q = block_q or sq
-    block_k = block_k or sk
-    scale = scale if scale is not None else 1.0 / np.sqrt(d)
-    o = np.empty_like(q)
-    lse = np.empty((b, h, sq))
-    for q0 in range(0, sq, block_q):
-        q1 = min(q0 + block_q, sq)
-        state = OnlineSoftmaxState.zeros(b, q1 - q0, h, d)
-        k_hi = min(q1, sk) if causal else sk  # skip fully-masked blocks
-        for k0 in range(0, k_hi, block_k):
-            k1 = min(k0 + block_k, k_hi)
-            if causal and not block_is_visible(q1 - q0, k1 - k0, q0, k0, window):
-                continue
-            online_block_update(
-                state, q[:, q0:q1], k[:, k0:k1], v[:, k0:k1],
-                scale=scale, causal=causal, q_offset=q0, k_offset=k0, window=window,
-            )
-        o_blk, lse_blk = finalize_online(state)
-        o[:, q0:q1] = o_blk
-        lse[:, :, q0:q1] = lse_blk
-    return o, lse
+    """Causal attention over one device's whole segment as one fold of
+    one block; returns ``(o, lse)``."""
+    fold = AttentionFold(q, scale=scale, window=window)
+    fold.update(k, v, 0)
+    return fold.finish()
 
 
 def online_attention_backward(
@@ -490,46 +455,20 @@ def online_attention_backward(
     do: np.ndarray,
     lse: np.ndarray,
     *,
-    block_q: int | None = None,
-    block_k: int | None = None,
-    causal: bool = True,
     scale: float | None = None,
     window: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blockwise attention backward from saved ``(o, lse)``.
-
-    Like the forward it takes grouped K/V (``hk`` heads): ``dk``/``dv``
-    come back with ``hk`` heads, already summed over each query group.
-    """
+    """Backward of :func:`online_attention_forward` from its saved
+    ``(o, lse)``: one block backward.  Like the forward it takes grouped
+    K/V (``hk`` heads): ``dk``/``dv`` come back with ``hk`` heads, already
+    summed over each query group."""
     _check_qkv(q, k, v)
-    if window is not None and not causal:
-        raise ShapeError("window requires causal attention")
-    b, sq, h, d = q.shape
-    sk = k.shape[1]
-    block_q = block_q or sq
-    block_k = block_k or sk
-    scale = scale if scale is not None else 1.0 / np.sqrt(d)
-    delta = compute_delta(o, do)
-    dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-    for k0 in range(0, sk, block_k):
-        k1 = min(k0 + block_k, sk)
-        q_lo = k0 if causal else 0  # queries before k0 never see this block
-        for q0 in range(q_lo - (q_lo % block_q) if causal else 0, sq, block_q):
-            q1 = min(q0 + block_q, sq)
-            if causal and q1 <= k0:
-                continue
-            if causal and not block_is_visible(q1 - q0, k1 - k0, q0, k0, window):
-                continue
-            dq_p, dk_p, dv_p = attention_block_backward(
-                q[:, q0:q1], k[:, k0:k1], v[:, k0:k1],
-                do[:, q0:q1], lse[:, :, q0:q1], delta[:, :, q0:q1],
-                scale=scale, causal=causal, q_offset=q0, k_offset=k0, window=window,
-            )
-            dq[:, q0:q1] += dq_p
-            dk[:, k0:k1] += dk_p
-            dv[:, k0:k1] += dv_p
+    scale = scale if scale is not None else 1.0 / np.sqrt(q.shape[-1])
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    attention_block_backward(
+        q, k, v, do, lse, compute_delta(o, do), dq, dk, dv,
+        scale=scale, window=window,
+    )
     return dq, dk, dv
 
 

@@ -36,13 +36,7 @@ import numpy as np
 
 import repro.runtime.executor as rank_executor
 from repro.common.errors import ShapeError
-from repro.models.attention import (
-    OnlineSoftmaxState,
-    finalize_online,
-    grouped_pv,
-    grouped_scores,
-    online_block_update,
-)
+from repro.models.attention import AttentionFold, grouped_pv, grouped_scores
 from repro.models.block_ops import (
     attn_post_forward,
     attn_qkv_forward,
@@ -292,8 +286,7 @@ def _fold_tiles(qh, k_full, v_full, tiles, q_offset, k_offset, window):
     positions; the ``[b, sq, h, d]`` attention output (a single tile's
     output as is, no copy).  A one-row tile whose keys lie in one key
     tile is one :func:`_softmax_row` instead."""
-    b, sq, h, d = qh.shape
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
     outs = []
     for q0, rows, lo, hi in tiles:
         q = qh[:, q0 : q0 + rows]
@@ -304,16 +297,14 @@ def _fold_tiles(qh, k_full, v_full, tiles, q_offset, k_offset, window):
                 v_full[:, lo - k_offset : hi - k_offset], scale,
             ))
             continue
-        state = OnlineSoftmaxState.zeros(b, rows, h, d)
+        fold = AttentionFold(q, q_offset=q_offset + q0, scale=scale, window=window)
         for t0 in range(lo - lo % span, hi, span):
             a, z = max(t0, lo), min(t0 + span, hi)
-            online_block_update(
-                state, q, k_full[:, a - k_offset : z - k_offset],
-                v_full[:, a - k_offset : z - k_offset],
-                scale=scale, q_offset=q_offset + q0, k_offset=a,
-                window=window,
+            fold.update(
+                k_full[:, a - k_offset : z - k_offset],
+                v_full[:, a - k_offset : z - k_offset], a,
             )
-        outs.append(finalize_online(state)[0])
+        outs.append(fold.finish()[0])
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
 
 
@@ -322,13 +313,13 @@ def _softmax_row(q, k, v, scale):
     softmax: scores, row max, subtract, ``exp``, row sum, ``p @ v``,
     divide.
 
-    This is :func:`online_block_update` on a zero state followed by
-    :func:`finalize_online`, with every step that is an identity there
-    left out: the max against ``-inf``, the rescale by ``exp(-inf) = 0``
-    of a zero accumulator and denominator, the visibility and band
-    checks (none of the keys is hidden) and the ``lse``.  The steps kept
-    are the same operations on the same operands, so the row is bitwise
-    the fold's.
+    This is one :meth:`~repro.models.attention.AttentionFold.update` of
+    a fresh fold followed by its ``finish()``, with every step that is
+    an identity there left out: the max against ``-inf``, the rescale
+    by ``exp(-inf) = 0`` of a zero accumulator and denominator, the
+    visibility and band checks (none of the keys is hidden) and the
+    ``lse``.  The steps kept are the same operations on the same
+    operands, so the row is bitwise the fold's.
     """
     scores = grouped_scores(q, k, scale)
     scores -= scores.max(axis=-1)[..., None]

@@ -55,14 +55,12 @@ import numpy as np
 from repro.common.dtypes import DType
 from repro.common.errors import ScheduleError
 from repro.models.attention import (
-    OnlineSoftmaxState,
+    AttentionFold,
     attention_block_backward,
     block_is_visible,
     compute_delta,
-    finalize_online,
     online_attention_backward,
     online_attention_forward,
-    online_block_update,
 )
 from repro.models.block_ops import (
     Grads,
@@ -263,10 +261,12 @@ def usp_block_forward(
         else:
             q_np, k_np, v_np = qs, ks, vs
         seg = q_np[0].shape[1]
-        b, _, h_loc, d = q_np[0].shape
         scale = 1.0 / np.sqrt(cfg.head_dim)
         row_of = [mesh.coords(r)[0] for r in range(world)]
-        states = [OnlineSoftmaxState.zeros(b, seg, h_loc, d) for _ in range(world)]
+        folds = [
+            AttentionFold(q_np[r], q_offset=row_of[r] * seg, scale=scale, window=window)
+            for r in range(world)
+        ]
         # Traveling KV segments: k_travel[r] currently sits on rank r (row
         # i); after `step` rotations it originated on row (i - step) mod R.
         k_travel = as_device_tensors(cluster, [k.copy() for k in k_np], ACT_DTYPE, "ring.k")
@@ -279,10 +279,7 @@ def usp_block_forward(
                     return  # causal: future rows contribute nothing
                 if not block_is_visible(seg, seg, i * seg, src * seg, window):
                     return  # entirely behind the sliding window
-                online_block_update(
-                    states[rank], q_np[rank], k_travel[rank].data, v_travel[rank].data,
-                    scale=scale, q_offset=i * seg, k_offset=src * seg, window=window,
-                )
+                folds[rank].update(k_travel[rank].data, v_travel[rank].data, src * seg)
 
             cluster.rank_map(fold_rank)
             if step < R - 1:
@@ -291,7 +288,7 @@ def usp_block_forward(
         free_all(k_travel)
         free_all(v_travel)
 
-        finals = cluster.rank_map(lambda rank: finalize_online(states[rank]))
+        finals = cluster.rank_map(lambda rank: folds[rank].finish())
         o_list = [o for o, _ in finals]
         lse_list = [lse for _, lse in finals]
 
@@ -427,14 +424,12 @@ def usp_block_backward(
                     return
                 if not block_is_visible(seg, seg, i * seg, src * seg, window):
                     return
-                dq_p, dk_p, dv_p = attention_block_backward(
+                attention_block_backward(
                     ctx.q_heads[rank], k_travel[rank].data, v_travel[rank].data,
                     do_np[rank], ctx.lse[rank], deltas[rank],
+                    dq_local[rank], dk_travel[rank].data, dv_travel[rank].data,
                     scale=scale, q_offset=i * seg, k_offset=src * seg, window=window,
                 )
-                dq_local[rank] += dq_p
-                dk_travel[rank].data += dk_p
-                dv_travel[rank].data += dv_p
 
             cluster.rank_map(bwd_rank)
             # (k, v, dk, dv) rotate together for the *full* cycle so each

@@ -54,7 +54,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 __all__ = [
     "BACKENDS",
@@ -438,18 +438,3 @@ def rank_map(
 def executor_stats() -> dict:
     """Utilization snapshot of the process-wide executor."""
     return get_executor().stats()
-
-
-def fold(
-    into: dict,
-    contributions: Sequence[dict | None],
-    accumulate: Callable[[dict, dict], None],
-) -> dict:
-    """Join-phase gradient fold: apply ``accumulate(into, contrib)`` in
-    rank order.  Exists to keep call sites honest about the determinism
-    rule — cross-rank accumulation happens here, after the join, never
-    inside rank closures."""
-    for contrib in contributions:
-        if contrib:
-            accumulate(into, contrib)
-    return into

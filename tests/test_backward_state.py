@@ -12,7 +12,9 @@ Three checks:
 * the gradients are bitwise a test-local fold in that order, under the
   serial and the threaded executor;
 * a backward consumes its context: a second one raises a clear error
-  (FPDT and USP alike).
+  (FPDT and USP alike);
+* the FPDT attention backward drops each ``do`` chunk once it is sent
+  and each query chunk's ``lse`` at the end of its outer iteration.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.core.fpdt_attention as fpdt_attention_module
 import repro.core.fpdt_block as fpdt_block_module
 from repro.common.errors import ScheduleError
 from repro.core import ChunkLayout
 from repro.core.chunking import shard_sequence
-from repro.core.fpdt_attention import fpdt_attention_backward
+from repro.core.fpdt_attention import fpdt_attention_backward, fpdt_attention_forward
 from repro.core.fpdt_block import fpdt_block_backward, fpdt_block_forward
 from repro.models import TransformerBlock, tiny_gpt, tiny_llama
 from repro.parallel import seq_parallel_mesh, usp_block_backward, usp_block_forward
@@ -149,6 +152,47 @@ def test_grads_fold_per_rank_then_in_rank_order(
     # Every cache the backward read is gone.
     for caches in (ctx.ffn_caches, ctx.post_caches, ctx.pre_caches, ctx.attn_ctx.o_hat):
         assert all(c is None for rank in caches for c in rank)
+
+
+@pytest.mark.parametrize("offload", [False, True], ids=["hbm", "offload"])
+@pytest.mark.parametrize("window", [None, 10], ids=["causal", "window"])
+def test_fpdt_attention_backward_drops_lse_and_do_at_their_last_reader(
+    monkeypatch, offload, window
+):
+    """Every ``do`` chunk is gone before the nested loop starts, and a
+    block backward of outer iteration ``j`` finds the ``lse`` of every
+    query chunk before ``j`` already dropped; afterwards neither holds
+    an array."""
+    layout = ChunkLayout(SEQ, WORLD, CHUNKS)
+    g = rng(2)
+
+    def chunks(heads):
+        return [
+            [g.normal(size=(1, layout.chunk_len, heads, 8)) for _ in range(CHUNKS)]
+            for _ in range(WORLD)
+        ]
+
+    cluster = VirtualCluster(WORLD)
+    _, ctx = fpdt_attention_forward(
+        cluster, layout, chunks(4), chunks(2), chunks(2), offload=offload, window=window
+    )
+    do_chunks = chunks(4)
+    seen = []
+    real = fpdt_attention_module.attention_block_backward
+
+    def checked(*args, k_offset, **kw):
+        j = k_offset // layout.gathered_chunk_len
+        seen.append(j)
+        assert all(c is None for rank in do_chunks for c in rank)
+        assert all(ctx.lse[r][i] is None for r in range(WORLD) for i in range(j))
+        return real(*args, k_offset=k_offset, **kw)
+
+    monkeypatch.setattr(fpdt_attention_module, "attention_block_backward", checked)
+    with executor(workers=1):
+        fpdt_attention_backward(cluster, ctx, do_chunks)
+    assert sorted(set(seen)) == list(range(CHUNKS))
+    assert all(c is None for rank in do_chunks for c in rank)
+    assert all(c is None for rank in ctx.lse for c in rank)
 
 
 def test_second_fpdt_backward_raises():

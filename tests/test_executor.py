@@ -24,7 +24,6 @@ from repro.runtime.executor import (
     clamp_blas_threads,
     executor,
     executor_stats,
-    fold,
     get_executor,
     rank_map,
     reset_executor,
@@ -217,19 +216,6 @@ def test_stats_counters_accumulate():
     assert stats["tasks"] == 6
     assert stats["wall_seconds"] > 0
     assert 0.0 <= stats["busy_fraction"] <= 1.0
-
-
-def test_fold_accumulates_in_rank_order_and_skips_empty():
-    order: list[str] = []
-
-    def acc(into: dict, contrib: dict) -> None:
-        for key, val in contrib.items():
-            order.append(key)
-            into[key] = into.get(key, 0) + val
-
-    out = fold({}, [{"a": 1}, None, {"a": 2, "b": 3}, {}], acc)
-    assert out == {"a": 3, "b": 3}
-    assert order == ["a", "a", "b"]
 
 
 def test_threads_run_only_sections_that_reach_the_flop_threshold(monkeypatch):

@@ -12,19 +12,22 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ShapeError
 from repro.models.attention import (
-    OnlineSoftmaxState,
+    AttentionFold,
     attention_backward_reference,
     attention_block_backward,
     attention_forward_reference,
     compute_delta,
-    finalize_online,
     online_attention_backward,
     online_attention_forward,
-    online_block_update,
     workspace_stats,
 )
 
-from .helpers import numerical_grad, rng
+from .helpers import (
+    blockwise_attention,
+    blockwise_attention_backward,
+    numerical_grad,
+    rng,
+)
 
 
 def _qkv(seed=0, b=1, s=8, h=2, d=4, sk=None):
@@ -125,18 +128,26 @@ class TestOnlineForward:
     def test_matches_reference_all_block_sizes(self, block_q, block_k):
         q, k, v = _qkv(5, s=8)
         o_ref, _ = attention_forward_reference(q, k, v)
-        o, _ = online_attention_forward(q, k, v, block_q=block_q, block_k=block_k)
+        o, _ = blockwise_attention(q, k, v, block_q, block_k)
         np.testing.assert_allclose(o, o_ref, rtol=1e-10, atol=1e-12)
 
-    def test_noncausal_matches_reference(self):
-        q, k, v = _qkv(6, s=6, sk=10)
-        o_ref, _ = attention_forward_reference(q, k, v, causal=False)
-        o, _ = online_attention_forward(q, k, v, block_q=2, block_k=3, causal=False)
-        np.testing.assert_allclose(o, o_ref, rtol=1e-10, atol=1e-12)
+    def test_whole_segment_is_one_fold(self):
+        """``online_attention_forward``/``_backward`` (Megatron-SP and
+        flat Ulysses) are one block of the fold, bit for bit."""
+        q, k, v = _qkv(6, s=8)
+        do = rng(7).normal(size=q.shape)
+        o, lse = online_attention_forward(q, k, v, window=5)
+        o_b, lse_b = blockwise_attention(q, k, v, 8, 8, window=5)
+        np.testing.assert_array_equal(o, o_b)
+        np.testing.assert_array_equal(lse, lse_b)
+        got = online_attention_backward(q, k, v, o, do, lse, window=5)
+        want = blockwise_attention_backward(q, k, v, o, do, lse, 8, 8, window=5)
+        for have, ref in zip(got, want):
+            np.testing.assert_array_equal(have, ref)
 
     def test_lse_matches_direct_computation(self):
         q, k, v = _qkv(7, s=4, h=1)
-        _, lse = online_attention_forward(q, k, v, block_k=2)
+        _, lse = blockwise_attention(q, k, v, 4, 2)
         scale = 1 / np.sqrt(q.shape[-1])
         scores = np.einsum("bqhd,bkhd->bhqk", q, k) * scale
         iq, ik = np.arange(4)[:, None], np.arange(4)[None, :]
@@ -146,23 +157,27 @@ class TestOnlineForward:
 
     def test_numerical_stability_large_scores(self):
         q, k, v = _qkv(8, s=4)
-        o, _ = online_attention_forward(100.0 * q, 100.0 * k, v, block_k=2)
+        o, _ = blockwise_attention(100.0 * q, 100.0 * k, v, 4, 2)
         assert np.isfinite(o).all()
 
     def test_update_rejects_above_diagonal_block(self):
         q, k, v = _qkv(9, s=2)
-        state = OnlineSoftmaxState.zeros(1, 2, 2, 4)
+        fold = AttentionFold(q, scale=0.5)
         with pytest.raises(ShapeError, match="k_offset"):
-            online_block_update(state, q, k, v, scale=0.5, q_offset=0, k_offset=2)
+            fold.update(k, v, 2)
 
     def test_finalize_empty_state_raises(self):
-        state = OnlineSoftmaxState.zeros(1, 2, 2, 4)
         with pytest.raises(ShapeError):
-            finalize_online(state)
+            AttentionFold(np.zeros((1, 2, 2, 4))).finish()
+
+    def test_fold_rejects_a_query_that_is_not_4d(self):
+        with pytest.raises(ShapeError, match="batch, seq, heads, head_dim"):
+            AttentionFold(np.zeros((2, 2, 4)))
 
     def test_scratch_is_not_retained_across_key_lengths(self):
         """A chunked prefill or decode loop meets a new key length on every
-        chunk; no score block may outlive the call that built it."""
+        chunk; no score block may outlive the call that built it.  The
+        queries sit past the last key, so every query sees every key."""
         g = rng(11)
         q = g.normal(size=(1, 256, 4, 16))
         score_block = 1 * 4 * 256 * 256 * 8  # float64 [b, h, sq, sk=256], the smallest
@@ -172,8 +187,10 @@ class TestOnlineForward:
             for sk in range(256, 4096 + 1, 256):
                 k = g.normal(size=(1, sk, 4, 16))
                 v = g.normal(size=(1, sk, 4, 16))
-                o, lse = online_attention_forward(q, k, v, causal=False)
-                del k, v, o, lse
+                fold = AttentionFold(q, q_offset=sk - 1)
+                fold.update(k, v, 0)
+                o, lse = fold.finish()
+                del k, v, fold, o, lse
             gc.collect()
             held_after, _ = tracemalloc.get_traced_memory()
         finally:
@@ -184,7 +201,9 @@ class TestOnlineForward:
         g = rng(12)
         q, k, v = (g.normal(size=(1, 8, 2, 4)) for _ in range(3))
         before = workspace_stats()
-        online_attention_forward(q, k, v, block_k=4, causal=False)
+        fold = AttentionFold(q, q_offset=8)
+        fold.update(k[:, :4], v[:, :4], 0)
+        fold.update(k[:, 4:], v[:, 4:], 4)
         after = workspace_stats()
         # two key blocks, one score block each; no reuse
         assert after["misses"] - before["misses"] == 2
@@ -202,7 +221,7 @@ class TestOnlineForward:
         the invariant FPDT's chunked schedule rests on."""
         q, k, v = _qkv(seed, s=s, h=1, d=4)
         o_ref, _ = attention_forward_reference(q, k, v)
-        o, _ = online_attention_forward(q, k, v, block_q=block_q, block_k=block_k)
+        o, _ = blockwise_attention(q, k, v, block_q, block_k)
         np.testing.assert_allclose(o, o_ref, rtol=1e-8, atol=1e-10)
 
 
@@ -213,29 +232,16 @@ class TestOnlineBackward:
         do = rng(11).normal(size=q.shape)
         o_ref, cache = attention_forward_reference(q, k, v)
         dq_ref, dk_ref, dv_ref = attention_backward_reference(do, cache)
-        o, lse = online_attention_forward(q, k, v, block_q=block_q, block_k=block_k)
-        dq, dk, dv = online_attention_backward(
-            q, k, v, o, do, lse, block_q=block_q, block_k=block_k
-        )
+        o, lse = blockwise_attention(q, k, v, block_q, block_k)
+        dq, dk, dv = blockwise_attention_backward(q, k, v, o, do, lse, block_q, block_k)
         np.testing.assert_allclose(dq, dq_ref, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(dk, dk_ref, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(dv, dv_ref, rtol=1e-8, atol=1e-10)
 
-    def test_noncausal_backward(self):
-        q, k, v = _qkv(12, s=4, sk=6)
-        do = rng(13).normal(size=q.shape)
-        o_ref, cache = attention_forward_reference(q, k, v, causal=False)
-        refs = attention_backward_reference(do, cache)
-        o, lse = online_attention_forward(q, k, v, block_q=2, block_k=2, causal=False)
-        outs = online_attention_backward(
-            q, k, v, o, do, lse, block_q=2, block_k=2, causal=False
-        )
-        for got, ref in zip(outs, refs):
-            np.testing.assert_allclose(got, ref, rtol=1e-8, atol=1e-10)
-
     def test_block_backward_partials_sum_to_total(self):
-        """Summing per-(q,kv)-block partials reproduces full gradients —
-        the accumulation FPDT's nested loop performs."""
+        """Per-(q,kv)-block backwards adding into slices of one set of
+        accumulators reproduce the full gradients — the accumulation
+        FPDT's nested loop performs."""
         q, k, v = _qkv(14, s=6, h=1)
         do = rng(15).normal(size=q.shape)
         o, lse = online_attention_forward(q, k, v)
@@ -249,17 +255,36 @@ class TestOnlineBackward:
         step = 2
         for k0 in range(0, 6, step):
             for q0 in range(k0, 6, step):
-                dq_p, dk_p, dv_p = attention_block_backward(
+                attention_block_backward(
                     q[:, q0:q0 + step], k[:, k0:k0 + step], v[:, k0:k0 + step],
                     do[:, q0:q0 + step], lse[:, :, q0:q0 + step], delta[:, :, q0:q0 + step],
+                    dq[:, q0:q0 + step], dk[:, k0:k0 + step], dv[:, k0:k0 + step],
                     scale=scale, q_offset=q0, k_offset=k0,
                 )
-                dq[:, q0:q0 + step] += dq_p
-                dk[:, k0:k0 + step] += dk_p
-                dv[:, k0:k0 + step] += dv_p
         np.testing.assert_allclose(dq, dq_ref, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(dk, dk_ref, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(dv, dv_ref, rtol=1e-8, atol=1e-10)
+
+    def test_block_backward_adds_into_nonzero_accumulators(self):
+        """The accumulators are added into, not overwritten: starting from
+        nonzero arrays gives exactly those arrays plus the gradient the
+        same call adds into zeros."""
+        q, k, v = _qkv(16, s=4, h=2, sk=6)
+        do = rng(17).normal(size=q.shape)
+        kw = dict(scale=0.5, q_offset=2, k_offset=0)
+        fold = AttentionFold(q, q_offset=2, scale=0.5)
+        fold.update(k, v, 0)
+        o, lse = fold.finish()
+        delta = compute_delta(o, do)
+        zeros = (np.zeros_like(q), np.zeros_like(k), np.zeros_like(v))
+        attention_block_backward(q, k, v, do, lse, delta, *zeros, **kw)
+        g = rng(18)
+        start = [g.normal(size=a.shape) for a in zeros]
+        acc = [a.copy() for a in start]
+        attention_block_backward(q, k, v, do, lse, delta, *acc, **kw)
+        for name, have, a, grad in zip(("dq", "dk", "dv"), acc, start, zeros):
+            assert np.abs(grad).max() > 0, name
+            np.testing.assert_array_equal(have, a + grad, err_msg=name)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -272,8 +297,8 @@ class TestOnlineBackward:
         do = rng(seed + 1).normal(size=q.shape)
         o_ref, cache = attention_forward_reference(q, k, v)
         refs = attention_backward_reference(do, cache)
-        o, lse = online_attention_forward(q, k, v, block_q=block, block_k=block)
-        outs = online_attention_backward(q, k, v, o, do, lse, block_q=block, block_k=block)
+        o, lse = blockwise_attention(q, k, v, block, block)
+        outs = blockwise_attention_backward(q, k, v, o, do, lse, block, block)
         for got, ref in zip(outs, refs):
             np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-9)
 
@@ -283,29 +308,25 @@ class TestChunkOffsets:
         """Computing attention of global chunk m against chunks 0..m with
         explicit offsets (the Fig. 5 schedule) equals slicing the global
         result — the core FPDT correctness property at kernel level."""
-        b, s, h, d = 1, 12, 2, 4
+        s, d = 12, 4
         chunk = 4
-        q, k, v = _qkv(20, s=s, h=h, d=d)
+        q, k, v = _qkv(20, s=s, h=2, d=d)
         o_ref, _ = attention_forward_reference(q, k, v)
-        scale = 1 / np.sqrt(d)
         for m in range(s // chunk):
             q0 = m * chunk
-            state = OnlineSoftmaxState.zeros(b, chunk, h, d)
+            fold = AttentionFold(q[:, q0:q0 + chunk], q_offset=q0)
             for j in range(m + 1):
                 k0 = j * chunk
-                online_block_update(
-                    state, q[:, q0:q0 + chunk], k[:, k0:k0 + chunk], v[:, k0:k0 + chunk],
-                    scale=scale, q_offset=q0, k_offset=k0,
-                )
-            o_chunk, _ = finalize_online(state)
+                fold.update(k[:, k0:k0 + chunk], v[:, k0:k0 + chunk], k0)
+            o_chunk, _ = fold.finish()
             np.testing.assert_allclose(o_chunk, o_ref[:, q0:q0 + chunk], rtol=1e-10, atol=1e-12)
 
     def test_diagonal_chunk_is_masked_strictly(self):
         """Within the diagonal chunk the mask must still apply element-wise."""
         q, k, v = _qkv(21, s=4)
-        state = OnlineSoftmaxState.zeros(1, 4, 2, 4)
-        online_block_update(state, q, k, v, scale=0.5, q_offset=0, k_offset=0)
-        o, _ = finalize_online(state)
+        fold = AttentionFold(q, scale=0.5)
+        fold.update(k, v, 0)
+        o, _ = fold.finish()
         np.testing.assert_allclose(o[:, 0], v[:, 0], rtol=1e-12)
 
 
@@ -328,11 +349,17 @@ class TestGroupedQueryHeads:
         return q, k, v
 
     @staticmethod
-    def _fold(q, k, v, **kw):
-        b, sq, h, d = q.shape
-        state = OnlineSoftmaxState.zeros(b, sq, h, d)
-        online_block_update(state, q, k, v, scale=1 / np.sqrt(d), **kw)
-        return state
+    def _fold(q, k, v, *, q_offset, k_offset, window):
+        fold = AttentionFold(q, q_offset=q_offset, window=window)
+        fold.update(k, v, k_offset)
+        return fold
+
+    @staticmethod
+    def _block_backward(q, k, v, do, lse, delta, **kw):
+        """One block backward's ``(dq, dk, dv)``, added into zeros."""
+        acc = (np.zeros_like(q), np.zeros_like(k), np.zeros_like(v))
+        attention_block_backward(q, k, v, do, lse, delta, *acc, **kw)
+        return acc
 
     @pytest.mark.parametrize("sq", [1, 256])
     @pytest.mark.parametrize("window", [None, 300], ids=["causal", "window"])
@@ -386,13 +413,11 @@ class TestGroupedQueryHeads:
         g = self.H // self.HK
         ke, ve = repeat_kv(k, g), repeat_kv(v, g)
         kw = dict(q_offset=q_off, k_offset=k_off, window=window)
-        o, lse = finalize_online(self._fold(q, ke, ve, **kw))
+        o, lse = self._fold(q, ke, ve, **kw).finish()
         delta = compute_delta(o, do)
         scale = 1 / np.sqrt(self.D)
-        dq, dk, dv = attention_block_backward(
-            q, k, v, do, lse, delta, scale=scale, **kw
-        )
-        dq_e, dk_e, dv_e = attention_block_backward(
+        dq, dk, dv = self._block_backward(q, k, v, do, lse, delta, scale=scale, **kw)
+        dq_e, dk_e, dv_e = self._block_backward(
             q, ke, ve, do, lse, delta, scale=scale, **kw
         )
         assert dk.shape == dv.shape == k.shape
@@ -402,8 +427,8 @@ class TestGroupedQueryHeads:
 
     @pytest.mark.parametrize("window", [None, 20], ids=["causal", "window"])
     def test_blockwise_backward_matches_the_repeat_kv_path(self, window):
-        """``online_attention_backward`` with blocks that do not tile the
-        diagonal evenly (``block_q`` 16, ``block_k`` 24)."""
+        """Blockwise backward with blocks that do not tile the diagonal
+        evenly (query blocks of 16, key blocks of 24)."""
         from repro.models.layers import reduce_kv_grad, repeat_kv
 
         q, k, v = self._inputs(64, 64, seed=35)
@@ -411,9 +436,9 @@ class TestGroupedQueryHeads:
         g = self.H // self.HK
         ke, ve = repeat_kv(k, g), repeat_kv(v, g)
         blocks = dict(block_q=16, block_k=24, window=window)
-        o, lse = online_attention_forward(q, k, v, **blocks)
-        dq, dk, dv = online_attention_backward(q, k, v, o, do, lse, **blocks)
-        dq_e, dk_e, dv_e = online_attention_backward(q, ke, ve, o, do, lse, **blocks)
+        o, lse = blockwise_attention(q, k, v, **blocks)
+        dq, dk, dv = blockwise_attention_backward(q, k, v, o, do, lse, **blocks)
+        dq_e, dk_e, dv_e = blockwise_attention_backward(q, ke, ve, o, do, lse, **blocks)
         np.testing.assert_allclose(dq, dq_e, **self.GRAD_TOL)
         np.testing.assert_allclose(dk, reduce_kv_grad(dk_e, g), **self.GRAD_TOL)
         np.testing.assert_allclose(dv, reduce_kv_grad(dv_e, g), **self.GRAD_TOL)
@@ -435,24 +460,17 @@ class TestGroupedQueryHeads:
         self, sq, sk, h, d, q_offset, k_offset, window
     ):
         """At one query head per KV head (``hk == h``) the grouped
-        backward is the per-head matmul kernel, bit for bit, through the
-        preallocated ``out=`` trio FPDT passes.  The reference spells the
+        backward is the per-head matmul kernel, bit for bit, added into
+        zero accumulators.  The reference spells the
         kernel's folded order: ``q·s`` first, ``-lse``/``-delta`` as the
         last column of the score and ``dp`` GEMMs."""
         q, k, v = _qkv(37, s=sq, h=h, d=d, sk=sk)
         do = rng(38).normal(size=q.shape)
         scale = 1 / np.sqrt(d)
         kw = dict(q_offset=q_offset, k_offset=k_offset, window=window)
-        state = OnlineSoftmaxState.zeros(1, sq, h, d)
-        online_block_update(state, q, k, v, scale=scale, **kw)
-        o, lse = finalize_online(state)
+        o, lse = self._fold(q, k, v, **kw).finish()
         delta = compute_delta(o, do)
-        trio = (np.empty_like(q), np.empty_like(k), np.empty_like(v))
-        got = attention_block_backward(
-            q, k, v, do, lse, delta, scale=scale,
-            dq_out=trio[0], dk_out=trio[1], dv_out=trio[2], **kw,
-        )
-        assert all(a is b for a, b in zip(got, trio))
+        got = self._block_backward(q, k, v, do, lse, delta, scale=scale, **kw)
 
         # [b, s, h, d] -> [b, h, s, d]; every product below is per head.
         qt, kt, vt, dot = (x.transpose(0, 2, 1, 3) for x in (q, k, v, do))
@@ -485,10 +503,9 @@ class TestGroupedQueryHeads:
         spells the kernel's folded order: ``q·s`` first, then the scores."""
         q, k, v = _qkv(32, s=sq, h=h, d=d, sk=sk)
         scale = 1 / np.sqrt(d)
-        kw = dict(q_offset=q_offset, k_offset=k_offset, window=window)
-        state = OnlineSoftmaxState.zeros(1, sq, h, d)
-        online_block_update(state, q, k, v, scale=scale, **kw)
-        online_block_update(state, q, k, v, scale=scale, **kw)
+        fold = AttentionFold(q, q_offset=q_offset, window=window)
+        fold.update(k, v, k_offset)
+        fold.update(k, v, k_offset)
 
         hidden = _hidden(sq, sk, q_offset, k_offset, window)
         acc, m, l = np.zeros((1, sq, h, d)), np.full((1, h, sq), -np.inf), np.zeros((1, h, sq))
@@ -505,18 +522,17 @@ class TestGroupedQueryHeads:
             acc = acc * correction.transpose(0, 2, 1)[..., None]
             acc += np.matmul(p, v.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
             m = m_new
-        np.testing.assert_array_equal(state.acc, acc)
-        np.testing.assert_array_equal(state.m, m)
-        np.testing.assert_array_equal(state.l, l)
+        np.testing.assert_array_equal(fold.acc, acc)
+        np.testing.assert_array_equal(fold.m, m)
+        np.testing.assert_array_equal(fold.l, l)
 
     def test_heads_that_do_not_divide_raise_naming_both_shapes(self):
         q = np.zeros((1, 2, 4, 8))
         k = np.zeros((1, 2, 3, 8))
-        state = OnlineSoftmaxState.zeros(1, 2, 4, 8)
         lse = np.zeros((1, 4, 2))
         for call in (
-            lambda: online_block_update(state, q, k, k, scale=1.0),
-            lambda: attention_block_backward(q, k, k, q, lse, lse, scale=1.0),
+            lambda: AttentionFold(q, scale=1.0).update(k, k, 0),
+            lambda: attention_block_backward(q, k, k, q, lse, lse, q, k, k, scale=1.0),
             lambda: online_attention_backward(q, k, k, q, q, lse),
         ):
             with pytest.raises(ShapeError) as err:

@@ -494,39 +494,36 @@ class TestDecodeRowBlock:
         ids=["causal", "window", "window-evicted"],
     )
     def test_bitwise_the_fold(self, keys, h, hk, window, evicted):
-        """Equal to ``finalize_online`` of one ``online_block_update`` on
-        a zero state over the row's visible keys; an evicted cache starts
-        at the window edge (``k_offset > 0`` once the row passed it)."""
+        """Equal to one ``AttentionFold`` update over the row's visible
+        keys, finished; an evicted cache starts at the window edge
+        (``k_offset > 0`` once the row passed it)."""
         from types import SimpleNamespace
 
-        from repro.models.attention import (
-            OnlineSoftmaxState,
-            finalize_online,
-            online_block_update,
-        )
+        from repro.models.attention import AttentionFold
         from repro.models.generate import _prefix_causal_attention
 
         q, k, v, q_offset, k_offset = self._row(keys, h, hk, window, evicted)
         lo = 0 if window is None else max(0, q_offset - window + 1)
-        state = OnlineSoftmaxState.zeros(1, 1, h, self.D)
-        online_block_update(
-            state, q, k[:, lo - k_offset :], v[:, lo - k_offset :],
-            scale=1.0 / np.sqrt(self.D), q_offset=q_offset, k_offset=lo,
-            window=window,
-        )
+        fold = AttentionFold(q, q_offset=q_offset, window=window)
+        fold.update(k[:, lo - k_offset :], v[:, lo - k_offset :], lo)
         o = _prefix_causal_attention(
             q, k, v, q_offset, SimpleNamespace(attention_window=window),
             k_offset=k_offset,
         )
-        np.testing.assert_array_equal(o, finalize_online(state)[0])
+        np.testing.assert_array_equal(o, fold.finish()[0])
 
     def _count_updates(self, monkeypatch):
+        """The ``k_offset`` of every fold update serving runs."""
         calls = []
-        real = generate_mod.online_block_update
-        monkeypatch.setattr(
-            generate_mod, "online_block_update",
-            lambda *a, **kw: calls.append(kw["k_offset"]) or real(*a, **kw),
-        )
+
+        class CountedFold(generate_mod.AttentionFold):
+            __slots__ = ()
+
+            def update(self, k, v, k_offset):
+                calls.append(k_offset)
+                super().update(k, v, k_offset)
+
+        monkeypatch.setattr(generate_mod, "AttentionFold", CountedFold)
         return calls
 
     @pytest.mark.parametrize("window", [None, 4], ids=["causal", "window4"])

@@ -14,8 +14,6 @@ from repro.models.attention import (
     attention_backward_reference,
     attention_forward_reference,
     block_is_visible,
-    online_attention_backward,
-    online_attention_forward,
 )
 from repro.parallel import (
     megatron_block_backward,
@@ -26,7 +24,7 @@ from repro.parallel import (
 )
 from repro.runtime import VirtualCluster
 
-from .helpers import rng
+from .helpers import blockwise_attention, blockwise_attention_backward, rng
 
 WORLD = 4
 
@@ -80,7 +78,7 @@ class TestWindowedKernels:
     def test_property_online_matches_reference_with_window(self, s, window, block, seed):
         q, k, v = _qkv(seed, s=s, h=1)
         o_ref, _ = attention_forward_reference(q, k, v, window=window)
-        o, _ = online_attention_forward(q, k, v, block_q=block, block_k=block, window=window)
+        o, _ = blockwise_attention(q, k, v, block, block, window=window)
         np.testing.assert_allclose(o, o_ref, rtol=1e-8, atol=1e-10)
 
     def test_online_backward_matches_reference_with_window(self):
@@ -88,10 +86,8 @@ class TestWindowedKernels:
         do = rng(5).normal(size=q.shape)
         o_ref, cache = attention_forward_reference(q, k, v, window=4)
         refs = attention_backward_reference(do, cache)
-        o, lse = online_attention_forward(q, k, v, block_q=3, block_k=3, window=4)
-        outs = online_attention_backward(
-            q, k, v, o, do, lse, block_q=3, block_k=3, window=4
-        )
+        o, lse = blockwise_attention(q, k, v, 3, 3, window=4)
+        outs = blockwise_attention_backward(q, k, v, o, do, lse, 3, 3, window=4)
         for got, ref in zip(outs, refs):
             np.testing.assert_allclose(got, ref, rtol=1e-8, atol=1e-10)
 

@@ -204,7 +204,7 @@ def fpdt_block_forward(
                 params, cfg, mid_shards[r][:, lo:hi], y_out=y[:, lo:hi]
             )
             caches.append(cache)
-            cluster.devices[r].compute("fpdt.ffn_fwd", flops=flops, nbytes=(hi - lo))
+            cluster.devices[r].compute("fpdt.ffn_fwd", flops=flops)
         return y, caches
 
     y_shards = []
@@ -263,7 +263,7 @@ def fpdt_block_backward(
             dmid[:, lo:hi], g = ffn_backward(dy_shards[r][:, lo:hi], caches[c])
             caches[c] = None
             accumulate_grads(rank_grads, g)
-            cluster.devices[r].compute("fpdt.ffn_bwd", flops=flops, nbytes=(hi - lo))
+            cluster.devices[r].compute("fpdt.ffn_bwd", flops=flops)
         return dmid, rank_grads
 
     dmid_shards = []

@@ -30,9 +30,11 @@ import numpy as np
 
 from repro.models.config import ModelConfig
 from repro.models.layers import (
+    gate_sigmoid,
     gelu_backward,
     gelu_forward,
     gelu_output,
+    gelu_tanh,
     layernorm_backward,
     layernorm_forward,
     layernorm_output,
@@ -134,16 +136,16 @@ def attn_qkv_forward(
     qh = split_heads(q, cfg.num_heads)
     kh = split_heads(k, cfg.num_kv_heads)
     vh = split_heads(v, cfg.num_kv_heads)
-    rope_cache = None
     if cfg.uses_rope:
         rope_cache = make_rope_cache(cfg.head_dim, positions, cfg.rope_theta)
         qh = rope_forward(qh, rope_cache)
         kh = rope_forward(kh, rope_cache)
-    # The projections' caches drop their input, the norm output: the
-    # backward rebuilds it from the norm cache (see repro.models.layers).
+    # The projections' caches drop their input, the norm output, and the
+    # RoPE tables are not kept: the backward rebuilds both, from the norm
+    # cache and from ``positions`` (see repro.models.layers).
     cache = {
         "norm": norm_cache, "q": q_cache[1:], "k": k_cache[1:], "v": v_cache[1:],
-        "rope": rope_cache,
+        "positions": positions if cfg.uses_rope else None,
     }
     return qh, kh, vh, cache
 
@@ -180,9 +182,10 @@ def attn_pre_backward(
     repeats = dkh_full.shape[2] // cfg.num_kv_heads
     dkh = reduce_kv_grad(dkh_full, repeats)
     dvh = reduce_kv_grad(dvh_full, repeats)
-    if cache["rope"] is not None:
-        dqh = rope_backward(dqh, cache["rope"])
-        dkh = rope_backward(dkh, cache["rope"])
+    if cfg.uses_rope:
+        rope_cache = make_rope_cache(cfg.head_dim, cache["positions"], cfg.rope_theta)
+        dqh = rope_backward(dqh, rope_cache)
+        dkh = rope_backward(dkh, rope_cache)
     dq = merge_heads(dqh)
     dk = merge_heads(dkh)
     dv = merge_heads(dvh)
@@ -251,7 +254,8 @@ def ffn_forward(
     normed, norm_cache = norm_forward(params, cfg, x, "ln2")
     # Every projection's cache drops its input (the norm output or the
     # activation output); the backward rebuilds it from the norm and
-    # activation caches (see repro.models.layers).
+    # activation caches (see repro.models.layers).  The activation caches
+    # keep the pre-activations only, ``(h1,)`` or ``(gate, up)``.
     if cfg.arch == "gpt":
         h1, c1 = linear_forward(normed, params["ffn.w1"], params["ffn.b1"])
         act, act_cache = gelu_forward(h1)
@@ -275,18 +279,23 @@ def ffn_backward(dy: np.ndarray, cache: dict) -> tuple[np.ndarray, Grads]:
     grads: Grads = {}
     cfg = cache["cfg"]
     act_cache = cache["act"]
+    # The activation's transcendental is rebuilt once per call and read
+    # twice: by the rebuilt activation output and by the activation
+    # backward.
     if cfg.arch == "gpt":
-        act = gelu_output(act_cache)
+        tanh = gelu_tanh(act_cache)
+        act = gelu_output(act_cache, tanh)
         dact, grads["ffn.w2"], grads["ffn.b2"] = linear_backward(dy, (act, *cache["c2"]))
-        dh1 = gelu_backward(dact, act_cache)
+        dh1 = gelu_backward(dact, act_cache, tanh)
         normed = norm_output(cfg, cache["norm"])
         dnormed, grads["ffn.w1"], grads["ffn.b1"] = linear_backward(
             dh1, (normed, *cache["c1"])
         )
     else:
-        prod = swiglu_output(act_cache)
+        sig = gate_sigmoid(act_cache)
+        prod = swiglu_output(act_cache, sig)
         dprod, grads["ffn.w_down"], _ = linear_backward(dy, (prod, *cache["cd"]))
-        dgate, dup = swiglu_backward(dprod, act_cache)
+        dgate, dup = swiglu_backward(dprod, act_cache, sig)
         normed = norm_output(cfg, cache["norm"])
         dn_g, grads["ffn.w_gate"], _ = linear_backward(dgate, (normed, *cache["cg"]))
         dn_u, grads["ffn.w_up"], _ = linear_backward(dup, (normed, *cache["cu"]))

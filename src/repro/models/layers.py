@@ -7,18 +7,19 @@ FPDT) re-use these exact kernels on per-rank shards, so any numerical
 difference between a distributed run and the reference model can only
 come from the *parallelization*, never the math.
 
-A cache keeps the kernel's inputs and its transcendental outputs
-(``inv_std``/``inv_rms``, ``tanh``, ``sig``) and nothing the backward
-can rebuild from them with elementwise products and sums.  Those
-values -- RMSNorm's ``x_hat``, every norm and activation output -- are
-computed by one ``*_output(cache)`` helper that the forward returns
-and the backward calls again: the same IEEE operations on the same
-operands, so the rebuilt array is bitwise the forward's.  A caller
-whose input is such an output (a projection fed by a norm) drops it
-from the projection's cache and rebuilds it the same way.
-Transcendentals stay cached because a recomputed ``np.exp``/``np.tanh``
-on a fresh buffer may take another SIMD path and differ in the last
-bit.
+A cache keeps three things: the kernel's inputs, its parameters (by
+reference) and per-row reductions (``inv_std``/``inv_rms``).  It keeps
+no elementwise function of a kept array.  Those values -- RMSNorm's
+``x_hat``, GELU's ``tanh``, SwiGLU's sigmoid, every norm and activation
+output -- are computed by one helper that the forward calls and the
+backward calls again: the same IEEE operations on the same operands, so
+the rebuilt array is bitwise the forward's
+(``tests/test_saved_activations.py`` checks the transcendental ones at
+every 8-byte alignment).  An activation's backward takes the rebuilt
+transcendental as an argument, so a caller that also rebuilds the
+activation output computes it once.  A caller whose input is such an
+output (a projection fed by a norm) drops it from the projection's
+cache and rebuilds it the same way.
 
 All activations are ``[batch, seq, ...]``; attention heads use
 ``[batch, seq, heads, head_dim]``.
@@ -157,66 +158,75 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Tanh-approximation GELU (the variant GPT uses); the cache is
-    ``(x, tanh)``."""
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-    cache = (x, np.tanh(inner))
-    return gelu_output(cache), cache
+    ``(x,)``."""
+    cache = (x,)
+    return gelu_output(cache, gelu_tanh(cache)), cache
 
 
-def gelu_output(cache: tuple) -> np.ndarray:
-    """``0.5 * x * (1 + tanh)``, rebuilt bitwise from the cache."""
-    x, tanh = cache
+def gelu_tanh(cache: tuple) -> np.ndarray:
+    """``tanh(sqrt(2/pi) * (x + 0.044715 x^3))``, rebuilt bitwise from
+    the cache."""
+    (x,) = cache
+    return np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3))
+
+
+def gelu_output(cache: tuple, tanh: np.ndarray) -> np.ndarray:
+    """``0.5 * x * (1 + tanh)``."""
+    (x,) = cache
     return 0.5 * x * (1.0 + tanh)
 
 
-def gelu_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
-    """Adjoint of :func:`gelu_forward`."""
-    x, tanh = cache
+def gelu_backward(dy: np.ndarray, cache: tuple, tanh: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`gelu_forward`; ``tanh`` is :func:`gelu_tanh`'s."""
+    (x,) = cache
     dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
     return dy * (0.5 * (1.0 + tanh) + 0.5 * x * (1.0 - tanh**2) * dinner)
 
 
+def gate_sigmoid(cache: tuple) -> np.ndarray:
+    """``sigmoid`` of the gate, the cache's first array (SiLU's ``x``,
+    SwiGLU's ``gate``), rebuilt bitwise from the cache."""
+    return 1.0 / (1.0 + np.exp(-cache[0]))
+
+
 def silu_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """SiLU / swish, the gate nonlinearity of SwiGLU; the cache is
-    ``(x, sig)``."""
-    cache = (x, _sigmoid(x))
-    return silu_output(cache), cache
+    ``(x,)``."""
+    cache = (x,)
+    return silu_output(cache, gate_sigmoid(cache)), cache
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def silu_output(cache: tuple, sig: np.ndarray) -> np.ndarray:
+    """``x * sig``."""
+    return cache[0] * sig
 
 
-def silu_output(cache: tuple) -> np.ndarray:
-    """``x * sig``, rebuilt bitwise from the cache."""
-    x, sig = cache
-    return x * sig
-
-
-def silu_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
-    """Adjoint of :func:`silu_forward`."""
-    x, sig = cache
+def silu_backward(dy: np.ndarray, cache: tuple, sig: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`silu_forward`; ``sig`` is :func:`gate_sigmoid`'s."""
+    x = cache[0]
     return dy * sig * (1.0 + x * (1.0 - sig))
 
 
 def swiglu_forward(gate: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, tuple]:
     """SwiGLU's product ``silu(gate) * up``; the cache is
-    ``(gate, sig, up)``."""
-    cache = (gate, _sigmoid(gate), up)
-    return swiglu_output(cache), cache
+    ``(gate, up)``."""
+    cache = (gate, up)
+    return swiglu_output(cache, gate_sigmoid(cache)), cache
 
 
-def swiglu_output(cache: tuple) -> np.ndarray:
-    """``silu(gate) * up``, rebuilt bitwise from the cache."""
-    gate, sig, up = cache
-    return silu_output((gate, sig)) * up
+def swiglu_output(cache: tuple, sig: np.ndarray) -> np.ndarray:
+    """``silu(gate) * up``."""
+    return silu_output(cache, sig) * cache[1]
 
 
-def swiglu_backward(dprod: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of :func:`swiglu_forward`; returns ``(dgate, dup)``."""
-    gate, sig, up = cache
-    dup = dprod * silu_output((gate, sig))
-    return silu_backward(dprod * up, (gate, sig)), dup
+def swiglu_backward(
+    dprod: np.ndarray, cache: tuple, sig: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of :func:`swiglu_forward`; returns ``(dgate, dup)``.
+    ``sig`` is :func:`gate_sigmoid`'s."""
+    up = cache[1]
+    dup = dprod * silu_output(cache, sig)
+    return silu_backward(dprod * up, cache, sig), dup
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +271,9 @@ def make_rope_cache(
     head_dim: int, positions: np.ndarray, theta: float = 500_000.0
 ) -> RopeCache:
     """Cos/sin tables for the given absolute ``positions``: ``[s]``, or
-    ``[b, s]`` when each row of a batch starts at its own offset."""
+    ``[b, s]`` when each row of a batch starts at its own offset.  A
+    cache keeps ``positions``, not the tables: the backward calls this
+    again and gets the forward's tables bitwise."""
     if head_dim % 2 != 0:
         raise ValueError("head_dim must be even for RoPE")
     inv_freq = theta ** (-np.arange(0, head_dim, 2) / head_dim)

@@ -32,9 +32,11 @@ from repro.models.attention import (
 from repro.models.block_ops import norm_backward, norm_forward
 from repro.models.config import ModelConfig
 from repro.models.layers import (
+    gate_sigmoid,
     gelu_backward,
     gelu_forward,
     gelu_output,
+    gelu_tanh,
     make_rope_cache,
     rope_backward,
     rope_forward,
@@ -104,10 +106,10 @@ class MegatronBlockContext:
     v_heads: list[np.ndarray]
     o_heads: list[np.ndarray]
     lse: list[np.ndarray]
-    # GELU's (h1, tanh) or SwiGLU's (gate, sig, up); the activation
-    # output is rebuilt from them (see repro.models.layers).
+    # GELU's (h1,) or SwiGLU's (gate, up); the activation output and
+    # its transcendental are rebuilt from them, as are the full-sequence
+    # RoPE tables from the positions (see repro.models.layers).
     act_caches: list
-    rope_cache: object | None
 
 
 def _acc(grads: dict, key: str, val: np.ndarray) -> None:
@@ -219,7 +221,7 @@ def megatron_block_forward(
         sharding=sharding, norm1_caches=norm1_caches, norm2_caches=norm2_caches,
         normed_full=normed_full, normed2_full=normed2_full,
         q_heads=qs, k_heads=ks, v_heads=vs, o_heads=os_, lse=lses,
-        act_caches=act_caches, rope_cache=rope_cache,
+        act_caches=act_caches,
     )
     return y_shards, ctx
 
@@ -257,16 +259,22 @@ def megatron_block_backward(
         fc = sh.ffn_cols(rank)
         full = ctx.normed2_full[rank]
         a_cache = ctx.act_caches[rank]
+        # The transcendental is rebuilt once and read by the rebuilt
+        # activation output and the activation backward.
         if gpt:
+            tanh = gelu_tanh(a_cache)
             dact = dpart @ params["ffn.w2"][fc, :].T
-            dw2 = gelu_output(a_cache).reshape(-1, dact.shape[-1]).T @ dpart.reshape(-1, H)
-            dh1 = gelu_backward(dact, a_cache)
+            act = gelu_output(a_cache, tanh).reshape(-1, dact.shape[-1])
+            dw2 = act.T @ dpart.reshape(-1, H)
+            dh1 = gelu_backward(dact, a_cache, tanh)
             dw1 = full.reshape(-1, H).T @ dh1.reshape(-1, dh1.shape[-1])
             db1 = dh1.reshape(-1, dh1.shape[-1]).sum(axis=0)
             return (dw1, db1, dw2), dh1 @ params["ffn.w1"][:, fc].T
+        sig = gate_sigmoid(a_cache)
         dact = dpart @ params["ffn.w_down"][fc, :].T
-        ddown = swiglu_output(a_cache).reshape(-1, dact.shape[-1]).T @ dpart.reshape(-1, H)
-        dgate, dup = swiglu_backward(dact, a_cache)
+        prod = swiglu_output(a_cache, sig).reshape(-1, dact.shape[-1])
+        ddown = prod.T @ dpart.reshape(-1, H)
+        dgate, dup = swiglu_backward(dact, a_cache, sig)
         dgate_w = full.reshape(-1, H).T @ dgate.reshape(-1, dgate.shape[-1])
         dup_w = full.reshape(-1, H).T @ dup.reshape(-1, dup.shape[-1])
         dnormed2 = dgate @ params["ffn.w_gate"][:, fc].T + dup @ params["ffn.w_up"][:, fc].T
@@ -305,6 +313,9 @@ def megatron_block_backward(
             _acc(grads, key, val)
 
     # --- attention backward ---
+    rope_cache = None
+    if cfg.uses_rope:
+        rope_cache = make_rope_cache(d, np.arange(s_global), cfg.rope_theta)
     if gpt:
         for dbo in cluster.rank_map(lambda r: dmid_shards[r].reshape(-1, H).sum(axis=0)):
             _acc(grads, "attn.bo", dbo)
@@ -323,9 +334,9 @@ def megatron_block_backward(
         dqh, dkh, dvh = online_attention_backward(
             qh, kh, vh, o, do, ctx.lse[rank], window=cfg.attention_window
         )
-        if ctx.rope_cache is not None:
-            dqh = rope_backward(dqh, ctx.rope_cache)
-            dkh = rope_backward(dkh, ctx.rope_cache)
+        if rope_cache is not None:
+            dqh = rope_backward(dqh, rope_cache)
+            dkh = rope_backward(dkh, rope_cache)
         dq = dqh.reshape(b, s_global, sh.h_local * d)
         dk = dkh.reshape(b, s_global, sh.kv_local * d)
         dv = dvh.reshape(b, s_global, sh.kv_local * d)

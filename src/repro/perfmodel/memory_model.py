@@ -43,7 +43,11 @@ ULYSSES_ATTN_WS = 14           # 6 (qkv send+recv) + 8 (attention backward)
 RING_TRAVEL_WS = 4             # traveling k, v + dk, dv accumulators (USP ring)
 FPDT_ATTN_WS = 11              # current qkv + double-buffered kv + dkv acc + do
 NO_AC_ACT_HIDDEN = 4           # hiddens saved per layer per token without AC
-NO_AC_ACT_FFN = 1              # FFN-width tensors saved per layer per token
+# FFN-width tensors saved per layer per token.  The runtime's no-AC FFN
+# saves 2 for SwiGLU (``gate`` and ``up``) and 1 for GELU (``h1``), and
+# rebuilds every activation output (repro.models.layers); this model is
+# not yet checked against it (ROADMAP.md item 8(c)).
+NO_AC_ACT_FFN = 1
 
 
 @dataclass(frozen=True)

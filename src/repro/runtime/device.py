@@ -58,9 +58,11 @@ class VirtualDevice:
     def zeros(self, shape: tuple[int, ...], dtype: DType, tag: str) -> DeviceTensor:
         return DeviceTensor(np.zeros(shape, dtype.np_dtype), dtype, self.hbm, tag)
 
-    def compute(self, label: str, *, flops: float = 0.0, nbytes: int = 0, stream: str = "compute") -> None:
-        """Log a compute op executed on this device."""
-        self.trace.record("compute", label, rank=self.rank, stream=stream, flops=flops, nbytes=nbytes)
+    def compute(self, label: str, *, flops: float = 0.0, stream: str = "compute") -> None:
+        """Log a compute op executed on this device.  A compute event
+        carries FLOPs, never bytes (``nbytes`` stays 0): bytes are what
+        transfers and collectives move."""
+        self.trace.record("compute", label, rank=self.rank, stream=stream, flops=flops)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VirtualDevice(rank={self.rank}, {self.hbm!r})"

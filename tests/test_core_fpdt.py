@@ -259,6 +259,19 @@ class TestFPDTTraceStructure:
         a2a = cluster.trace.filter(kind="collective", label_prefix="all_to_all:fpdt")
         assert len(a2a) == u + 3 * u
 
+    @pytest.mark.parametrize("offload", [True, False])
+    def test_compute_events_carry_no_bytes(self, offload):
+        """Bytes are what transfers and collectives move: every compute
+        event of a block step, the chunked FFN's included, has
+        ``nbytes == 0``."""
+        cfg = tiny_llama(hidden_size=32, num_heads=4, num_kv_heads=2)
+        block, x, dy, *_ = _make_case(cfg)
+        *_, cluster = _run_fpdt(block, cfg, x, dy, 2, offload=offload)
+        compute = cluster.trace.filter(kind="compute")
+        labels = {e.label for e in compute}
+        assert {"fpdt.ffn_fwd", "fpdt.ffn_bwd", "fpdt.attn_bwd"} <= labels
+        assert [e for e in compute if e.nbytes] == []
+
     def test_validation_errors(self):
         cfg = tiny_gpt(hidden_size=32, num_heads=2)  # 2 heads < 4 ranks
         cluster = VirtualCluster(WORLD)

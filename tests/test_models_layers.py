@@ -6,8 +6,10 @@ import pytest
 from repro.models.layers import (
     embedding_backward,
     embedding_forward,
+    gate_sigmoid,
     gelu_backward,
     gelu_forward,
+    gelu_tanh,
     layernorm_backward,
     layernorm_forward,
     linear_backward,
@@ -136,7 +138,7 @@ class TestActivations:
         x = g.normal(size=(4, 4))
         dy = g.normal(size=(4, 4))
         _, cache = gelu_forward(x)
-        dx = gelu_backward(dy, cache)
+        dx = gelu_backward(dy, cache, gelu_tanh(cache))
 
         def f(x_):
             y, _ = gelu_forward(x_)
@@ -149,7 +151,7 @@ class TestActivations:
         x = g.normal(size=(4, 4))
         dy = g.normal(size=(4, 4))
         _, cache = silu_forward(x)
-        dx = silu_backward(dy, cache)
+        dx = silu_backward(dy, cache, gate_sigmoid(cache))
 
         def f(x_):
             y, _ = silu_forward(x_)

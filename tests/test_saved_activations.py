@@ -1,18 +1,20 @@
 """What a forward keeps for its backward.
 
-The rule (``repro.models.layers``): a cache keeps inputs and
-transcendental outputs (``inv_std``/``inv_rms``, ``tanh``, ``sig``);
-every value the backward can rebuild with elementwise products and sums
-(RMSNorm's ``x_hat``, norm outputs, activation outputs, SwiGLU's
-``silu(gate)`` and ``silu(gate) * up``) is rebuilt by the forward's own
-helper.  Three checks:
+The rule (``repro.models.layers``): a cache keeps inputs, parameters
+(by reference) and per-row reductions (``inv_std``/``inv_rms``); every
+elementwise function of a kept array (RMSNorm's ``x_hat``, GELU's
+``tanh``, SwiGLU's sigmoid, the RoPE tables, norm and activation
+outputs) is rebuilt by the forward's own helper.  Four checks:
 
-* the caches of the QKV phase, the FFN phase, the norms and Megatron-SP's
-  FFN hold exactly the arrays the rule allows;
+* rebuilding a transcendental from an input placed at any 8-byte
+  alignment gives the forward's bits (the premise of the rule);
+* the caches of the QKV phase, the FFN phase, the norms and Megatron-SP
+  hold exactly the arrays the rule allows;
 * an FPDT block's context retains, per tracemalloc, the hand-counted
   bytes fewer than the same context under the earlier caching, which
   kept the rebuildable values too (kept below as a test-local copy);
-* gradients are bitwise those of that earlier caching.
+* gradients of FPDT, USP and Megatron-SP are bitwise those of that
+  earlier caching.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ import numpy as np
 import pytest
 
 import repro.core.fpdt_block as fpdt_block_module
+import repro.models.block_ops as block_ops_module
+import repro.models.layers as layers_module
+import repro.parallel.megatron_sp as megatron_module
+import repro.parallel.usp as usp_module
 from repro.core import ChunkLayout
 from repro.core.chunking import shard_sequence
 from repro.core.fpdt_block import (
@@ -43,8 +49,8 @@ from repro.models.block_ops import (
     norm_output,
 )
 from repro.models.layers import (
-    gelu_backward,
-    gelu_forward,
+    gate_sigmoid,
+    gelu_tanh,
     linear_backward,
     linear_forward,
     make_rope_cache,
@@ -52,11 +58,10 @@ from repro.models.layers import (
     reduce_kv_grad,
     rope_backward,
     rope_forward,
-    silu_backward,
-    silu_forward,
     split_heads,
 )
-from repro.parallel.megatron_sp import megatron_block_forward
+from repro.parallel import seq_parallel_mesh, usp_block_backward, usp_block_forward
+from repro.parallel.megatron_sp import megatron_block_backward, megatron_block_forward
 from repro.runtime import VirtualCluster
 
 from .helpers import rng
@@ -71,9 +76,31 @@ ARCHS = [
 
 # ----------------------------------------------------------------------
 # The earlier caching, kept here as the bitwise and byte reference: the
-# norms keep x_hat, every projection keeps its input, SwiGLU keeps
-# silu(gate) and the product.
+# norms keep x_hat, every projection keeps its input, GELU keeps tanh,
+# SwiGLU keeps the sigmoid, silu(gate) and the product, and the QKV
+# phase keeps the RoPE tables.
 # ----------------------------------------------------------------------
+
+
+def _kept_gelu_forward(x):
+    tanh = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + tanh), (x, tanh)
+
+
+def _kept_gelu_backward(dy, cache):
+    x, tanh = cache
+    dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * x**2)
+    return dy * (0.5 * (1.0 + tanh) + 0.5 * x * (1.0 - tanh**2) * dinner)
+
+
+def _kept_silu_forward(x):
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, (x, sig)
+
+
+def _kept_silu_backward(dy, cache):
+    x, sig = cache
+    return dy * sig * (1.0 + x * (1.0 - sig))
 
 
 def _kept_norm_forward(params, cfg, x, which):
@@ -153,13 +180,13 @@ def _kept_ffn_forward(params, cfg, x, *, y_out=None):
     normed, norm_cache = _kept_norm_forward(params, cfg, x, "ln2")
     if cfg.arch == "gpt":
         h1, c1 = linear_forward(normed, params["ffn.w1"], params["ffn.b1"])
-        act, act_cache = gelu_forward(h1)
+        act, act_cache = _kept_gelu_forward(h1)
         out, c2 = linear_forward(act, params["ffn.w2"], params["ffn.b2"], out=y_out)
         cache = {"c1": c1, "act": act_cache, "c2": c2}
     else:
         gate, cg = linear_forward(normed, params["ffn.w_gate"])
         up, cu = linear_forward(normed, params["ffn.w_up"])
-        sgate, act_cache = silu_forward(gate)
+        sgate, act_cache = _kept_silu_forward(gate)
         prod = sgate * up
         out, cd = linear_forward(prod, params["ffn.w_down"], out=y_out)
         cache = {"cg": cg, "cu": cu, "act": act_cache, "sgate": sgate, "up": up, "cd": cd}
@@ -175,11 +202,11 @@ def _kept_ffn_backward(dy, cache):
     cfg = cache["cfg"]
     if cfg.arch == "gpt":
         dact, grads["ffn.w2"], grads["ffn.b2"] = linear_backward(dy, cache["c2"])
-        dh1 = gelu_backward(dact, cache["act"])
+        dh1 = _kept_gelu_backward(dact, cache["act"])
         dnormed, grads["ffn.w1"], grads["ffn.b1"] = linear_backward(dh1, cache["c1"])
     else:
         dprod, grads["ffn.w_down"], _ = linear_backward(dy, cache["cd"])
-        dgate = silu_backward(dprod * cache["up"], cache["act"])
+        dgate = _kept_silu_backward(dprod * cache["up"], cache["act"])
         dup = dprod * cache["sgate"]
         dn_g, grads["ffn.w_gate"], _ = linear_backward(dgate, cache["cg"])
         dn_u, grads["ffn.w_up"], _ = linear_backward(dup, cache["cu"])
@@ -191,7 +218,7 @@ def _kept_ffn_backward(dy, cache):
 
 @pytest.fixture
 def kept_caching(monkeypatch):
-    """Run FPDT blocks with the earlier caching."""
+    """Run FPDT and USP blocks with the earlier caching."""
     for name, fn in (
         ("attn_qkv_forward", _kept_attn_qkv_forward),
         ("attn_pre_backward", _kept_attn_pre_backward),
@@ -199,6 +226,43 @@ def kept_caching(monkeypatch):
         ("ffn_backward", _kept_ffn_backward),
     ):
         monkeypatch.setattr(fpdt_block_module, name, fn)
+        monkeypatch.setattr(usp_module, name, fn)
+
+
+class _KeptValues:
+    """Wraps a rebuild helper so every call after the first with the same
+    input returns the first call's array: the forward's value, as the
+    earlier caching handed it to the backward."""
+
+    def __init__(self, fn, key):
+        self.fn, self.key, self.kept = fn, key, {}
+
+    def __call__(self, *args):
+        key = self.key(*args)
+        if key not in self.kept:
+            # Holding the arguments keeps an id()-based key unambiguous.
+            self.kept[key] = (args, self.fn(*args))
+        return self.kept[key][1]
+
+
+@pytest.fixture
+def kept_megatron_caching(monkeypatch):
+    """Run Megatron-SP blocks with the earlier caching: the backward
+    reads the forward's sigmoid / tanh and full-sequence RoPE tables."""
+    def by_input(cache):
+        return id(cache[0])
+
+    def by_positions(head_dim, positions, theta):
+        return head_dim, positions.tobytes(), theta
+
+    for name, key in (("gate_sigmoid", by_input), ("gelu_tanh", by_input)):
+        kept = _KeptValues(getattr(layers_module, name), key)
+        monkeypatch.setattr(layers_module, name, kept)
+        monkeypatch.setattr(megatron_module, name, kept)
+    monkeypatch.setattr(
+        megatron_module, "make_rope_cache",
+        _KeptValues(layers_module.make_rope_cache, by_positions),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -237,12 +301,8 @@ def _names(cache, params, named: dict[str, np.ndarray]) -> list[str]:
     return sorted(out)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _norm_values(cfg, params, x, which):
-    """The arrays a norm cache may hold: its input and the transcendental
+    """The arrays a norm cache may hold: its input and the per-row
     factor, plus GPT's x_hat (LayerNorm keeps no input)."""
     if cfg.arch == "gpt":
         mean = x.mean(axis=-1, keepdims=True)
@@ -255,6 +315,43 @@ def _case(cfg, s=6, seed=0):
     params = TransformerBlock(cfg, rng(seed)).params
     x = rng(seed + 1).normal(size=(2, s, cfg.hidden_size))
     return params, x
+
+
+# ----------------------------------------------------------------------
+# The premise: a rebuilt transcendental is the forward's, at any alignment
+# ----------------------------------------------------------------------
+
+LENGTHS = [*range(1, 66), 127, 128, 129, 255, 256, 257, 1000, 4093, 4096]
+
+
+def _at_offset(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte
+    boundary (a vector kernel may take another path on another
+    alignment or tail length)."""
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = (-buf.ctypes.data) % 64 + offset
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+@pytest.mark.parametrize("offset", range(0, 64, 8))
+def test_rebuilt_transcendentals_are_the_forwards_at_every_alignment(offset):
+    g = rng(7)
+    for n in LENGTHS:
+        # Wide enough to reach both saturated tails of tanh and sigmoid.
+        x = 6.0 * g.normal(size=n)
+        for rebuild in (gate_sigmoid, gelu_tanh):
+            forward = rebuild((x,))
+            again = rebuild((_at_offset(x, offset),))
+            assert again.tobytes() == forward.tobytes(), (rebuild.__name__, n)
+        start = int(g.integers(0, 1 << 20))
+        for positions in (np.arange(start, start + n), np.arange(2 * n).reshape(2, n)):
+            forward = make_rope_cache(16, positions)
+            again = make_rope_cache(16, _at_offset(positions, offset))
+            assert again.cos.tobytes() == forward.cos.tobytes(), n
+            assert again.sin.tobytes() == forward.sin.tobytes(), n
 
 
 # ----------------------------------------------------------------------
@@ -281,8 +378,7 @@ class TestCachesHoldOnlyWhatTheRuleAllows:
         *_, cache = attn_qkv_forward(params, cfg, x, positions)
         allowed = _norm_values(cfg, params, x, "ln1")
         if cfg.uses_rope:
-            rope = make_rope_cache(cfg.head_dim, positions, cfg.rope_theta)
-            allowed.update(cos=rope.cos, sin=rope.sin)
+            allowed.update(positions=positions)
         assert _names(cache, params, allowed) == sorted(allowed)
 
     def test_ffn_phase(self, cfg_factory):
@@ -292,12 +388,11 @@ class TestCachesHoldOnlyWhatTheRuleAllows:
         allowed = _norm_values(cfg, params, x, "ln2")
         normed, _ = norm_forward(params, cfg, x, "ln2")
         if cfg.arch == "gpt":
-            h1 = normed @ params["ffn.w1"] + params["ffn.b1"]
-            inner = np.sqrt(2.0 / np.pi) * (h1 + 0.044715 * h1**3)
-            allowed.update(h1=h1, tanh=np.tanh(inner))
+            allowed.update(h1=normed @ params["ffn.w1"] + params["ffn.b1"])
         else:
-            gate = normed @ params["ffn.w_gate"]
-            allowed.update(gate=gate, sig=_sigmoid(gate), up=normed @ params["ffn.w_up"])
+            allowed.update(
+                gate=normed @ params["ffn.w_gate"], up=normed @ params["ffn.w_up"]
+            )
         assert _names(cache, params, allowed) == sorted(allowed)
 
     def test_megatron_ffn(self, cfg_factory):
@@ -311,27 +406,32 @@ class TestCachesHoldOnlyWhatTheRuleAllows:
             leaf for f in dataclasses.fields(ctx) if f.name != "act_caches"
             for leaf in _leaves(getattr(ctx, f.name), params)
         ]
+        rebuilt = []
+        if cfg.uses_rope:
+            rope = make_rope_cache(cfg.head_dim, np.arange(x.shape[1]), cfg.rope_theta)
+            rebuilt += [rope.cos, rope.sin]
         for r in range(world):
             fc = slice(r * width, (r + 1) * width)
             full = ctx.normed2_full[r]
             if cfg.arch == "gpt":
                 h1 = full @ params["ffn.w1"][:, fc] + params["ffn.b1"][fc]
-                tanh = np.tanh(np.sqrt(2.0 / np.pi) * (h1 + 0.044715 * h1**3))
-                allowed = {"h1": h1, "tanh": tanh}
-                rebuilt = [0.5 * h1 * (1.0 + tanh)]
+                tanh = gelu_tanh((h1,))
+                allowed = {"h1": h1}
+                rebuilt += [tanh, 0.5 * h1 * (1.0 + tanh)]
             else:
                 gate = full @ params["ffn.w_gate"][:, fc]
                 up = full @ params["ffn.w_up"][:, fc]
-                allowed = {"gate": gate, "sig": _sigmoid(gate), "up": up}
-                sgate = gate * _sigmoid(gate)
-                rebuilt = [sgate, sgate * up]
+                allowed = {"gate": gate, "up": up}
+                sig = gate_sigmoid((gate,))
+                rebuilt += [sig, gate * sig, gate * sig * up]
             assert _names(ctx.act_caches[r], params, allowed) == sorted(allowed)
-            # No other field of the context keeps an activation output.
-            for value in rebuilt:
-                assert not any(
-                    leaf.shape == value.shape and np.array_equal(leaf, value)
-                    for leaf in others
-                )
+        # No other field of the context keeps a transcendental, an
+        # activation output or the RoPE tables.
+        for value in rebuilt:
+            assert not any(
+                leaf.shape == value.shape and np.array_equal(leaf, value)
+                for leaf in others
+            )
 
 
 # ----------------------------------------------------------------------
@@ -375,11 +475,16 @@ def test_fpdt_context_retains_the_hand_counted_bytes_fewer(cfg_factory, request)
     request.getfixturevalue("kept_caching")
     retained_kept = _retained_bytes(cfg, params, x_shards, layout)
     # Float64 [tokens, width] arrays the earlier caching kept per rank:
-    # QKV phase: the ln1 output (+ x_hat for RMSNorm); FFN phase: the
-    # ln2 output and the activation output (+ x_hat and silu(gate) for
-    # Llama).  Tokens per rank are s_local in both phases.
-    h, f = cfg.hidden_size, cfg.ffn_hidden_size
-    per_token = 8 * (h + (h + f) if cfg.arch == "gpt" else 2 * h + (2 * h + 2 * f))
+    # QKV phase: the ln1 output (+ x_hat and the RoPE cos/sin tables,
+    # head_dim/2 wide each, for Llama, whose cache keeps the int64
+    # positions instead); FFN phase: the ln2 output, the activation
+    # output and its tanh or sigmoid (+ x_hat and silu(gate) for Llama).
+    # Tokens per rank are s_local in both phases.
+    h, f, d = cfg.hidden_size, cfg.ffn_hidden_size, cfg.head_dim
+    if cfg.arch == "gpt":
+        per_token = 8 * (h + (h + 2 * f))
+    else:
+        per_token = 8 * (2 * h + d - 1 + (2 * h + 3 * f))
     expected = WORLD * layout.s_local * per_token
     saved = retained_kept - retained
     # Slack: the ndarray headers, tuple and dict slots of the dropped
@@ -458,9 +563,76 @@ class TestGradientsMatchTheEarlierCaching:
             dx, grads = fpdt_block_backward(cluster, cfg, ctx, dy_shards)
             return y, dx, grads
 
-        y, dx, grads = run()
-        request.getfixturevalue("kept_caching")
-        y_kept, dx_kept, grads_kept = run()
-        for a, b in zip(y + dx, y_kept + dx_kept):
-            np.testing.assert_array_equal(a, b)
-        _assert_same((dx[0], grads), (dx_kept[0], grads_kept))
+        _assert_same_as_earlier(request, "kept_caching", run)
+
+    def test_usp_block(self, cfg_factory, request):
+        cfg = cfg_factory()
+        params, x = _case(cfg, s=16)
+        x_shards = np.split(x, 4, axis=1)
+        dy_shards = [rng(2 + r).normal(size=s.shape) for r, s in enumerate(x_shards)]
+
+        def run():
+            cluster = VirtualCluster(4)
+            mesh = seq_parallel_mesh(cluster, 2, 2)
+            y, ctx = usp_block_forward(cluster, mesh, params, cfg, x_shards)
+            dx, grads = usp_block_backward(cluster, mesh, cfg, ctx, dy_shards)
+            return y, dx, grads
+
+        _assert_same_as_earlier(request, "kept_caching", run)
+
+    def test_megatron_block(self, cfg_factory, request):
+        cfg = cfg_factory()
+        params, x = _case(cfg, s=8)
+        x_shards = np.split(x, 2, axis=1)
+        dy_shards = [rng(2 + r).normal(size=s.shape) for r, s in enumerate(x_shards)]
+
+        def run():
+            cluster = VirtualCluster(2)
+            y, ctx = megatron_block_forward(cluster, params, cfg, x_shards)
+            dx, grads = megatron_block_backward(cluster, params, cfg, ctx, dy_shards)
+            return y, dx, grads
+
+        _assert_same_as_earlier(request, "kept_megatron_caching", run)
+
+
+def _assert_same_as_earlier(request, fixture, run):
+    """``run()``'s outputs, input gradients and weight gradients are
+    bitwise those of a second run under the earlier caching."""
+    y, dx, grads = run()
+    request.getfixturevalue(fixture)
+    y_kept, dx_kept, grads_kept = run()
+    for a, b in zip(y + dx, y_kept + dx_kept):
+        np.testing.assert_array_equal(a, b)
+    _assert_same((dx[0], grads), (dx_kept[0], grads_kept))
+
+
+@pytest.mark.parametrize("cfg_factory", ARCHS)
+def test_ffn_backwards_rebuild_the_transcendental_once_per_chunk(
+    cfg_factory, monkeypatch
+):
+    """``ffn_backward`` and Megatron-SP's FFN backward compute the
+    sigmoid (tanh) once per chunk and rank, for both the rebuilt
+    activation output and the activation backward."""
+    cfg = cfg_factory()
+    name = "gelu_tanh" if cfg.arch == "gpt" else "gate_sigmoid"
+    rebuild, calls = getattr(layers_module, name), []
+
+    def counted(cache):
+        calls.append(cache[0].shape)
+        return rebuild(cache)
+
+    for module in (layers_module, block_ops_module, megatron_module):
+        monkeypatch.setattr(module, name, counted)
+    params, x = _case(cfg, s=8)
+    dy = rng(2).normal(size=x.shape)
+    _, cache = ffn_forward(params, cfg, x)
+    calls.clear()
+    ffn_backward(dy, cache)
+    assert len(calls) == 1
+
+    world = 2
+    cluster = VirtualCluster(world)
+    _, ctx = megatron_block_forward(cluster, params, cfg, np.split(x, world, axis=1))
+    calls.clear()
+    megatron_block_backward(cluster, params, cfg, ctx, np.split(dy, world, axis=1))
+    assert len(calls) == world

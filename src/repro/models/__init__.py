@@ -23,8 +23,6 @@ from repro.models.attention import (
     attention_backward_reference,
     attention_block_backward,
     attention_forward_reference,
-    online_attention_backward,
-    online_attention_forward,
 )
 from repro.models.loss import (
     chunked_lm_head_backward,
@@ -48,8 +46,6 @@ __all__ = [
     "tiny_llama",
     "attention_forward_reference",
     "attention_backward_reference",
-    "online_attention_forward",
-    "online_attention_backward",
     "attention_block_backward",
     "AttentionFold",
     "softmax_cross_entropy_forward",

@@ -12,10 +12,9 @@ Two implementations of the same math:
   and normalizes in ``finish()``; :func:`attention_block_backward`
   recomputes one block's probabilities from the saved log-sum-exp and
   adds its ``dq``/``dk``/``dv`` into the caller's accumulators.  Every
-  schedule (FPDT's chunk pipeline, USP's ring, serving's key tiles, the
-  whole-segment :func:`online_attention_forward`/``_backward`` of
-  Megatron-SP and Ulysses) drives these two and keeps its own data
-  movement between blocks.
+  schedule (FPDT's chunk pipeline, USP's ring, serving's cached prefix,
+  the whole gathered segment of Megatron-SP and Ulysses) drives these
+  two and keeps its own data movement between blocks.
 
 Both carry **absolute position offsets** ``(q_offset, k_offset)`` so
 the causal mask stays exact when FPDT processes chunk pairs off the
@@ -46,12 +45,12 @@ GEMM FLOPs, so the block kernels keep those passes few:
   column, ``[q·s | -lse] @ [k | 1]ᵀ`` and ``[do | -delta] @ [v | 1]ᵀ``,
   which leaves ``exp`` and ``p * dp`` as its only full-block passes.
 
-Each block kernel allocates its score / ``dp`` scratch (and the backward
-its gradient partials) per call and drops it on return, so working
-memory is O(block), and a caller that bounds its blocks bounds it:
-serving folds a long cached prefix one tile at a time
-(``models/generate._prefix_causal_attention``).  A scratch cache
-keyed by shape would keep one score block per key length ever seen.
+The kernels own the key-tile rule: both take a KV block of any length
+and run it in the key tiles of :func:`one_key_tile`, skipping tiles the
+mask hides; each tile's score / ``dp`` scratch (and gradient partials)
+dies with it, so working memory is O(b·h·rows·tile), not O(block), for
+every caller.  A scratch cache keyed by shape would keep one score block
+per key length.
 """
 
 from __future__ import annotations
@@ -242,6 +241,38 @@ def grouped_pv(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+#: Key-tile width, in keys, for a block of ``TILE`` or more query rows.
+TILE = 256
+
+
+def _key_span(sq: int) -> int:
+    """Key-tile width for ``sq`` query rows, widened below ``TILE`` rows."""
+    return TILE * max(1, TILE // sq)
+
+
+def one_key_tile(sq: int, k_offset: int, sk: int) -> bool:
+    """Whether keys ``[k_offset, k_offset + sk)`` lie in one key tile of
+    ``sq`` query rows; tiles are aligned to absolute key positions."""
+    span = _key_span(sq)
+    return k_offset // span == (k_offset + sk - 1) // span
+
+
+def _key_tiles(sq, q_offset, k_offset, window, *kv):
+    """``(tile offset, *tile slices of kv)`` for each key tile of a KV
+    block, in key order, leaving out every tile the mask hides
+    completely; the arrays themselves when the block lies in one tile."""
+    sk = kv[0].shape[1]
+    if one_key_tile(sq, k_offset, sk):
+        return [(k_offset, *kv)]
+    span, k_end = _key_span(sq), k_offset + sk
+    tiles = []
+    for t0 in range(k_offset - k_offset % span, k_end, span):
+        a, z = max(t0, k_offset), min(t0 + span, k_end)
+        if block_is_visible(sq, z - a, q_offset, a, window):
+            tiles.append((a, *(x[:, a - k_offset : z - k_offset] for x in kv)))
+    return tiles
+
+
 class AttentionFold:
     """The online-softmax fold of KV blocks into one query block.
 
@@ -252,7 +283,7 @@ class AttentionFold:
     and ``m``/``l``, the running row max and denominator ``[b, h, sq]``.
     :meth:`update` folds one KV block in, :meth:`finish` normalizes.
     The caller owns the data movement between updates (prefetch, ring
-    shift, key-tile slice), so one fold serves every schedule.
+    shift, cache slice), so one fold serves every schedule.
     """
 
     __slots__ = ("q", "q_offset", "scale", "window", "acc", "m", "l")
@@ -277,7 +308,8 @@ class AttentionFold:
         self.l = np.zeros((b, h, sq))
 
     def update(self, k_blk: np.ndarray, v_blk: np.ndarray, k_offset: int) -> None:
-        """Fold one KV block at absolute ``k_offset`` into the state.
+        """Fold one KV block at absolute ``k_offset`` into the state,
+        tile by tile (see the module docstring).
 
         The caller must only present visible blocks (see
         :func:`block_is_visible`); FPDT's schedule guarantees this by
@@ -291,16 +323,22 @@ class AttentionFold:
         viewed as ``[b, hk, g*sq, d]``; with ``hk < h`` equal to the
         expanded path up to float rounding.
         """
-        q, window = self.q, self.window
+        q, q_offset, window = self.q, self.q_offset, self.window
         _check_qkv(q, k_blk, v_blk)
-        sq, sk = q.shape[1], k_blk.shape[1]
-        if not block_is_visible(sq, sk, self.q_offset, k_offset, window):
+        if not block_is_visible(q.shape[1], k_blk.shape[1], q_offset, k_offset, window):
             raise ShapeError(
                 f"causal online update got a fully-invisible block: "
-                f"q_offset={self.q_offset}, k_offset={k_offset}, window={window}"
+                f"q_offset={q_offset}, k_offset={k_offset}, window={window}"
             )
-        scores = grouped_scores(q, k_blk, self.scale)
-        band = _band(sq, sk, self.q_offset, k_offset, window)
+        for k0, k, v in _key_tiles(q.shape[1], q_offset, k_offset, window, k_blk, v_blk):
+            self._fold_tile(k, v, k0)
+
+    def _fold_tile(self, k: np.ndarray, v: np.ndarray, k_offset: int) -> None:
+        """Fold one visible key tile; its scratch dies on return."""
+        q = self.q
+        sq, sk = q.shape[1], k.shape[1]
+        scores = grouped_scores(q, k, self.scale)
+        band = _band(sq, sk, self.q_offset, k_offset, self.window)
         if band is not None:
             cols, hidden = band
             np.copyto(scores[..., cols], -np.inf, where=hidden)
@@ -321,7 +359,7 @@ class AttentionFold:
         self.l *= correction
         self.l += p.sum(axis=-1)
         self.acc *= correction.transpose(0, 2, 1)[..., None]
-        self.acc += grouped_pv(p, v_blk)
+        self.acc += grouped_pv(p, v)
         self.m = m_new
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +401,8 @@ def attention_block_backward(
     attention matrix), then applies the FlashAttention-2 formulas.
     FPDT's nested backward loop (Fig. 7) passes the same ``dk/dv``
     accumulators over the inner (query) loop and the same ``dq`` one over
-    the outer (KV) loop.  The partials are allocated per call, like the
-    score scratch, and added in once each.
+    the outer (KV) loop.  Each key tile allocates its partials and adds
+    them into ``dq_acc`` and its slice of ``dk_acc``/``dv_acc``.
 
     K/V with ``hk`` heads (``h % hk == 0``) is taken as in
     :meth:`AttentionFold.update`: ``q`` and ``do`` are viewed as ``[b,
@@ -377,19 +415,30 @@ def attention_block_backward(
     if not block_is_visible(q.shape[1], k_blk.shape[1], q_offset, k_offset, window):
         raise ShapeError("causal block backward got a fully-invisible block")
     b, sq, h, d = q.shape
-    sk, hk = k_blk.shape[1], k_blk.shape[2]
-    dtype = np.result_type(q.dtype, k_blk.dtype)
-    scores = _scratch((b, h, sq, sk), dtype)
-    # [b, h, sq, sk] viewed per KV head: rows (j, q) of query head kv * g + j.
-    grouped = (b, hk, group * sq, sk)
     # [q·s | -lse] and [do | -delta] viewed [b, hk, g*sq, d + 1] against
     # [k | 1] and [v | 1]: the extra column subtracts lse and delta inside
     # the GEMMs instead of in passes over the block.
-    rows = (b, hk, group * sq, d + 1)
+    rows = (b, k_blk.shape[2], group * sq, d + 1)
     qe = _head_major(q, scale, -lse).reshape(rows)
     doe = _head_major(do, 1.0, -delta).reshape(rows)
+    for k0, k, v, dk_t, dv_t in _key_tiles(
+        sq, q_offset, k_offset, window, k_blk, v_blk, dk_acc, dv_acc
+    ):
+        _tile_backward(qe, doe, k, v, dq_acc, dk_t, dv_t, scale, q_offset, k0, window)
+
+
+def _tile_backward(qe, doe, k, v, dq_acc, dk_acc, dv_acc, scale, q_offset, k_offset, window):
+    """One visible key tile of :func:`attention_block_backward`; its
+    scratch and partials die on return."""
+    b, hk, rows, _ = qe.shape
+    _, sq, h, d = dq_acc.shape
+    group, sk = h // hk, k.shape[1]
+    dtype = np.result_type(qe.dtype, k.dtype)
+    scores = _scratch((b, h, sq, sk), dtype)
+    # [b, h, sq, sk] viewed per KV head: rows (j, q) of query head kv * g + j.
+    grouped = (b, hk, rows, sk)
     np.matmul(
-        qe, _head_major(k_blk, 1.0, 1.0).transpose(0, 1, 3, 2),
+        qe, _head_major(k, 1.0, 1.0).transpose(0, 1, 3, 2),
         out=scores.reshape(grouped),
     )
     band = _band(sq, sk, q_offset, k_offset, window)
@@ -402,26 +451,26 @@ def attention_block_backward(
     dp = _scratch(p.shape, p.dtype)
     # dk/dv partials viewed [b, hk, sk, d]; the matmuls' inner dimension
     # g*sq sums each KV head's gradient over its group.
-    dv = np.empty(k_blk.shape, dtype)
+    dv = np.empty(k.shape, dtype)
     np.matmul(
         p.reshape(grouped).transpose(0, 1, 3, 2), doe[..., :d],
         out=dv.transpose(0, 2, 1, 3),
     )
     np.matmul(
-        doe, _head_major(v_blk, 1.0, 1.0).transpose(0, 1, 3, 2),
+        doe, _head_major(v, 1.0, 1.0).transpose(0, 1, 3, 2),
         out=dp.reshape(grouped),
     )
     ds = np.multiply(p, dp, out=dp)
     # dq keeps its query heads: batch over (hk, g) with each KV head
     # broadcast over its group, written straight into [b, sq, h, d].
-    dq = np.empty(q.shape, dtype)
+    dq = np.empty(dq_acc.shape, dtype)
     np.matmul(
         ds.reshape(b, hk, group, sq, sk),
-        k_blk.transpose(0, 2, 1, 3)[:, :, None],
+        k.transpose(0, 2, 1, 3)[:, :, None],
         out=dq.reshape(b, sq, hk, group, d).transpose(0, 2, 3, 1, 4),
     )
     # dk contracts with q·s, so it needs no scale pass of its own.
-    dk = np.empty(k_blk.shape, dtype)
+    dk = np.empty(k.shape, dtype)
     np.matmul(
         ds.reshape(grouped).transpose(0, 1, 3, 2), qe[..., :d],
         out=dk.transpose(0, 2, 1, 3),
@@ -430,46 +479,6 @@ def attention_block_backward(
     dq_acc += dq
     dk_acc += dk
     dv_acc += dv
-
-
-def online_attention_forward(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    *,
-    scale: float | None = None,
-    window: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Causal attention over one device's whole segment as one fold of
-    one block; returns ``(o, lse)``."""
-    fold = AttentionFold(q, scale=scale, window=window)
-    fold.update(k, v, 0)
-    return fold.finish()
-
-
-def online_attention_backward(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    o: np.ndarray,
-    do: np.ndarray,
-    lse: np.ndarray,
-    *,
-    scale: float | None = None,
-    window: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of :func:`online_attention_forward` from its saved
-    ``(o, lse)``: one block backward.  Like the forward it takes grouped
-    K/V (``hk`` heads): ``dk``/``dv`` come back with ``hk`` heads, already
-    summed over each query group."""
-    _check_qkv(q, k, v)
-    scale = scale if scale is not None else 1.0 / np.sqrt(q.shape[-1])
-    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-    attention_block_backward(
-        q, k, v, do, lse, compute_delta(o, do), dq, dk, dv,
-        scale=scale, window=window,
-    )
-    return dq, dk, dv
 
 
 def _check_qkv(

@@ -36,7 +36,13 @@ import numpy as np
 
 import repro.runtime.executor as rank_executor
 from repro.common.errors import ShapeError
-from repro.models.attention import AttentionFold, grouped_pv, grouped_scores
+from repro.models.attention import (
+    TILE,
+    AttentionFold,
+    grouped_pv,
+    grouped_scores,
+    one_key_tile,
+)
 from repro.models.block_ops import (
     attn_post_forward,
     attn_qkv_forward,
@@ -44,11 +50,6 @@ from repro.models.block_ops import (
     norm_forward,
 )
 from repro.models.transformer import GPTModel
-
-#: Query rows, and the key tile for a full query tile, of one
-#: :func:`_prefix_causal_attention` block.
-PREFIX_TILE = 256
-
 
 class KVCache:
     """Per-layer key/value rows in KV heads, appended in place.
@@ -211,26 +212,21 @@ def _prefix_causal_attention(qh, k_full, v_full, q_offset, cfg, *, k_offset=0):
     the cached prefix (first retained key at absolute ``k_offset``), with
     the causal mask and ``cfg.attention_window``.
 
-    The prefix is folded one tile at a time, as FPDT folds KV chunks
-    (§4.1): query rows go in tiles of ``PREFIX_TILE``, and each query tile
-    folds its keys in tiles of ``PREFIX_TILE * max(1, PREFIX_TILE //
-    rows)`` aligned to absolute key positions, so no score block holds
-    more than ``PREFIX_TILE ** 2`` entries per head.  A query tile reads
-    only the keys it can see, from its first query's window edge to its
-    last query, so a fully hidden tile is never built, and a cache that
-    evicted the keys behind the window builds the same tiles: eviction
-    stays bitwise-invisible.  ``k_full``/``v_full`` keep the model's KV
-    heads; the kernel contracts each against its group of query heads.
+    The prefix is folded as FPDT folds KV chunks (§4.1): each query tile
+    of ``TILE`` rows is one :class:`~repro.models.attention.AttentionFold`
+    update over the keys it can see, from its first query's window edge
+    to its last query, and the kernel folds those in its key tiles
+    (``TILE`` keys for a full query tile).  Slicing rather than masking
+    the keys behind the window makes an evicted cache fold the same
+    tiles: eviction stays bitwise-invisible.  ``k_full``/``v_full`` keep
+    the model's KV heads.
 
-    A one-row tile (every decode row) whose keys lie in one key tile, so
-    at most 65,536 keys not straddling a 65,536-aligned boundary, is one
-    exact softmax with no fold (:func:`_softmax_row`): grouped scores,
-    row max, subtract, ``exp``, row sum, grouped ``p @ v``, divide.  The
-    row sees every key it is given, so nothing is masked, and on a zero
-    state the fold's rescale multiplies zeros by ``exp(-inf) = 0``; what
-    is left are the fold's own operations on the same operands, so the
-    output is bitwise the fold's.  A row whose keys cross a key tile
-    still folds.
+    A one-row tile (every decode row) whose keys lie in one key tile (at
+    most 65,536 keys, not straddling a 65,536-aligned boundary) is one
+    exact softmax with no fold (:func:`_softmax_row`), bitwise the
+    fold's: the row sees every key it is given, so nothing is masked,
+    and on a zero state the fold's rescale multiplies zeros by
+    ``exp(-inf) = 0``.  A row whose keys cross a key tile still folds.
 
     Heads never mix, which is why Ulysses and FPDT can scatter them
     across devices: when one KV head's share of the fold (``4 * b * rows
@@ -271,8 +267,8 @@ def _query_tiles(sq, q_offset, k_offset, k_end, window):
     """``(q0, rows, lo, hi)`` per query tile: its first row, its row count
     and the absolute keys ``[lo, hi)`` it can see among the retained keys
     ``[k_offset, k_end)``."""
-    for q0 in range(0, sq, PREFIX_TILE):
-        rows = min(PREFIX_TILE, sq - q0)
+    for q0 in range(0, sq, TILE):
+        rows = min(TILE, sq - q0)
         first = q_offset + q0
         # Slicing (not masking) the keys behind the window keeps the key
         # tiles, and so the reduction order, the same with and without
@@ -282,28 +278,21 @@ def _query_tiles(sq, q_offset, k_offset, k_end, window):
 
 
 def _fold_tiles(qh, k_full, v_full, tiles, q_offset, k_offset, window):
-    """Fold each query tile's keys in tiles aligned to absolute key
-    positions; the ``[b, sq, h, d]`` attention output (a single tile's
-    output as is, no copy).  A one-row tile whose keys lie in one key
-    tile is one :func:`_softmax_row` instead."""
+    """Fold each query tile's visible keys; the ``[b, sq, h, d]``
+    attention output (a single tile's output as is, no copy).  A one-row
+    tile whose keys lie in one key tile is one :func:`_softmax_row`
+    instead."""
     scale = 1.0 / np.sqrt(qh.shape[-1])
     outs = []
     for q0, rows, lo, hi in tiles:
         q = qh[:, q0 : q0 + rows]
-        span = PREFIX_TILE * max(1, PREFIX_TILE // rows)
-        if rows == 1 and lo // span == (hi - 1) // span:
-            outs.append(_softmax_row(
-                q, k_full[:, lo - k_offset : hi - k_offset],
-                v_full[:, lo - k_offset : hi - k_offset], scale,
-            ))
+        k = k_full[:, lo - k_offset : hi - k_offset]
+        v = v_full[:, lo - k_offset : hi - k_offset]
+        if rows == 1 and one_key_tile(1, lo, hi - lo):
+            outs.append(_softmax_row(q, k, v, scale))
             continue
         fold = AttentionFold(q, q_offset=q_offset + q0, scale=scale, window=window)
-        for t0 in range(lo - lo % span, hi, span):
-            a, z = max(t0, lo), min(t0 + span, hi)
-            fold.update(
-                k_full[:, a - k_offset : z - k_offset],
-                v_full[:, a - k_offset : z - k_offset], a,
-            )
+        fold.update(k, v, lo)
         outs.append(fold.finish()[0])
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
 

@@ -26,8 +26,9 @@ import numpy as np
 
 from repro.common.dtypes import DType
 from repro.models.attention import (
-    online_attention_backward,
-    online_attention_forward,
+    AttentionFold,
+    attention_block_backward,
+    compute_delta,
 )
 from repro.models.block_ops import norm_backward, norm_forward
 from repro.models.config import ModelConfig
@@ -160,7 +161,9 @@ def megatron_block_forward(
         if rope_cache is not None:
             qh = rope_forward(qh, rope_cache)
             kh = rope_forward(kh, rope_cache)
-        o, lse = online_attention_forward(qh, kh, vh, window=cfg.attention_window)
+        fold = AttentionFold(qh, window=cfg.attention_window)
+        fold.update(kh, vh, 0)
+        o, lse = fold.finish()
         merged = o.reshape(b, s_global, sharding.h_local * d)
         partial = merged @ params["attn.wo"][sharding.q_cols(rank), :]
         return qh, kh, vh, o, lse, partial
@@ -331,8 +334,10 @@ def megatron_block_backward(
         dmerged = dpart @ params["attn.wo"][qc, :].T
         do = dmerged.reshape(b, s_global, sh.h_local, d)
         qh, kh, vh = ctx.q_heads[rank], ctx.k_heads[rank], ctx.v_heads[rank]
-        dqh, dkh, dvh = online_attention_backward(
-            qh, kh, vh, o, do, ctx.lse[rank], window=cfg.attention_window
+        dqh, dkh, dvh = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+        attention_block_backward(
+            qh, kh, vh, do, ctx.lse[rank], compute_delta(o, do), dqh, dkh, dvh,
+            scale=1.0 / np.sqrt(d), window=cfg.attention_window,
         )
         if rope_cache is not None:
             dqh = rope_backward(dqh, rope_cache)

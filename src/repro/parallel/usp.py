@@ -23,9 +23,10 @@ are presets that only fix ``seq_parallel``:
 - ``(ulysses=world, ring=1)`` is DeepSpeed-Ulysses (Jacobs et al.,
   2023): one row spanning the world, so the mesh hands back the world
   group (flat ``all_to_all:ulysses.*`` labels, hierarchical routing
-  under a multi-node spec) and the attention phase is one whole-segment
-  :func:`online_attention_forward` per rank.  It is capped at
-  ``num_heads`` ranks because it scatters heads.
+  under a multi-node spec) and the attention phase folds the whole
+  gathered segment through one :class:`~repro.models.attention.AttentionFold`
+  per rank, in the kernel's key tiles.  It is capped at ``num_heads``
+  ranks because it scatters heads.
 - ``(ulysses=1, ring=world)`` is Ring Attention (Liu et al., 2023):
   single-member rows make every all-to-all a no-op (skipped entirely —
   no buffers, no trace events), ``seg = s_local``, and one column
@@ -59,8 +60,6 @@ from repro.models.attention import (
     attention_block_backward,
     block_is_visible,
     compute_delta,
-    online_attention_backward,
-    online_attention_forward,
 )
 from repro.models.block_ops import (
     Grads,
@@ -235,14 +234,13 @@ def usp_block_forward(
         v_hat = _row_all_to_all(cluster, rows, v_dev, split_axis=2, concat_axis=1, tag="ulysses.v")
 
     if R == 1 and U > 1:
-        # Flat Ulysses (one row, nothing to rotate): whole-segment
-        # online kernel, o registered on-device, q/k/v checkpointed
-        # *after* attention.
+        # Flat Ulysses (one row, nothing to rotate): the whole segment
+        # is one fold (in key tiles), o registered on-device, q/k/v
+        # checkpointed *after* attention.
         def attn_rank(rank):
-            o, lse = online_attention_forward(
-                q_hat[rank].data, k_hat[rank].data, v_hat[rank].data,
-                window=window,
-            )
+            fold = AttentionFold(q_hat[rank].data, window=window)
+            fold.update(k_hat[rank].data, v_hat[rank].data, 0)
+            o, lse = fold.finish()
             return o, lse, cluster.devices[rank].from_numpy(o, ACT_DTYPE, "ulysses.o")
 
         attn = cluster.rank_map(attn_rank)
@@ -381,10 +379,11 @@ def usp_block_backward(
             q_t = dev.from_numpy(ctx.q_heads[rank], ACT_DTYPE, "ulysses.q.fetch")
             k_t = dev.from_numpy(ctx.k_heads[rank], ACT_DTYPE, "ulysses.k.fetch")
             v_t = dev.from_numpy(ctx.v_heads[rank], ACT_DTYPE, "ulysses.v.fetch")
-            dq, dk, dv = online_attention_backward(
-                q_t.data, k_t.data, v_t.data,
-                ctx.o_heads[rank], do_hat[rank].data, ctx.lse[rank],
-                window=window,
+            q, k, v, do = q_t.data, k_t.data, v_t.data, do_hat[rank].data
+            dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+            attention_block_backward(
+                q, k, v, do, ctx.lse[rank], compute_delta(ctx.o_heads[rank], do),
+                dq, dk, dv, scale=1.0 / np.sqrt(cfg.head_dim), window=window,
             )
             free_all([q_t, k_t, v_t])
             return (

@@ -14,13 +14,14 @@ from repro.common.errors import ShapeError
 from repro.models.attention import (
     AttentionFold,
     attention_backward_reference,
+    TILE,
     attention_block_backward,
     attention_forward_reference,
+    block_is_visible,
     compute_delta,
-    online_attention_backward,
-    online_attention_forward,
     workspace_stats,
 )
+from repro.models.layers import reduce_kv_grad, repeat_kv
 
 from .helpers import (
     blockwise_attention,
@@ -132,15 +133,22 @@ class TestOnlineForward:
         np.testing.assert_allclose(o, o_ref, rtol=1e-10, atol=1e-12)
 
     def test_whole_segment_is_one_fold(self):
-        """``online_attention_forward``/``_backward`` (Megatron-SP and
-        flat Ulysses) are one block of the fold, bit for bit."""
+        """Megatron-SP and flat Ulysses fold their whole segment as one
+        ``update`` and run one block backward: one block of the fold,
+        bit for bit."""
         q, k, v = _qkv(6, s=8)
         do = rng(7).normal(size=q.shape)
-        o, lse = online_attention_forward(q, k, v, window=5)
+        fold = AttentionFold(q, window=5)
+        fold.update(k, v, 0)
+        o, lse = fold.finish()
         o_b, lse_b = blockwise_attention(q, k, v, 8, 8, window=5)
         np.testing.assert_array_equal(o, o_b)
         np.testing.assert_array_equal(lse, lse_b)
-        got = online_attention_backward(q, k, v, o, do, lse, window=5)
+        got = (np.zeros_like(q), np.zeros_like(k), np.zeros_like(v))
+        attention_block_backward(
+            q, k, v, do, lse, compute_delta(o, do), *got,
+            scale=1 / np.sqrt(q.shape[-1]), window=5,
+        )
         want = blockwise_attention_backward(q, k, v, o, do, lse, 8, 8, window=5)
         for have, ref in zip(got, want):
             np.testing.assert_array_equal(have, ref)
@@ -244,7 +252,9 @@ class TestOnlineBackward:
         FPDT's nested loop performs."""
         q, k, v = _qkv(14, s=6, h=1)
         do = rng(15).normal(size=q.shape)
-        o, lse = online_attention_forward(q, k, v)
+        fold = AttentionFold(q)
+        fold.update(k, v, 0)
+        o, lse = fold.finish()
         delta = compute_delta(o, do)
         o_ref, cache = attention_forward_reference(q, k, v)
         dq_ref, dk_ref, dv_ref = attention_backward_reference(do, cache)
@@ -301,6 +311,104 @@ class TestOnlineBackward:
         outs = blockwise_attention_backward(q, k, v, o, do, lse, block, block)
         for got, ref in zip(outs, refs):
             np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-9)
+
+
+class TestKeyTiles:
+    """A KV block wider than one key tile runs in tiles aligned to
+    absolute key positions, in key order, skipping every tile the mask
+    hides completely: bitwise a hand loop of one-tile calls, and exact
+    attention within 1e-12."""
+
+    H, HK, D = 4, 2, 8
+
+    CASES = {
+        # FPDT's off-diagonal case at a big chunk: an unaligned block
+        # whose first tile, [40, 256), lies wholly behind the window.
+        "window-hides-a-tile": (600, 160, 40, 720, 300),
+        # A diagonal block whose last tile, [512, 760), is all future.
+        "causal-hides-a-tile": (300, 160, 0, 760, None),
+        # Few query rows widen the tile to 1,024 keys; it still splits.
+        "few-rows-wide-tile": (1100, 64, 900, 264, None),
+    }
+
+    def _inputs(self, sq, sk):
+        g = rng(70)
+        q = g.normal(size=(1, sq, self.H, self.D))
+        k = g.normal(size=(1, sk, self.HK, self.D))
+        v = g.normal(size=k.shape)
+        do = g.normal(size=q.shape)
+        return q, k, v, do
+
+    def _hand_tiles(self, sq, q_offset, k_offset, sk, window):
+        """The one-tile calls the kernels must make, worked out here."""
+        span = TILE * max(1, TILE // sq)
+        tiles = []
+        for t0 in range(0, k_offset + sk, span):
+            a, z = max(t0, k_offset), min(t0 + span, k_offset + sk)
+            if a < z and block_is_visible(sq, z - a, q_offset, a, window):
+                tiles.append((a - k_offset, z - k_offset))
+        return tiles
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_a_loop_of_one_tile_calls(self, case):
+        q_offset, sq, k_offset, sk, window = self.CASES[case]
+        q, k, v, do = self._inputs(sq, sk)
+        tiles = self._hand_tiles(sq, q_offset, k_offset, sk, window)
+        assert len(tiles) >= 2
+        fold = AttentionFold(q, q_offset=q_offset, window=window)
+        misses = workspace_stats()["misses"]
+        fold.update(k, v, k_offset)
+        assert workspace_stats()["misses"] - misses == len(tiles)  # one score block a tile
+        o, lse = fold.finish()
+        hand = AttentionFold(q, q_offset=q_offset, window=window)
+        for a, z in tiles:
+            hand.update(k[:, a:z], v[:, a:z], k_offset + a)
+        o_hand, lse_hand = hand.finish()
+        np.testing.assert_array_equal(o, o_hand)
+        np.testing.assert_array_equal(lse, lse_hand)
+
+        delta = compute_delta(o, do)
+        kw = dict(scale=fold.scale, q_offset=q_offset, window=window)
+        got = (np.zeros_like(q), np.zeros_like(k), np.zeros_like(v))
+        attention_block_backward(q, k, v, do, lse, delta, *got, k_offset=k_offset, **kw)
+        want = (np.zeros_like(q), np.zeros_like(k), np.zeros_like(v))
+        for a, z in tiles:
+            attention_block_backward(
+                q, k[:, a:z], v[:, a:z], do, lse, delta,
+                want[0], want[1][:, a:z], want[2][:, a:z],
+                k_offset=k_offset + a, **kw,
+            )
+        for have, ref in zip(got, want):
+            np.testing.assert_array_equal(have, ref)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_reference(self, case):
+        """Against the reference kernels on the block's own positions:
+        queries shifted by ``-k_offset`` behind zero rows, so the mask
+        sees the same key distances."""
+        q_offset, sq, k_offset, sk, window = self.CASES[case]
+        q, k, v, do = self._inputs(sq, sk)
+        fold = AttentionFold(q, q_offset=q_offset, window=window)
+        fold.update(k, v, k_offset)
+        o, lse = fold.finish()
+        got = (np.zeros_like(q), np.zeros_like(k), np.zeros_like(v))
+        attention_block_backward(
+            q, k, v, do, lse, compute_delta(o, do), *got, scale=fold.scale,
+            q_offset=q_offset, k_offset=k_offset, window=window,
+        )
+
+        lead = q_offset - k_offset
+        q_ref = np.concatenate([np.zeros((1, lead, self.H, self.D)), q], axis=1)
+        do_ref = np.concatenate([np.zeros_like(q_ref[:, :lead]), do], axis=1)
+        g = self.H // self.HK
+        o_ref, cache = attention_forward_reference(
+            q_ref, repeat_kv(k, g), repeat_kv(v, g), window=window
+        )
+        dq, dk, dv = attention_backward_reference(do_ref, cache)
+        np.testing.assert_allclose(o, o_ref[:, lead:], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got[0], dq[:, lead:], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got[1], reduce_kv_grad(dk, g), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got[2], reduce_kv_grad(dv, g), rtol=1e-12, atol=1e-12)
 
 
 class TestChunkOffsets:
@@ -533,7 +641,6 @@ class TestGroupedQueryHeads:
         for call in (
             lambda: AttentionFold(q, scale=1.0).update(k, k, 0),
             lambda: attention_block_backward(q, k, k, q, lse, lse, q, k, k, scale=1.0),
-            lambda: online_attention_backward(q, k, k, q, q, lse),
         ):
             with pytest.raises(ShapeError) as err:
                 call()

@@ -8,7 +8,8 @@ import pytest
 import repro.models.generate as generate_mod
 from repro.common.errors import ShapeError
 from repro.models import GPTModel, tiny_gpt, tiny_llama
-from repro.models.generate import PREFIX_TILE, KVCache, forward_cached, generate
+from repro.models.attention import TILE
+from repro.models.generate import KVCache, forward_cached, generate
 from repro.runtime.executor import PARALLEL_MIN_FLOPS as SHIPPED_MIN_FLOPS
 from repro.training import SyntheticCorpus
 from repro.training.trainer import Trainer
@@ -426,11 +427,11 @@ class TestBatchedForward:
         """Logits and every retained cache row after three batched steps
         equal the one-row calls exactly: GPT (biases, learned positions)
         and Llama (RoPE, GQA), with and without a window, with a row
-        whose prefix crosses ``PREFIX_TILE`` keys and, under the window,
+        whose prefix crosses ``TILE`` keys and, under the window,
         rows that have already evicted."""
         model = self._model(arch, window)
         lengths = self.LENGTHS[:batch]
-        assert max(lengths) > PREFIX_TILE
+        assert max(lengths) > TILE
         batched = self._prefilled(model, lengths)
         single = self._prefilled(model, lengths)
         if window is not None:
@@ -512,6 +513,20 @@ class TestDecodeRowBlock:
         )
         np.testing.assert_array_equal(o, fold.finish()[0])
 
+    def _count_tiles(self, monkeypatch):
+        """The ``k_offset`` of every key tile a serving fold folds."""
+        calls = []
+
+        class CountedFold(generate_mod.AttentionFold):
+            __slots__ = ()
+
+            def _fold_tile(self, k, v, k_offset):
+                calls.append(k_offset)
+                super()._fold_tile(k, v, k_offset)
+
+        monkeypatch.setattr(generate_mod, "AttentionFold", CountedFold)
+        return calls
+
     def _count_updates(self, monkeypatch):
         """The ``k_offset`` of every fold update serving runs."""
         calls = []
@@ -559,9 +574,9 @@ class TestDecodeRowBlock:
     def test_row_across_a_key_tile_still_folds(
         self, monkeypatch, keys, window, evicted, min_flops, tasks
     ):
-        """The row's keys cross the 65,536-aligned key tile: two updates,
-        one per tile (in each KV head's task when split), and exact
-        attention within 1e-12."""
+        """The row's keys cross the 65,536-aligned key tile: two tiles
+        folded (in each KV head's task when split), and exact attention
+        within 1e-12."""
         from types import SimpleNamespace
 
         import repro.runtime.executor as executor_module
@@ -571,7 +586,7 @@ class TestDecodeRowBlock:
 
         monkeypatch.setattr(executor_module, "PARALLEL_MIN_FLOPS", min_flops)
         q, k, v, q_offset, k_offset = self._row(keys, 4, 2, window, evicted)
-        calls = self._count_updates(monkeypatch)
+        calls = self._count_tiles(monkeypatch)
         o = _prefix_causal_attention(
             q, k, v, q_offset, SimpleNamespace(attention_window=window),
             k_offset=k_offset,

@@ -29,19 +29,21 @@ obs:
 	python -m repro obs spans /tmp/obs_spans.json --limit 3
 	python -m repro obs slo /tmp/obs_report.json --objective "ttft_p99<=200"
 
+# Regenerate every paper table/figure into results/ (the committed
+# results/*.json; tests/test_results_current.py checks they are current).
 experiments:
-	python -m repro experiment table1
-	python -m repro experiment table2
-	python -m repro experiment table3
-	python -m repro experiment figure1
-	python -m repro experiment figure8_9
-	python -m repro experiment figure10
-	python -m repro experiment figure11
-	python -m repro experiment figure12
-	python -m repro experiment figure13
-	python -m repro experiment figure14
-	python -m repro experiment scaling_study
-	python -m repro experiment hardware_sensitivity
+	python -m repro experiment table1 --json results
+	python -m repro experiment table2 --json results
+	python -m repro experiment table3 --json results
+	python -m repro experiment figure1 --json results
+	python -m repro experiment figure8_9 --json results
+	python -m repro experiment figure10 --json results
+	python -m repro experiment figure11 --json results
+	python -m repro experiment figure12 --json results
+	python -m repro experiment figure13 --json results
+	python -m repro experiment figure14 --json results
+	python -m repro experiment scaling_study --json results
+	python -m repro experiment hardware_sensitivity --json results
 
 examples:
 	for f in examples/*.py; do python $$f; done

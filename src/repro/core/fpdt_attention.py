@@ -101,12 +101,18 @@ class FPDTAttentionContext:
     device_qkv: dict = field(default_factory=dict)
 
     def release(self) -> None:
-        """Free every cached chunk (called when the backward finishes)."""
-        self.cache.clear()
-        for tensor in self.device_qkv.values():
-            if tensor.is_live:
-                tensor.free()
-        self.device_qkv.clear()
+        """Free every cached chunk (when the backward finishes) in the
+        serial store order: q, k, v by (chunk, rank), then do."""
+        for kinds in ("qkv", ("do",)):
+            for i in range(self.layout.num_chunks):
+                for r in range(self.layout.world):
+                    for kind in kinds:
+                        key = (kind, r, i)
+                        if key in self.cache:
+                            self.cache.discard(key)
+                        tensor = self.device_qkv.pop(key, None)
+                        if tensor is not None and tensor.is_live:
+                            tensor.free()
 
 
 class _ChunkStore:

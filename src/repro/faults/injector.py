@@ -17,9 +17,14 @@ chaos run's loss curve is bitwise equal to the clean run's, the
 invariant the chaos CLI verifies.  Stragglers add pure extra compute on
 the victim rank; HBM spikes charge-and-release pool bytes (peaks move,
 live bytes do not).
+
+Every executor injects the same faults: collectives (on the joining
+thread) draw by collective ordinal, transfers by (rank, ordinal).
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.common.errors import InjectedCrash, PermanentFaultError
 from repro.faults.plan import FaultPlan
@@ -30,17 +35,27 @@ class FaultInjector:
 
     Counters (all cumulative) are exposed via :meth:`stats`; the
     per-step telemetry instead reads the ``fault``/``retry`` events off
-    the trace slice, so step records see exact deltas.
+    the trace slice, so step records see exact deltas.  Rank threads
+    update them under a lock; backoff is summed per retry attempt.
     """
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._op_index = {"collective": 0, "offload": 0}
+        self._collectives = 0
+        self._offloads: dict[int, int] = {}  # rank -> its offload ordinal
         self.faults_injected = {"collective": 0, "offload": 0,
                                 "straggler": 0, "hbm_spike": 0}
-        self.retries = 0
-        self.backoff_s = 0.0
+        self._retries_at = [0] * plan.max_retries  # retries per attempt index
         self.crashes = 0
+        self._lock = threading.Lock()
+
+    @property
+    def retries(self) -> int:
+        return sum(self._retries_at)
+
+    @property
+    def backoff_s(self) -> float:
+        return sum(n * self.plan.backoff(k) for k, n in enumerate(self._retries_at))
 
     def attach(self, cluster) -> "FaultInjector":
         """Install this injector on ``cluster`` and return it."""
@@ -55,9 +70,9 @@ class FaultInjector:
         caller is group-scoped) restricts straggler/spike victims to the
         participating ranks; for the world group the draw is identical
         to the ungrouped one, so existing plans do not move."""
-        index = self._op_index["collective"]
-        self._op_index["collective"] = index + 1
-        self._transient(cluster, "collective", label, index, rank=-1)
+        index = self._collectives
+        self._collectives = index + 1
+        self._transient(cluster, "collective", label, (index,), rank=-1)
         world = cluster.world_size if group is None else group.size
         victim = self.plan.straggler_for(index, world)
         if victim is not None:
@@ -87,9 +102,10 @@ class FaultInjector:
     def before_transfer(self, cluster, direction: str, label: str, rank: int) -> None:
         """Called by the chunk cache before an H2D/D2H transfer;
         ``direction`` is ``"h2d"`` or ``"d2h"``."""
-        index = self._op_index["offload"]
-        self._op_index["offload"] = index + 1
-        self._transient(cluster, "offload", f"{direction}:{label}", index, rank=rank)
+        with self._lock:
+            index = self._offloads.get(rank, 0)
+            self._offloads[rank] = index + 1
+        self._transient(cluster, "offload", f"{direction}:{label}", (rank, index), rank=rank)
 
     def on_step(self, step: int) -> None:
         """Called by the trainer at the start of global step ``step``."""
@@ -100,24 +116,24 @@ class FaultInjector:
     # -- internals ----------------------------------------------------------
 
     def _transient(
-        self, cluster, kind: str, label: str, index: int, *, rank: int
+        self, cluster, kind: str, label: str, key: tuple, *, rank: int
     ) -> None:
-        failures = self.plan.failures_for(kind, index)
+        failures = self.plan.failures_for(kind, *key)
         if failures == 0:
             return
-        self.faults_injected[kind] += failures
         budget = min(failures, self.plan.max_retries)
+        with self._lock:
+            self.faults_injected[kind] += failures
+            for attempt in range(budget):
+                self._retries_at[attempt] += 1
         for attempt in range(budget):
-            delay = self.plan.backoff(attempt)
             cluster.trace.record(
                 "fault", f"{kind}:{label}", rank=rank, stream="fault"
             )
             cluster.trace.record(
                 "retry", f"{kind}:{label}", rank=rank, stream="fault",
-                seconds=delay,
+                seconds=self.plan.backoff(attempt),
             )
-            self.retries += 1
-            self.backoff_s += delay
         if failures > self.plan.max_retries:
             cluster.trace.record(
                 "fault", f"{kind}:{label}", rank=rank, stream="fault"

@@ -2,12 +2,13 @@
 
 A :class:`FaultPlan` is a pure description — rates, retry budgets,
 backoff shape, an optional scheduled crash — plus deterministic draw
-functions keyed on ``(seed, fault kind, operation ordinal)``.  Because
+functions keyed on ``(seed, fault kind, operation ordinal)``, with the
+rank before the ordinal (of that rank's transfers) for offload.  Because
 every decision depends only on the plan's seed and the op's position in
 the run, two runs of the same program under the same plan inject the
-*same* faults at the same places: fault injection is as reproducible as
-the training run it perturbs, which is what the determinism tests
-assert and what makes chaos failures debuggable at all.
+*same* faults at the same places, on any executor: fault injection is as
+reproducible as the training run it perturbs, which is what the
+determinism tests assert and what makes chaos failures debuggable.
 
 The plan knows nothing about the runtime; :class:`~repro.faults
 .injector.FaultInjector` owns the op counters and the trace/telemetry
@@ -95,19 +96,19 @@ class FaultPlan:
 
     # -- deterministic draws ------------------------------------------------
 
-    def _rng(self, kind: str, index: int) -> np.random.Generator:
+    def _rng(self, kind: str, *key: int) -> np.random.Generator:
         return np.random.default_rng(
-            np.random.SeedSequence(entropy=(self.seed, _KIND_IDS[kind], index))
+            np.random.SeedSequence(entropy=(self.seed, _KIND_IDS[kind], *key))
         )
 
-    def failures_for(self, kind: str, index: int) -> int:
-        """Consecutive transient failures of op ``index`` of ``kind``
-        (``"collective"`` or ``"offload"``)."""
+    def failures_for(self, kind: str, *key: int) -> int:
+        """Consecutive transient failures of the ``kind`` op at ``key``:
+        ``(ordinal,)`` for a collective, ``(rank, ordinal)`` for offload."""
         rate = {"collective": self.collective_rate,
                 "offload": self.offload_rate}[kind]
         if rate <= 0.0:
             return 0
-        rng = self._rng(kind, index)
+        rng = self._rng(kind, *key)
         count = 0
         while count < self.max_failures_per_op and rng.random() < rate:
             count += 1

@@ -137,7 +137,7 @@ def attn_qkv_forward(
     kh = split_heads(k, cfg.num_kv_heads)
     vh = split_heads(v, cfg.num_kv_heads)
     if cfg.uses_rope:
-        rope_cache = make_rope_cache(cfg.head_dim, positions, cfg.rope_theta)
+        rope_cache = make_rope_cache(cfg.rope_inv_freq, positions)
         qh = rope_forward(qh, rope_cache)
         kh = rope_forward(kh, rope_cache)
     # The projections' caches drop their input, the norm output, and the
@@ -183,7 +183,7 @@ def attn_pre_backward(
     dkh = reduce_kv_grad(dkh_full, repeats)
     dvh = reduce_kv_grad(dvh_full, repeats)
     if cfg.uses_rope:
-        rope_cache = make_rope_cache(cfg.head_dim, cache["positions"], cfg.rope_theta)
+        rope_cache = make_rope_cache(cfg.rope_inv_freq, cache["positions"])
         dqh = rope_backward(dqh, rope_cache)
         dkh = rope_backward(dkh, rope_cache)
     dq = merge_heads(dqh)

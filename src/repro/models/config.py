@@ -10,6 +10,11 @@ correctness is size-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
+
+from repro.models.layers import rope_inv_freq
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,11 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.num_heads
+
+    @cached_property
+    def rope_inv_freq(self) -> np.ndarray:
+        """RoPE's inverse frequencies, derived once; read-only."""
+        return rope_inv_freq(self.head_dim, self.rope_theta)
 
     @property
     def kv_hidden_size(self) -> int:

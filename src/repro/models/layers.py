@@ -267,16 +267,22 @@ class RopeCache:
     sin: np.ndarray  # same shape as cos
 
 
-def make_rope_cache(
-    head_dim: int, positions: np.ndarray, theta: float = 500_000.0
-) -> RopeCache:
-    """Cos/sin tables for the given absolute ``positions``: ``[s]``, or
-    ``[b, s]`` when each row of a batch starts at its own offset.  A
-    cache keeps ``positions``, not the tables: the backward calls this
-    again and gets the forward's tables bitwise."""
+def rope_inv_freq(head_dim: int, theta: float = 500_000.0) -> np.ndarray:
+    """RoPE's per-pair inverse frequencies (read-only); models hold them
+    as ``ModelConfig.rope_inv_freq``."""
     if head_dim % 2 != 0:
         raise ValueError("head_dim must be even for RoPE")
     inv_freq = theta ** (-np.arange(0, head_dim, 2) / head_dim)
+    inv_freq.flags.writeable = False
+    return inv_freq
+
+
+def make_rope_cache(inv_freq: np.ndarray, positions: np.ndarray) -> RopeCache:
+    """Cos/sin tables for the given absolute ``positions``: ``[s]``, or
+    ``[b, s]`` when each row of a batch starts at its own offset, at the
+    frequencies :func:`rope_inv_freq` gives.  A cache keeps
+    ``positions``, not the tables: the backward calls this again and
+    gets the forward's tables bitwise."""
     angles = positions[..., None] * inv_freq
     return RopeCache(cos=np.cos(angles), sin=np.sin(angles))
 

@@ -35,11 +35,10 @@ same contract the rank executor keeps (PR 5):
 
 Event attribution: while a span context is open on a thread, every
 trace event that thread records is counted into the span
-(``event_counts`` / ``event_bytes`` by kind).  Rank-closure threads
-with no local span context fall back to the innermost *ambient* span
-(the training step, the scheduler tick), so attribution is identical
-serial vs threaded — worker threads attribute to the same coarse span
-the serial loop's innermost open span would be.
+(``event_counts`` / ``event_bytes`` by kind); a rank closure's events
+reach it at the fork-join's merge, on the joining thread, exactly as in
+the serial loop.  Threads with no local span context fall back to the
+innermost *ambient* span (the training step, the scheduler tick).
 """
 
 from __future__ import annotations
@@ -77,9 +76,8 @@ class Span:
     #: Trace events recorded while this span was innermost, by kind.
     event_counts: dict = field(default_factory=dict)
     event_bytes: dict = field(default_factory=dict)
-    #: Definitive trace-event id anchors (serial recording only; events
-    #: recorded into executor buffers carry placeholder ids and are not
-    #: anchored).  Lets the Perfetto export place spans on the replayed
+    #: Trace-event id anchors: the first and last event counted into
+    #: the span.  Lets the Perfetto export place spans on the replayed
     #: simulated-time axis.
     first_event: int | None = None
     last_event: int | None = None
@@ -278,9 +276,7 @@ class SpanTracer:
     # -- event attribution --------------------------------------------------
 
     def observe_event(self, event) -> None:
-        """Trace hook: fold ``event`` into the current span's rollups.
-        Integer adds only, so totals are order-independent and identical
-        between the serial and threaded executors."""
+        """Trace hook: fold ``event`` into the current span's rollups."""
         span = self.current()
         if span is None:
             return
@@ -292,10 +288,9 @@ class SpanTracer:
                 span.event_bytes[event.kind] = (
                     span.event_bytes.get(event.kind, 0) + event.nbytes
                 )
-            if event.event_id >= 0:
-                if span.first_event is None:
-                    span.first_event = event.event_id
-                span.last_event = event.event_id
+            if span.first_event is None:
+                span.first_event = event.event_id
+            span.last_event = event.event_id
 
     # -- readback -----------------------------------------------------------
 

@@ -143,7 +143,7 @@ def megatron_block_forward(
 
     rope_cache = None
     if cfg.uses_rope:
-        rope_cache = make_rope_cache(d, np.arange(s_global), cfg.rope_theta)
+        rope_cache = make_rope_cache(cfg.rope_inv_freq, np.arange(s_global))
 
     def attn_rank(rank):
         full = normed_full[rank]
@@ -318,7 +318,7 @@ def megatron_block_backward(
     # --- attention backward ---
     rope_cache = None
     if cfg.uses_rope:
-        rope_cache = make_rope_cache(d, np.arange(s_global), cfg.rope_theta)
+        rope_cache = make_rope_cache(cfg.rope_inv_freq, np.arange(s_global))
     if gpt:
         for dbo in cluster.rank_map(lambda r: dmid_shards[r].reshape(-1, H).sum(axis=0)):
             _acc(grads, "attn.bo", dbo)

@@ -9,13 +9,12 @@ take a cluster plus per-rank inputs.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.common.dtypes import DType
 from repro.hardware.topology import ClusterSpec
 from repro.runtime.arena import fast_path_enabled
+from repro.runtime.executor import rank_map
 from repro.runtime.memory import MemoryPool
 from repro.runtime.tensor import DeviceTensor
 from repro.runtime.trace import Trace
@@ -137,36 +136,20 @@ class VirtualCluster:
             )
         self.world_size = world_size
         self.spec = spec
-        self.record_timeline = record_timeline
         self.trace = Trace()
         #: Optional :class:`repro.faults.FaultInjector`; collectives and
         #: the chunk cache consult it before moving data.  Plain attr —
         #: the runtime never imports the faults package.
         self.fault_injector = None
-        # All pools of a cluster share one step clock (their timeline
-        # samples interleave on a global order) and stamp samples with
-        # the trace position, so the profiler can place memory counters
-        # on the simulated timeline.
-        step_clock = itertools.count()
-        event_clock = lambda: len(self.trace.events)  # noqa: E731
+
+        def pool(name: str, capacity: int | None) -> MemoryPool:
+            return MemoryPool(name, capacity, record_timeline=record_timeline, trace=self.trace)
+
         self.devices = [
-            VirtualDevice(
-                rank,
-                MemoryPool(
-                    f"cuda:{rank}", hbm_capacity, record_timeline=record_timeline,
-                    step_clock=step_clock, event_clock=event_clock,
-                ),
-                self.trace,
-            )
+            VirtualDevice(rank, pool(f"cuda:{rank}", hbm_capacity), self.trace)
             for rank in range(world_size)
         ]
-        self.host = HostMemory(
-            MemoryPool(
-                "host", host_capacity, record_timeline=record_timeline,
-                step_clock=step_clock, event_clock=event_clock,
-            ),
-            self.trace,
-        )
+        self.host = HostMemory(pool("host", host_capacity), self.trace)
 
     def rank_map(self, fn, flops: float = 0.0) -> list:
         """Run ``fn(r)`` for every rank through the process-wide
@@ -174,19 +157,10 @@ class VirtualCluster:
         strategies use between collectives.  ``flops`` is the work one
         rank's closure does, the hint the threads backend compares
         against its threshold; without one the section runs serial.
-
-        Two execution modes pin the serial path regardless of the
-        executor: timeline recording (memory samples stamp the *live*
-        trace position, which per-rank buffering would defer) and fault
-        injection (per-op fault draws consume an ordered sequence).
+        Timelines and fault injection take this path too: what a closure
+        records is ordered at the join (:meth:`Trace.merge`).
         """
-        from repro.runtime.executor import rank_map
-
-        force_serial = self.record_timeline or self.fault_injector is not None
-        return rank_map(
-            fn, self.world_size, trace=self.trace, force_serial=force_serial,
-            flops=flops,
-        )
+        return rank_map(fn, self.world_size, trace=self.trace, flops=flops)
 
     def scatter(self, array: np.ndarray, axis: int, dtype: DType, tag: str) -> list[DeviceTensor]:
         """Split ``array`` evenly along ``axis`` and place shard ``r`` on

@@ -22,15 +22,11 @@ executor-off):
 * any **cross-rank accumulation** happens at the join, in rank order,
   on the values the closures return — never inside the closures — so
   float reduction order is the same under every backend;
-* trace events recorded inside a closure go to a per-rank buffer and
-  are merged in (rank, sequence) order at the join
-  (:meth:`repro.runtime.trace.Trace.buffered`), so the merged log is
-  byte-identical to the serial loop's.
-
-Executions that need a *global* interleaving order stay serial: memory
-timelines (``record_timeline=True`` stamps samples with the live trace
-position) and fault injection (per-op fault draws are an ordered
-sequence).  ``VirtualCluster.rank_map`` applies both guards.
+* trace events and pool timeline samples recorded inside a closure go
+  to per-rank buffers, merged in (rank, sequence) order at the join
+  (:meth:`repro.runtime.trace.Trace.merge`), so the event log and the
+  timelines are the serial loop's; fault draws are keyed per rank
+  (:mod:`repro.faults.injector`), so every backend injects the same.
 
 The threads backend sends a section to the pool only when its caller's
 per-rank FLOP hint (``rank_map(..., flops=...)``) reaches
@@ -39,12 +35,9 @@ loop: threads lose to serial on interpreter-bound sections and win once
 BLAS dominates (EXPERIMENTS.md, "Executor backends", records the sweep).
 A section without a hint therefore always runs serial.
 
-Selection: ``executor(workers=N)`` context manager, the
-``REPRO_EXECUTOR`` env var (``serial`` | ``threads`` | ``threads:N`` |
-``N``), or the ``--workers``/``--executor`` CLI flags; they pick the
-backend and the worker count, never the threshold.  The default is
-threads at the CPU count, so a single-core host degrades to the serial
-path automatically.
+Selection (:func:`executor`, ``REPRO_EXECUTOR``, ``--workers`` /
+``--executor``) picks the backend and the worker count, never the
+threshold; the default is threads at the CPU count.
 """
 
 from __future__ import annotations
@@ -53,7 +46,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable
 
 __all__ = [
@@ -239,48 +232,39 @@ class RankExecutor:
         world: int,
         *,
         trace=None,
-        force_serial: bool = False,
         flops: float = 0.0,
     ) -> list:
         """Run ``fn(r)`` for every rank; return results in rank order.
 
         ``trace`` is the cluster trace to buffer per rank and merge at
-        the join.  ``force_serial`` pins this call to the serial path
-        (timeline recording, fault injection).  ``flops`` is the work
-        one rank's closure does; below :data:`PARALLEL_MIN_FLOPS` the
-        section runs as the plain loop.  Nested calls — a rank closure
-        invoking ``rank_map`` — run inline serially, so events stay on
-        the outer rank's buffer in their serial order.
+        the join.  ``flops`` is the work one rank's closure does; below
+        :data:`PARALLEL_MIN_FLOPS` the section runs as the plain loop.
+        Nested calls — a rank closure invoking ``rank_map`` — run inline
+        serially, so events stay on the outer rank's buffer in their
+        serial order.
 
-        Exceptions: every rank runs to completion (or failure); the
-        lowest-rank exception is re-raised after the trace buffers of
-        all ranks are merged, mirroring where a serial loop leaves the
-        shared state for that rank.
+        Exceptions: every rank runs to its end or failure and every
+        buffer is merged before the lowest-rank exception is re-raised.
+        That is the serial loop's exception but not its state, which
+        stops at the failing rank: the trace, the timelines and the pools
+        also hold what every later rank did before it ended.
         """
-        if (
-            world <= 1
-            or force_serial
-            or not self.parallel
-            or _in_rank_closure()
-        ):
+        if world <= 1 or not self.parallel or _in_rank_closure():
             return [fn(r) for r in range(world)]
         if flops < PARALLEL_MIN_FLOPS:
             with self._lock:
                 self.below_min_flops += 1
             return [fn(r) for r in range(world)]
         pool = self._ensure_pool()
-        buffers: list[list | None] = [None] * world
+        buffers: list[tuple | None] = [None] * world
         durations = [0.0] * world
 
         def task(r: int):
             _TLS.active = True
             try:
                 start = time.perf_counter()
-                if trace is not None:
-                    with trace.buffered() as buffer:
-                        buffers[r] = buffer
-                        out = fn(r)
-                else:
+                with nullcontext() if trace is None else trace.buffered() as buffer:
+                    buffers[r] = buffer
                     out = fn(r)
                 durations[r] = time.perf_counter() - start
                 return out
@@ -426,13 +410,10 @@ def rank_map(
     world: int,
     *,
     trace=None,
-    force_serial: bool = False,
     flops: float = 0.0,
 ) -> list:
     """Module-level convenience over :func:`get_executor`."""
-    return get_executor().rank_map(
-        fn, world, trace=trace, force_serial=force_serial, flops=flops
-    )
+    return get_executor().rank_map(fn, world, trace=trace, flops=flops)
 
 
 def executor_stats() -> dict:

@@ -12,18 +12,20 @@ enumerates.  Kernel-internal scratch (a few blocks of an online-attention
 tile) is modeled analytically in :mod:`repro.perfmodel.memory_model`
 instead; it is orders of magnitude smaller than the tensors tracked here.
 
-The records (:class:`Allocation`, :class:`MemorySample`) are immutable
-``NamedTuple``s, the cheapest records to build: every alloc makes one.
+The records (:class:`Allocation`, the trace's ``MemorySample``) are
+immutable ``NamedTuple``s, the cheapest records to build: every alloc
+makes one.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from repro.common.errors import OutOfMemoryError
 from repro.runtime.arena import BufferArena
+from repro.runtime.trace import MemorySample, Trace
 
 
 class Allocation(NamedTuple):
@@ -32,23 +34,6 @@ class Allocation(NamedTuple):
     alloc_id: int
     nbytes: int
     tag: str
-
-
-class MemorySample(NamedTuple):
-    """One point of a pool's usage timeline.
-
-    ``event_index`` is the number of trace events recorded when the
-    sample was taken (-1 for standalone pools without an event clock);
-    it is what lets the profiler place memory counters on the simulated
-    timeline — the sample happened after trace event ``event_index - 1``
-    and before event ``event_index``.
-    """
-
-    step: int
-    in_use: int
-    event: str  # "alloc:<tag>" or "free:<tag>"
-    tag: str
-    event_index: int = -1
 
 
 class MemoryPool:
@@ -65,15 +50,11 @@ class MemoryPool:
     record_timeline:
         When True, every alloc/free appends a :class:`MemorySample`,
         which is what Fig. 13 plots.
-    step_clock:
-        Optional shared step counter; a :class:`~repro.runtime.device
-        .VirtualCluster` passes one counter to all its pools so samples
-        from different pools (HBM of each rank, host) interleave on one
-        global order — required to reason about cross-pool coexistence,
-        e.g. "host and device bytes overlap during a D2H offload".
-    event_clock:
-        Optional zero-arg callable returning the current trace length;
-        stamps each sample with the trace position it occurred at.
+    trace:
+        The :class:`~repro.runtime.trace.Trace` that stamps the samples
+        (a private one by default).  A cluster's pools share its trace,
+        so their samples interleave on one step order — e.g. "host and
+        device bytes overlap during a D2H offload".
     """
 
     def __init__(
@@ -82,8 +63,7 @@ class MemoryPool:
         capacity: int | None = None,
         *,
         record_timeline: bool = False,
-        step_clock: Iterator[int] | None = None,
-        event_clock: Callable[[], int] | None = None,
+        trace: Trace | None = None,
     ):
         if capacity is not None and capacity < 0:
             raise ValueError("capacity must be non-negative")
@@ -97,8 +77,7 @@ class MemoryPool:
         self.timeline: list[MemorySample] = []
         self._live: dict[int, Allocation] = {}
         self._ids = itertools.count()
-        self._step = step_clock if step_clock is not None else itertools.count()
-        self._event_clock = event_clock
+        self._trace = trace if trace is not None else Trace()
         self._usage_by_tag: dict[str, int] = {}
         # The host pool (and, defensively, every pool) is shared across
         # the rank executor's threads: in_use/peak/tag bookkeeping is a
@@ -126,11 +105,7 @@ class MemoryPool:
             self.n_allocs += 1
             self._usage_by_tag[tag] = self._usage_by_tag.get(tag, 0) + nbytes
             if self.record_timeline:
-                self.timeline.append(
-                    MemorySample(
-                        next(self._step), self.in_use, f"alloc:{tag}", tag, self._event_index()
-                    )
-                )
+                self._trace.sample(self, nbytes, f"alloc:{tag}", tag)
             return alloc
 
     def free(self, alloc: Allocation) -> None:
@@ -147,15 +122,7 @@ class MemoryPool:
                 # the dict without bound.
                 del self._usage_by_tag[stored.tag]
             if self.record_timeline:
-                self.timeline.append(
-                    MemorySample(
-                        next(self._step), self.in_use, f"free:{stored.tag}", stored.tag,
-                        self._event_index(),
-                    )
-                )
-
-    def _event_index(self) -> int:
-        return self._event_clock() if self._event_clock is not None else -1
+                self._trace.sample(self, -stored.nbytes, f"free:{stored.tag}", stored.tag)
 
     def live_allocations(self) -> list[Allocation]:
         return list(self._live.values())

@@ -57,6 +57,23 @@ class TraceEvent(NamedTuple):
     seconds: float = 0.0
 
 
+class MemorySample(NamedTuple):
+    """One point of a memory pool's usage timeline.
+
+    ``step`` orders the samples of every pool of one trace.
+    ``event_index`` is the number of trace events recorded before the
+    sample, which places memory counters on the simulated timeline.
+    Samples taken in a rank closure are stamped at the join
+    (:meth:`Trace.merge`), as the serial loop stamps them.
+    """
+
+    step: int
+    in_use: int
+    event: str  # "alloc:<tag>" or "free:<tag>"
+    tag: str
+    event_index: int = -1
+
+
 class Trace:
     """Append-only event log shared by all virtual devices of a cluster."""
 
@@ -65,39 +82,67 @@ class Trace:
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
         self._ids = itertools.count()
-        # Per-thread redirection target for the rank executor: while a
-        # rank closure runs, its events land on a thread-local buffer
-        # (placeholder ids) and are merged in rank order at the join.
+        self._steps = itertools.count()  # one step order for every pool's timeline
+        # Per-thread buffers of the rank executor: a running closure's
+        # events and pool samples, merged in rank order at the join.
         self._tls = threading.local()
         # Side-channel observability hook (repro.obs): called with each
-        # event as it is recorded, read-only — the event stream itself
+        # event as it enters the log, read-only — the event stream itself
         # is never altered, so tracing stays bitwise-invisible.
         self.observer = None
 
     @contextmanager
     def buffered(self):
-        """Redirect this thread's :meth:`record` calls to a fresh buffer.
+        """Redirect this thread's :meth:`record` and :meth:`sample` calls
+        to fresh buffers, yielded as ``(events, samples)``.
 
-        Used by :class:`repro.runtime.executor.RankExecutor` worker
-        threads: each rank closure records into its own buffer, and the
-        fork-join merges the buffers in rank order, so the final event
-        log (ids included) is byte-identical to the serial loop's.
-        Yields the buffer; the caller passes it to :meth:`merge`.
-        """
-        buffer: list[TraceEvent] = []
-        previous = getattr(self._tls, "buffer", None)
-        self._tls.buffer = buffer
+        :class:`repro.runtime.executor.RankExecutor` runs each rank
+        closure in one and passes the buffers to :meth:`merge` in rank
+        order, so the event log (ids included) and the pool timelines are
+        the serial loop's."""
+        tls = self._tls
+        previous = getattr(tls, "buffer", None), getattr(tls, "samples", None)
+        buffer = [], []
+        tls.buffer, tls.samples = buffer
         try:
             yield buffer
         finally:
-            self._tls.buffer = previous
+            tls.buffer, tls.samples = previous
 
-    def merge(self, buffers: Iterable[list[TraceEvent]]) -> None:
-        """Append buffered events in the given (rank) order, assigning
-        the definitive event ids.  Serial-section call only."""
-        for buffer in buffers:
-            for event in buffer:
-                self.events.append(event._replace(event_id=next(self._ids)))
+    def merge(self, buffers: Iterable[tuple[list, list]]) -> None:
+        """Append buffered events in the given (rank) order with their
+        definitive ids, showing each to the observer, then stamp the
+        buffered pool samples in that order: step, merged-log position,
+        and ``in_use`` from the byte deltas (a shared pool's live bytes
+        followed the threads).  Serial-section call only."""
+        parked = []
+        for events, samples in buffers:
+            base = len(self.events)
+            merged = [event._replace(event_id=next(self._ids)) for event in events]
+            self.events.extend(merged)
+            if self.observer is not None:
+                for event in merged:
+                    self.observer(event)
+            parked += [(pool, s._replace(event_index=base + s.event_index)) for pool, s in samples]
+        in_use: dict = {}
+        for pool, sample in parked:  # each pool's bytes before the section
+            in_use[pool] = in_use.get(pool, pool.in_use) - sample.in_use
+        for pool, sample in parked:
+            in_use[pool] += sample.in_use
+            pool.timeline.append(sample._replace(step=next(self._steps), in_use=in_use[pool]))
+
+    def sample(self, pool, delta: int, event: str, tag: str) -> None:
+        """Add a point to ``pool``'s timeline for an alloc/free of
+        ``delta`` bytes.  Inside a rank closure it is parked (``in_use``
+        the delta, ``event_index`` the rank-buffer position) until
+        :meth:`merge` stamps it."""
+        samples = getattr(self._tls, "samples", None)
+        if samples is None:
+            pool.timeline.append(
+                MemorySample(next(self._steps), pool.in_use, event, tag, len(self.events))
+            )
+        else:
+            samples.append((pool, MemorySample(-1, delta, event, tag, len(self._tls.buffer))))
 
     def record(
         self,
@@ -118,8 +163,6 @@ class Trace:
             # id; merge() assigns the real one in rank order.
             event = TraceEvent(-1, kind, label, rank, stream, nbytes, flops, seconds)
             buffer.append(event)
-            if self.observer is not None:
-                self.observer(event)
             return event
         event = TraceEvent(
             next(self._ids), kind, label, rank, stream, nbytes, flops, seconds

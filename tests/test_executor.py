@@ -11,6 +11,7 @@ concurrent load, and the BLAS oversubscription guard.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -75,7 +76,7 @@ def test_serial_backend_matches_threads_results():
         threads.shutdown()
 
 
-def test_world_one_and_force_serial_run_inline():
+def test_world_one_runs_inline():
     ex = RankExecutor("threads", workers=4)
     try:
         main_thread = threading.get_ident()
@@ -85,16 +86,16 @@ def test_world_one_and_force_serial_run_inline():
             seen.append(threading.get_ident())
 
         ex.rank_map(record_thread, 1)
-        ex.rank_map(record_thread, 3, force_serial=True)
-        assert seen == [main_thread] * 4
+        assert seen == [main_thread]
         assert ex.stats()["fork_joins"] == 0  # no parallel section ran
     finally:
         ex.shutdown()
 
 
-def test_cluster_rank_map_stays_serial_under_faults_and_timelines():
-    """Fault draws and timeline stamps need a global op order, so the
-    cluster pins its rank loops serial whatever executor is installed."""
+def test_cluster_rank_map_runs_on_the_pool_under_faults_and_timelines():
+    """Fault draws and timeline samples are ordered at the join like
+    trace events, so an injector or a timeline does not keep a cluster's
+    rank loops off the pool."""
     from repro.faults import FaultInjector, FaultPlan
     from repro.runtime.device import VirtualCluster
 
@@ -105,10 +106,8 @@ def test_cluster_rank_map_stays_serial_under_faults_and_timelines():
     with executor(workers=4) as ex:
         for cluster in (chaos, timed):
             idents = cluster.rank_map(lambda r: threading.get_ident())
-            assert idents == [main_thread] * 2
-        assert ex.stats()["fork_joins"] == 0
-        idents = VirtualCluster(2).rank_map(lambda r: threading.get_ident())
-        assert main_thread not in idents
+            assert main_thread not in idents
+        assert ex.stats()["fork_joins"] == 2
 
 
 def test_nested_rank_map_runs_inline_on_the_worker_thread():
@@ -252,7 +251,6 @@ def test_stats_count_only_the_sections_the_threshold_kept_serial(monkeypatch):
     ex = RankExecutor("threads", workers=2)
     try:
         ex.rank_map(lambda r: r, 4, flops=99.0)  # kept serial by the threshold
-        ex.rank_map(lambda r: r, 4, flops=99.0, force_serial=True)
         ex.rank_map(lambda r: r, 1, flops=99.0)
         ex.rank_map(lambda r: r, 4, flops=100.0)
         stats = ex.stats()
@@ -459,6 +457,49 @@ def test_pool_arena_mix_under_rank_map():
     assert results == [3200] * 4
     assert pool.in_use == 0
     pool.check_empty()
+
+
+def test_fault_counters_and_timeline_samples_survive_contention():
+    """Eight rank threads draw offload faults and park host-pool samples
+    at once, with a short switch interval to force interleaving: no
+    update is lost, and the counters, the host timeline and the trace
+    equal the serial loop's."""
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.runtime.device import VirtualCluster
+
+    plan = FaultPlan(seed=3, offload_rate=0.3)
+    world, transfers = 8, 200
+
+    def run(workers: int):
+        cluster = VirtualCluster(world, record_timeline=True)
+        injector = FaultInjector(plan).attach(cluster)
+        host = cluster.host.pool
+
+        def body(r: int) -> None:
+            for i in range(transfers):
+                injector.before_transfer(cluster, "d2h", f"x{i}", r)
+                host.free(host.alloc(8 + r, f"r{r}"))
+
+        with executor(workers=workers):
+            cluster.rank_map(body)
+        return (
+            injector.stats(),
+            [tuple(s) for s in host.timeline],
+            [tuple(e) for e in cluster.trace.events],
+        )
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial, threaded = run(1), run(world)
+    finally:
+        sys.setswitchinterval(previous)
+    assert threaded == serial
+    drawn = sum(
+        plan.failures_for("offload", r, i) for r in range(world) for i in range(transfers)
+    )
+    assert serial[0]["faults_injected"]["offload"] == drawn > 0
+    assert len(serial[1]) == 2 * world * transfers
 
 
 # ---------------------------------------------------------------------------

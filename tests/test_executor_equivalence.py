@@ -12,6 +12,8 @@ bar.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,129 @@ def test_serving_decode_at_workers4_matches_serial(offload):
     assert outputs == serial_outputs
     assert events == serial_events
     assert peaks == serial_peaks
+
+
+# ---------------------------------------------------------------------------
+# Memory timelines and fault injection run on the pool
+# ---------------------------------------------------------------------------
+
+
+def _serial_and_threaded(run):
+    """``run()`` under the serial loop and under a 4-thread pool; the
+    threaded run must actually have forked."""
+    outcomes = []
+    for workers in (1, 4):
+        with executor(workers=workers) as ex:
+            outcomes.append(run())
+            fork_joins = ex.stats()["fork_joins"]
+    assert fork_joins > 0
+    return outcomes
+
+
+def _pool_timelines(cluster):
+    """Every pool's full timeline, one tuple per sample."""
+    pools = [d.hbm for d in cluster.devices] + [cluster.host.pool]
+    return {
+        pool.name: [
+            (s.step, s.in_use, s.event, s.tag, s.event_index) for s in pool.timeline
+        ]
+        for pool in pools
+    }
+
+
+def test_figure13_timeline_matches_serial():
+    from repro.experiments import figure13
+
+    serial, threaded = _serial_and_threaded(lambda: figure13.run().data)
+    assert threaded == serial
+    assert serial["peak"] == max(in_use for _, in_use, _ in serial["timeline"])
+
+
+def test_profile_step_timelines_match_serial():
+    """Every pool's ``(step, in_use, event, tag, event_index)`` of a
+    ``repro profile`` harness step, and its trace."""
+    from repro.profiler import run_profiled_step
+
+    def run():
+        cluster = run_profiled_step().cluster
+        return _pool_timelines(cluster), _cluster_signature(cluster)
+
+    serial, threaded = _serial_and_threaded(run)
+    assert threaded == serial
+
+
+def test_fpdt_offload_host_timeline_matches_serial():
+    """The host pool is shared by every rank thread, so its live
+    ``in_use`` under threads follows their interleaving; the timeline
+    takes it from the byte deltas in merged order instead."""
+
+    def run():
+        model = GPTModel(_llama(), seed=3)
+        cluster = VirtualCluster(WORLD, record_timeline=True)
+        runner = FPDTModelRunner(model, cluster, num_chunks=2, offload=True)
+        tokens, labels = _data(model.config)
+        loss, _ = runner.forward_backward(tokens, labels)
+        cluster.check_no_leaks()
+        return float(loss).hex(), _pool_timelines(cluster)
+
+    serial, threaded = _serial_and_threaded(run)
+    assert threaded == serial
+    host = serial[1]["host"]
+    assert len(host) > 2 * WORLD and host[-1][1] == 0
+    assert max(in_use for _, in_use, *_ in host) > 0
+
+
+def test_chaos_run_matches_serial(tmp_path):
+    """Verdict, loss curves, per-kind fault counts and the crash dump
+    are the serial run's; only the dump's wall-clock and executor fields
+    (which describe the run, not the program) differ."""
+    from repro.faults import chaos_run
+
+    def run():
+        path = tmp_path / f"flight-{len(list(tmp_path.iterdir()))}.json"
+        result = chaos_run(6, flight_recorder_path=path)
+        dump = json.loads(path.read_text())
+        for record in dump["step_records"]:
+            for key in [k for k in record
+                        if k == "wall_time_s" or k.startswith("executor_")]:
+                del record[key]
+        return (
+            result.bitwise_equal,
+            [x.hex() for x in result.chaos_losses],
+            [x.hex() for x in result.clean_losses],
+            result.fault_stats,
+            dump,
+        )
+
+    serial, threaded = _serial_and_threaded(run)
+    assert threaded == serial
+    bitwise_equal, chaos_losses, clean_losses, stats, _ = serial
+    assert bitwise_equal and chaos_losses == clean_losses
+    assert stats["faults_injected"]["offload"] > 0
+
+
+def test_permanent_offload_fault_raises_the_serial_error():
+    """Every transfer fails more often than the retry budget allows.  The
+    serial loop stops at rank 0's first offload; the pool runs every rank
+    to its own failure and re-raises rank 0's, so the error is the same
+    while the trace also holds the later ranks' fault events."""
+    from repro.common.errors import PermanentFaultError
+    from repro.faults import FaultInjector, FaultPlan
+
+    plan = FaultPlan(seed=0, offload_rate=1.0, max_failures_per_op=3, max_retries=2)
+
+    def run():
+        model = GPTModel(_llama(), seed=0)
+        cluster = VirtualCluster(WORLD)
+        FaultInjector(plan).attach(cluster)
+        runner = FPDTModelRunner(model, cluster, num_chunks=2, offload=True)
+        with pytest.raises(PermanentFaultError) as raised:
+            runner.forward_backward(*_data(model.config))
+        faulted = {e.rank for e in cluster.trace.filter(kind="fault")}
+        return (raised.value.kind, raised.value.label), faulted
+
+    (serial_error, serial_ranks), (error, ranks) = _serial_and_threaded(run)
+    assert error == serial_error
+    assert serial_error == ("offload", "d2h:offload:('q', 0, 0)")
+    assert serial_ranks == {0}
+    assert ranks == set(range(WORLD))

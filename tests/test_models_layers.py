@@ -22,12 +22,24 @@ from repro.models.layers import (
     rmsnorm_forward,
     rope_backward,
     rope_forward,
+    rope_inv_freq,
     silu_backward,
     silu_forward,
     split_heads,
 )
 
+from repro.models.config import LLAMA_8B, tiny_llama
+
 from .helpers import assert_grad_close, numerical_grad, rng
+
+#: The RoPE configs the suite runs (head dims 4, 8, 16) and a zoo model.
+ROPE_CONFIGS = {
+    "d4": tiny_llama(hidden_size=16, num_heads=4, num_kv_heads=2),
+    "d8": tiny_llama(hidden_size=32, num_heads=4, num_kv_heads=2),
+    "d8-gqa": tiny_llama(hidden_size=64, num_heads=8, num_kv_heads=4),
+    "d16": tiny_llama(),
+    "llama-8b": LLAMA_8B,
+}
 
 
 class TestLinear:
@@ -186,7 +198,7 @@ class TestRope:
     def test_rotation_preserves_norm(self):
         g = rng(0)
         x = g.normal(size=(1, 8, 2, 6))
-        cache = make_rope_cache(6, np.arange(8))
+        cache = make_rope_cache(rope_inv_freq(6), np.arange(8))
         y = rope_forward(x, cache)
         np.testing.assert_allclose(
             np.linalg.norm(y, axis=-1), np.linalg.norm(x, axis=-1), rtol=1e-10
@@ -195,7 +207,7 @@ class TestRope:
     def test_backward_is_inverse_rotation(self):
         g = rng(1)
         x = g.normal(size=(1, 4, 2, 4))
-        cache = make_rope_cache(4, np.arange(4))
+        cache = make_rope_cache(rope_inv_freq(4), np.arange(4))
         y = rope_forward(x, cache)
         back = rope_backward(y, cache)
         np.testing.assert_allclose(back, x, atol=1e-12)
@@ -203,15 +215,15 @@ class TestRope:
     def test_position_zero_is_identity(self):
         g = rng(2)
         x = g.normal(size=(1, 1, 2, 4))
-        cache = make_rope_cache(4, np.array([0]))
+        cache = make_rope_cache(rope_inv_freq(4), np.array([0]))
         np.testing.assert_allclose(rope_forward(x, cache), x)
 
     def test_offset_positions_differ_from_contiguous(self):
         """Chunked runs feed absolute offsets; rotation must depend on them."""
         g = rng(3)
         x = g.normal(size=(1, 4, 1, 4))
-        y0 = rope_forward(x, make_rope_cache(4, np.arange(4)))
-        y1 = rope_forward(x, make_rope_cache(4, np.arange(100, 104)))
+        y0 = rope_forward(x, make_rope_cache(rope_inv_freq(4), np.arange(4)))
+        y1 = rope_forward(x, make_rope_cache(rope_inv_freq(4), np.arange(100, 104)))
         assert not np.allclose(y0, y1)
 
     def test_relative_position_property(self):
@@ -220,14 +232,31 @@ class TestRope:
         q = g.normal(size=(1, 1, 1, 8))
         k = g.normal(size=(1, 1, 1, 8))
         def dot_at(m, n):
-            qm = rope_forward(q, make_rope_cache(8, np.array([m])))
-            kn = rope_forward(k, make_rope_cache(8, np.array([n])))
+            qm = rope_forward(q, make_rope_cache(rope_inv_freq(8), np.array([m])))
+            kn = rope_forward(k, make_rope_cache(rope_inv_freq(8), np.array([n])))
             return float((qm * kn).sum())
         assert dot_at(5, 3) == pytest.approx(dot_at(105, 103), rel=1e-9)
 
     def test_odd_head_dim_raises(self):
         with pytest.raises(ValueError):
-            make_rope_cache(5, np.arange(3))
+            rope_inv_freq(5)
+
+    @pytest.mark.parametrize("name", ROPE_CONFIGS)
+    def test_config_tables_are_the_per_call_expressions(self, name):
+        """The frequencies a config derives once give, bit for bit, the
+        tables of the expression each call used to evaluate."""
+        cfg = ROPE_CONFIGS[name]
+        d, theta = cfg.head_dim, cfg.rope_theta
+        inv_freq = theta ** (-np.arange(0, d, 2) / d)
+        for positions in (
+            np.arange(300), np.arange(70_000, 70_064), np.arange(96).reshape(2, 48) + 7,
+        ):
+            angles = positions[..., None] * inv_freq
+            cache = make_rope_cache(cfg.rope_inv_freq, positions)
+            assert cache.cos.tobytes() == np.cos(angles).tobytes()
+            assert cache.sin.tobytes() == np.sin(angles).tobytes()
+        assert cfg.rope_inv_freq is cfg.rope_inv_freq
+        assert not cfg.rope_inv_freq.flags.writeable
 
 
 class TestHeadHelpers:

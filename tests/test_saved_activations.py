@@ -58,6 +58,7 @@ from repro.models.layers import (
     reduce_kv_grad,
     rope_backward,
     rope_forward,
+    rope_inv_freq,
     split_heads,
 )
 from repro.parallel import seq_parallel_mesh, usp_block_backward, usp_block_forward
@@ -148,7 +149,7 @@ def _kept_attn_qkv_forward(params, cfg, x, positions):
     vh = split_heads(v, cfg.num_kv_heads)
     rope_cache = None
     if cfg.uses_rope:
-        rope_cache = make_rope_cache(cfg.head_dim, positions, cfg.rope_theta)
+        rope_cache = make_rope_cache(cfg.rope_inv_freq, positions)
         qh = rope_forward(qh, rope_cache)
         kh = rope_forward(kh, rope_cache)
     cache = {
@@ -252,8 +253,8 @@ def kept_megatron_caching(monkeypatch):
     def by_input(cache):
         return id(cache[0])
 
-    def by_positions(head_dim, positions, theta):
-        return head_dim, positions.tobytes(), theta
+    def by_positions(inv_freq, positions):
+        return inv_freq.tobytes(), positions.tobytes()
 
     for name, key in (("gate_sigmoid", by_input), ("gelu_tanh", by_input)):
         kept = _KeptValues(getattr(layers_module, name), key)
@@ -348,8 +349,8 @@ def test_rebuilt_transcendentals_are_the_forwards_at_every_alignment(offset):
             assert again.tobytes() == forward.tobytes(), (rebuild.__name__, n)
         start = int(g.integers(0, 1 << 20))
         for positions in (np.arange(start, start + n), np.arange(2 * n).reshape(2, n)):
-            forward = make_rope_cache(16, positions)
-            again = make_rope_cache(16, _at_offset(positions, offset))
+            forward = make_rope_cache(rope_inv_freq(16), positions)
+            again = make_rope_cache(rope_inv_freq(16), _at_offset(positions, offset))
             assert again.cos.tobytes() == forward.cos.tobytes(), n
             assert again.sin.tobytes() == forward.sin.tobytes(), n
 
@@ -408,7 +409,7 @@ class TestCachesHoldOnlyWhatTheRuleAllows:
         ]
         rebuilt = []
         if cfg.uses_rope:
-            rope = make_rope_cache(cfg.head_dim, np.arange(x.shape[1]), cfg.rope_theta)
+            rope = make_rope_cache(cfg.rope_inv_freq, np.arange(x.shape[1]))
             rebuilt += [rope.cos, rope.sin]
         for r in range(world):
             fc = slice(r * width, (r + 1) * width)

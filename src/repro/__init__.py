@@ -6,9 +6,11 @@ Pipelined Distributed Transformer", MLSys 2025.
 The package has two pillars (see DESIGN.md):
 
 * an exact-numerics simulated multi-GPU runtime with the real algorithms
-  (Ulysses, Megatron-SP, Ring Attention, ZeRO, and FPDT itself), and
+  (Ulysses, Megatron-SP, Ring Attention, USP, and FPDT itself), trained
+  with a replicated Adam, and
 * an analytical performance/memory model of the paper's A100 clusters
-  that regenerates every table and figure of the evaluation.
+  that regenerates every table and figure of the evaluation, including
+  the ZeRO model-state term that FPDT is composed with.
 
 See ``examples/quickstart.py`` for a complete runnable tour.
 """

@@ -100,17 +100,6 @@ def _bench_reduce_scatter(quick: bool) -> Callable[[], None]:
     return run
 
 
-def _bench_all_reduce(quick: bool) -> Callable[[], None]:
-    from repro.runtime.collectives import all_reduce
-
-    cluster, register = _collective_setup(quick)
-
-    def run() -> None:
-        _drop(all_reduce(cluster, register()))
-
-    return run
-
-
 def _bench_ring_shift(quick: bool) -> Callable[[], None]:
     from repro.runtime.collectives import ring_shift
 
@@ -309,7 +298,6 @@ BENCH_CASES: list[BenchCase] = [
     BenchCase("all_to_all", "collective", _bench_all_to_all),
     BenchCase("all_gather", "collective", _bench_all_gather),
     BenchCase("reduce_scatter", "collective", _bench_reduce_scatter),
-    BenchCase("all_reduce", "collective", _bench_all_reduce),
     BenchCase("ring_shift", "collective", _bench_ring_shift),
     BenchCase("hierarchical_all_to_all", "collective", _bench_hierarchical_all_to_all),
     BenchCase("attention_forward_block", "attention", _bench_attention_forward_block),

@@ -115,10 +115,6 @@ class ChunkCache:
         del self._store[key]
         return data
 
-    def clear(self) -> None:
-        for key in list(self._store):
-            self.discard(key)
-
     def _must_get(self, key: object):
         try:
             return self._store[key]

@@ -23,16 +23,12 @@ from repro.training.trainer import Trainer
 WORLD = 4
 
 
-def train_curve(
-    mode: str, *, steps: int, seed: int = 7, telemetry=None
-) -> list[float]:
+def train_curve(mode: str, *, steps: int, seed: int = 7) -> list[float]:
     """One loss curve; ``mode`` in {baseline, ulysses, fpdt, fpdt-offload}.
 
     ``baseline`` is the single-device reference (numerically what the
     paper's tensor-parallel baseline computes); ``ulysses`` is the
     distributed DeepSpeed-Ulysses runner on 4 virtual GPUs.
-    ``telemetry`` (a :class:`repro.telemetry.RunLogger`) receives
-    per-step records when given.
     """
     cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=2, vocab_size=32)
     model = GPTModel(cfg, seed=seed)
@@ -47,30 +43,15 @@ def train_curve(
             model, VirtualCluster(WORLD), num_chunks=2,
             offload=(mode == "fpdt-offload"), loss_chunks=2,
         )
-    trainer = Trainer(model, corpus, runner=runner, lr=5e-3, telemetry=telemetry)
+    trainer = Trainer(model, corpus, runner=runner, lr=5e-3)
     return trainer.train(steps, batch_size=2, seq_len=16).losses
 
 
 def run(fast: bool = True) -> ExperimentResult:
-    """Regenerate Figure 14; ``fast`` shortens the training run.
-
-    The FPDT-with-offload curve trains with the telemetry stack
-    attached (memory-watermark + desync monitors); its run summary
-    lands in ``result.data["telemetry"]`` so regenerated results can be
-    regression-gated with ``repro metrics diff``.
-    """
-    from repro.telemetry import DesyncMonitor, MemoryWatermarkMonitor, RunLogger
-
+    """Regenerate Figure 14; ``fast`` shortens the training run."""
     steps = 15 if fast else 120
     modes = ("baseline", "ulysses", "fpdt", "fpdt-offload")
-    logger = RunLogger(monitors=[MemoryWatermarkMonitor(), DesyncMonitor()])
-    curves = {
-        mode: train_curve(
-            mode, steps=steps,
-            telemetry=logger if mode == "fpdt-offload" else None,
-        )
-        for mode in modes
-    }
+    curves = {mode: train_curve(mode, steps=steps) for mode in modes}
     base = np.asarray(curves["baseline"])
     divergence = {
         mode: float(np.max(np.abs(np.asarray(curves[mode]) - base)))
@@ -96,7 +77,6 @@ def run(fast: bool = True) -> ExperimentResult:
     result.note(f"loss moved {curves['baseline'][0]:.3f} -> {curves['baseline'][-1]:.3f}")
     result.data["curves"] = curves
     result.data["divergence"] = divergence
-    result.data["telemetry"] = logger.finish()
     return result
 
 

@@ -57,9 +57,6 @@ def render(result: ExperimentResult) -> str:
     profile = result.data.get("profile")
     if profile:
         lines.extend(_render_profile(profile))
-    telemetry = result.data.get("telemetry")
-    if telemetry:
-        lines.extend(_render_telemetry(telemetry))
     return "\n".join(lines)
 
 
@@ -80,38 +77,6 @@ def _render_profile(profile: dict) -> list[str]:
             f"overlap {row['overlap_efficiency']:6.1%} | "
             f"MFU {row['mfu']:.2%}"
         )
-    return lines
-
-
-def _render_telemetry(summary: dict) -> list[str]:
-    """The run-summary section of a telemetry-enabled experiment
-    (``result.data["telemetry"]``, a RunLogger summary dict)."""
-    from repro.common.units import format_bytes
-
-    lines = ["", "-- telemetry --"]
-    parts = [f"{summary.get('steps', 0)} steps"]
-    if summary.get("final_loss") is not None:
-        parts.append(f"final loss {summary['final_loss']:.4f}")
-    if summary.get("tokens_total"):
-        parts.append(f"{summary['tokens_total']:,} tokens")
-    lines.append("  " + " | ".join(parts))
-    mem = []
-    if summary.get("peak_hbm_bytes"):
-        mem.append(f"peak HBM {format_bytes(summary['peak_hbm_bytes'])}")
-    if summary.get("host_peak_bytes"):
-        mem.append(f"peak host {format_bytes(summary['host_peak_bytes'])}")
-    if mem:
-        lines.append("  " + " | ".join(mem))
-    comm = []
-    if summary.get("total_collective_bytes"):
-        comm.append(f"collective {format_bytes(summary['total_collective_bytes'])}")
-    if summary.get("total_h2d_bytes"):
-        comm.append(f"h2d {format_bytes(summary['total_h2d_bytes'])}")
-    if summary.get("total_d2h_bytes"):
-        comm.append(f"d2h {format_bytes(summary['total_d2h_bytes'])}")
-    if comm:
-        lines.append("  " + " | ".join(comm))
-    lines.append(f"  health alerts: {summary.get('alerts', 0)}")
     return lines
 
 

@@ -8,8 +8,8 @@ and gradients to float tolerance.  It supports both paper architectures:
 * ``llama`` — RMSNorm, bias-free projections, RoPE, GQA, SwiGLU.
 
 Parameters and gradients live in plain ``dict[str, np.ndarray]`` keyed by
-stable names (``blocks.3.attn.wq`` ...), which is what the ZeRO sharding
-in :mod:`repro.parallel.zero` flattens and partitions.
+stable names (``blocks.3.attn.wq`` ...), which is what the optimizer and
+the checkpoint serializer key on.
 """
 
 from __future__ import annotations

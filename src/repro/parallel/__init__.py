@@ -13,8 +13,11 @@ movement and the same block kernels as the reference model:
   :class:`RingModelRunner` are those two presets.
 * :mod:`repro.parallel.megatron_sp` — Megatron-SP (Korthikanti et al., 2023):
   tensor parallelism with all-gather / reduce-scatter sequence parallelism.
-* :mod:`repro.parallel.zero`        — ZeRO-1/2/3 sharded optimizer states,
-  gradients and parameters (Rajbhandari et al., 2020).
+
+The paper composes FPDT with ZeRO-3 (§3.2).  ZeRO is not a runtime
+strategy here: every runner trains with the replicated Adam, and the
+ZeRO model-state term lives in the perf model
+(:func:`repro.perfmodel.zero_model_state_bytes`).
 
 :mod:`repro.parallel.mesh` provides the :class:`ProcessGroup` /
 :class:`DeviceMesh` layer the group-scoped collectives build on.
@@ -27,9 +30,6 @@ from repro.parallel.megatron_sp import (
     megatron_block_backward,
     megatron_block_forward,
 )
-from repro.parallel.zero import FlatParamSpace, ZeroAdam, zero_model_state_bytes
-from repro.parallel.zero3_params import Zero3ParamStore, gathered_params
-from repro.parallel.grad_reduce import bucketed_grad_allreduce, fused_grad_allreduce
 from repro.parallel.megatron_model import MegatronModelRunner
 from repro.parallel.usp import (
     RingModelRunner,
@@ -55,15 +55,8 @@ __all__ = [
     "usp_block_backward",
     "validate_ulysses_heads",
     "MegatronModelRunner",
-    "Zero3ParamStore",
-    "gathered_params",
-    "bucketed_grad_allreduce",
-    "fused_grad_allreduce",
     "MegatronBlockContext",
     "MegatronShardedBlock",
     "megatron_block_forward",
     "megatron_block_backward",
-    "FlatParamSpace",
-    "ZeroAdam",
-    "zero_model_state_bytes",
 ]

@@ -35,6 +35,7 @@ from repro.perfmodel.memory_model import (
     MemoryBreakdown,
     estimate_memory,
     table2_footprint,
+    zero_model_state_bytes,
 )
 from repro.perfmodel.latency import (
     alltoall_latency,
@@ -89,6 +90,7 @@ __all__ = [
     "MemoryBreakdown",
     "estimate_memory",
     "table2_footprint",
+    "zero_model_state_bytes",
     "alltoall_latency",
     "attention_forward_latency",
     "attention_backward_latency",

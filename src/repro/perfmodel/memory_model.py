@@ -4,7 +4,7 @@
 sequence, world) point into the components the paper reasons about:
 
 * **model states** — params + grads + optimizer, ZeRO/TP-sharded
-  (:func:`repro.parallel.zero.zero_model_state_bytes`);
+  (:func:`zero_model_state_bytes`);
 * **param gather** — ZeRO-3's transient per-layer all-gathered weights;
 * **checkpoints** — saved activations: everything (no AC), one hidden
   per layer (AC), or a two-deep resident window (AC + CPU offload);
@@ -28,7 +28,6 @@ from repro.common.dtypes import DType
 from repro.hardware.specs import NodeSpec, paper_node_a100_80g
 from repro.models.config import ModelConfig
 from repro.models.loss import suggested_loss_chunks
-from repro.parallel.zero import zero_model_state_bytes
 from repro.perfmodel.strategies import TrainingStrategy
 
 ACT = DType.BF16.nbytes  # activation bytes
@@ -48,6 +47,43 @@ NO_AC_ACT_HIDDEN = 4           # hiddens saved per layer per token without AC
 # rebuilds every activation output (repro.models.layers); this model is
 # not yet checked against it (ROADMAP.md item 8(c)).
 NO_AC_ACT_FFN = 1
+
+
+# ZeRO (Rajbhandari et al., 2020) model states per rank, in the canonical
+# 16 bytes per parameter (bf16 params + bf16 grads + fp32 master and Adam
+# moments).  The paper composes FPDT with ZeRO-3 (§3.2); this term is
+# modelled only, the runtime trains with the replicated Adam.
+#
+#   stage 0 (DDP)  (2 + 2 + 12) * psi
+#   stage 1        (2 + 2) * psi + 12 * psi / P
+#   stage 2        2 * psi + (2 + 12) * psi / P
+#   stage 3        (2 + 2 + 12) * psi / P
+def zero_model_state_bytes(
+    num_params: int,
+    world: int,
+    stage: int,
+    *,
+    param_dtype: DType = DType.BF16,
+    grad_dtype: DType = DType.BF16,
+    master_dtype: DType = DType.FP32,
+) -> int:
+    """Per-rank bytes of parameters + gradients + optimizer state.
+
+    Optimizer state = fp32 master copy + Adam m and v (3 fp32 tensors).
+    ``stage=0`` models plain data parallelism (everything replicated).
+    """
+    if stage not in (0, 1, 2, 3):
+        raise ValueError("stage must be 0..3")
+    p = num_params * param_dtype.nbytes
+    g = num_params * grad_dtype.nbytes
+    o = 3 * num_params * master_dtype.nbytes
+    if stage >= 1:
+        o //= world
+    if stage >= 2:
+        g //= world
+    if stage >= 3:
+        p //= world
+    return p + g + o
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,21 @@
 """Buffer-arena allocator: the zero-copy fast path's free list.
 
-The hot collective loops of the runtime — the chunked all-to-alls of
-the FPDT schedule above all — cycle through receive buffers of a
-handful of fixed shapes.  A naive implementation allocates a fresh
-NumPy array per iteration and hands it back to the OS a few
-microseconds later; at multi-megabyte chunk sizes that is mmap/munmap
-churn and page-fault storms on every single collective.  The
-:class:`BufferArena` keeps returned buffers on a free list keyed by
-``(shape, dtype)`` so steady-state loops allocate *nothing*: they rent
-a warm buffer, fill it, and eventually give it back.
+Collective receive buffers come in a handful of fixed shapes.  A naive
+implementation allocates a fresh NumPy array per call and hands it back
+to the OS a few microseconds later; at multi-megabyte sizes that is
+mmap/munmap churn and page faults on every collective.  The
+:class:`BufferArena` keeps buffers the runtime gives back on a free
+list keyed by ``(shape, dtype)``, so a rent after a matching
+``release()`` reuses a warm buffer instead of allocating.
+
+What it serves depends on who gives buffers back, and only
+``release()`` does.  Every all-to-all output of the FPDT schedule is
+``free()``-d into a host cache or kept as an attention operand, so an
+FPDT step misses on every rent and reuses nothing.  The USP mesh reuses
+about a fifth of its receive buffers, almost all of them the ring's
+rotating K/V (``ring_shift`` consumes the buffer the previous step
+rented).  The collective micro-cases of ``repro bench``, which release
+every output, are where it pays (EXPERIMENTS.md, "Buffer arenas").
 
 Renting is **accounting-neutral**: arenas recycle NumPy *storage*
 only.  Pool byte accounting (:class:`~repro.runtime.memory.MemoryPool`)

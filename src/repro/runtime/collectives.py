@@ -25,9 +25,11 @@ written directly into its receive buffer through strided views — no
 ``np.split``/``np.concatenate`` staging lists, no per-rank ``.copy()``
 fan-out.  Receive buffers come from the destination pool's
 :class:`~repro.runtime.arena.BufferArena` when the fast path is on
-(:func:`~repro.runtime.arena.fast_path_enabled`), so steady-state loops
-allocate nothing; with the fast path off the same code runs over fresh
-``np.empty`` buffers.  The two modes execute the *identical* copy and
+(:func:`~repro.runtime.arena.fast_path_enabled`), which reuses a buffer
+only when an earlier one of the same shape was ``release()``-d — the
+USP ring's K/V rotation does, FPDT's all-to-alls never do (their
+outputs are offloaded or kept); with the fast path off the same code
+runs over fresh ``np.empty`` buffers.  The two modes execute the *identical* copy and
 reduction sequence — outputs are bit-identical, byte accounting and
 trace events are the same either way — which the equivalence tests
 assert.  Consumed inputs are ``release()``-d (value dead, storage
@@ -262,8 +264,7 @@ def reduce_scatter(
     group: "ProcessGroup | None" = None,
 ) -> list[DeviceTensor]:
     """Element-wise sum over ranks, scattered along ``axis`` — the
-    inverse of all-gather, used by Megatron-SP after attention and by
-    ZeRO-2/3 gradient sharding.
+    inverse of all-gather, used by Megatron-SP after attention.
 
     Each destination shard accumulates rank-by-rank directly in its
     receive buffer (a left fold, which for group sizes <= 8 is exactly
@@ -299,77 +300,6 @@ def reduce_scatter(
     )
     if free_input:
         _release_inputs(tensors)
-    return outputs
-
-
-def all_reduce(
-    cluster: VirtualCluster,
-    tensors: list[DeviceTensor],
-    *,
-    tag: str = "allreduce",
-    free_input: bool = True,
-    group: "ProcessGroup | None" = None,
-) -> list[DeviceTensor]:
-    """Element-wise sum, result replicated on every rank (gradient sync
-    of plain data parallelism / ZeRO-1).
-
-    The sum materializes once, in the first member's receive buffer
-    (left fold, == ``np.sum`` order for group sizes <= 8); the other
-    ranks copy that single materialization instead of each re-copying a
-    shared temporary.
-    """
-    group = _resolve_group(cluster, group)
-    _validate(group, tensors)
-    gtag = group.tag(tag)
-    _inject(cluster, f"all_reduce:{gtag}", group)
-    world = group.size
-    data0 = tensors[0].data
-    outputs: list[DeviceTensor] = []
-    for dst in range(world):
-        out = group.device(dst).rent(
-            data0.shape, data0.dtype, tensors[dst].dtype, tag
-        )
-        if dst == 0:
-            np.copyto(out.data, tensors[0].data)
-            for src in range(1, world):
-                out.data += tensors[src].data
-        else:
-            np.copyto(out.data, outputs[0].data)
-        outputs.append(out)
-    cluster.trace.record(
-        "collective",
-        f"all_reduce:{gtag}",
-        nbytes=2 * _wire_bytes(tensors[0].nbytes, world),
-    )
-    if free_input:
-        _release_inputs(tensors)
-    return outputs
-
-
-def broadcast(
-    cluster: VirtualCluster,
-    tensor: DeviceTensor,
-    *,
-    root: int,
-    tag: str = "broadcast",
-    group: "ProcessGroup | None" = None,
-) -> list[DeviceTensor]:
-    """Replicate ``root``'s tensor to every group member (parameter
-    init; ZeRO-3 parameter gather is modeled with all_gather instead).
-    ``root`` is a *group* rank — with the default world group that is
-    the global rank, exactly as before."""
-    group = _resolve_group(cluster, group)
-    gtag = group.tag(tag)
-    _inject(cluster, f"broadcast:{gtag}", group)
-    outputs: list[DeviceTensor] = []
-    for pos, dev in enumerate(group.devices):
-        if pos == root:
-            outputs.append(tensor)
-            continue
-        out = dev.rent(tensor.data.shape, tensor.data.dtype, tensor.dtype, tag)
-        np.copyto(out.data, tensor.data)
-        outputs.append(out)
-    cluster.trace.record("collective", f"broadcast:{gtag}", nbytes=tensor.nbytes)
     return outputs
 
 

@@ -1,9 +1,10 @@
 """Adam optimizer in NumPy.
 
-The scalar update rule is factored out as :func:`adam_step` so that the
-ZeRO sharded optimizer (:mod:`repro.parallel.zero`) applies *exactly* the
-same math to its flat shards — the ZeRO-vs-single-device equivalence
-tests rely on this sharing.
+:class:`Adam` is the replicated optimizer every training step runs: one
+dictionary of moments over the model's named parameters, updated by the
+per-tensor rule :func:`adam_step`.  The paper's ZeRO-3 sharding of these
+states (§3.2) is modelled only, by
+:func:`repro.perfmodel.zero_model_state_bytes`.
 """
 
 from __future__ import annotations

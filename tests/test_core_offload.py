@@ -85,12 +85,13 @@ class TestChunkCache:
         assert cluster.host.pool.in_use == 0
         assert "x" not in cache
 
-    def test_put_host_and_clear(self):
+    def test_put_host_and_discard(self):
         cluster, cache, _ = _setup()
         cache.put_host("a", np.zeros((4,)), DType.FP32)
         cache.put_host("b", np.zeros((4,)), DType.FP32)
         assert len(cache) == 2
-        cache.clear()
+        cache.discard("a")
+        cache.discard("b")
         assert len(cache) == 0
         assert cluster.host.pool.in_use == 0
 
@@ -188,5 +189,6 @@ class TestDoubleBufferPrefetcher:
         pf.prefetch("b")
         pf.drain()
         assert pf.in_flight == 0
-        cache.clear()
+        cache.discard("a")
+        cache.discard("b")
         cluster.check_no_leaks()

@@ -23,7 +23,7 @@ from repro.models import GPTModel, tiny_gpt
 from repro.core.fpdt_model import FPDTModelRunner
 from repro.profiler import profile_cluster
 from repro.runtime import VirtualCluster
-from repro.runtime.collectives import all_reduce
+from repro.runtime.collectives import reduce_scatter
 from repro.runtime.trace_analysis import summarize
 from repro.telemetry import FaultRateMonitor, MemorySink, RunLogger
 from repro.training import SyntheticCorpus, Trainer
@@ -84,9 +84,9 @@ class TestFaultInjector:
         cluster = VirtualCluster(2)
         plan = FaultPlan(seed=0, collective_rate=1.0, max_failures_per_op=2)
         injector = FaultInjector(plan).attach(cluster)
-        out = all_reduce(cluster, _tensors(cluster))
+        out = reduce_scatter(cluster, _tensors(cluster), axis=0)
         # Numerics untouched despite the injected failures.
-        np.testing.assert_array_equal(out[0].data, np.full(8, 1.0))
+        np.testing.assert_array_equal(out[0].data, np.full(4, 1.0))
         summary = summarize(cluster.trace)
         assert summary.fault_count == 2
         assert summary.retry_count == 2
@@ -103,9 +103,9 @@ class TestFaultInjector:
                          max_failures_per_op=5, max_retries=2)
         FaultInjector(plan).attach(cluster)
         with pytest.raises(PermanentFaultError) as err:
-            all_reduce(cluster, _tensors(cluster))
+            reduce_scatter(cluster, _tensors(cluster), axis=0)
         assert err.value.kind == "collective"
-        assert "all_reduce" in err.value.label
+        assert "reduce_scatter" in err.value.label
 
     def test_offload_transfer_faults_hit_chunk_cache(self):
         cluster = VirtualCluster(1)
@@ -117,14 +117,14 @@ class TestFaultInjector:
         fetched = cache.fetch("k", dev)
         np.testing.assert_array_equal(fetched.data, np.ones(4))
         fetched.free()
-        cache.clear()
+        cache.discard("k")
         assert injector.faults_injected["offload"] == 2  # store + fetch
 
     def test_hbm_spike_moves_peak_not_live(self):
         cluster = VirtualCluster(2)
         plan = FaultPlan(seed=0, hbm_spike_rate=1.0, hbm_spike_bytes=1 << 16)
         FaultInjector(plan).attach(cluster)
-        out = all_reduce(cluster, _tensors(cluster))
+        out = reduce_scatter(cluster, _tensors(cluster), axis=0)
         victim = [d for d in cluster.devices if d.hbm.peak >= (1 << 16)]
         assert victim, "no rank saw the pressure spike"
         for t in out:
@@ -136,7 +136,7 @@ class TestFaultInjector:
         cluster = VirtualCluster(2)
         plan = FaultPlan(seed=0, straggler_rate=1.0, straggler_flops=1e6)
         FaultInjector(plan).attach(cluster)
-        out = all_reduce(cluster, _tensors(cluster))
+        out = reduce_scatter(cluster, _tensors(cluster), axis=0)
         straggle = [e for e in cluster.trace.events
                     if e.kind == "compute" and "straggler" in e.label]
         assert straggle and straggle[0].flops == 1e6
@@ -156,14 +156,14 @@ class TestFaultInjector:
         retry backoff to the timeline (a group-wide retry is a
         barrier, so the makespan grows by at least the backoff)."""
         cluster = VirtualCluster(2)
-        out = all_reduce(cluster, _tensors(cluster))
+        out = reduce_scatter(cluster, _tensors(cluster), axis=0)
         clean_makespan = profile_cluster(cluster).makespan
 
         cluster2 = VirtualCluster(2)
         plan = FaultPlan(seed=0, collective_rate=1.0, max_failures_per_op=2,
                          backoff_base_s=0.25)
         FaultInjector(plan).attach(cluster2)
-        out2 = all_reduce(cluster2, _tensors(cluster2))
+        out2 = reduce_scatter(cluster2, _tensors(cluster2), axis=0)
         profile = profile_cluster(cluster2)
         backoff = plan.backoff(0) + plan.backoff(1)
         assert profile.makespan >= clean_makespan + backoff - 1e-9

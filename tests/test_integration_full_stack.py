@@ -1,17 +1,15 @@
-"""Full-stack integration: the paper's default production configuration
-— FPDT + activation checkpointing with offload + ZeRO sharded Adam +
-bucketed gradient reduction — running end to end on the numeric runtime,
-equal to the single-device reference step for step."""
+"""Full-stack integration: the production training step — FPDT +
+activation checkpointing with offload, updated by the replicated Adam the
+:class:`~repro.training.Trainer` runs — end to end on the numeric
+runtime, equal to the single-device reference step for step."""
 
 import numpy as np
 import pytest
 
 from repro.core import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt, tiny_llama
-from repro.parallel import bucketed_grad_allreduce
-from repro.parallel.zero import ZeroAdam
 from repro.runtime import VirtualCluster
-from repro.training import Adam, SyntheticCorpus, make_batch
+from repro.training import Adam, SyntheticCorpus, Trainer, make_batch
 
 from .helpers import rng
 
@@ -106,8 +104,8 @@ class TestActivationCheckpointedRunner:
 
 
 class TestFullProductionStep:
-    """FPDT(+AC+offload) forward/backward -> bucketed grad reduce ->
-    ZeRO-3 sharded Adam, vs reference model + plain Adam."""
+    """FPDT(+AC+offload) forward/backward -> the Trainer's Adam, vs
+    reference model + plain Adam."""
 
     def _reference_steps(self, cfg, batches, lr):
         model = GPTModel(cfg, seed=5)
@@ -131,30 +129,15 @@ class TestFullProductionStep:
         ref_losses = self._reference_steps(cfg, batches, lr)
 
         model = GPTModel(cfg, seed=5)
-        cluster = VirtualCluster(WORLD)
         runner = FPDTModelRunner(
-            model, cluster, num_chunks=2, offload=True,
+            model, VirtualCluster(WORLD), num_chunks=2, offload=True,
             activation_checkpoint=True, loss_chunks=2,
         )
-        zopt = ZeroAdam(cluster, model.all_params(), stage=3, lr=lr, grad_reduce="sum")
-        losses = []
-        for tokens, labels in batches:
-            loss, grads = runner.forward_backward(tokens, labels)
-            # Bucketed reduction of the (already rank-summed) gradients:
-            # rank 0 carries the sum, the others contribute zeros — the
-            # plumbing a real run performs, with the same result.
-            per_rank = [grads] + [
-                {k: np.zeros_like(v) for k, v in grads.items()}
-                for _ in range(WORLD - 1)
-            ]
-            reduced = bucketed_grad_allreduce(cluster, per_rank, bucket_bytes=4096)
-            new_params = zopt.step([reduced] + [
-                {k: np.zeros_like(v) for k, v in reduced.items()}
-                for _ in range(WORLD - 1)
-            ])
-            for name, val in new_params.items():
-                model.set_param(name, val)
-            losses.append(loss)
+        # A fresh corpus with the same seed yields the same two batches.
+        trainer = Trainer(
+            model, SyntheticCorpus(32, branching=2, seed=11), runner=runner, lr=lr,
+        )
+        losses = [trainer.step(1, 32) for _ in batches]
         np.testing.assert_allclose(losses, ref_losses, rtol=1e-9)
 
     def test_no_device_leaks_after_production_step(self):

@@ -22,9 +22,7 @@ from repro.parallel import DeviceMesh, ProcessGroup, world_group
 from repro.runtime import VirtualCluster
 from repro.runtime.collectives import (
     all_gather,
-    all_reduce,
     all_to_all,
-    broadcast,
     reduce_scatter,
     ring_shift,
 )
@@ -81,7 +79,7 @@ class TestProcessGroup:
         a, b = VirtualCluster(2), VirtualCluster(2)
         grp = ProcessGroup(a, [0, 1], name="other")
         with pytest.raises(ValueError, match="different cluster"):
-            all_reduce(b, _tensors(b, range(2)), group=grp)
+            all_gather(b, _tensors(b, range(2)), axis=0, group=grp)
 
 
 class TestDeviceMesh:
@@ -167,7 +165,6 @@ class TestGroupScopedCollectives:
             lambda t: all_to_all(cluster, t, split_axis=0, concat_axis=1, group=grp),
             lambda t: all_gather(cluster, t, axis=0, group=grp),
             lambda t: reduce_scatter(cluster, t, axis=0, group=grp),
-            lambda t: all_reduce(cluster, t, group=grp),
             lambda t: ring_shift(cluster, t, shift=1, group=grp),
         ]
         for op in ops:
@@ -178,15 +175,6 @@ class TestGroupScopedCollectives:
             for o in outs:
                 o.free()
         cluster.check_no_leaks()
-
-    def test_broadcast_root_is_a_group_rank(self):
-        cluster = VirtualCluster(4)
-        grp = ProcessGroup(cluster, [3, 1], name="pair")
-        src = cluster.devices[1].from_numpy(np.arange(4.0), DType.FP32, "w")
-        outs = broadcast(cluster, src, root=1, group=grp)  # group rank 1 == rank 3's peer
-        assert outs[1] is src
-        assert outs[0].pool is cluster.devices[3].hbm
-        np.testing.assert_array_equal(outs[0].data, np.arange(4.0))
 
     def test_ring_shift_rotates_in_group_order(self):
         """Rotation follows group positions, not global ranks — a
@@ -205,7 +193,7 @@ class TestGroupScopedCollectives:
         cluster = VirtualCluster(4)
         grp = ProcessGroup(cluster, [0, 1, 2], name="trio")
         with pytest.raises(Exception, match="expected 3"):
-            all_reduce(cluster, _tensors(cluster, [0, 1]), group=grp)
+            all_gather(cluster, _tensors(cluster, [0, 1]), axis=0, group=grp)
 
     def test_sub_group_never_routes_hierarchically(self):
         """Multi-node topology reroutes only *world* exchanges; a mesh
@@ -235,7 +223,7 @@ class TestGroupFaultScoping:
         a = ProcessGroup(cluster, [0, 1], name="a")
         b_ranks = (2, 3)
         for _ in range(4):
-            outs = all_reduce(cluster, _tensors(cluster, a.ranks), group=a)
+            outs = all_gather(cluster, _tensors(cluster, a.ranks), axis=0, group=a)
             for t in outs:
                 t.free()
         faults = cluster.trace.filter(kind="fault")
@@ -257,7 +245,7 @@ class TestGroupFaultScoping:
             FaultInjector(plan).attach(cluster)
             grp = world_group(cluster) if pass_group else None
             for _ in range(6):
-                outs = all_reduce(cluster, _tensors(cluster, range(4)), group=grp)
+                outs = all_gather(cluster, _tensors(cluster, range(4)), axis=0, group=grp)
                 for t in outs:
                     t.free()
             return [
@@ -289,7 +277,6 @@ class TestWorldGroupBitwiseDefault:
             t = all_to_all(cluster, t, split_axis=1, concat_axis=2, group=grp)
             t = all_gather(cluster, t, axis=1, group=grp)
             t = reduce_scatter(cluster, t, axis=1, group=grp)
-            t = all_reduce(cluster, t, group=grp)
             t = ring_shift(cluster, t, shift=1, group=grp)
             data = [x.data.copy() for x in t]
             for x in t:

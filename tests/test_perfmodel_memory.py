@@ -13,6 +13,7 @@ from repro.perfmodel import (
     ULYSSES,
     estimate_memory,
     table2_footprint,
+    zero_model_state_bytes,
 )
 from repro.perfmodel.strategies import TrainingStrategy
 
@@ -123,3 +124,35 @@ class TestPaperAnchors:
         m_fp = estimate_memory(LLAMA_8B, FPDT_FULL, S, 8)
         m_ul = estimate_memory(LLAMA_8B, ULYSSES, S, 8)
         assert m_fp.activations < 0.5 * m_ul.activations
+
+
+class TestModelStateBytes:
+    PSI = 8_000_000_000  # 8B params
+
+    def test_stage0_is_16_bytes_per_param(self):
+        assert zero_model_state_bytes(self.PSI, 8, 0) == 16 * self.PSI
+
+    def test_stage1_shards_optimizer(self):
+        got = zero_model_state_bytes(self.PSI, 8, 1)
+        assert got == (2 + 2) * self.PSI + 12 * self.PSI // 8
+
+    def test_stage2_shards_grads_too(self):
+        got = zero_model_state_bytes(self.PSI, 8, 2)
+        assert got == 2 * self.PSI + (2 + 12) * self.PSI // 8
+
+    def test_stage3_shards_everything(self):
+        assert zero_model_state_bytes(self.PSI, 8, 3) == 16 * self.PSI // 8
+
+    def test_monotone_in_stage(self):
+        sizes = [zero_model_state_bytes(self.PSI, 8, s) for s in range(4)]
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_paper_table3_zero_ordering(self):
+        """Table 3 shows HBM 58.9G (Z1) > 54.5G (Z2) > 52.3G (Z3) for
+        Llama-8B on 8 GPUs — the model-state part of that ordering."""
+        sizes = [zero_model_state_bytes(self.PSI, 8, s) for s in (1, 2, 3)]
+        assert sizes[0] > sizes[1] > sizes[2]
+
+    def test_invalid_stage_raises(self):
+        with pytest.raises(ValueError):
+            zero_model_state_bytes(10, 2, 5)

@@ -5,11 +5,8 @@ results`` (``make experiments``) writes it and compared with the
 committed file byte for byte, so a change that moves a figure has to
 regenerate it.  Under ``REPRO_EXECUTOR=threads:4`` every section runs
 on the pool (``tests/conftest.py``), so the ``figure13`` case also
-checks that the pool reproduces the serial Fig. 13 timeline.
-
-``figure14`` is left out: it trains four models for 120 steps (about
-9 s), and its telemetry block holds wall-clock and executor fields that
-no rerun reproduces.
+checks that the pool reproduces the serial Fig. 13 timeline, and the
+``figure14`` case that four trainers reproduce their loss curves.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from repro.experiments.report import save_json
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
-@pytest.mark.parametrize("name", [n for n in EXPERIMENT_NAMES if n != "figure14"])
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_committed_result_is_current(name, tmp_path):
     path = save_json(run_experiment(name, fast=False), tmp_path)
     assert path.read_text() == (RESULTS / path.name).read_text(), (

@@ -9,9 +9,7 @@ from repro.common.errors import ShapeError
 from repro.runtime import VirtualCluster, fast_path
 from repro.runtime.collectives import (
     all_gather,
-    all_reduce,
     all_to_all,
-    broadcast,
     hierarchical_all_to_all,
     reduce_scatter,
     ring_shift,
@@ -141,22 +139,7 @@ class TestAllGatherReduceScatter:
             reduce_scatter(cluster, shards, axis=0)
 
 
-class TestAllReduceBroadcastRing:
-    def test_all_reduce_sums_everywhere(self):
-        cluster = VirtualCluster(3)
-        arrays = [np.full((2,), float(r + 1)) for r in range(3)]
-        outs = all_reduce(cluster, _rank_tensors(cluster, arrays))
-        for out in outs:
-            np.testing.assert_array_equal(out.data, np.full((2,), 6.0))
-
-    def test_broadcast_from_root(self):
-        cluster = VirtualCluster(3)
-        t = cluster.devices[1].from_numpy(np.arange(4.0), DType.FP32, "w")
-        outs = broadcast(cluster, t, root=1)
-        for out in outs:
-            np.testing.assert_array_equal(out.data, np.arange(4.0))
-        assert outs[1] is t
-
+class TestRingShift:
     def test_ring_shift_rotates_by_one(self):
         cluster = VirtualCluster(4)
         arrays = [np.full((2,), float(r)) for r in range(4)]
@@ -200,15 +183,14 @@ class TestArenaFastPath:
             lambda c, t: all_to_all(c, t, split_axis=2, concat_axis=1),
             lambda c, t: all_gather(c, t, axis=1),
             lambda c, t: reduce_scatter(c, t, axis=2),
-            lambda c, t: all_reduce(c, t),
             lambda c, t: ring_shift(c, t, shift=1),
             lambda c, t: hierarchical_all_to_all(
                 c, t, split_axis=2, concat_axis=1, gpus_per_node=2
             ),
         ],
         ids=[
-            "all_to_all", "all_gather", "reduce_scatter", "all_reduce",
-            "ring_shift", "hierarchical_all_to_all",
+            "all_to_all", "all_gather", "reduce_scatter", "ring_shift",
+            "hierarchical_all_to_all",
         ],
     )
     def test_bitwise_identical_fast_path_on_or_off(self, op):

@@ -14,7 +14,6 @@ from repro.models import TransformerBlock, tiny_gpt
 from repro.runtime import MemoryPool, VirtualCluster
 from repro.runtime.collectives import (
     all_gather,
-    all_reduce,
     all_to_all,
     reduce_scatter,
     ring_shift,
@@ -63,13 +62,15 @@ class TestCollectiveProperties:
 
     @settings(max_examples=20, deadline=None)
     @given(world=st.integers(1, 5), seed=st.integers(0, 999))
-    def test_all_reduce_equals_numpy_sum(self, world, seed):
+    def test_reduce_scatter_equals_numpy_sum(self, world, seed):
+        """The shard-wise left fold is ``np.sum``'s order, bit for bit."""
         g = rng(seed)
-        arrays = [g.normal(size=(4,)) for _ in range(world)]
+        arrays = [g.normal(size=(4 * world,)) for _ in range(world)]
+        total = np.sum(arrays, axis=0)
         cluster = VirtualCluster(world)
-        outs = all_reduce(cluster, _tensors(cluster, arrays))
-        for out in outs:
-            np.testing.assert_allclose(out.data, np.sum(arrays, axis=0), rtol=1e-12)
+        outs = reduce_scatter(cluster, _tensors(cluster, arrays), axis=0)
+        for r, out in enumerate(outs):
+            np.testing.assert_array_equal(out.data, total[4 * r : 4 * (r + 1)])
 
     @settings(max_examples=20, deadline=None)
     @given(world=st.integers(1, 6), shift=st.integers(-7, 7), seed=st.integers(0, 99))

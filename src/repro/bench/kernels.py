@@ -2,22 +2,19 @@
 
 Each :class:`BenchCase` builds its workload once (seeded, fixed sizes)
 and returns a zero-arg closure that the runner times.  The closure runs
-the kernel through the same public entry points the training loop uses,
-so whatever the fast path does to the internals is exactly what gets
-measured.  State (cluster, input arrays) persists across repeats on
-purpose: steady-state reuse is the behaviour the arena optimizes, and a
-cold-allocator measurement would benchmark ``mmap`` instead of us.
+the kernel through the same public entry points the training loop uses.
+State (cluster, input arrays) persists across repeats, so the warm-up
+repeats leave the allocator in its steady state.
 
 Sizes are picked so one repeat is a few milliseconds — large enough
 that buffer traffic dominates Python dispatch, small enough that the
 full suite stays under a minute.  Full-mode collective payloads are
 sized *above the allocator's dynamic mmap threshold* (glibc caps it at
 32 MiB): past that point every fresh receive buffer is a new mapping
-the kernel must zero-fault in, which is exactly the cost the arena's
-warm buffers avoid — and the regime FPDT targets, where per-rank
+the kernel must zero-fault in — the regime FPDT targets, where per-rank
 activations are hundreds of MB.  Below it, glibc recycles the heap and
-a single-copy exchange is bandwidth-bound either way.  ``quick`` mode
-shrinks both sizes and repeat counts for CI smoke runs.
+a single-copy exchange is bandwidth-bound.  ``quick`` mode shrinks both
+sizes and repeat counts for smoke runs.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ def _collective_setup(quick: bool, world: int = 4):
 
 def _drop(outputs) -> None:
     """Discard collective outputs the way a consumer that is done with
-    them would, so arena-owned buffers return to the free list."""
+    them would."""
     for t in outputs:
         t.release()
 

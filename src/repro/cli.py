@@ -268,55 +268,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from repro.bench import run_suite, save_results
 
-    from repro.bench import (
-        diff_results, format_report, load_results, run_suite, save_results,
-    )
-    from repro.bench.runner import DEFAULT_TOL, attach_baseline
-
-    if args.tol is None:
-        args.tol = DEFAULT_TOL
-    if args.baseline is None:
-        args.baseline = (
-            "results/BENCH_kernels_baseline_quick.json"
-            if args.quick else "results/BENCH_kernels_baseline.json"
-        )
     mode = "quick" if args.quick else "full"
     print(f"running kernel microbenchmarks ({mode} mode):")
-    doc = run_suite(quick=args.quick, echo=print)
-
-    if args.update_baseline:
-        path = save_results(doc, args.baseline)
-        print(f"[baseline written to {path}]")
-        return 0
-
-    if not Path(args.baseline).exists():
-        print(f"bench: no baseline at {args.baseline}", file=sys.stderr)
-        if not args.no_gate:
-            print("bench: run with --update-baseline to record one", file=sys.stderr)
-            return 2
-        save_results(doc, args.out)
-        print(f"[results written to {args.out}]")
-        return 0
-
-    try:
-        diffs = diff_results(load_results(args.baseline), doc, tol=args.tol)
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    path = save_results(attach_baseline(doc, diffs), args.out)
-    print(format_report(diffs))
+    path = save_results(run_suite(quick=args.quick, echo=print), args.out)
     print(f"[results written to {path}]")
-    regressed = [d for d in diffs if d.regressed]
-    if regressed and not args.no_gate:
-        print(
-            f"bench: {len(regressed)} kernel(s) regressed beyond {args.tol}x "
-            f"of baseline: {', '.join(d.name for d in regressed)}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"bench: {sum(1 for d in diffs if d.baseline is not None)} gated kernel(s) ok")
     return 0
 
 
@@ -727,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="time the hot kernels and gate against the committed baseline",
+        help="time the hot kernels (min of repeats) and write the results JSON",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
@@ -736,22 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--out", default="results/BENCH_kernels.json", metavar="PATH",
         help="where to write the results JSON",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline JSON to gate against (default depends on --quick)",
-    )
-    p_bench.add_argument(
-        "--tol", type=float, default=None, metavar="REL",
-        help="fail when current > baseline * REL (default 2.0)",
-    )
-    p_bench.add_argument(
-        "--update-baseline", action="store_true",
-        help="record this run as the new baseline instead of gating",
-    )
-    p_bench.add_argument(
-        "--no-gate", action="store_true",
-        help="report the diff but never fail",
     )
     _add_workers_arg(p_bench)
     p_bench.set_defaults(fn=cmd_bench)

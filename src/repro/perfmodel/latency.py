@@ -89,12 +89,11 @@ def collective_latency(
     cluster: ClusterSpec,
     total_bytes: int,
     *,
-    kind: str,
     calib: Calibration = CALIBRATION,
 ) -> float:
-    """All-gather / reduce-scatter / all-reduce time for a tensor whose
-    *gathered* size is ``total_bytes`` (ring-algorithm bus traffic:
-    ``(P-1)/P`` of the total per rank, 2x for all-reduce)."""
+    """All-gather (or reduce-scatter, which moves the same bytes) time
+    for a tensor whose *gathered* size is ``total_bytes`` (ring-algorithm
+    bus traffic: ``(P-1)/P`` of the total per rank)."""
     world = cluster.world_size
     if world == 1:
         return 0.0
@@ -104,8 +103,7 @@ def collective_latency(
         if link is cluster.node.nvlink
         else calib.nccl_inter_efficiency
     )
-    factor = {"all_gather": 1.0, "reduce_scatter": 1.0, "all_reduce": 2.0}[kind]
-    wire = factor * total_bytes * (world - 1) / world
+    wire = total_bytes * (world - 1) / world
     return link.transfer_time(wire, efficiency=eff)
 
 
@@ -117,13 +115,11 @@ def attention_forward_latency(
     sk: int,
     heads: int,
     head_dim: int,
-    causal_fraction: float = 1.0,
     calib: Calibration = CALIBRATION,
 ) -> float:
     """FlashAttention forward on ``[b, sq, heads, head_dim]`` against
-    ``sk`` keys.  ``causal_fraction`` scales for partially-masked blocks
-    (0.5 on the diagonal chunk, 1.0 off-diagonal)."""
-    flops = 4.0 * batch * sq * sk * heads * head_dim * causal_fraction
+    ``sk`` keys, unmasked (callers halve a causal diagonal block)."""
+    flops = 4.0 * batch * sq * sk * heads * head_dim
     return flops / (gpu.peak_flops_bf16 * calib.flash_attention_efficiency)
 
 
@@ -135,11 +131,10 @@ def attention_backward_latency(
     sk: int,
     heads: int,
     head_dim: int,
-    causal_fraction: float = 1.0,
     calib: Calibration = CALIBRATION,
 ) -> float:
     """FlashAttention backward: 2.5x the forward matmul volume."""
-    flops = 10.0 * batch * sq * sk * heads * head_dim * causal_fraction
+    flops = 10.0 * batch * sq * sk * heads * head_dim
     return flops / (gpu.peak_flops_bf16 * calib.flash_attention_efficiency)
 
 

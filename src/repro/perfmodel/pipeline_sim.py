@@ -341,7 +341,7 @@ def _baseline_layer_times(
     ) / (gpu.peak_flops_bf16 * calib.flash_attention_efficiency)
     if strategy.parallelism == "tp":
         hidden_bytes = batch * s_global * cfg.hidden_size * ACT
-        t_comm = 4 * collective_latency(cluster, hidden_bytes, kind="all_gather", calib=calib)
+        t_comm = 4 * collective_latency(cluster, hidden_bytes, calib=calib)
         t_comm_fwd = t_comm_bwd = t_comm
     elif strategy.parallelism == "usp":
         u_deg, r_deg = strategy.ulysses_degree, strategy.ring_degree

@@ -13,17 +13,12 @@ under a hardware model.  Execution and timing are decoupled so the same
 numeric run can be costed on different clusters.
 """
 
-from repro.runtime.arena import BufferArena, fast_path, fast_path_enabled, set_fast_path
 from repro.runtime.memory import Allocation, MemoryPool, MemorySample
 from repro.runtime.tensor import DeviceTensor
 from repro.runtime.device import HostMemory, VirtualCluster, VirtualDevice
 from repro.runtime.trace import Trace, TraceEvent
 
 __all__ = [
-    "BufferArena",
-    "fast_path",
-    "fast_path_enabled",
-    "set_fast_path",
     "MemoryPool",
     "Allocation",
     "MemorySample",

@@ -23,18 +23,11 @@ all-gather/reduce-scatter move ``M * (P-1) / P`` per rank.
 Data movement is **single-copy**: each destination rank's payload is
 written directly into its receive buffer through strided views — no
 ``np.split``/``np.concatenate`` staging lists, no per-rank ``.copy()``
-fan-out.  Receive buffers come from the destination pool's
-:class:`~repro.runtime.arena.BufferArena` when the fast path is on
-(:func:`~repro.runtime.arena.fast_path_enabled`), which reuses a buffer
-only when an earlier one of the same shape was ``release()``-d — the
-USP ring's K/V rotation does, FPDT's all-to-alls never do (their
-outputs are offloaded or kept); with the fast path off the same code
-runs over fresh ``np.empty`` buffers.  The two modes execute the *identical* copy and
-reduction sequence — outputs are bit-identical, byte accounting and
-trace events are the same either way — which the equivalence tests
-assert.  Consumed inputs are ``release()``-d (value dead, storage
-recycled when arena-owned); callers that keep an array claim it with
-``free()`` first, which pins the storage out of the arena.
+fan-out.  Every receive buffer is a fresh ``np.empty`` allocation
+(:meth:`~repro.runtime.device.VirtualDevice.empty`), so no output
+shares memory with another output or with an input.  Consumed inputs
+are ``release()``-d (value dead, ``data`` dropped); a caller that
+keeps its inputs passes ``free_input=False``.
 """
 
 from __future__ import annotations
@@ -139,7 +132,7 @@ def _exchange(
     out_shape = tuple(out_shape)
     outputs: list[DeviceTensor] = []
     for dst in range(world):
-        out = group.device(dst).rent(out_shape, data0.dtype, tensors[dst].dtype, tag)
+        out = group.device(dst).empty(out_shape, data0.dtype, tensors[dst].dtype, tag)
         src_index = _axis_slice(ndim, split_axis, dst * part, (dst + 1) * part)
         for src in range(world):
             np.copyto(
@@ -237,7 +230,7 @@ def all_gather(
     out_shape = tuple(out_shape)
     outputs: list[DeviceTensor] = []
     for dst in range(world):
-        out = group.device(dst).rent(out_shape, data0.dtype, tensors[dst].dtype, tag)
+        out = group.device(dst).empty(out_shape, data0.dtype, tensors[dst].dtype, tag)
         for src in range(world):
             np.copyto(
                 out.data[_axis_slice(ndim, axis, src * seg, (src + 1) * seg)],
@@ -287,7 +280,7 @@ def reduce_scatter(
     out_shape = tuple(out_shape)
     outputs: list[DeviceTensor] = []
     for dst in range(world):
-        out = group.device(dst).rent(out_shape, data0.dtype, tensors[dst].dtype, tag)
+        out = group.device(dst).empty(out_shape, data0.dtype, tensors[dst].dtype, tag)
         shard = _axis_slice(ndim, axis, dst * seg, (dst + 1) * seg)
         np.copyto(out.data, tensors[0].data[shard])
         for src in range(1, world):
@@ -395,7 +388,7 @@ def ring_shift(
     for src in range(world):
         dst = (src + shift) % world
         data = tensors[src].data
-        out = group.device(dst).rent(data.shape, data.dtype, tensors[src].dtype, tag)
+        out = group.device(dst).empty(data.shape, data.dtype, tensors[src].dtype, tag)
         np.copyto(out.data, data)
         outputs[dst] = out
     cluster.trace.record("collective", f"ring_shift:{gtag}", nbytes=tensors[0].nbytes)

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.common.dtypes import DType
 from repro.hardware.topology import ClusterSpec
-from repro.runtime.arena import fast_path_enabled
 from repro.runtime.executor import rank_map
 from repro.runtime.memory import MemoryPool
 from repro.runtime.tensor import DeviceTensor
@@ -37,22 +36,16 @@ class VirtualDevice:
         """Place ``array`` on this device, charging the HBM pool."""
         return DeviceTensor(np.ascontiguousarray(array), dtype, self.hbm, tag)
 
-    def rent(
+    def empty(
         self, shape: tuple[int, ...], np_dtype, dtype: DType, tag: str
     ) -> DeviceTensor:
-        """An uninitialized device tensor backed by this pool's buffer
-        arena when the fast path is on (else a plain allocation).
+        """An uninitialized device tensor (a collective's receive buffer).
 
         ``np_dtype`` is the *element* type of the array (collectives
         must match their inputs' NumPy dtype); ``dtype`` the storage
         dtype charged to the pool — the same split ``from_numpy`` has.
         """
-        if fast_path_enabled():
-            return DeviceTensor(
-                self.hbm.arena.rent(shape, np_dtype), dtype, self.hbm, tag,
-                arena=self.hbm.arena,
-            )
-        return DeviceTensor(np.empty(shape, np.dtype(np_dtype)), dtype, self.hbm, tag)
+        return DeviceTensor(np.empty(shape, np_dtype), dtype, self.hbm, tag)
 
     def zeros(self, shape: tuple[int, ...], dtype: DType, tag: str) -> DeviceTensor:
         return DeviceTensor(np.zeros(shape, dtype.np_dtype), dtype, self.hbm, tag)

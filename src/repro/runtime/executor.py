@@ -14,8 +14,7 @@ Determinism contract (what makes executor-on bitwise identical to
 executor-off):
 
 * closures only touch **rank-local** state plus the thread-safe runtime
-  (pools and arenas lock their counters; see
-  :mod:`repro.runtime.memory` / :mod:`repro.runtime.arena`);
+  (pools lock their counters; see :mod:`repro.runtime.memory`);
 * accumulation **within a rank** (e.g. one rank's weight gradients
   over its sequence chunks) happens inside that rank's closure, in chunk
   order, into rank-local state;

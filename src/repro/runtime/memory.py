@@ -24,7 +24,6 @@ import threading
 from typing import NamedTuple
 
 from repro.common.errors import OutOfMemoryError
-from repro.runtime.arena import BufferArena
 from repro.runtime.trace import MemorySample, Trace
 
 
@@ -83,10 +82,6 @@ class MemoryPool:
         # the rank executor's threads: in_use/peak/tag bookkeeping is a
         # multi-field update that must be atomic to stay exact.
         self._lock = threading.RLock()
-        # Storage recycler for the zero-copy fast path.  Renting from it
-        # never touches the byte counters above: arena reuse changes
-        # where NumPy storage comes from, not what the pool charges.
-        self.arena = BufferArena(f"{name}.arena")
 
     def alloc(self, nbytes: int, tag: str = "") -> Allocation:
         """Allocate ``nbytes``; raises :class:`OutOfMemoryError` when the
@@ -143,7 +138,10 @@ class MemoryPool:
             "total_allocated": self.total_allocated,
             "n_allocs": self.n_allocs,
             "live_tensors": len(self._live),
-            "arena": self.arena.stats(),
+            # Every allocation is fresh.  perf/measure.py still reads
+            # these two keys; ROADMAP item 1(a) deletes the stub together
+            # with workspace_stats(), the same kind of stub.
+            "arena": {"hits": 0, "misses": self.n_allocs},
         }
 
     def reset_peak(self) -> None:

@@ -35,26 +35,14 @@ class DeviceTensor:
     transfer and collective reads it.
     """
 
-    __slots__ = ("data", "dtype", "nbytes", "pool", "tag", "_alloc", "_arena")
+    __slots__ = ("data", "dtype", "nbytes", "pool", "tag", "_alloc")
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        dtype: DType,
-        pool: MemoryPool,
-        tag: str,
-        *,
-        arena=None,
-    ):
+    def __init__(self, data: np.ndarray, dtype: DType, pool: MemoryPool, tag: str):
         self.data = data
         self.dtype = dtype
         self.nbytes = nbytes = storage_nbytes(data.shape, dtype)
         self.pool = pool
         self.tag = tag
-        # The BufferArena the storage was rented from (None for caller
-        # or ad-hoc storage).  Only arena-owned storage is recycled by
-        # release(); everything else is left to the garbage collector.
-        self._arena = arena
         self._alloc: Allocation | None = pool.alloc(nbytes, tag)
 
     @property
@@ -73,27 +61,20 @@ class DeviceTensor:
             raise RuntimeError(f"double free of tensor {self.tag!r}")
         self.pool.free(self._alloc)
         self._alloc = None
-        # The caller keeps the array, so the arena must never hand this
-        # storage to anyone else.
-        self._arena = None
         return self.data
 
     def release(self) -> None:
-        """Free the pool bytes *and* recycle arena-owned storage.
+        """Free the pool bytes *and* drop the array.
 
         Unlike :meth:`free`, ``release`` declares the tensor's **value**
-        dead: the underlying array goes back to the arena free list (when
-        arena-owned) and the next renter will overwrite it.  Collectives
-        use this on consumed inputs and benchmarks on discarded outputs;
-        never call it on a tensor whose data anything still references.
+        dead: ``data`` becomes ``None``, so any later use fails loudly.
+        Collectives use this on consumed inputs and benchmarks on
+        discarded outputs.
         """
         if self._alloc is None:
             raise RuntimeError(f"double free of tensor {self.tag!r}")
         self.pool.free(self._alloc)
         self._alloc = None
-        if self._arena is not None:
-            self._arena.giveback(self.data)
-            self._arena = None
         self.data = None  # fail loudly on use-after-release
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

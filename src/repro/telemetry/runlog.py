@@ -61,14 +61,8 @@ class StepRecord:
     collective_count: int = 0
     h2d_bytes: int = 0
     d2h_bytes: int = 0
-    # Zero-copy fast-path counters, summed over the per-rank HBM buffer
-    # arenas.  All are *cumulative* snapshots (the counters only grow),
-    # not per-step deltas.
-    arena_hits: int = 0
-    arena_misses: int = 0
-    arena_reused_bytes: int = 0
-    # Rank-executor utilization (process-wide, cumulative snapshots like
-    # the arena counters): pool size, fork-join sections run, and the
+    # Rank-executor utilization (process-wide *cumulative* snapshots,
+    # not per-step deltas): pool size, fork-join sections run, and the
     # busy fraction busy/(wall*workers) of parallel sections so far.
     executor_workers: int = 0
     executor_fork_joins: int = 0
@@ -82,7 +76,7 @@ class StepRecord:
     retry_count: int = 0
     retry_backoff_s: float = 0.0
     # Completed causal spans (repro.obs).  A cumulative snapshot like
-    # the arena counters, and report-only in the metrics gate.
+    # the executor counters, and report-only in the metrics gate.
     spans_emitted_total: int = 0
     param_checksums: dict[int, float] = field(default_factory=dict)
 
@@ -100,9 +94,6 @@ class StepRecord:
 #: every step; the last step's value goes into the ``run_summary``,
 #: report-only in ``repro metrics diff`` until a baseline records it.
 SNAPSHOTS = {
-    "arena_hits": "buffer-arena rent hits (cumulative)",
-    "arena_misses": "buffer-arena rent misses (cumulative)",
-    "arena_reused_bytes": "bytes served from recycled arena buffers",
     "executor_workers": "rank-executor thread-pool size",
     "executor_fork_joins": "parallel fork-join sections run (cumulative)",
     "executor_busy_fraction": "rank-executor busy/(wall*workers)",
@@ -257,7 +248,7 @@ class RunLogger:
             "wall_time_s": float(sum(wall_times)) if wall_times else None,
             "alerts": len(self.alerts),
             # Report-only in `repro metrics diff` (ungated until a
-            # baseline records them), like the arena counters.
+            # baseline records them), like the snapshot counters.
             "fault_count": sum(r.fault_count for r in steps),
             "retry_count": sum(r.retry_count for r in steps),
             "retry_backoff_s": float(sum(r.retry_backoff_s for r in steps)),

@@ -222,10 +222,6 @@ class Trainer:
             record.fault_count = delta.fault_count
             record.retry_count = delta.retry_count
             record.retry_backoff_s = delta.retry_backoff_s
-            arenas = [s["arena"] for s in mem["hbm"] if "arena" in s]
-            record.arena_hits = sum(a["hits"] for a in arenas)
-            record.arena_misses = sum(a["misses"] for a in arenas)
-            record.arena_reused_bytes = sum(a["reused_bytes"] for a in arenas)
         ex = executor_stats()
         record.executor_workers = ex["workers"] if ex["parallel"] else 1
         record.executor_fork_joins = ex["fork_joins"]

@@ -4,8 +4,8 @@ The bitwise on/off equivalence of whole training strategies lives in
 ``test_executor_equivalence.py``; this file covers the executor itself —
 rank ordering, the exception policy, nested calls, env/context
 selection, trace buffering — plus the runtime pieces the executor's
-threads share: :class:`MemoryPool` and :class:`BufferArena` under
-concurrent load, and the BLAS oversubscription guard.
+threads share: :class:`MemoryPool` under concurrent load, and the
+BLAS oversubscription guard.
 """
 
 from __future__ import annotations
@@ -411,51 +411,6 @@ def test_memory_pool_concurrent_alloc_free_is_exact():
     assert pool.n_allocs == 8 * rounds * 2
     assert pool.total_allocated == 8 * rounds * 2 * per_thread
     assert pool.usage_by_tag() == {}
-    pool.check_empty()
-
-
-def test_arena_concurrent_rent_giveback_stays_consistent():
-    pool = MemoryPool("stress")
-    arena = pool.arena
-
-    def body(i: int) -> None:
-        shape = (64, (i % 4) + 1)
-        for _ in range(200):
-            buf = arena.rent(shape, np.float64)
-            assert buf.shape == shape
-            buf.fill(i)  # touch the memory
-            arena.giveback(buf)
-
-    _hammer(8, body)
-    stats = arena.stats()
-    assert stats["hits"] + stats["misses"] == 8 * 200
-    # Every buffer was given back, none lost mid-flight.
-    assert arena.free_buffers <= 8 * 200
-    assert arena.free_buffers >= 1
-
-
-def test_pool_arena_mix_under_rank_map():
-    """The realistic pattern: rank closures alloc/free on a shared pool
-    and rent/giveback arena storage concurrently."""
-    pool = MemoryPool("host")
-    ex = RankExecutor("threads", workers=4)
-    try:
-
-        def body(r: int) -> int:
-            total = 0
-            for _ in range(100):
-                alloc = pool.alloc(512, tag=f"rank{r}")
-                buf = pool.arena.rent((32,), np.float64)
-                total += buf.size
-                pool.arena.giveback(buf)
-                pool.free(alloc)
-            return total
-
-        results = ex.rank_map(body, 4)
-    finally:
-        ex.shutdown()
-    assert results == [3200] * 4
-    assert pool.in_use == 0
     pool.check_empty()
 
 

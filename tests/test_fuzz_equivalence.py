@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core import ChunkLayout, fpdt_block_backward, fpdt_block_forward
 from repro.core.chunking import shard_sequence, unshard_sequence
 from repro.models import TransformerBlock, tiny_gpt, tiny_llama
-from repro.runtime import VirtualCluster, fast_path
+from repro.runtime import VirtualCluster
 
 from .helpers import rng
 
@@ -72,46 +72,3 @@ def test_fpdt_matches_reference_for_random_configs(config, seed):
         unshard_sequence(dx_shards, layout), dx_ref, rtol=1e-6, atol=1e-8
     )
     cluster.check_no_leaks()
-
-
-def _fpdt_run(cfg, world, num_chunks, batch, offload, s_global, seed, enabled):
-    """One FPDT forward+backward under the given fast-path setting."""
-    block = TransformerBlock(cfg, rng(seed))
-    g = rng(seed + 1)
-    x = g.normal(size=(batch, s_global, cfg.hidden_size))
-    dy = g.normal(size=x.shape)
-    layout = ChunkLayout(s_global, world, num_chunks)
-    with fast_path(enabled):
-        cluster = VirtualCluster(world)
-        y_shards, ctx = fpdt_block_forward(
-            cluster, block.params, cfg, layout, shard_sequence(x, layout),
-            offload=offload,
-        )
-        dx_shards, grads = fpdt_block_backward(
-            cluster, cfg, ctx, shard_sequence(dy, layout)
-        )
-    return (
-        unshard_sequence(y_shards, layout),
-        unshard_sequence(dx_shards, layout),
-        grads,
-    )
-
-
-@settings(max_examples=10, deadline=None)
-@given(config=fpdt_configs(), seed=st.integers(0, 10_000))
-def test_fast_path_is_bitwise_identical(config, seed):
-    """The zero-copy fast path only changes where result buffers come
-    from (arena vs fresh allocation); the op sequence is shared, so
-    outputs, input grads and parameter grads must match *bitwise*."""
-    cfg, world, num_chunks, batch, offload, s_global = config
-    y_on, dx_on, g_on = _fpdt_run(
-        cfg, world, num_chunks, batch, offload, s_global, seed, True
-    )
-    y_off, dx_off, g_off = _fpdt_run(
-        cfg, world, num_chunks, batch, offload, s_global, seed, False
-    )
-    np.testing.assert_array_equal(y_on, y_off)
-    np.testing.assert_array_equal(dx_on, dx_off)
-    assert g_on.keys() == g_off.keys()
-    for key in g_on:
-        np.testing.assert_array_equal(g_on[key], g_off[key])

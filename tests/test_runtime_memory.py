@@ -133,6 +133,14 @@ class TestDeviceTensor:
         with pytest.raises(RuntimeError, match="double free"):
             t.free()
 
+    def test_release_is_use_after_free_loud(self):
+        cluster = VirtualCluster(1)
+        t = cluster.devices[0].empty((2,), np.float64, DType.FP32, "w")
+        t.release()
+        assert t.data is None
+        assert "released" in repr(t)
+        cluster.check_no_leaks()
+
 
 class TestVirtualCluster:
     def test_scatter_gather_roundtrip(self):

@@ -509,10 +509,15 @@ def cmd_metrics_diff(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"metrics diff: {exc}", file=sys.stderr)
         return 2
-    diffs = diff_paths(
-        args.baseline, args.candidate,
-        tolerances=tolerances, default_tol=args.default_tol,
-    )
+    try:
+        diffs = diff_paths(
+            args.baseline, args.candidate,
+            tolerances=tolerances, default_tol=args.default_tol,
+        )
+    except (OSError, ValueError) as exc:  # JSONDecodeError included
+        print(f"metrics diff: not a complete JSONL run log: {exc}",
+              file=sys.stderr)
+        return 2
     print(format_diffs(diffs))
     regressed = [d for d in diffs if d.regressed]
     if regressed:
@@ -667,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.set_defaults(fn=cmd_metrics_summary)
     p_diff = met_sub.add_parser(
         "diff",
-        help="compare two run logs (or results/*.json files); exit 1 "
-             "when a gated metric drifts beyond its relative tolerance",
+        help="compare the run summaries of two run logs; exit 1 when a "
+             "gated metric drifts beyond its relative tolerance",
     )
     p_diff.add_argument("baseline", metavar="BASELINE")
     p_diff.add_argument("candidate", metavar="CANDIDATE")

@@ -6,7 +6,6 @@ else builds on them.
 
 from repro.common.dtypes import DType, dtype_size
 from repro.common.errors import (
-    DeviceMismatchError,
     FPDTError,
     OutOfMemoryError,
     ShapeError,
@@ -31,7 +30,6 @@ __all__ = [
     "dtype_size",
     "FPDTError",
     "OutOfMemoryError",
-    "DeviceMismatchError",
     "ShapeError",
     "KB",
     "MB",

@@ -26,10 +26,6 @@ class OutOfMemoryError(FPDTError):
         )
 
 
-class DeviceMismatchError(FPDTError):
-    """An operation received tensors living on different devices."""
-
-
 class ShapeError(FPDTError):
     """An operation received tensors with incompatible shapes."""
 

@@ -40,7 +40,6 @@ from repro.models import GPTModel, tiny_gpt
 from repro.runtime.device import VirtualCluster
 from repro.telemetry.monitors import FaultRateMonitor
 from repro.telemetry.runlog import RunLogger
-from repro.telemetry.sinks import JSONLSink
 from repro.training.data import SyntheticCorpus
 from repro.training.serialization import normalize_checkpoint_path
 from repro.training.trainer import Trainer
@@ -84,9 +83,8 @@ def _build(seed: int, world: int, num_chunks: int):
 
 
 def _logger(run_log_path, max_retries_per_step: int) -> RunLogger:
-    sinks = [JSONLSink(run_log_path)] if run_log_path is not None else []
     return RunLogger(
-        sinks=sinks,
+        run_log_path,
         monitors=[FaultRateMonitor(max_retries_per_step=max_retries_per_step)],
     )
 

@@ -44,7 +44,9 @@ class FaultPlan:
     straggler_rate:
         Per-collective probability that one random rank is charged
         ``straggler_flops`` of extra compute before the collective —
-        the slow-rank failure mode the straggler monitor watches for.
+        the slow-rank failure mode.  It shows up as a ``fault`` event
+        (counted in the step record's ``fault_count``) and as the
+        victim's longer compute stream in the simulated-time profile.
     hbm_spike_rate:
         Per-collective probability of a transient ``hbm_spike_bytes``
         allocation on one random rank — a memory-pressure burst that

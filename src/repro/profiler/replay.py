@@ -191,15 +191,6 @@ class Profile:
     def phase_rollups(self) -> list[ProfileRollup]:
         return [self.rollup(p) for p in self.phases()]
 
-    def per_rank_compute_time(self) -> dict[int, float]:
-        """Total simulated compute-stream seconds per rank — what the
-        straggler/imbalance health monitor compares across ranks."""
-        times: dict[int, float] = defaultdict(float)
-        for te in self.timeline:
-            if te.event.kind == "compute":
-                times[te.event.rank] += te.duration
-        return dict(times)
-
     def report_data(self) -> dict:
         """JSON-friendly rollup summary for experiment results
         (``ExperimentResult.data["profile"]``)."""

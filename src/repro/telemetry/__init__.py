@@ -1,14 +1,12 @@
-"""Live telemetry: per-step metrics, run logs, health monitors, gate.
+"""Live telemetry: per-step run logs, health monitors, the gate, and
+the serving metrics registry.
 
 The observability pillar (see docs/INTERNALS.md, "Telemetry & health
-monitors").  Data flows trainer → run logger (registry, monitors,
-sinks) → gate::
+monitors").  Training data flows trainer → run logger (monitors, JSONL
+run log) → gate; the run log is the one store of training telemetry::
 
-    from repro.telemetry import (
-        RunLogger, JSONLSink, MemoryWatermarkMonitor, DesyncMonitor,
-    )
-    logger = RunLogger(sinks=[JSONLSink("runlog.jsonl")],
-                       monitors=[MemoryWatermarkMonitor(), DesyncMonitor()])
+    from repro.telemetry import MemoryWatermarkMonitor, RunLogger
+    logger = RunLogger("runlog.jsonl", monitors=[MemoryWatermarkMonitor()])
     trainer = Trainer(model, corpus, runner=runner, telemetry=logger)
     trainer.train(100, profile=True)
     summary = logger.finish(trainer.result)   # run_summary row + close
@@ -31,29 +29,17 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
     sanitize_metric_name,
 )
 from repro.telemetry.monitors import (
-    DesyncMonitor,
     FaultRateMonitor,
     HealthAlert,
     HealthMonitor,
     MemoryWatermarkMonitor,
     SLObjective,
     SLOMonitor,
-    StragglerMonitor,
-    checksum_params,
 )
 from repro.telemetry.runlog import RunLog, RunLogger, StepRecord, read_run_log
-from repro.telemetry.sinks import (
-    CSVSink,
-    JSONLSink,
-    MemorySink,
-    PrometheusTextSink,
-    Sink,
-    flatten_record,
-)
 
 
 def __getattr__(name: str):
@@ -69,16 +55,9 @@ def __getattr__(name: str):
 __all__ = [
     "MetricsRegistry",
     "sanitize_metric_name",
-    "flatten_record",
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
-    "Sink",
-    "JSONLSink",
-    "CSVSink",
-    "PrometheusTextSink",
-    "MemorySink",
     "StepRecord",
     "RunLogger",
     "RunLog",
@@ -86,12 +65,9 @@ __all__ = [
     "HealthMonitor",
     "HealthAlert",
     "MemoryWatermarkMonitor",
-    "DesyncMonitor",
-    "StragglerMonitor",
     "FaultRateMonitor",
     "SLObjective",
     "SLOMonitor",
-    "checksum_params",
     "MetricDiff",
     "DEFAULT_TOLERANCES",
     "load_metrics",

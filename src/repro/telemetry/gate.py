@@ -1,20 +1,19 @@
 """Metrics regression gate: diff two runs, fail on drift.
 
-``repro metrics diff A B`` loads a scalar metric set from each side —
-the ``run_summary`` record of a JSONL run log, or the flattened numeric
-leaves of a ``results/*.json`` experiment file — and compares them
-under per-metric *relative* tolerances.  Metrics in
+``repro metrics diff A B`` loads the numeric fields of the
+``run_summary`` record of each JSONL run log and compares them under
+per-metric *relative* tolerances.  Metrics in
 :data:`DEFAULT_TOLERANCES` (the paper's headline quantities: final
-loss, peak HBM bytes, collective wire bytes, simulated MFU) are gated
-by default; everything else is report-only unless a ``default_tol`` is
-supplied.  CI runs this against a committed golden run log, so a perf
-or memory regression fails the build instead of silently eroding the
-reproduction.
+loss, peak HBM bytes, collective wire bytes, simulated MFU — plus the
+health-alert count) are gated by default; everything else is
+report-only unless a ``default_tol`` is supplied.  CI runs this against
+a committed golden run log, so a perf or memory regression, or a
+monitor firing on the canonical run, fails the build instead of
+silently eroding the reproduction.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,12 +22,15 @@ from repro.telemetry.runlog import read_run_log
 #: Gated metrics and their default relative tolerances.  Byte counts
 #: are shape-determined and must match exactly (tiny epsilon only for
 #: float round-tripping); loss and MFU get room for cross-platform
-#: floating-point drift.
+#: floating-point drift.  ``alerts`` must stay at the baseline's count:
+#: a monitor that fires on the canonical run is a regression, not a
+#: report line.
 DEFAULT_TOLERANCES: dict[str, float] = {
     "final_loss": 0.02,
     "peak_hbm_bytes": 1e-9,
     "total_collective_bytes": 1e-9,
     "sim_mfu": 0.02,
+    "alerts": 0.0,
 }
 
 #: Relative difference floor: |b - a| / max(|a|, REL_FLOOR).
@@ -61,22 +63,8 @@ class MetricDiff:
 
 
 def load_metrics(path: str | Path) -> dict[str, float]:
-    """Scalar metrics from ``path``.
-
-    A JSONL run log yields its ``run_summary`` numeric fields; a
-    ``results/*.json`` experiment file yields the flattened numeric
-    leaves of its ``data`` payload (dotted keys, ``name[i]`` for short
-    numeric lists).
-    """
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "record" not in doc:
-        payload = doc.get("data", doc)
-        return _flatten_numeric(payload)
-    # JSONL run log (or a single-record file).
+    """The numeric ``run_summary`` fields of the JSONL run log at
+    ``path``."""
     log = read_run_log(path)
     if log.summary is None:
         raise ValueError(f"{path}: no run_summary record (incomplete run log?)")
@@ -84,32 +72,6 @@ def load_metrics(path: str | Path) -> dict[str, float]:
         k: float(v) for k, v in log.summary.items()
         if isinstance(v, (int, float)) and not isinstance(v, bool)
     }
-
-
-def _flatten_numeric(doc: object, prefix: str = "") -> dict[str, float]:
-    """Numeric leaves of a nested JSON document as a flat dict.
-
-    Nested dicts get dotted keys; numeric lists short enough to be
-    per-element metrics (<= 32 entries) get ``name[i]`` keys, longer
-    ones are skipped (loss curves etc. are series, not gate metrics).
-    """
-    out: dict[str, float] = {}
-    if isinstance(doc, bool):
-        return out
-    if isinstance(doc, (int, float)):
-        out[prefix or "value"] = float(doc)
-        return out
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            out.update(_flatten_numeric(value, sub))
-        return out
-    if isinstance(doc, list) and len(doc) <= 32:
-        for i, value in enumerate(doc):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                out[f"{prefix}[{i}]"] = float(value)
-        return out
-    return out
 
 
 def diff_metrics(

@@ -1,11 +1,10 @@
 """Canonical telemetry-enabled training run (CLI, CI gate, tests).
 
 Trains the same seeded tiny GPT the convergence experiment (Fig. 14)
-uses, on the FPDT-with-offload runner, with the full telemetry stack
-attached: JSONL run log, metrics registry, and the three health
-monitors.  Deterministic end to end — two runs with the same arguments
-produce identical monitored metrics, which is what lets CI diff a
-fresh run against the committed golden log.
+uses, on the FPDT-with-offload runner, with the run logger and the
+memory-watermark monitor attached.  Deterministic end to end — two runs
+with the same arguments produce identical monitored metrics, which is
+what lets CI diff a fresh run against the committed golden log.
 """
 
 from __future__ import annotations
@@ -16,13 +15,8 @@ from pathlib import Path
 from repro.core.fpdt_model import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt
 from repro.runtime.device import VirtualCluster
-from repro.telemetry.monitors import (
-    DesyncMonitor,
-    MemoryWatermarkMonitor,
-    StragglerMonitor,
-)
+from repro.telemetry.monitors import MemoryWatermarkMonitor
 from repro.telemetry.runlog import RunLogger
-from repro.telemetry.sinks import JSONLSink
 from repro.training.data import SyntheticCorpus
 from repro.training.trainer import TrainResult, Trainer
 
@@ -47,14 +41,13 @@ def telemetry_train_run(
     batch_size: int = 2,
     seq_len: int = 16,
     profile: bool = True,
-    extra_sinks: list | tuple = (),
 ) -> TelemetryRun:
     """Run ``steps`` telemetry-instrumented FPDT-offload training steps.
 
     With ``profile=True`` the runtime trace is replayed in simulated
     time at the end, so the run summary carries ``sim_mfu`` and
-    simulated ``tokens_per_sec`` (and the straggler monitor sees
-    per-rank compute times).  ``run_log_path`` adds a JSONL sink.
+    simulated ``tokens_per_sec``.  ``run_log_path`` is where the JSONL
+    run log goes (``None`` keeps it in memory).
     """
     cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=2, vocab_size=32)
     model = GPTModel(cfg, seed=seed)
@@ -63,17 +56,7 @@ def telemetry_train_run(
         model, VirtualCluster(world), num_chunks=num_chunks,
         offload=True, loss_chunks=2,
     )
-    sinks = list(extra_sinks)
-    if run_log_path is not None:
-        sinks.append(JSONLSink(run_log_path))
-    logger = RunLogger(
-        sinks=sinks,
-        monitors=[
-            MemoryWatermarkMonitor(),
-            DesyncMonitor(),
-            StragglerMonitor(),
-        ],
-    )
+    logger = RunLogger(run_log_path, monitors=[MemoryWatermarkMonitor()])
     trainer = Trainer(
         model, corpus, runner=runner, lr=5e-3, grad_clip=1.0,
         telemetry=logger,

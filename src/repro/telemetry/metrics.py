@@ -1,31 +1,26 @@
 """Metric instruments and the registry that owns them.
 
-Four instrument kinds cover everything the training loop and the
-monitors need:
+Three instrument kinds cover what the serving engine, the scheduler and
+the SLO monitor need:
 
-* :class:`Counter` — monotonically increasing total (tokens seen, bytes
-  moved over the wire);
-* :class:`Gauge` — a value that goes up and down (loss, live HBM bytes);
+* :class:`Counter` — monotonically increasing total (tokens prefilled
+  and decoded, requests submitted);
+* :class:`Gauge` — a value that goes up and down (queue depth, live
+  requests);
 * :class:`Histogram` — a distribution with count/sum/min/max and
-  quantiles (per-step times, grad norms);
-* :class:`Timer` — a histogram fed by a context manager, with an
-  injectable clock so tests (and the simulated-time pillar) stay
-  deterministic.
+  quantiles (TTFT, latency, queue wait).
 
 A :class:`MetricsRegistry` hands out instruments by name (get-or-create,
-so call sites never coordinate), snapshots the whole set as a flat dict,
-and renders Prometheus text exposition.  The registry emits nothing
-itself: the :class:`~repro.telemetry.runlog.RunLogger` is the only
-emitter, and a :class:`~repro.telemetry.sinks.PrometheusTextSink` renders
-the registry's current state whenever the logger emits a record.
+so call sites never coordinate) and snapshots the whole set as a flat
+dict, which the serving replay copies into its report.  Training
+telemetry does not go through the registry: its one store is the run
+log (:mod:`repro.telemetry.runlog`).
 """
 
 from __future__ import annotations
 
 import math
 import re
-import time
-from typing import Callable
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -146,42 +141,10 @@ class Histogram:
         }
 
 
-class Timer(Histogram):
-    """A histogram of durations fed by a context manager.
-
-    The clock is injectable (default ``time.perf_counter``) so tests
-    and simulated-time callers control what "duration" means.
-    """
-
-    kind = "timer"
-
-    def __init__(self, name: str, help: str = "",
-                 clock: Callable[[], float] = time.perf_counter):
-        super().__init__(name, help)
-        self.clock = clock
-
-    def time(self) -> "_TimerContext":
-        """``with timer.time(): ...`` observes the block's duration."""
-        return _TimerContext(self)
-
-
-class _TimerContext:
-    def __init__(self, timer: Timer):
-        self._timer = timer
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._start = self._timer.clock()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._timer.observe(self._timer.clock() - self._start)
-
-
 class MetricsRegistry:
     """Named instruments.
 
-    ``counter``/``gauge``/``histogram``/``timer`` are get-or-create:
+    ``counter``/``gauge``/``histogram`` are get-or-create:
     asking twice for the same name returns the same instrument, and
     asking for an existing name as a different kind raises.  Names are
     sanitized to the Prometheus charset on creation.
@@ -190,7 +153,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get(self, cls, name: str, help: str, **kwargs):
+    def _get(self, cls, name: str, help: str):
         name = sanitize_metric_name(name)
         existing = self._metrics.get(name)
         if existing is not None:
@@ -199,7 +162,7 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {existing.kind}"
                 )
             return existing
-        metric = cls(name, help, **kwargs)
+        metric = cls(name, help)
         self._metrics[name] = metric
         return metric
 
@@ -215,39 +178,10 @@ class MetricsRegistry:
         """Get or create a :class:`Histogram`."""
         return self._get(Histogram, name, help)
 
-    def timer(self, name: str, help: str = "",
-              clock: Callable[[], float] = time.perf_counter) -> Timer:
-        """Get or create a :class:`Timer`."""
-        return self._get(Timer, name, help, clock=clock)
-
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
         return sorted(self._metrics)
 
     def snapshot(self) -> dict[str, float | dict[str, float]]:
-        """Flat ``{name: value}`` (histograms/timers nest their summary
-        dict)."""
+        """Flat ``{name: value}`` (histograms nest their summary dict)."""
         return {name: self._metrics[name].sample() for name in self.names()}
-
-    def prometheus_text(self) -> str:
-        """Prometheus text exposition of the current state.
-
-        Counters and gauges expose their value; histograms/timers expose
-        summary-style ``_count``/``_sum`` plus ``quantile`` labels.
-        """
-        lines: list[str] = []
-        for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):  # Timer included
-                stats = metric.sample()
-                lines.append(f"# HELP {name} {metric.help}".rstrip())
-                lines.append(f"# TYPE {name} summary")
-                lines.append(f'{name}{{quantile="0.5"}} {stats["p50"]:.17g}')
-                lines.append(f'{name}{{quantile="0.99"}} {stats["p99"]:.17g}')
-                lines.append(f"{name}_sum {stats['sum']:.17g}")
-                lines.append(f"{name}_count {stats['count']}")
-            else:
-                lines.append(f"# HELP {name} {metric.help}".rstrip())
-                lines.append(f"# TYPE {name} {metric.kind}")
-                lines.append(f"{name} {metric.sample():.17g}")
-        return "\n".join(lines) + "\n"

@@ -1,29 +1,26 @@
 """Health monitors over the telemetry stream.
 
-Monitors consume the per-step :class:`~repro.telemetry.runlog
-.StepRecord` stream (and, at run end, the simulated-time profile) and
-raise :class:`HealthAlert`\\ s for the failure modes long-context
-training actually hits:
+:class:`MemoryWatermarkMonitor` and :class:`FaultRateMonitor` consume
+the per-step :class:`~repro.telemetry.runlog.StepRecord` stream through
+the :class:`~repro.telemetry.runlog.RunLogger`; :class:`SLOMonitor`
+judges the serving registry's latency histograms when the caller asks
+(the serving replay evaluates it once at drain).  Each raises
+:class:`HealthAlert`\\ s for a failure mode that a finished loss curve
+or throughput number hides:
 
 * :class:`MemoryWatermarkMonitor` — live bytes of any pool growing
   monotonically step over step.  A healthy FPDT step returns its pools
   to baseline (chunk cache drained, activations freed); sustained
   growth is a leak in the chunk-cache/offload path.
-* :class:`DesyncMonitor` — per-rank parameter/gradient checksums after
-  the optimizer step.  Data-parallel and sequence-parallel training
-  both rely on replicated parameters staying bit-identical; a silent
-  collective corruption or a missed all-reduce shows up here first.
-* :class:`StragglerMonitor` — per-rank simulated compute time from the
-  profiler replay.  FPDT's load-balanced causal chunking (§4.2) should
-  keep ranks within a few percent of each other; a skewed rank means
-  the chunk layout (or the hardware) is imbalanced.
 * :class:`FaultRateMonitor` — retry pressure per step.  A lossy link
   that keeps recovering still completes the run (retries make faults
   invisible to the loss curve), so retry storms are exactly the failure
   that needs a monitor to surface before the retry budget runs out.
+* :class:`SLOMonitor` — serving objectives (:class:`SLObjective`) over
+  the TTFT/latency histograms, by quantile and by error-budget burn.
 
 Monitors are passive: they never raise out of the training loop, they
-record alerts (also forwarded to the run-log sinks by the
+record alerts (also written to the run log by the
 :class:`~repro.telemetry.runlog.RunLogger`).
 """
 
@@ -31,15 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class HealthAlert:
     """One monitor firing: which monitor, at which step, and why."""
 
     monitor: str
-    step: int  # -1 for run-level (profile-based) alerts
+    step: int  # -1 when not tied to a step
     message: str
     data: dict = field(default_factory=dict)
 
@@ -55,8 +50,8 @@ class HealthAlert:
 
 
 class HealthMonitor:
-    """Base monitor: collects alerts; subclasses override the observe
-    hooks they care about."""
+    """Base monitor: collects alerts; subclasses that watch the step
+    stream override :meth:`observe_step`."""
 
     name = "monitor"
 
@@ -72,10 +67,6 @@ class HealthMonitor:
         """Consume one step record; returns alerts raised by it."""
         return []
 
-    def observe_profile(self, profile) -> list[HealthAlert]:
-        """Consume the end-of-run simulated-time profile."""
-        return []
-
     def _alert(self, step: int, message: str, **data) -> HealthAlert:
         alert = HealthAlert(self.name, step, message, data)
         self.alerts.append(alert)
@@ -86,21 +77,18 @@ class MemoryWatermarkMonitor(HealthMonitor):
     """Flag pools whose live bytes grow monotonically across steps.
 
     Tracks every pool that appears in the step records (per-rank HBM
-    and host).  When a pool's end-of-step live bytes increase by at
-    least ``min_growth_bytes`` for ``patience`` consecutive steps, the
-    monitor fires (and re-fires every further ``patience`` steps while
-    the growth continues, so a long leak is visible along its whole
-    length, not just at onset).
+    and host).  When a pool's end-of-step live bytes increase for
+    :attr:`PATIENCE` consecutive steps, the monitor fires (and re-fires
+    every further :attr:`PATIENCE` steps while the growth continues, so
+    a long leak is visible along its whole length, not just at onset).
     """
 
     name = "memory_watermark"
+    #: Consecutive growing steps before the monitor fires.
+    PATIENCE = 4
 
-    def __init__(self, *, patience: int = 4, min_growth_bytes: int = 1):
+    def __init__(self) -> None:
         super().__init__()
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.patience = patience
-        self.min_growth_bytes = min_growth_bytes
         self._last: dict[str, int] = {}
         self._streak: dict[str, int] = {}
 
@@ -113,13 +101,13 @@ class MemoryWatermarkMonitor(HealthMonitor):
         raised = []
         for pool, live in self._pools(record).items():
             last = self._last.get(pool)
-            if last is not None and live >= last + self.min_growth_bytes:
+            if last is not None and live > last:
                 self._streak[pool] = self._streak.get(pool, 0) + 1
             else:
                 self._streak[pool] = 0
             self._last[pool] = live
             streak = self._streak[pool]
-            if streak >= self.patience and streak % self.patience == 0:
+            if streak >= self.PATIENCE and streak % self.PATIENCE == 0:
                 raised.append(self._alert(
                     record.step,
                     f"pool {pool}: live bytes grew {streak} consecutive "
@@ -127,81 +115,6 @@ class MemoryWatermarkMonitor(HealthMonitor):
                     pool=pool, live_bytes=live, streak=streak,
                 ))
         return raised
-
-
-class DesyncMonitor(HealthMonitor):
-    """Compare per-rank parameter checksums after each optimizer step.
-
-    Fires when the spread (max - min) across ranks exceeds
-    ``tolerance`` (default exact: replicated parameters must be
-    bit-identical, which is what the numeric runtime guarantees and
-    Fig. 14 asserts).
-    """
-
-    name = "cross_rank_desync"
-
-    def __init__(self, *, tolerance: float = 0.0):
-        super().__init__()
-        self.tolerance = tolerance
-
-    def observe_step(self, record) -> list[HealthAlert]:
-        return self.observe_checksums(record.step, record.param_checksums)
-
-    def observe_checksums(
-        self, step: int, checksums: dict[int, float]
-    ) -> list[HealthAlert]:
-        """Directly check one step's ``{rank: checksum}`` map."""
-        if len(checksums) < 2:
-            return []
-        values = list(checksums.values())
-        spread = max(values) - min(values)
-        if spread > self.tolerance:
-            return [self._alert(
-                step,
-                f"rank parameter checksums diverged (spread {spread:.3e} "
-                f"> tol {self.tolerance:.3e})",
-                checksums={str(r): c for r, c in checksums.items()},
-                spread=spread,
-            )]
-        return []
-
-
-class StragglerMonitor(HealthMonitor):
-    """Flag compute-time imbalance across ranks in the profiler replay.
-
-    Fires when ``max(per-rank compute time) / mean`` exceeds
-    ``imbalance_threshold`` — the symptom of a causal chunk layout that
-    starves some ranks while overloading others (exactly what FPDT's
-    rank-ordinal shuffle exists to prevent).
-    """
-
-    name = "straggler"
-
-    def __init__(self, *, imbalance_threshold: float = 1.25):
-        super().__init__()
-        if imbalance_threshold <= 1.0:
-            raise ValueError("imbalance_threshold must be > 1")
-        self.imbalance_threshold = imbalance_threshold
-
-    def observe_profile(self, profile) -> list[HealthAlert]:
-        per_rank = profile.per_rank_compute_time()
-        if len(per_rank) < 2:
-            return []
-        times = list(per_rank.values())
-        mean = sum(times) / len(times)
-        if mean <= 0:
-            return []
-        worst_rank = max(per_rank, key=per_rank.get)
-        ratio = per_rank[worst_rank] / mean
-        if ratio > self.imbalance_threshold:
-            return [self._alert(
-                -1,
-                f"rank {worst_rank} compute time is {ratio:.2f}x the mean "
-                f"(threshold {self.imbalance_threshold:.2f}x)",
-                per_rank_compute_time={str(r): t for r, t in per_rank.items()},
-                ratio=ratio, worst_rank=worst_rank,
-            )]
-        return []
 
 
 class FaultRateMonitor(HealthMonitor):
@@ -334,7 +247,6 @@ class SLOMonitor(HealthMonitor):
         *,
         registry,
         burn_alert: float = 1.0,
-        eval_every: int | None = None,
     ):
         super().__init__()
         self.objectives = [
@@ -343,7 +255,6 @@ class SLOMonitor(HealthMonitor):
         ]
         self.registry = registry
         self.burn_alert = burn_alert
-        self.eval_every = eval_every
         #: Objectives found violated across all evaluations (counts each
         #: evaluation's violations — the ``slo_violations_total`` feed).
         self.violations = 0
@@ -393,25 +304,3 @@ class SLOMonitor(HealthMonitor):
                     burn_rate=burn_rate, bad_fraction=bad_fraction,
                 ))
         return raised
-
-    def observe_step(self, record) -> list[HealthAlert]:
-        """Optional periodic evaluation on the step-record stream
-        (serving replays usually call :meth:`evaluate` at drain)."""
-        if self.eval_every is None or record.step % self.eval_every:
-            return []
-        return self.evaluate(step=record.step)
-
-
-def checksum_params(params: dict[str, np.ndarray]) -> float:
-    """Order-stable scalar digest of a parameter dict.
-
-    Float64 sum plus sum-of-squares per tensor, folded in sorted-name
-    order — deterministic across runs and sensitive to any single
-    element changing, which is all a desync check needs (this is a
-    tripwire, not a cryptographic hash).
-    """
-    total = 0.0
-    for name in sorted(params):
-        a = np.asarray(params[name], dtype=np.float64)
-        total += float(np.sum(a)) + float(np.sum(a * a))
-    return total

@@ -13,14 +13,13 @@ One training run produces a JSONL stream of records:
 
 :class:`RunLogger` is the hub and the only emitter: the
 :class:`~repro.training.trainer.Trainer` hands it step records, it keeps
-them (:attr:`RunLogger.steps` is the one store of them — the flight
-recorder reads its tail), updates the shared
-:class:`~repro.telemetry.metrics.MetricsRegistry`, feeds the health
-monitors, forwards everything to the sinks, and computes the summary.
+them (:attr:`RunLogger.steps` is the one in-process store of them — the
+flight recorder reads its tail), feeds the health monitors, writes
+every record to the JSONL file, and computes the summary.
 
 The cumulative snapshot counters are named once, in :data:`SNAPSHOTS`:
-each is a :class:`StepRecord` field, a registry gauge of the same name,
-and — from the last step — a ``run_summary`` key.
+each is a :class:`StepRecord` field and — from the last step — a
+``run_summary`` key.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.monitors import HealthAlert, HealthMonitor
 
 
@@ -78,93 +76,70 @@ class StepRecord:
     # Completed causal spans (repro.obs).  A cumulative snapshot like
     # the executor counters, and report-only in the metrics gate.
     spans_emitted_total: int = 0
-    param_checksums: dict[int, float] = field(default_factory=dict)
 
     def to_record(self) -> dict:
         """Run-log row for this step."""
-        payload = asdict(self)
-        payload["param_checksums"] = {
-            str(r): c for r, c in self.param_checksums.items()
-        }
-        return {"record": "step", **payload}
+        return {"record": "step", **asdict(self)}
 
 
 #: Process-wide snapshot fields of :class:`StepRecord` (not per-step
-#: deltas), by name with their gauge help.  Each is a registry gauge set
-#: every step; the last step's value goes into the ``run_summary``,
-#: report-only in ``repro metrics diff`` until a baseline records it.
-SNAPSHOTS = {
-    "executor_workers": "rank-executor thread-pool size",
-    "executor_fork_joins": "parallel fork-join sections run (cumulative)",
-    "executor_busy_fraction": "rank-executor busy/(wall*workers)",
-    "spans_emitted_total": "completed causal spans",
-}
+#: deltas).  The last step's value of each goes into the
+#: ``run_summary``, report-only in ``repro metrics diff`` until a
+#: baseline records it.
+SNAPSHOTS = (
+    "executor_workers",
+    "executor_fork_joins",
+    "executor_busy_fraction",
+    "spans_emitted_total",
+)
 
 
 class RunLogger:
-    """Collect step records, drive monitors and sinks, summarize.
+    """Collect step records, drive the monitors, write the run log,
+    summarize.
 
     Parameters
     ----------
-    sinks:
-        Record consumers (:mod:`repro.telemetry.sinks`); closed by
-        :meth:`finish`.
-    registry:
-        Shared :class:`MetricsRegistry`; a fresh one is created when
-        omitted.  Step records update ``train_*`` instruments so any
-        Prometheus sink bound to the registry always exposes the latest
-        state.
+    path:
+        Where to write the JSONL run log (parent directories are
+        created); ``None`` keeps the records in memory only.  Every
+        record is flushed as it is written, so a crashed run still
+        leaves a readable log; :meth:`finish` closes the file.
     monitors:
         :class:`~repro.telemetry.monitors.HealthMonitor` instances fed
-        every step record (and the profile at :meth:`finish`).
+        every step record.
     """
 
     def __init__(
         self,
+        path: str | Path | None = None,
         *,
-        sinks: list | tuple = (),
-        registry: MetricsRegistry | None = None,
         monitors: list[HealthMonitor] | tuple = (),
     ):
-        self.sinks = list(sinks)
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.monitors = list(monitors)
         self.steps: list[StepRecord] = []
         self.alerts: list[HealthAlert] = []
         self.summary: dict | None = None
-        self._last_profile = None
+        self._file = None
+        if path is not None:
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = open(path, "w")
 
     # ------------------------------------------------------------------
 
     def log_step(self, record: StepRecord) -> None:
-        """Ingest one step: update the registry, run the monitors, and
-        forward the step (plus any alerts it raised) to the sinks."""
+        """Ingest one step: write it, then run the monitors and write
+        any alerts it raised."""
         self.steps.append(record)
-        self._update_registry(record)
-        self._emit(record.to_record())
+        self._write(record.to_record())
         for monitor in self.monitors:
             for alert in monitor.observe_step(record):
                 self.alerts.append(alert)
-                self._emit(alert.to_record())
-
-    def observe_profile(self, profile) -> None:
-        """Feed the end-of-run simulated-time profile to the monitors
-        (straggler detection needs per-rank compute times).  Observing
-        the same profile twice — e.g. once from ``train(profile=True)``
-        and again from :meth:`finish` — is a no-op the second time.
-        The profile object is kept and compared by identity: an ``id``
-        alone would be reused by a later profile once this one is
-        freed."""
-        if profile is self._last_profile:
-            return
-        self._last_profile = profile
-        for monitor in self.monitors:
-            for alert in monitor.observe_profile(profile):
-                self.alerts.append(alert)
-                self._emit(alert.to_record())
+                self._write(alert.to_record())
 
     def finish(self, result=None, *, profile=None) -> dict:
-        """Write the ``run_summary`` record, close the sinks, and
+        """Write the ``run_summary`` record, close the run log, and
         return the summary dict.
 
         ``result`` is an optional :class:`~repro.training.trainer
@@ -174,55 +149,19 @@ class RunLogger:
         """
         if profile is None and result is not None:
             profile = result.profile
-        if profile is not None:
-            self.observe_profile(profile)
         summary = self._summarize(profile)
         self.summary = summary
-        self._emit({"record": "run_summary", **summary})
-        for sink in self.sinks:
-            sink.close()
+        self._write({"record": "run_summary", **summary})
+        if self._file is not None:
+            self._file.close()
         return summary
 
     # ------------------------------------------------------------------
 
-    def _emit(self, record: dict) -> None:
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def _update_registry(self, rec: StepRecord) -> None:
-        reg = self.registry
-        reg.gauge("train_loss", "last step training loss").set(rec.loss)
-        reg.gauge("train_lr", "current learning rate").set(rec.lr)
-        if rec.grad_norm is not None:
-            reg.histogram("train_grad_norm", "pre-clip global grad norm") \
-                .observe(rec.grad_norm)
-        reg.counter("train_tokens_total", "tokens consumed").inc(rec.tokens)
-        reg.counter("train_steps_total", "optimizer steps").inc()
-        reg.counter("comm_collective_bytes_total",
-                    "collective wire bytes (per rank)").inc(rec.collective_bytes)
-        reg.counter("comm_h2d_bytes_total", "host-to-device bytes").inc(rec.h2d_bytes)
-        reg.counter("comm_d2h_bytes_total", "device-to-host bytes").inc(rec.d2h_bytes)
-        if rec.hbm_live_bytes:
-            reg.gauge("mem_hbm_live_bytes_max",
-                      "max-over-ranks live HBM bytes").set(max(rec.hbm_live_bytes))
-        if rec.hbm_peak_bytes:
-            reg.gauge("mem_hbm_peak_bytes",
-                      "max-over-ranks peak HBM bytes").set(max(rec.hbm_peak_bytes))
-        reg.gauge("mem_host_live_bytes", "live host pool bytes").set(rec.host_live_bytes)
-        for name, text in SNAPSHOTS.items():
-            reg.gauge(name, text).set(getattr(rec, name))
-        reg.gauge("executor_backend",
-                  "rank-executor backend (0=serial, 1=threads)") \
-            .set({"serial": 0, "threads": 1}.get(rec.executor_backend, 0))
-        if rec.fault_count:
-            reg.counter("faults_injected_total",
-                        "injected faults survived").inc(rec.fault_count)
-        if rec.retry_count:
-            reg.counter("fault_retries_total",
-                        "retry attempts after injected faults").inc(rec.retry_count)
-        if rec.wall_time_s is not None:
-            reg.histogram("train_step_seconds", "wall time per step") \
-                .observe(rec.wall_time_s)
+    def _write(self, record: dict) -> None:
+        if self._file is not None:
+            self._file.write(json.dumps(record, sort_keys=True) + "\n")
+            self._file.flush()
 
     def _summarize(self, profile) -> dict:
         steps = self.steps

@@ -20,7 +20,6 @@ from repro.core.fpdt_model import FPDTModelRunner
 from repro.models.transformer import GPTModel
 from repro.runtime.executor import executor_stats
 from repro.runtime.trace_analysis import summarize
-from repro.telemetry.monitors import checksum_params
 from repro.telemetry.runlog import RunLogger, StepRecord
 from repro.training.data import SyntheticCorpus, make_batch
 from repro.training.optimizer import Adam
@@ -205,10 +204,8 @@ class Trainer:
             grad_norm=grad_norm,
             wall_time_s=time.perf_counter() - t_start,
         )
-        world = 1
         if self.runner is not None:
             cluster = self.runner.cluster
-            world = cluster.world_size
             mem = cluster.memory_stats()
             record.hbm_live_bytes = [s["in_use"] for s in mem["hbm"]]
             record.hbm_peak_bytes = [s["peak"] for s in mem["hbm"]]
@@ -227,10 +224,6 @@ class Trainer:
         record.executor_fork_joins = ex["fork_joins"]
         record.executor_busy_fraction = ex["busy_fraction"]
         record.executor_backend = ex["backend"]
-        # Post-step parameters are replicated across ranks by
-        # construction here; a real deployment feeds per-rank values.
-        checksum = checksum_params(self.model.all_params())
-        record.param_checksums = {rank: checksum for rank in range(world)}
         if self.tracer is not None:
             record.spans_emitted_total = len(self.tracer.spans)
         self.telemetry.log_step(record)
@@ -322,6 +315,4 @@ class Trainer:
             from repro.profiler import profile_cluster
 
             self.result.profile = profile_cluster(self.runner.cluster)
-            if self.telemetry is not None:
-                self.telemetry.observe_profile(self.result.profile)
         return self.result

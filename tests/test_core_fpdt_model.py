@@ -2,6 +2,8 @@
 must match the single-device reference model, including the shuffled
 data layout, chunked loss head and ignore-index handling."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,44 @@ class TestFPDTModelEquivalence:
         assert l1 == l2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
+
+
+class TestRankBalance:
+    """The rank-ordinal shuffle (paper §4, Fig. 6): rank ``r``'s ``i``-th
+    chunk is the ``r``-th slice of global chunk ``i``, so each chunk's
+    all-to-all gathers one contiguous causal block, and every rank (its
+    heads of that block) does the same work."""
+
+    @pytest.mark.parametrize("u", [1, 2, 4])
+    @pytest.mark.parametrize("world", [2, 4])
+    def test_every_rank_records_equal_compute_flops(self, world, u):
+        cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=2)
+        runner = FPDTModelRunner(
+            GPTModel(cfg, seed=0), VirtualCluster(world), num_chunks=u,
+            loss_chunks=2,
+        )
+        s = 4 * world * u
+        tokens, labels = _data(cfg, seed=1, s=s)
+        token_shards, label_shards, positions = runner.shard(tokens, labels)
+        c = s // (world * u)
+        for r in range(world):
+            np.testing.assert_array_equal(token_shards[r], tokens[:, positions[r]])
+            np.testing.assert_array_equal(label_shards[r], labels[:, positions[r]])
+        for i in range(u):
+            gathered = np.concatenate(
+                [positions[r][i * c:(i + 1) * c] for r in range(world)]
+            )
+            np.testing.assert_array_equal(
+                gathered, np.arange(i * world * c, (i + 1) * world * c)
+            )
+        runner.forward_backward(tokens, labels)
+        flops = defaultdict(float)
+        for event in runner.cluster.trace.events:
+            if event.kind == "compute":
+                flops[event.rank] += event.flops
+        assert sorted(flops) == list(range(world))
+        assert flops[0] > 0
+        assert all(f == flops[0] for f in flops.values()), dict(flops)
 
 
 class TestFPDTModelValidation:

@@ -25,7 +25,7 @@ from repro.profiler import profile_cluster
 from repro.runtime import VirtualCluster
 from repro.runtime.collectives import reduce_scatter
 from repro.runtime.trace_analysis import summarize
-from repro.telemetry import FaultRateMonitor, MemorySink, RunLogger
+from repro.telemetry import FaultRateMonitor, RunLogger
 from repro.training import SyntheticCorpus, Trainer
 
 
@@ -310,10 +310,7 @@ class TestFaultsDuringTraining:
         assert runs[0][1]["total_faults"] > 0  # the plan actually fired
 
     def test_telemetry_sees_fault_counters(self):
-        logger = RunLogger(
-            sinks=[MemorySink()],
-            monitors=[FaultRateMonitor(max_retries_per_step=1)],
-        )
+        logger = RunLogger(monitors=[FaultRateMonitor(max_retries_per_step=1)])
         plan = FaultPlan(seed=5, collective_rate=0.5, max_failures_per_op=2)
         trainer = _faulty_trainer(plan=plan, telemetry=logger)
         trainer.train(3, batch_size=2, seq_len=16)
@@ -322,9 +319,6 @@ class TestFaultsDuringTraining:
         assert summary["fault_count"] == injector.stats()["total_faults"]
         assert summary["retry_count"] == injector.retries
         assert summary["retry_backoff_s"] == pytest.approx(injector.backoff_s)
-        assert logger.registry.counter(
-            "fault_retries_total", ""
-        ).value == injector.retries
         # Heavy per-step retry pressure trips the retry-storm monitor.
         assert any(a.monitor == "fault_rate" for a in logger.alerts)
 

@@ -2,9 +2,11 @@
 
 The acceptance contract: identical-seed reruns diff clean (exit 0);
 drift in a gated metric — final loss, peak HBM bytes, collective wire
-bytes, simulated MFU — beyond its relative tolerance exits non-zero.
+bytes, simulated MFU, the health-alert count — beyond its relative
+tolerance exits non-zero.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +18,7 @@ from repro.telemetry import (
     diff_paths,
     format_diffs,
     load_metrics,
+    StepRecord,
     read_run_log,
     telemetry_train_run,
 )
@@ -122,29 +125,6 @@ class TestLoadMetrics:
         with pytest.raises(ValueError, match="no run_summary"):
             load_metrics(path)
 
-    def test_experiment_json_flattens_numeric_leaves(self, tmp_path):
-        path = tmp_path / "figure14.json"
-        path.write_text(json.dumps({
-            "experiment": "Figure 14",
-            "data": {
-                "divergence": {"fpdt": 0.0, "ulysses": 0.0},
-                "telemetry": {"final_loss": 3.2, "alerts": 0},
-                "curves": {"baseline": [3.5, 3.4]},
-                "flag": True,  # booleans are not metrics
-            },
-        }))
-        metrics = load_metrics(path)
-        assert metrics["divergence.fpdt"] == 0.0
-        assert metrics["telemetry.final_loss"] == 3.2
-        assert metrics["curves.baseline[1]"] == 3.4
-        assert "flag" not in metrics
-
-    def test_experiment_json_diffs_against_itself(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"data": {"telemetry": {"final_loss": 3.0}}}))
-        diffs = diff_paths(path, path, default_tol=1e-6)
-        assert diffs and not any(d.regressed for d in diffs)
-
 
 class TestMetricsCLI:
     def test_identical_seed_rerun_diffs_clean(self, run_logs, capsys):
@@ -189,6 +169,14 @@ class TestMetricsCLI:
                                sim_mfu=baseline["sim_mfu"] * 1.1)
         assert main(["metrics", "diff", str(a), str(bad)]) == 1
 
+    def test_alert_count_drift_fails_gate(self, run_logs, tmp_path, capsys):
+        """A monitor firing on the canonical run fails the gate."""
+        a, _ = run_logs
+        assert load_metrics(a)["alerts"] == 0
+        bad = _perturb_summary(a, tmp_path / "alerts.jsonl", alerts=1)
+        assert main(["metrics", "diff", str(a), str(bad)]) == 1
+        assert "alerts" in capsys.readouterr().err
+
     def test_tol_override_rescues_drift(self, run_logs, tmp_path):
         a, _ = run_logs
         baseline = load_metrics(a)
@@ -202,6 +190,15 @@ class TestMetricsCLI:
         a, b = run_logs
         assert main(["metrics", "diff", str(a), str(b), "--tol", "oops"]) == 2
         assert "METRIC=REL" in capsys.readouterr().err
+
+    def test_non_run_log_input_exits_2(self, run_logs, tmp_path, capsys):
+        """Only run logs are read: an experiment's results JSON is
+        rejected with a message, not a traceback."""
+        a, _ = run_logs
+        doc = tmp_path / "table1.json"
+        doc.write_text(json.dumps({"data": {"final_loss": 3.0}}, indent=1))
+        assert main(["metrics", "diff", str(a), str(doc)]) == 2
+        assert "not a complete JSONL run log" in capsys.readouterr().err
 
     def test_summary_renders_run_log(self, run_logs, capsys):
         a, _ = run_logs
@@ -228,7 +225,9 @@ class TestRunLogContents:
         assert len(first["hbm_live_bytes"]) == 2  # one per rank
         assert first["collective_bytes"] > 0
         assert first["h2d_bytes"] > 0 and first["d2h_bytes"] > 0
-        assert set(first["param_checksums"]) == {"0", "1"}
+        assert set(first) == {"record"} | {
+            f.name for f in dataclasses.fields(StepRecord)
+        }
         assert log.summary["sim_mfu"] > 0
         assert log.summary["tokens_per_sec"] > 0
         assert log.summary["alerts"] == 0

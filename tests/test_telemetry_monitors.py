@@ -1,37 +1,34 @@
-"""Health monitors: fault injection and healthy-run silence.
+"""Health monitors and the run logger that feeds them.
 
 Each monitor gets both directions: a deliberately injected fault (a
-leaked chunk-cache allocation, a perturbed rank parameter, a skewed
-compute trace) must fire, and the corresponding healthy run must not.
+leaked chunk-cache allocation, an SLO-violating latency) must fire, and
+the corresponding healthy run must not.
 """
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.core import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt
-from repro.profiler import profile_cluster
 from repro.runtime import VirtualCluster
 from repro.telemetry import (
-    DesyncMonitor,
-    HealthMonitor,
-    MemorySink,
     MemoryWatermarkMonitor,
     RunLogger,
     StepRecord,
-    StragglerMonitor,
-    checksum_params,
+    read_run_log,
 )
 from repro.telemetry.runlog import SNAPSHOTS
 from repro.training import SyntheticCorpus
 from repro.training.trainer import Trainer
 
+PATIENCE = MemoryWatermarkMonitor.PATIENCE
 
-def _record(step, *, host=0, hbm=(), checksums=None):
+
+def _record(step, *, host=0, hbm=()):
     return StepRecord(
         step=step, loss=1.0, lr=1e-3, tokens=32, tokens_total=32 * (step + 1),
         host_live_bytes=host, hbm_live_bytes=list(hbm),
-        param_checksums=dict(checksums or {}),
     )
 
 
@@ -58,7 +55,7 @@ class TestMemoryWatermarkMonitor:
         """Fault injection: one chunk-cache host allocation leaked per
         step makes host live bytes grow monotonically — the monitor
         must flag it during a real training loop."""
-        monitor = MemoryWatermarkMonitor(patience=3)
+        monitor = MemoryWatermarkMonitor()
         logger = _telemetry_trainer(leak_bytes=4096, steps=8,
                                     monitors=[monitor])
         assert monitor.fired
@@ -70,134 +67,34 @@ class TestMemoryWatermarkMonitor:
     def test_healthy_run_is_silent(self):
         """A correct FPDT-offload step returns its pools to baseline,
         so the same loop without the injected leak must not fire."""
-        monitor = MemoryWatermarkMonitor(patience=3)
+        monitor = MemoryWatermarkMonitor()
         _telemetry_trainer(leak_bytes=0, steps=8, monitors=[monitor])
         assert not monitor.fired
 
     def test_growth_must_be_sustained(self):
-        monitor = MemoryWatermarkMonitor(patience=3)
-        # Grows twice, resets, grows twice: never 3 in a row.
-        for step, host in enumerate([10, 20, 30, 5, 15, 25]):
+        monitor = MemoryWatermarkMonitor()
+        # Grows PATIENCE - 1 steps in a row, drops, and does it again.
+        rising = [10 * (i + 1) for i in range(PATIENCE)]
+        for step, host in enumerate(rising + rising):
             monitor.observe_step(_record(step, host=host))
         assert not monitor.fired
 
     def test_refires_along_a_long_leak(self):
-        monitor = MemoryWatermarkMonitor(patience=2)
-        for step in range(6):
+        monitor = MemoryWatermarkMonitor()
+        for step in range(2 * PATIENCE + 1):
             monitor.observe_step(_record(step, host=100 * (step + 1)))
-        # Streak hits 2, 4 — one alert each (not one per step).
+        # Streak hits PATIENCE, 2 * PATIENCE — one alert each (not one
+        # per step).
         assert len(monitor.alerts) == 2
 
     def test_tracks_per_rank_hbm_pools(self):
-        monitor = MemoryWatermarkMonitor(patience=2)
-        for step in range(4):
+        monitor = MemoryWatermarkMonitor()
+        for step in range(PATIENCE + 1):
             monitor.observe_step(
                 _record(step, hbm=(1000, 1000 + 64 * step))
             )
         assert monitor.fired
         assert monitor.alerts[0].data["pool"] == "hbm:1"
-
-    def test_patience_validation(self):
-        with pytest.raises(ValueError):
-            MemoryWatermarkMonitor(patience=0)
-
-
-class TestDesyncMonitor:
-    def test_fires_on_perturbed_rank_parameter(self):
-        """Fault injection: perturb one element of one rank's parameter
-        copy — its checksum shifts and the spread check must fire."""
-        cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=1, vocab_size=32)
-        params = GPTModel(cfg, seed=0).all_params()
-        healthy = checksum_params(params)
-        perturbed = dict(params)
-        name = sorted(params)[0]
-        bad = params[name].copy()
-        bad.flat[0] += 1e-3
-        perturbed[name] = bad
-        monitor = DesyncMonitor()
-        alerts = monitor.observe_checksums(
-            5, {0: healthy, 1: checksum_params(perturbed), 2: healthy}
-        )
-        assert monitor.fired
-        assert alerts[0].step == 5
-        assert alerts[0].data["spread"] > 0
-
-    def test_identical_checksums_are_silent(self):
-        cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=1, vocab_size=32)
-        c = checksum_params(GPTModel(cfg, seed=0).all_params())
-        monitor = DesyncMonitor()
-        assert monitor.observe_checksums(0, {0: c, 1: c, 2: c, 3: c}) == []
-        assert not monitor.fired
-
-    def test_single_rank_cannot_desync(self):
-        monitor = DesyncMonitor()
-        assert monitor.observe_checksums(0, {0: 1.0}) == []
-
-    def test_tolerance_allows_small_spread(self):
-        monitor = DesyncMonitor(tolerance=1e-6)
-        assert monitor.observe_checksums(0, {0: 1.0, 1: 1.0 + 1e-7}) == []
-        assert monitor.observe_checksums(1, {0: 1.0, 1: 1.0 + 1e-5})
-
-    def test_observes_step_records(self):
-        monitor = DesyncMonitor()
-        monitor.observe_step(_record(2, checksums={0: 1.0, 1: 2.0}))
-        assert monitor.fired and monitor.alerts[0].step == 2
-
-    def test_real_training_loop_stays_in_sync(self):
-        monitor = DesyncMonitor()
-        _telemetry_trainer(steps=4, monitors=[monitor])
-        assert not monitor.fired
-
-    def test_checksum_sensitive_to_single_element(self):
-        params = {"a": np.ones((4, 4)), "b": np.arange(8.0)}
-        base = checksum_params(params)
-        params["b"] = params["b"].copy()
-        params["b"][3] += 1e-9
-        assert checksum_params(params) != base
-
-
-class TestStragglerMonitor:
-    def _profile(self, flops_by_rank):
-        cluster = VirtualCluster(len(flops_by_rank))
-        for rank, flops in enumerate(flops_by_rank):
-            cluster.devices[rank].compute("gemm", flops=flops, stream="compute")
-        return profile_cluster(cluster)
-
-    def test_fires_on_skewed_trace(self):
-        monitor = StragglerMonitor(imbalance_threshold=1.25)
-        alerts = monitor.observe_profile(self._profile([4e12, 1e12]))
-        assert monitor.fired
-        assert alerts[0].data["worst_rank"] == 0
-        assert alerts[0].data["ratio"] == pytest.approx(4 / 2.5)
-        assert alerts[0].step == -1  # run-level, not tied to a step
-
-    def test_balanced_trace_is_silent(self):
-        monitor = StragglerMonitor()
-        assert monitor.observe_profile(self._profile([1e12, 1e12])) == []
-
-    def test_single_rank_is_silent(self):
-        monitor = StragglerMonitor()
-        assert monitor.observe_profile(self._profile([1e12])) == []
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            StragglerMonitor(imbalance_threshold=1.0)
-
-    def test_balanced_fpdt_run_is_silent(self):
-        """FPDT's load-balanced chunking keeps the simulated per-rank
-        compute times equal, so a real profiled run must not fire."""
-        cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=2, vocab_size=32)
-        model = GPTModel(cfg, seed=3)
-        corpus = SyntheticCorpus(cfg.vocab_size, branching=2, seed=3)
-        runner = FPDTModelRunner(
-            model, VirtualCluster(2), num_chunks=2, offload=True, loss_chunks=2
-        )
-        monitor = StragglerMonitor()
-        logger = RunLogger(monitors=[monitor])
-        Trainer(model, corpus, runner=runner, lr=5e-3, telemetry=logger).train(
-            2, batch_size=2, seq_len=16, profile=True
-        )
-        assert not monitor.fired
 
 
 class TestSLObjective:
@@ -287,65 +184,31 @@ class TestSLOMonitor:
         assert monitor.last["ttft_p99"]["skipped"]
         assert monitor.violations == 0
 
-    def test_eval_every_drives_step_observation(self):
-        from repro.telemetry import SLOMonitor
-
-        registry = self._registry([50])
-        monitor = SLOMonitor(["latency_p50<=10"], registry=registry,
-                             eval_every=2)
-        assert monitor.observe_step(_record(0))  # step 0: evaluates
-        assert monitor.observe_step(_record(1)) == []  # step 1: skip
-        assert monitor.observe_step(_record(2))  # step 2: evaluates again
-        assert monitor.violations == 2
-
 
 class TestRunLoggerAlertPlumbing:
-    def test_alerts_reach_sinks_as_records(self):
-        sink = MemorySink()
-        logger = RunLogger(sinks=[sink], monitors=[DesyncMonitor()])
-        logger.log_step(_record(0, checksums={0: 1.0, 1: 5.0}))
-        kinds = [r["record"] for r in sink.records]
-        assert kinds == ["step", "alert"]
-        assert sink.records[1]["monitor"] == "cross_rank_desync"
+    def test_alerts_reach_the_run_log_as_records(self, tmp_path):
+        path = tmp_path / "sub" / "run.jsonl"  # parent dir auto-created
+        logger = RunLogger(path, monitors=[MemoryWatermarkMonitor()])
+        for step in range(PATIENCE + 1):
+            logger.log_step(_record(step, host=100 * (step + 1)))
+        # Flushed per record: a run that dies here still leaves its log.
+        kinds = [json.loads(line)["record"]
+                 for line in path.read_text().splitlines()]
+        assert kinds == ["step"] * (PATIENCE + 1) + ["alert"]
         summary = logger.finish()
         assert summary["alerts"] == 1
-        assert sink.closed  # finish() closes the sinks
-        assert sink.records[-1]["record"] == "run_summary"
+        log = read_run_log(path)
+        assert [r["step"] for r in log.steps] == list(range(PATIENCE + 1))
+        assert log.alerts[0]["monitor"] == "memory_watermark"
+        assert log.summary == {"record": "run_summary", **summary}
+        assert [a.to_record() for a in logger.alerts] == log.alerts
 
-    def test_each_new_profile_reaches_the_monitors(self):
-        """Short-lived profiles are freed between calls, so CPython
-        hands their ids to the next one: the dedupe must compare the
-        objects, not their ids."""
-
-        class Counting(HealthMonitor):
-            name = "counting"
-            profiles = 0
-
-            def observe_profile(self, profile):
-                self.profiles += 1
-                return []
-
-        class StandInProfile:
-            pass
-
-        monitor = Counting()
-        logger = RunLogger(monitors=[monitor])
-        for _ in range(5):
-            logger.observe_profile(StandInProfile())
-        assert monitor.profiles == 5
-        profile = StandInProfile()
-        logger.observe_profile(profile)
-        logger.observe_profile(profile)  # the same profile again: no-op
-        assert monitor.profiles == 6
-
-    def test_snapshot_counters_reach_registry_and_summary(self):
+    def test_snapshot_counters_reach_the_summary(self):
         logger = RunLogger()
         record = _record(0)
         for i, name in enumerate(SNAPSHOTS):
             setattr(record, name, i + 1)
         logger.log_step(record)
         summary = logger.finish()
-        snapshot = logger.registry.snapshot()
         for i, name in enumerate(SNAPSHOTS):
-            assert snapshot[name] == i + 1
             assert summary[name] == i + 1

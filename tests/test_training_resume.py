@@ -14,7 +14,7 @@ import pytest
 from repro.core.fpdt_model import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt
 from repro.runtime import VirtualCluster
-from repro.telemetry import MemorySink, RunLogger
+from repro.telemetry import RunLogger
 from repro.training import (
     PackedDocumentCorpus,
     SyntheticCorpus,
@@ -47,11 +47,11 @@ def _trainer(seed, *, fpdt=False, telemetry=None):
 class TestResumeEquivalence:
     @pytest.mark.parametrize("fpdt", [False, True], ids=["reference", "fpdt"])
     def test_split_run_matches_uninterrupted_bitwise(self, tmp_path, fpdt):
-        ref_logger = RunLogger(sinks=[MemorySink()])
+        ref_logger = RunLogger()
         ref = _trainer(seed=3, fpdt=fpdt, telemetry=ref_logger)
         ref.train(8, batch_size=2, seq_len=16)
 
-        logger_a = RunLogger(sinks=[MemorySink()])
+        logger_a = RunLogger()
         first = _trainer(seed=3, fpdt=fpdt, telemetry=logger_a)
         first.train(
             4, batch_size=2, seq_len=16,
@@ -61,7 +61,7 @@ class TestResumeEquivalence:
         # Fresh everything, as a restarted process: different model
         # init seed (overwritten by the restore), fresh corpus (its RNG
         # position comes from the checkpoint), fresh optimizer.
-        logger_b = RunLogger(sinks=[MemorySink()])
+        logger_b = RunLogger()
         second = _trainer(seed=3, fpdt=fpdt, telemetry=logger_b)
         second.model.__init__(second.model.config, seed=999)
         result = second.train(

@@ -66,6 +66,8 @@ def run_suite(*, quick: bool = False, echo=None) -> dict:
 
 
 def save_results(doc: dict, path: str | Path) -> Path:
+    """Write a :func:`run_suite` document to ``path`` as sorted,
+    indented JSON (parent directories are created); returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -494,6 +494,8 @@ def cmd_metrics_summary(args: argparse.Namespace) -> int:
         print(f"  simulated MFU   {summary['sim_mfu']:.2e}")
     if summary.get("tokens_per_sec") is not None:
         print(f"  tokens/sec      {summary['tokens_per_sec']:,.0f}")
+    for crash in log.crashes:
+        print(f"  crash           step {crash['step']}: {crash['error']}")
     print(f"  health alerts   {len(log.alerts)}")
     for alert in log.alerts:
         print(f"    [{alert['monitor']}] step {alert['step']}: {alert['message']}")

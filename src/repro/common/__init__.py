@@ -4,7 +4,7 @@ These modules have no dependencies on the rest of :mod:`repro`; everything
 else builds on them.
 """
 
-from repro.common.dtypes import DType, dtype_size
+from repro.common.dtypes import DType
 from repro.common.errors import (
     FPDTError,
     OutOfMemoryError,
@@ -20,14 +20,12 @@ from repro.common.units import (
     TB,
     TIB,
     format_bytes,
-    format_count,
     format_tokens,
     parse_tokens,
 )
 
 __all__ = [
     "DType",
-    "dtype_size",
     "FPDTError",
     "OutOfMemoryError",
     "ShapeError",
@@ -40,7 +38,6 @@ __all__ = [
     "GIB",
     "TIB",
     "format_bytes",
-    "format_count",
     "format_tokens",
     "parse_tokens",
 ]

@@ -49,13 +49,3 @@ class DType(enum.Enum):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DType.{self.name}"
-
-
-def dtype_size(dtype: DType | str) -> int:
-    """Byte size of a storage dtype, accepting the enum or its label."""
-    if isinstance(dtype, DType):
-        return dtype.nbytes
-    for member in DType:
-        if member.label == dtype:
-            return member.nbytes
-    raise ValueError(f"unknown dtype: {dtype!r}")

@@ -78,11 +78,3 @@ def format_bytes(n: float, *, binary: bool = True) -> str:
         if abs(n) >= scale:
             return f"{n / scale:.1f}{suffix}"
     return f"{n:.0f}B"
-
-
-def format_count(n: float) -> str:
-    """Human-readable large count (parameters, FLOPs): 2.7B, 312T, ..."""
-    for scale, suffix in [(1e12, "T"), (1e9, "B"), (1e6, "M"), (1e3, "K")]:
-        if abs(n) >= scale:
-            return f"{n / scale:.3g}{suffix}"
-    return f"{n:.0f}"

@@ -46,8 +46,3 @@ def run_experiment(name: str, **kwargs) -> ExperimentResult:
     where supported).
     """
     return get_experiment(name)(**kwargs)
-
-
-def all_experiments() -> dict[str, Callable[..., ExperimentResult]]:
-    """Every experiment's ``run`` callable, keyed by name."""
-    return {name: get_experiment(name) for name in EXPERIMENT_NAMES}

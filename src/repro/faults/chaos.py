@@ -16,6 +16,10 @@ FPDT-offload configuration the telemetry harness uses:
    cluster, injector) restores the last checkpoint via
    ``train(resume_from=...)`` and finishes the step budget.
 
+Both lives of the chaos run write one run log: the crashed life's
+steps, a ``crash`` record, then the resumed life's steps, where those
+that run again after the checkpoint are marked ``replayed``.
+
 The verdict is ``bitwise_equal``: the concatenation of the crashed
 prefix (up to the checkpoint) and the resumed losses must equal the
 clean curve **bit for bit** — transient faults cost only retries
@@ -59,9 +63,9 @@ class ChaosRun:
     bitwise_equal: bool
     #: Merged injector counters across the crashed and resumed lives.
     fault_stats: dict = field(default_factory=dict)
-    #: Telemetry run summary of the chaos run's resumed (or only) life.
+    #: Telemetry run summary of the chaos run, both lives.
     summary: dict | None = None
-    #: Retry-storm alerts raised by the FaultRateMonitor.
+    #: Retry-storm alerts raised by the FaultRateMonitor, both lives.
     alerts: int = 0
     checkpoint: Path | None = None
     #: Flight-recorder dump left by the crash (``flight_recorder_path``
@@ -80,13 +84,6 @@ def _build(seed: int, world: int, num_chunks: int):
         offload=True, loss_chunks=2,
     )
     return model, corpus, runner
-
-
-def _logger(run_log_path, max_retries_per_step: int) -> RunLogger:
-    return RunLogger(
-        run_log_path,
-        monitors=[FaultRateMonitor(max_retries_per_step=max_retries_per_step)],
-    )
 
 
 def chaos_run(
@@ -148,7 +145,10 @@ def chaos_run(
         # 2. Chaos run — injector attached, checkpointing as it goes.
         model, corpus, runner = _build(seed, world, num_chunks)
         injector = FaultInjector(plan).attach(runner.cluster)
-        logger = _logger(run_log_path, max_retries_per_step)
+        logger = RunLogger(
+            run_log_path,
+            monitors=[FaultRateMonitor(max_retries_per_step=max_retries_per_step)],
+        )
         tracer = recorder = None
         if flight_recorder_path is not None:
             from repro.obs import FlightRecorder, SpanTracer
@@ -169,10 +169,9 @@ def chaos_run(
                 checkpoint_every=checkpoint_every, checkpoint_path=ckpt,
             )
             chaos_losses = list(trainer.result.losses)
-            summary = logger.finish(trainer.result)
-            alerts = len(logger.alerts)
         except InjectedCrash as crash:
             crashed_losses = list(trainer.result.losses)
+            logger.log_crash(crash.step, crash)
             # Error listeners dumped from inside the dying span already;
             # this fallback covers a crash outside any span context.
             if recorder is not None and recorder.dumped is None:
@@ -184,7 +183,6 @@ def chaos_run(
             model, corpus, runner = _build(seed, world, num_chunks)
             injector2 = FaultInjector(resume_plan).attach(runner.cluster)
             stats.append(injector2.stats)
-            logger = _logger(run_log_path, max_retries_per_step)
             trainer2 = Trainer(
                 model, corpus, runner=runner, lr=5e-3, grad_clip=1.0,
                 telemetry=logger,
@@ -202,8 +200,7 @@ def chaos_run(
             chaos_losses = crashed_losses[:resumed_from] + list(
                 trainer2.result.losses
             )
-            summary = logger.finish(trainer2.result)
-            alerts = len(logger.alerts)
+        summary = logger.finish()
 
         bitwise_equal = len(chaos_losses) == len(clean_losses) and all(
             a == b for a, b in zip(chaos_losses, clean_losses)
@@ -217,7 +214,7 @@ def chaos_run(
             bitwise_equal=bitwise_equal,
             fault_stats=merge_stats(*(s() for s in stats)),
             summary=summary,
-            alerts=alerts,
+            alerts=len(logger.alerts),
             checkpoint=normalize_checkpoint_path(ckpt) if tmp is None else None,
             flight_recorder=recorder.dumped if recorder is not None else None,
         )

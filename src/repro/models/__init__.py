@@ -27,8 +27,6 @@ from repro.models.attention import (
 from repro.models.loss import (
     chunked_lm_head_backward,
     chunked_lm_head_forward,
-    softmax_cross_entropy_backward,
-    softmax_cross_entropy_forward,
 )
 from repro.models.transformer import GPTModel, TransformerBlock
 from repro.models.runner import ShardedModelRunner
@@ -48,8 +46,6 @@ __all__ = [
     "attention_backward_reference",
     "attention_block_backward",
     "AttentionFold",
-    "softmax_cross_entropy_forward",
-    "softmax_cross_entropy_backward",
     "chunked_lm_head_forward",
     "chunked_lm_head_backward",
     "GPTModel",

@@ -189,20 +189,14 @@ def gate_sigmoid(cache: tuple) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-cache[0]))
 
 
-def silu_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """SiLU / swish, the gate nonlinearity of SwiGLU; the cache is
-    ``(x,)``."""
-    cache = (x,)
-    return silu_output(cache, gate_sigmoid(cache)), cache
-
-
 def silu_output(cache: tuple, sig: np.ndarray) -> np.ndarray:
-    """``x * sig``."""
+    """SiLU / swish, the gate nonlinearity of SwiGLU: ``x * sig`` for
+    the cache ``(x,)``."""
     return cache[0] * sig
 
 
 def silu_backward(dy: np.ndarray, cache: tuple, sig: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`silu_forward`; ``sig`` is :func:`gate_sigmoid`'s."""
+    """Adjoint of :func:`silu_output`; ``sig`` is :func:`gate_sigmoid`'s."""
     x = cache[0]
     return dy * sig * (1.0 + x * (1.0 - sig))
 

@@ -1,4 +1,4 @@
-"""Cross-entropy language-model loss, plain and vocabulary-chunked.
+"""Cross-entropy language-model loss, streamed over vocabulary chunks.
 
 §5.4 of the paper identifies the final projection + softmax +
 cross-entropy as a major memory spike: logits are ``[tokens, vocab]`` in
@@ -17,38 +17,6 @@ import numpy as np
 from repro.common.errors import ShapeError
 
 IGNORE_INDEX = -100
-
-
-def softmax_cross_entropy_forward(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, tuple]:
-    """Mean token cross-entropy.
-
-    ``logits``: ``[n, vocab]`` float; ``labels``: ``[n]`` int, with
-    :data:`IGNORE_INDEX` marking padding tokens that contribute nothing.
-    Returns ``(loss, cache)``.
-    """
-    if logits.ndim != 2 or labels.ndim != 1 or logits.shape[0] != labels.shape[0]:
-        raise ShapeError(
-            f"logits [n, vocab] and labels [n] required, got {logits.shape}, {labels.shape}"
-        )
-    valid = labels != IGNORE_INDEX
-    n_valid = int(valid.sum())
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    safe_labels = np.where(valid, labels, 0)
-    token_loss = logsumexp - shifted[np.arange(len(labels)), safe_labels]
-    loss = float((token_loss * valid).sum() / max(n_valid, 1))
-    return loss, (shifted, logsumexp, safe_labels, valid, n_valid)
-
-
-def softmax_cross_entropy_backward(cache: tuple, *, grad_scale: float = 1.0) -> np.ndarray:
-    """``dlogits`` for ``grad_scale * loss`` (mean over valid tokens)."""
-    shifted, logsumexp, safe_labels, valid, n_valid = cache
-    probs = np.exp(shifted - logsumexp[:, None])
-    probs[np.arange(len(safe_labels)), safe_labels] -= 1.0
-    probs *= (valid / max(n_valid, 1) * grad_scale)[:, None]
-    return probs
 
 
 def suggested_loss_chunks(vocab_size: int, hidden_size: int) -> int:

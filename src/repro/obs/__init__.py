@@ -24,17 +24,15 @@ from repro.obs.postmortem import (
     render_postmortem,
     render_spans,
     render_tree,
-    ttft_breakdown,
 )
 from repro.obs.recorder import DEFAULT_DUMP_EXCEPTIONS, FlightRecorder
-from repro.obs.span import Span, SpanTracer, atomic_write_json, span_from_dict
+from repro.obs.span import Span, SpanTracer, atomic_write_json
 
 __all__ = [
     "Span",
     "SpanTracer",
     "FlightRecorder",
     "DEFAULT_DUMP_EXCEPTIONS",
-    "span_from_dict",
     "atomic_write_json",
     "load_dump",
     "all_spans",
@@ -43,5 +41,4 @@ __all__ = [
     "render_tree",
     "render_spans",
     "render_postmortem",
-    "ttft_breakdown",
 ]

@@ -214,37 +214,3 @@ def render_postmortem(doc: dict) -> str:
                 f"retries={rec.get('retry_count', 0)}"
             )
     return "\n".join(lines)
-
-
-def ttft_breakdown(root: dict) -> dict | None:
-    """Decompose a request root span's TTFT into phase durations.
-
-    Uses the ``queued`` / ``prefill`` / ``decode`` phase child spans
-    and the root's recorded ticks.  Returns ``None`` when the request
-    never produced a first token.  The identity checked by tests and
-    the serve gate::
-
-        ttft == queue_ticks + prefill_ticks + first_decode_ticks
-    """
-    attrs = root.get("attrs", {})
-    first_token = attrs.get("first_token_tick")
-    arrival = attrs.get("arrival_tick", root.get("start"))
-    if first_token is None or arrival is None:
-        return None
-    phases = {c["name"]: c for c in root.get("children", []) if c.get("end") is not None}
-    queued = phases.get("queued")
-    prefill = phases.get("prefill")
-    queue_ticks = (queued["end"] - queued["start"]) if queued else 0.0
-    prefill_ticks = (prefill["end"] - prefill["start"]) if prefill else 0.0
-    prefill_done = attrs.get("prefill_done_tick")
-    first_decode = (
-        float(first_token) - float(prefill_done)
-        if prefill_done is not None
-        else 0.0
-    )
-    return {
-        "ttft": float(first_token) - float(arrival),
-        "queue_ticks": float(queue_ticks),
-        "prefill_ticks": float(prefill_ticks),
-        "first_decode_ticks": float(first_decode),
-    }

@@ -109,26 +109,6 @@ class Span:
         }
 
 
-def span_from_dict(doc: dict) -> Span:
-    """Rebuild a :class:`Span` from :meth:`Span.to_dict` output."""
-    return Span(
-        trace_id=doc["trace_id"],
-        span_id=doc["span_id"],
-        parent_id=doc.get("parent_id"),
-        name=doc.get("name", ""),
-        kind=doc.get("kind", "span"),
-        start=doc.get("start", 0.0),
-        end=doc.get("end"),
-        seq=doc.get("seq", -1),
-        attrs=dict(doc.get("attrs", {})),
-        event_counts=dict(doc.get("event_counts", {})),
-        event_bytes=dict(doc.get("event_bytes", {})),
-        first_event=doc.get("first_event"),
-        last_event=doc.get("last_event"),
-        error=doc.get("error"),
-    )
-
-
 class SpanTracer:
     """Span factory, context stack, and completed-span log.
 

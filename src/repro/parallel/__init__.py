@@ -9,8 +9,8 @@ movement and the same block kernels as the reference model:
   et al., 2023: all-to-all head scatter / sequence gather around the
   attention core) is its ``(world, 1)`` mesh and Ring Attention (Liu et
   al., 2023: blockwise attention with rotating KV blocks) its
-  ``(1, world)`` mesh; :class:`UlyssesModelRunner` and
-  :class:`RingModelRunner` are those two presets.
+  ``(1, world)`` mesh; :class:`UlyssesModelRunner` is the first as a
+  preset.
 * :mod:`repro.parallel.megatron_sp` — Megatron-SP (Korthikanti et al., 2023):
   tensor parallelism with all-gather / reduce-scatter sequence parallelism.
 
@@ -32,7 +32,6 @@ from repro.parallel.megatron_sp import (
 )
 from repro.parallel.megatron_model import MegatronModelRunner
 from repro.parallel.usp import (
-    RingModelRunner,
     UlyssesModelRunner,
     USPBlockContext,
     USPModelRunner,
@@ -46,7 +45,6 @@ __all__ = [
     "DeviceMesh",
     "ProcessGroup",
     "world_group",
-    "RingModelRunner",
     "UlyssesModelRunner",
     "USPModelRunner",
     "USPBlockContext",

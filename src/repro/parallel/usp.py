@@ -17,8 +17,8 @@ Everything outside attention is token-local and reuses the reference
 block kernels.
 
 The two flat strategies are the degenerate corners of the mesh, not
-separate code — :class:`UlyssesModelRunner` and :class:`RingModelRunner`
-are presets that only fix ``seq_parallel``:
+separate code — :class:`UlyssesModelRunner` is a preset that only fixes
+``seq_parallel``, and flat Ring is ``seq_parallel=(1, world)``:
 
 - ``(ulysses=world, ring=1)`` is DeepSpeed-Ulysses (Jacobs et al.,
   2023): one row spanning the world, so the mesh hands back the world
@@ -520,11 +520,3 @@ class UlyssesModelRunner(USPModelRunner):
             model, cluster, seq_parallel=(cluster.world_size, 1), **kwargs
         )
 
-
-class RingModelRunner(USPModelRunner):
-    """The Ring Attention baseline: the ``(1, world)`` mesh."""
-
-    def __init__(self, model, cluster: VirtualCluster, **kwargs):
-        super().__init__(
-            model, cluster, seq_parallel=(1, cluster.world_size), **kwargs
-        )

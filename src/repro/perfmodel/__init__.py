@@ -18,7 +18,6 @@ from repro.perfmodel.flops import (
     attention_flops,
     layer_flops,
     mfu,
-    model_flops_hardware,
     model_flops_reported,
     model_forward_flops,
 )
@@ -54,9 +53,7 @@ from repro.perfmodel.capacity import max_context_length, step_metrics
 from repro.perfmodel.tuning import (
     ChunkChoice,
     LayoutChoice,
-    StrategyChoice,
     autotune_layout,
-    autotune_strategy,
     layout_candidates,
     suggest_chunk_tokens,
 )
@@ -67,9 +64,7 @@ __all__ = [
     "plan_training",
     "ChunkChoice",
     "LayoutChoice",
-    "StrategyChoice",
     "suggest_chunk_tokens",
-    "autotune_strategy",
     "autotune_layout",
     "layout_candidates",
     "usp_strategy",
@@ -78,7 +73,6 @@ __all__ = [
     "attention_flops",
     "layer_flops",
     "model_forward_flops",
-    "model_flops_hardware",
     "model_flops_reported",
     "mfu",
     "TrainingStrategy",

@@ -73,14 +73,6 @@ def model_flops_reported(cfg: ModelConfig, s: int, *, batch: int = 1) -> float:
     return 3.0 * model_forward_flops(cfg, s, batch=batch)
 
 
-def model_flops_hardware(
-    cfg: ModelConfig, s: int, *, batch: int = 1, activation_checkpoint: bool = True
-) -> float:
-    """FLOPs the hardware actually executes; +1 forward under full AC."""
-    factor = 4.0 if activation_checkpoint else 3.0
-    return factor * model_forward_flops(cfg, s, batch=batch)
-
-
 def mfu(
     cfg: ModelConfig,
     s: int,

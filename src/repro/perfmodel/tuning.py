@@ -1,14 +1,13 @@
-"""Auto-tuning: pick the FPDT chunk size, strategy, or 2D layout.
+"""Auto-tuning: pick the FPDT chunk size or the 2D layout.
 
 §5.3 hand-derives 64K as the sweet spot for the paper's node; this
 module automates that derivation for any (model, world, node, sequence)
 point by sweeping the capacity + pipeline models — the knob-turning a
 user of the real system would otherwise do by trial OOM.
 
-Three granularities, nested:
+Two granularities, nested:
 
 * :func:`suggest_chunk_tokens` — FPDT chunk size at a fixed layout;
-* :func:`autotune_strategy` — best of the named baselines + tuned FPDT;
 * :func:`autotune_layout` — the full 2D sweep: every ``(ulysses ×
   ring)`` factorization of the world (USP) plus the FPDT chunk pipeline
   with and without offload, the search a NeMo-style autotuner runs
@@ -26,8 +25,6 @@ from repro.perfmodel.calibration import CALIBRATION, Calibration
 from repro.perfmodel.capacity import StepMetrics, step_metrics
 from repro.perfmodel.strategies import (
     FPDT_FULL,
-    MEGATRON_SP,
-    ULYSSES,
     TrainingStrategy,
     usp_strategy,
 )
@@ -92,50 +89,6 @@ def suggest_chunk_tokens(
     near_best = [c for c, m in feasible.items() if m.mfu >= best_mfu - mfu_slack]
     chunk = min(near_best)
     return ChunkChoice(chunk_tokens=chunk, metrics=feasible[chunk], swept=swept)
-
-
-@dataclass(frozen=True)
-class StrategyChoice:
-    strategy: TrainingStrategy
-    metrics: StepMetrics
-
-
-def autotune_strategy(
-    cfg: ModelConfig,
-    world: int,
-    s_global: int,
-    node: NodeSpec | None = None,
-    *,
-    calib: Calibration = CALIBRATION,
-) -> StrategyChoice | None:
-    """Pick the best-fitting strategy (baselines + tuned FPDT) for a
-    training point; None when nothing fits (buy more GPUs).
-
-    Options that fit but carry no MFU estimate cannot be ranked and are
-    dropped; if *every* fitting option lacks one, that is a modeling
-    bug, not a capacity verdict — raised loudly rather than returned as
-    an arbitrary winner.
-    """
-    node = node or paper_node_a100_80g()
-    options: list[StrategyChoice] = []
-    for strat in (MEGATRON_SP, ULYSSES):
-        sm = step_metrics(cfg, strat, s_global, world, node, calib=calib)
-        if sm.fits:
-            options.append(StrategyChoice(strat, sm))
-    tuned = suggest_chunk_tokens(cfg, world, s_global, node, calib=calib)
-    if tuned is not None:
-        options.append(
-            StrategyChoice(FPDT_FULL.with_chunk_tokens(tuned.chunk_tokens), tuned.metrics)
-        )
-    if not options:
-        return None
-    ranked = [o for o in options if o.metrics.mfu is not None]
-    if not ranked:
-        raise ValueError(
-            f"all {len(options)} fitting strategies lack an MFU estimate at "
-            f"s={s_global}, world={world} — the step-time model returned None"
-        )
-    return max(ranked, key=lambda o: o.metrics.mfu)
 
 
 # ----------------------------------------------------------------------

@@ -86,11 +86,3 @@ def summarize(trace: Trace, *, start: int = 0, end: int | None = None) -> TraceS
     summary.collective_bytes = dict(coll_bytes)
     summary.collective_count = dict(coll_count)
     return summary
-
-
-def alltoall_wire_bytes(trace: Trace, *, label_prefix: str = "all_to_all") -> int:
-    """Total all-to-all wire bytes (per rank) in a trace."""
-    return sum(
-        e.nbytes for e in trace.events
-        if e.kind == "collective" and e.label.startswith(label_prefix)
-    )

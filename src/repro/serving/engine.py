@@ -123,12 +123,8 @@ class ServingEngine:
         self._prefill_tokens = None
         self._decode_tokens = None
         if registry is not None:
-            self._prefill_tokens = registry.counter(
-                "serving_prefill_tokens", "prompt tokens encoded"
-            )
-            self._decode_tokens = registry.counter(
-                "serving_decode_tokens", "tokens decoded"
-            )
+            self._prefill_tokens = registry.counter("serving_prefill_tokens")
+            self._decode_tokens = registry.counter("serving_decode_tokens")
 
     # -- request lifecycle --------------------------------------------------
 

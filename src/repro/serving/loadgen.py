@@ -319,12 +319,8 @@ def run_load(
     if tracer is not None:
         spans_emitted = len(tracer.spans)
         orphans = len(orphan_spans(tracer.to_dicts()))
-        registry.gauge(
-            "spans_emitted_total", "completed causal spans"
-        ).set(spans_emitted)
-    registry.gauge(
-        "slo_violations_total", "SLO objectives found violated"
-    ).set(slo_violations)
+        registry.gauge("spans_emitted_total").set(spans_emitted)
+    registry.gauge("slo_violations_total").set(slo_violations)
 
     ttft = registry.histogram("serving_ttft_ticks").sample()
     latency = registry.histogram("serving_latency_ticks").sample()

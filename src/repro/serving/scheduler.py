@@ -102,31 +102,17 @@ class Scheduler:
         self.log: list[tuple[int, str, str]] = []
         self._metrics = None
         if registry is not None:
+            # The three histograms time from a request's arrival to its
+            # first token, its completion and its admission, in ticks.
             self._metrics = {
-                "submitted": registry.counter(
-                    "serving_requests_submitted", "requests offered"
-                ),
-                "rejected": registry.counter(
-                    "serving_requests_rejected", "requests refused at admission"
-                ),
-                "completed": registry.counter(
-                    "serving_requests_completed", "requests fully decoded"
-                ),
-                "ttft": registry.histogram(
-                    "serving_ttft_ticks", "arrival -> first token, in ticks"
-                ),
-                "latency": registry.histogram(
-                    "serving_latency_ticks", "arrival -> completion, in ticks"
-                ),
-                "queue_wait": registry.histogram(
-                    "serving_queue_wait_ticks", "arrival -> admission, in ticks"
-                ),
-                "queue_depth": registry.gauge(
-                    "serving_queue_depth", "queued requests"
-                ),
-                "live": registry.gauge(
-                    "serving_live_requests", "admitted, not yet complete"
-                ),
+                "submitted": registry.counter("serving_requests_submitted"),
+                "rejected": registry.counter("serving_requests_rejected"),
+                "completed": registry.counter("serving_requests_completed"),
+                "ttft": registry.histogram("serving_ttft_ticks"),
+                "latency": registry.histogram("serving_latency_ticks"),
+                "queue_wait": registry.histogram("serving_queue_wait_ticks"),
+                "queue_depth": registry.gauge("serving_queue_depth"),
+                "live": registry.gauge("serving_live_requests"),
             }
 
     # -- submission ---------------------------------------------------------

@@ -39,9 +39,8 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -61,9 +60,8 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -88,9 +86,8 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.values: list[float] = []
 
     def observe(self, value: float) -> None:
@@ -153,7 +150,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get(self, cls, name: str, help: str):
+    def _get(self, cls, name: str):
         name = sanitize_metric_name(name)
         existing = self._metrics.get(name)
         if existing is not None:
@@ -162,21 +159,21 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {existing.kind}"
                 )
             return existing
-        metric = cls(name, help)
+        metric = cls(name)
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         """Get or create a :class:`Counter`."""
-        return self._get(Counter, name, help)
+        return self._get(Counter, name)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         """Get or create a :class:`Gauge`."""
-        return self._get(Gauge, name, help)
+        return self._get(Gauge, name)
 
-    def histogram(self, name: str, help: str = "") -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """Get or create a :class:`Histogram`."""
-        return self._get(Histogram, name, help)
+        return self._get(Histogram, name)
 
     def names(self) -> list[str]:
         """Registered metric names, sorted."""

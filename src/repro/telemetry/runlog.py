@@ -6,6 +6,9 @@ One training run produces a JSONL stream of records:
   pre-clip grad norm, tokens, per-rank HBM live/peak bytes, host pool
   bytes, and the step's collective/H2D/D2H byte deltas from the trace;
 * ``{"record": "alert", ...}`` — a health monitor fired;
+* ``{"record": "crash", ...}`` — the run died at a step and will be
+  resumed from a checkpoint; the steps the resumed life runs again are
+  written a second time, marked ``"replayed": true``;
 * ``{"record": "run_summary", ...}`` — one final roll-up: final loss,
   peak HBM, total wire bytes, simulated MFU and tokens/sec when a
   profile was attached.  This is the row ``repro metrics diff`` gates
@@ -120,6 +123,7 @@ class RunLogger:
         self.steps: list[StepRecord] = []
         self.alerts: list[HealthAlert] = []
         self.summary: dict | None = None
+        self._next_step = 0  # one past the highest step logged
         self._file = None
         if path is not None:
             path = Path(path)
@@ -130,13 +134,27 @@ class RunLogger:
 
     def log_step(self, record: StepRecord) -> None:
         """Ingest one step: write it, then run the monitors and write
-        any alerts it raised."""
+        any alerts it raised.  A step at or below one already logged is
+        a replay after a crash and is written marked ``replayed``."""
         self.steps.append(record)
-        self._write(record.to_record())
+        row = record.to_record()
+        if record.step < self._next_step:
+            row["replayed"] = True
+        self._next_step = max(self._next_step, record.step + 1)
+        self._write(row)
         for monitor in self.monitors:
             for alert in monitor.observe_step(record):
                 self.alerts.append(alert)
                 self._write(alert.to_record())
+
+    def log_crash(self, step: int, exc: BaseException) -> None:
+        """Write a ``crash`` record: the run died at ``step`` with
+        ``exc``.  The log stays open for the resumed life."""
+        self._write({
+            "record": "crash",
+            "step": step,
+            "error": f"{type(exc).__name__}: {exc}",
+        })
 
     def finish(self, result=None, *, profile=None) -> dict:
         """Write the ``run_summary`` record, close the run log, and
@@ -164,10 +182,14 @@ class RunLogger:
             self._file.flush()
 
     def _summarize(self, profile) -> dict:
+        # Sums count every step run, replays included.  The loss fields
+        # read the curve, where a replayed step replaces the record of
+        # the same step from before the crash, and so does tokens_total:
+        # the trainer's cumulative count at the last step.
         steps = self.steps
-        losses = [r.loss for r in steps]
+        losses = list({r.step: r.loss for r in steps}.values())
         grad_norms = [r.grad_norm for r in steps if r.grad_norm is not None]
-        wall_times = [r.wall_time_s for r in steps if r.wall_time_s is not None]
+        timed = [r for r in steps if r.wall_time_s is not None]
         tokens_total = steps[-1].tokens_total if steps else 0
         summary: dict = {
             "steps": len(steps),
@@ -184,7 +206,7 @@ class RunLogger:
             "total_collective_bytes": sum(r.collective_bytes for r in steps),
             "total_h2d_bytes": sum(r.h2d_bytes for r in steps),
             "total_d2h_bytes": sum(r.d2h_bytes for r in steps),
-            "wall_time_s": float(sum(wall_times)) if wall_times else None,
+            "wall_time_s": float(sum(r.wall_time_s for r in timed)) if timed else None,
             "alerts": len(self.alerts),
             # Report-only in `repro metrics diff` (ungated until a
             # baseline records them), like the snapshot counters.
@@ -204,17 +226,23 @@ class RunLogger:
                 tokens_total / profile.makespan if profile.makespan > 0 else 0.0
             )
         elif summary["wall_time_s"]:
-            summary["tokens_per_sec"] = tokens_total / summary["wall_time_s"]
+            # The tokens of the steps the wall time covers, not the
+            # curve's count: that would leave out replayed steps and
+            # add what a resumed run trained before its checkpoint.
+            summary["tokens_per_sec"] = (
+                sum(r.tokens for r in timed) / summary["wall_time_s"]
+            )
         return summary
 
 
 @dataclass
 class RunLog:
-    """A parsed run log: step/alert/summary records split by kind."""
+    """A parsed run log: step/alert/crash/summary records split by kind."""
 
     path: Path
     steps: list[dict] = field(default_factory=list)
     alerts: list[dict] = field(default_factory=list)
+    crashes: list[dict] = field(default_factory=list)
     summary: dict | None = None
 
     @property
@@ -236,6 +264,8 @@ def read_run_log(path: str | Path) -> RunLog:
             log.steps.append(record)
         elif kind == "alert":
             log.alerts.append(record)
+        elif kind == "crash":
+            log.crashes.append(record)
         elif kind == "run_summary":
             log.summary = record
     return log

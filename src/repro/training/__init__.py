@@ -2,40 +2,24 @@
 by the convergence experiment (Fig. 14)."""
 
 from repro.training.optimizer import Adam, AdamState, adam_step
-from repro.training.data import (
-    PackedDocumentCorpus,
-    SyntheticCorpus,
-    make_batch,
-    make_packed_batch,
-)
-from repro.training.evaluate import EvalResult, evaluate_perplexity
-from repro.training.schedule import clip_grad_norm, global_grad_norm, warmup_cosine_lr
+from repro.training.data import SyntheticCorpus, make_batch
+from repro.training.schedule import clip_grad_norm, global_grad_norm
 from repro.training.serialization import (
     checkpoint_meta,
     load_checkpoint,
     normalize_checkpoint_path,
     save_checkpoint,
 )
-from repro.training.curriculum import LengthCurriculum, curriculum_train
-from repro.training.mixed_precision import MixedPrecisionTrainer
 from repro.training.trainer import TrainResult, Trainer
 
 __all__ = [
     "Trainer",
     "TrainResult",
-    "MixedPrecisionTrainer",
-    "LengthCurriculum",
-    "curriculum_train",
-    "PackedDocumentCorpus",
-    "make_packed_batch",
     "Adam",
     "AdamState",
     "adam_step",
     "SyntheticCorpus",
     "make_batch",
-    "EvalResult",
-    "evaluate_perplexity",
-    "warmup_cosine_lr",
     "clip_grad_norm",
     "global_grad_norm",
     "save_checkpoint",

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.loss import IGNORE_INDEX
-
 
 class SyntheticCorpus:
     """An endless Markov-chain token stream with a fixed random kernel.
@@ -81,101 +79,3 @@ def make_batch(
     labels[:, -1] = labels[:, -1]  # full supervision; kept explicit
     return tokens, labels
 
-
-class PackedDocumentCorpus:
-    """Documents packed into fixed-length training sequences.
-
-    Long-context pretraining data is not one endless stream: documents
-    of varying length are concatenated with an EOS separator and packed
-    to the training length.  Cross-document prediction (the token after
-    an EOS) carries no signal and is masked with :data:`IGNORE_INDEX` —
-    this exercises the loss-masking path through every distributed
-    runner at realistic data shapes.
-
-    Token 0 is reserved as EOS; documents are sampled from a shared
-    order-1 Markov kernel over tokens ``1..vocab_size-1``.
-    """
-
-    EOS = 0
-
-    def __init__(
-        self,
-        vocab_size: int,
-        *,
-        doc_len_low: int = 8,
-        doc_len_high: int = 48,
-        branching: int = 4,
-        seed: int = 0,
-    ):
-        if vocab_size < 3:
-            raise ValueError("vocab_size must be >= 3 (EOS + 2 content tokens)")
-        if not 1 <= doc_len_low <= doc_len_high:
-            raise ValueError("need 1 <= doc_len_low <= doc_len_high")
-        self.vocab_size = vocab_size
-        self.doc_len_low = doc_len_low
-        self.doc_len_high = doc_len_high
-        # Content-token chain over [1, vocab): reuse SyntheticCorpus's
-        # kernel shifted by one so EOS never occurs inside a document.
-        self._chain = SyntheticCorpus(vocab_size - 1, branching=branching, seed=seed)
-        self._rng = np.random.default_rng(seed + 7)
-
-    def sample_document(self) -> np.ndarray:
-        """One document (content tokens only, values in [1, vocab))."""
-        length = int(self._rng.integers(self.doc_len_low, self.doc_len_high + 1))
-        return self._chain.sample(length) + 1
-
-    def get_state(self) -> dict:
-        """JSON-serializable sampling position (doc-length stream plus
-        the content chain's position)."""
-        return {
-            "kind": "packed",
-            "rng": self._rng.bit_generator.state,
-            "chain": self._chain.get_state(),
-        }
-
-    def set_state(self, state: dict) -> None:
-        """Restore a position captured by :meth:`get_state`."""
-        if state.get("kind") != "packed":
-            raise ValueError(f"not a PackedDocumentCorpus state: {state.get('kind')!r}")
-        self._rng.bit_generator.state = state["rng"]
-        self._chain.set_state(state["chain"])
-
-    def sample_packed(self, seq_len: int) -> np.ndarray:
-        """``seq_len + 1`` tokens of EOS-separated packed documents
-        (the +1 provides the final label)."""
-        parts: list[np.ndarray] = []
-        total = 0
-        while total < seq_len + 1:
-            doc = self.sample_document()
-            parts.append(doc)
-            parts.append(np.array([self.EOS]))
-            total += len(doc) + 1
-        return np.concatenate(parts)[: seq_len + 1]
-
-
-def make_packed_batch(
-    corpus: PackedDocumentCorpus, batch_size: int, seq_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Next-token batch over packed documents.
-
-    Labels are next tokens, except positions whose input token is EOS:
-    predicting the first token of an unrelated next document is noise,
-    so those labels are :data:`IGNORE_INDEX`.
-    """
-    streams = np.stack([corpus.sample_packed(seq_len) for _ in range(batch_size)])
-    tokens = streams[:, :-1]
-    labels = streams[:, 1:].copy()
-    labels[tokens == corpus.EOS] = IGNORE_INDEX
-    return tokens, labels
-
-
-def make_padded_batch(
-    corpus: SyntheticCorpus, batch_size: int, seq_len: int, pad_fraction: float = 0.25
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch whose trailing ``pad_fraction`` of labels are IGNORE_INDEX —
-    exercises loss masking through every strategy."""
-    tokens, labels = make_batch(corpus, batch_size, seq_len)
-    n_pad = int(seq_len * pad_fraction)
-    if n_pad:
-        labels[:, -n_pad:] = IGNORE_INDEX
-    return tokens, labels

@@ -1,8 +1,7 @@
-"""Learning-rate schedules and gradient clipping.
+"""Gradient clipping.
 
-Standard pretraining hygiene (linear warmup + cosine decay, global-norm
-clipping), shared by the reference and distributed trainers so their
-trajectories remain comparable configuration for configuration.
+Global-norm clipping, shared by the reference and distributed trainers
+so their trajectories remain comparable configuration for configuration.
 """
 
 from __future__ import annotations
@@ -10,28 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def warmup_cosine_lr(
-    step: int,
-    *,
-    base_lr: float,
-    warmup_steps: int,
-    total_steps: int,
-    min_lr_fraction: float = 0.1,
-) -> float:
-    """LR at ``step`` (0-based): linear warmup then cosine decay to
-    ``min_lr_fraction * base_lr``."""
-    if warmup_steps < 0 or total_steps <= 0:
-        raise ValueError("warmup_steps >= 0 and total_steps > 0 required")
-    if warmup_steps >= total_steps:
-        raise ValueError("warmup_steps must be < total_steps")
-    if step < warmup_steps:
-        return base_lr * (step + 1) / warmup_steps
-    progress = (step - warmup_steps) / (total_steps - warmup_steps)
-    progress = min(progress, 1.0)
-    floor = base_lr * min_lr_fraction
-    return floor + 0.5 * (base_lr - floor) * (1 + math.cos(math.pi * progress))
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:

@@ -71,14 +71,11 @@ class Trainer:
         deltas from the runtime trace.  The trainer only *emits*; the
         caller finishes the log (``telemetry.finish(trainer.result)``)
         once the run — possibly several ``train`` calls — is over.
-    start_step:
-        Global step the first :meth:`step` call corresponds to.  A run
-        resumed from a step-500 checkpoint must continue the LR schedule
-        and telemetry step numbering at 500, not replay the warmup from
-        zero; :meth:`restore` sets this from the checkpoint.
-    tokens_seen:
-        Tokens consumed before this trainer started (same resume
-        bookkeeping; also restored from checkpoints).
+
+    A trainer starts at global step 0; :meth:`restore` repositions it
+    (``start_step`` and ``tokens_seen``) at a checkpoint, so a run
+    resumed from step 500 continues its telemetry step numbering and
+    checkpoint cadence at 500.
     """
 
     def __init__(
@@ -89,11 +86,8 @@ class Trainer:
         runner: FPDTModelRunner | None = None,
         lr: float = 1e-3,
         grad_clip: float | None = None,
-        lr_schedule=None,
         batch_fn=None,
         telemetry: RunLogger | None = None,
-        start_step: int = 0,
-        tokens_seen: int = 0,
         tracer=None,
     ):
         self.model = model
@@ -108,16 +102,15 @@ class Trainer:
         self.tracer = tracer
         if tracer is not None and runner is not None:
             tracer.attach(runner.cluster.trace)
-        self.lr_schedule = lr_schedule  # callable step -> lr, or None
         # batch_fn(batch_size, seq_len) -> (tokens, labels); defaults to
         # Markov next-token batches, but any data pipeline plugs in
-        # (e.g. make_packed_batch over a PackedDocumentCorpus).
+        # (labels equal to IGNORE_INDEX are masked out of the loss).
         self.batch_fn = batch_fn or (
             lambda bs, sl: make_batch(self.corpus, bs, sl)
         )
         self.optimizer = Adam(model.all_params(), lr=lr)
-        self.start_step = start_step
-        self.result = TrainResult(tokens_seen=tokens_seen)
+        self.start_step = 0
+        self.result = TrainResult()
 
     @property
     def global_step(self) -> int:
@@ -173,8 +166,6 @@ class Trainer:
             grads, pre_clip_norm = clip_grad_norm(grads, self.grad_clip)
         elif self.telemetry is not None:
             pre_clip_norm = global_grad_norm(grads)
-        if self.lr_schedule is not None:
-            self.optimizer.lr = self.lr_schedule(self.global_step)
         new_params = self.optimizer.step(self.model.all_params(), grads)
         for name, value in new_params.items():
             self.model.set_param(name, value)

@@ -1,11 +1,15 @@
-"""API-quality meta-tests: every public symbol is documented and every
-subpackage imports cleanly (catches broken __init__ exports early)."""
+"""API-quality meta-tests: every public symbol is documented, every
+subpackage imports cleanly (catches broken __init__ exports early), and
+every public definition has a caller outside the tests."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,9 +17,7 @@ import pytest
 import repro
 
 SUBPACKAGES = [
-    "repro.common", "repro.hardware", "repro.runtime", "repro.models",
-    "repro.parallel", "repro.core", "repro.perfmodel", "repro.training",
-    "repro.experiments", "repro.profiler", "repro.telemetry",
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
 ]
 
 
@@ -76,3 +78,60 @@ class TestDocstrings:
                 if not (obj.__doc__ and obj.__doc__.strip()):
                     undocumented.append(f"{module_name}.{name}")
         assert not undocumented, f"undocumented public API: {undocumented[:10]}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+#: Test-only today, kept on purpose: ROADMAP items 12 and 15 (the
+#: context-per-budget measurement and the per-strategy communication
+#: check) give it a runtime caller.
+TEST_ONLY_EXCEPTIONS = {"MegatronModelRunner"}
+
+
+def _code_names(path: Path, *, imports: bool = True) -> Counter:
+    """Names ``path``'s code uses: loaded names, attribute accesses and,
+    with ``imports``, imported names.  Docstrings and comments are not
+    code, so naming a definition there is not a use."""
+    names = Counter()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    return names
+
+
+class TestNoTestOnlyCode:
+    def test_every_public_definition_has_a_caller_outside_tests(self):
+        """A public top-level function or class of a ``src/repro``
+        module must be used by code other than its own definition and
+        the ``__init__`` re-exports: elsewhere in ``src/``, in
+        ``perf/``, ``benchmarks/`` or ``examples/``, or by a command in
+        the Makefile or CI.  Code that only tests call does not belong
+        in ``src/``."""
+        modules = sorted(SRC.rglob("*.py"))
+        uses = Counter()
+        for path in modules:
+            uses.update(_code_names(path, imports=path.name != "__init__.py"))
+        for d in ("perf", "benchmarks", "examples"):
+            for path in sorted((ROOT / d).rglob("*.py")):
+                uses.update(_code_names(path))
+        commands = [ROOT / "Makefile", *sorted((ROOT / ".github").rglob("*.yml"))]
+        for path in commands:
+            uses.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+        unused = []
+        for path in modules:
+            if path.name == "__init__.py":
+                continue
+            for node in ast.parse(path.read_text()).body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                name = node.name
+                if name.startswith("_") or name in TEST_ONLY_EXCEPTIONS:
+                    continue
+                if not uses[name]:
+                    unused.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+        assert not unused, f"defined in src/, called only by tests: {unused}"

@@ -1,9 +1,8 @@
 """Unit tests for the dtype registry."""
 
 import numpy as np
-import pytest
 
-from repro.common.dtypes import DType, dtype_size
+from repro.common.dtypes import DType
 
 
 class TestDType:
@@ -18,13 +17,3 @@ class TestDType:
 
     def test_fp64_computes_in_float64(self):
         assert DType.FP64.np_dtype == np.dtype(np.float64)
-
-    def test_dtype_size_from_enum(self):
-        assert dtype_size(DType.FP16) == 2
-
-    def test_dtype_size_from_label(self):
-        assert dtype_size("fp32") == 4
-
-    def test_dtype_size_unknown_label(self):
-        with pytest.raises(ValueError):
-            dtype_size("complex128")

@@ -7,7 +7,6 @@ from repro.common.units import (
     K_TOKENS,
     M_TOKENS,
     format_bytes,
-    format_count,
     format_tokens,
     parse_tokens,
 )
@@ -58,9 +57,3 @@ class TestFormatters:
 
     def test_format_bytes_decimal(self):
         assert format_bytes(32e9, binary=False) == "32.0GB"
-
-    def test_format_count_billions(self):
-        assert format_count(2.7e9) == "2.7B"
-
-    def test_format_count_teraflops(self):
-        assert format_count(312e12) == "312T"

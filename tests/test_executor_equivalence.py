@@ -21,7 +21,6 @@ from repro.core import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt, tiny_llama
 from repro.parallel import (
     MegatronModelRunner,
-    RingModelRunner,
     UlyssesModelRunner,
     USPModelRunner,
 )
@@ -89,7 +88,10 @@ STRATEGIES = {
         lambda: tiny_llama(hidden_size=32, num_heads=4, num_kv_heads=4, num_layers=2),
         lambda m, c: MegatronModelRunner(m, c),
     ),
-    "ring": (_llama, lambda m, c: RingModelRunner(m, c)),
+    "ring": (
+        _llama,
+        lambda m, c: USPModelRunner(m, c, seq_parallel=(1, c.world_size)),
+    ),
     "fpdt": (
         _llama,
         lambda m, c: FPDTModelRunner(m, c, num_chunks=2, offload=False),

@@ -4,16 +4,14 @@ runs in fast mode, renders, and carries data for its benchmark."""
 import pytest
 
 from repro.experiments import render
-from repro.experiments.registry import EXPERIMENT_NAMES, all_experiments, get_experiment
+from repro.experiments.registry import EXPERIMENT_NAMES, get_experiment
 from repro.experiments.report import ExperimentResult
 
 
 class TestRegistry:
     def test_all_names_resolve(self):
-        registry = all_experiments()
-        assert set(registry) == set(EXPERIMENT_NAMES)
-        for fn in registry.values():
-            assert callable(fn)
+        for name in EXPERIMENT_NAMES:
+            assert callable(get_experiment(name))
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):

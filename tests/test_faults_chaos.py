@@ -12,6 +12,8 @@ The subsystem's contract has three legs, each tested here:
    gate).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,37 @@ class TestChaosRecovery:
         assert run.chaos_losses == run.clean_losses  # bitwise
         assert run.bitwise_equal
         assert run.checkpoint is not None and run.checkpoint.exists()
+
+    def test_run_log_keeps_both_lives(self, capsys, tmp_path):
+        """`repro chaos --quick --run-log` writes one log: steps 0-2 of
+        the crashed life, the crash at step 3, then the resumed life
+        from its step-2 checkpoint, its rerun of step 2 marked."""
+        from repro.cli import main
+        from repro.telemetry import read_run_log
+
+        path = tmp_path / "chaos.jsonl"
+        assert main(["chaos", "--quick", "--run-log", str(path)]) == 0
+        log = read_run_log(path)
+        assert [r["step"] for r in log.steps] == [0, 1, 2, 2, 3, 4, 5]
+        assert [r.get("replayed", False) for r in log.steps] == \
+            [False, False, False, True, False, False, False]
+        assert log.steps[2]["loss"] == log.steps[3]["loss"]  # bitwise
+        assert [c["step"] for c in log.crashes] == [3]
+        assert log.crashes[0]["error"].startswith("InjectedCrash")
+        kinds = [json.loads(line)["record"] for line in path.read_text().splitlines()]
+        assert kinds.index("crash") == 3 and kinds[-1] == "run_summary"
+        assert log.summary["steps"] == 7  # every step run, replay included
+        assert log.summary["last_loss"] == log.steps[-1]["loss"]
+        # tokens_total is the curve's (six steps); the rate divides the
+        # tokens of all seven steps run by their wall time.
+        assert log.summary["tokens_total"] == log.steps[-1]["tokens_total"]
+        assert log.summary["tokens_total"] == 6 * log.steps[0]["tokens"]
+        assert log.summary["tokens_per_sec"] == pytest.approx(
+            sum(r["tokens"] for r in log.steps) / log.summary["wall_time_s"]
+        )
+        capsys.readouterr()
+        assert main(["metrics", "summary", str(path)]) == 0
+        assert "crash           step 3: InjectedCrash" in capsys.readouterr().out
 
     def test_no_crash_still_verifies_equivalence(self):
         plan = FaultPlan(seed=2, collective_rate=0.1, crash_at_step=None)

@@ -1,4 +1,5 @@
-"""Loss-head tests: plain and vocabulary-chunked cross-entropy."""
+"""Loss-head tests: the vocabulary-chunked cross-entropy, and the plain
+cross-entropy oracle it is checked against."""
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from repro.models.loss import (
     IGNORE_INDEX,
     chunked_lm_head_backward,
     chunked_lm_head_forward,
-    softmax_cross_entropy_backward,
-    softmax_cross_entropy_forward,
     suggested_loss_chunks,
 )
 
-from .helpers import numerical_grad, rng
+from .helpers import (
+    numerical_grad,
+    rng,
+    softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward,
+)
 
 
 class TestSoftmaxCrossEntropy:

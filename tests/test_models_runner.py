@@ -10,7 +10,6 @@ from repro.core import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt
 from repro.parallel import (
     MegatronModelRunner,
-    RingModelRunner,
     UlyssesModelRunner,
     USPModelRunner,
 )
@@ -27,7 +26,7 @@ RUNNERS = {
     ),
     "usp_2x2": lambda m, c: USPModelRunner(m, c, seq_parallel=(2, 2)),
     "ulysses": lambda m, c: UlyssesModelRunner(m, c),
-    "ring": lambda m, c: RingModelRunner(m, c),
+    "ring": lambda m, c: USPModelRunner(m, c, seq_parallel=(1, c.world_size)),
     "megatron": lambda m, c: MegatronModelRunner(m, c),
 }
 

@@ -8,14 +8,13 @@ import pytest
 
 from repro.models import GPTModel, tiny_gpt
 from repro.obs import (
+    Span,
     SpanTracer,
     all_spans,
     build_trees,
     load_dump,
     orphan_spans,
     render_spans,
-    span_from_dict,
-    ttft_breakdown,
 )
 from repro.profiler import spans_to_chrome_trace
 from repro.serving import (
@@ -25,6 +24,8 @@ from repro.serving import (
     run_load,
     synthesize_requests,
 )
+
+from .helpers import ttft_breakdown
 
 
 def _model():
@@ -136,7 +137,7 @@ class TestSpanTracer:
         path = t.dump_spans(tmp_path / "spans.json")
         doc = load_dump(path)
         assert doc["record"] == "spans"
-        rebuilt = [span_from_dict(d) for d in doc["spans"]]
+        rebuilt = [Span(**d) for d in doc["spans"]]
         assert [s.to_dict() for s in rebuilt] == t.to_dicts()
         assert not (tmp_path / "spans.json.tmp").exists()  # atomic write
 

@@ -8,8 +8,8 @@ from repro.core import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt, tiny_llama
 from repro.parallel import (
     MegatronModelRunner,
-    RingModelRunner,
     UlyssesModelRunner,
+    USPModelRunner,
 )
 from repro.runtime import VirtualCluster
 
@@ -46,7 +46,7 @@ class TestRingModelEquivalence:
         ref_grads = ref.all_grads()
 
         model = GPTModel(cfg, seed=0)
-        runner = RingModelRunner(model, VirtualCluster(WORLD))
+        runner = USPModelRunner(model, VirtualCluster(WORLD), seq_parallel=(1, WORLD))
         loss, grads = runner.forward_backward(tokens, labels)
         assert loss == pytest.approx(ref_loss, rel=1e-10)
         for name in ref_grads:
@@ -65,7 +65,7 @@ class TestFourWayAgreement:
         for name, make in [
             ("ulysses", lambda m: UlyssesModelRunner(m, VirtualCluster(WORLD))),
             ("megatron", lambda m: MegatronModelRunner(m, VirtualCluster(WORLD))),
-            ("ring", lambda m: RingModelRunner(m, VirtualCluster(WORLD))),
+            ("ring", lambda m: USPModelRunner(m, VirtualCluster(WORLD), seq_parallel=(1, WORLD))),
             ("fpdt", lambda m: FPDTModelRunner(
                 m, VirtualCluster(WORLD), num_chunks=2, loss_chunks=1
             )),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.models import GPTModel, tiny_llama
-from repro.parallel import RingModelRunner, UlyssesModelRunner, USPModelRunner
+from repro.parallel import UlyssesModelRunner, USPModelRunner
 from repro.runtime import VirtualCluster
 
 from .helpers import rng
@@ -88,7 +88,6 @@ class TestFlatMeshesAreTheWorldGroup:
             lambda m, c: USPModelRunner(m, c, seq_parallel=(1, WORLD)), cfg
         )
         assert set(got) == {f"ring_shift:ring.{t}" for t in ("k", "v", "dk", "dv")}
-        assert got == _collective_labels(lambda m, c: RingModelRunner(m, c), cfg)
 
 
 class TestMixedFactorizations:
@@ -184,7 +183,9 @@ class TestHeadDivisibility:
             lambda m, c: USPModelRunner(m, c, seq_parallel=(4, 2)), cfg
         )
         assert np.isfinite(loss)
-        ref_loss, ref_grads, _ = _run(lambda m, c: RingModelRunner(m, c), cfg)
+        ref_loss, ref_grads, _ = _run(
+            lambda m, c: USPModelRunner(m, c, seq_parallel=(1, c.world_size)), cfg
+        )
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-10)
         for key in ref_grads:
             np.testing.assert_allclose(

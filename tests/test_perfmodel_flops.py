@@ -10,7 +10,6 @@ from repro.perfmodel.flops import (
     lm_head_flops,
     linear_flops,
     mfu,
-    model_flops_hardware,
     model_flops_reported,
     model_forward_flops,
 )
@@ -66,11 +65,6 @@ class TestLinearAndModelFlops:
         s = 2048
         per_token = model_flops_reported(GPT_2_7B, s) / s
         assert per_token == pytest.approx(6 * GPT_2_7B.num_params(), rel=0.35)
-
-    def test_hardware_exceeds_reported_with_ac(self):
-        assert model_flops_hardware(GPT_2_7B, 4096) == pytest.approx(
-            4 / 3 * model_flops_reported(GPT_2_7B, 4096)
-        )
 
     def test_lm_head(self):
         cfg = tiny_gpt(hidden_size=64, vocab_size=100, num_heads=4)

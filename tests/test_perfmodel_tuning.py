@@ -1,5 +1,5 @@
-"""Auto-tuner tests: chunk-size suggestion, strategy selection, and the
-2D (ulysses x ring x chunk x offload) layout sweep."""
+"""Auto-tuner tests: chunk-size suggestion and the 2D (ulysses x ring x
+chunk x offload) layout sweep."""
 
 import dataclasses
 
@@ -10,7 +10,6 @@ from repro.hardware import paper_node_a100_40g, paper_node_a100_80g
 from repro.models import GPT_2_7B, GPT_6_7B, LLAMA_8B, LLAMA_70B
 from repro.perfmodel import (
     autotune_layout,
-    autotune_strategy,
     layout_candidates,
     suggest_chunk_tokens,
 )
@@ -77,56 +76,6 @@ class TestSuggestChunkTokens:
         assert choice.metrics.fits
 
 
-class TestAutotuneStrategy:
-    def test_picks_fpdt_at_long_context(self):
-        best = autotune_strategy(LLAMA_8B, 8, parse_tokens("1M"), NODE80)
-        assert best is not None
-        assert best.strategy.is_fpdt
-        assert best.metrics.mfu > 0.5
-
-    def test_returns_feasible_option_at_short_context(self):
-        best = autotune_strategy(GPT_2_7B, 4, parse_tokens("64K"), NODE40)
-        assert best is not None
-        assert best.metrics.fits
-
-    def test_nothing_fits_returns_none(self):
-        assert autotune_strategy(LLAMA_70B, 4, parse_tokens("1M"), NODE40) is None
-
-    def test_options_without_mfu_are_dropped(self, monkeypatch):
-        """An option that fits but carries no MFU estimate cannot be
-        ranked; the tuner must skip it, not crown it by accident."""
-        import repro.perfmodel.tuning as tuning
-
-        real = tuning.step_metrics
-
-        def strip_ulysses_mfu(cfg, strat, *args, **kwargs):
-            sm = real(cfg, strat, *args, **kwargs)
-            if strat.parallelism == "ulysses":
-                return dataclasses.replace(sm, step_time=None, mfu=None)
-            return sm
-
-        monkeypatch.setattr(tuning, "step_metrics", strip_ulysses_mfu)
-        best = tuning.autotune_strategy(GPT_2_7B, 4, parse_tokens("64K"), NODE40)
-        assert best is not None
-        assert best.strategy.parallelism != "ulysses"
-        assert best.metrics.mfu is not None
-
-    def test_all_options_without_mfu_raise(self, monkeypatch):
-        """Fitting options that *all* lack MFU is a modeling bug, not a
-        capacity verdict: loud ValueError, not an arbitrary winner."""
-        import repro.perfmodel.tuning as tuning
-
-        real = tuning.step_metrics
-
-        def strip_all_mfu(*args, **kwargs):
-            sm = real(*args, **kwargs)
-            return dataclasses.replace(sm, step_time=None, mfu=None)
-
-        monkeypatch.setattr(tuning, "step_metrics", strip_all_mfu)
-        with pytest.raises(ValueError, match="lack an MFU estimate"):
-            tuning.autotune_strategy(GPT_2_7B, 4, parse_tokens("64K"), NODE40)
-
-
 class TestLayoutCandidates:
     def test_head_count_filters_the_ulysses_axis(self):
         # world 8, 4 heads: ulysses degree 8 is impossible.
@@ -172,6 +121,40 @@ class TestAutotuneLayout:
 
     def test_nothing_fits_returns_none(self):
         assert autotune_layout(LLAMA_70B, 4, parse_tokens("1M"), NODE40) is None
+
+    def test_options_without_mfu_are_dropped(self, monkeypatch):
+        """A layout that fits but carries no MFU estimate cannot be
+        ranked; the tuner must skip it, not crown it by accident."""
+        import repro.perfmodel.tuning as tuning
+
+        real = tuning.step_metrics
+
+        def strip_usp_mfu(cfg, strat, *args, **kwargs):
+            sm = real(cfg, strat, *args, **kwargs)
+            if strat.parallelism == "usp":
+                return dataclasses.replace(sm, step_time=None, mfu=None)
+            return sm
+
+        monkeypatch.setattr(tuning, "step_metrics", strip_usp_mfu)
+        best = tuning.autotune_layout(GPT_2_7B, 4, parse_tokens("64K"), NODE40)
+        assert best is not None
+        assert best.chunk_tokens is not None
+        assert best.metrics.mfu is not None
+
+    def test_all_options_without_mfu_raise(self, monkeypatch):
+        """Fitting layouts that *all* lack MFU is a modeling bug, not a
+        capacity verdict: loud ValueError, not an arbitrary winner."""
+        import repro.perfmodel.tuning as tuning
+
+        real = tuning.step_metrics
+
+        def strip_all_mfu(*args, **kwargs):
+            sm = real(*args, **kwargs)
+            return dataclasses.replace(sm, step_time=None, mfu=None)
+
+        monkeypatch.setattr(tuning, "step_metrics", strip_all_mfu)
+        with pytest.raises(ValueError, match="lack an MFU estimate"):
+            tuning.autotune_layout(GPT_2_7B, 4, parse_tokens("64K"), NODE40)
 
     def test_usp_points_are_swept(self, monkeypatch):
         """The sweep evaluates every head-compatible mesh factorization,

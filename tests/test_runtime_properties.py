@@ -18,7 +18,7 @@ from repro.runtime.collectives import (
     reduce_scatter,
     ring_shift,
 )
-from repro.runtime.trace_analysis import alltoall_wire_bytes, summarize
+from repro.runtime.trace_analysis import summarize
 
 from .helpers import rng
 
@@ -129,7 +129,7 @@ class TestCommunicationVolumeIdentities:
             cluster, block.params, cfg, layout, shard_sequence(x, layout)
         )
         ctx.attn_ctx.release()
-        return alltoall_wire_bytes(cluster.trace)
+        return summarize(cluster.trace).collective_bytes["all_to_all"]
 
     def test_ulysses_constant_volume_under_chunking(self):
         """DeepSpeed-Ulysses' headline property, inherited by FPDT: the

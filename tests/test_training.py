@@ -8,7 +8,6 @@ from repro.core import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt
 from repro.runtime import VirtualCluster
 from repro.training import Adam, AdamState, SyntheticCorpus, adam_step, make_batch
-from repro.training.data import make_padded_batch
 from repro.training.trainer import Trainer
 
 from .helpers import rng
@@ -79,14 +78,6 @@ class TestSyntheticCorpus:
         for b in range(3):
             for i in range(10):
                 assert labels[b, i] in corpus.successors[tokens[b, i]]
-
-    def test_padded_batch_masks_tail(self):
-        from repro.models.loss import IGNORE_INDEX
-
-        corpus = SyntheticCorpus(16, seed=0)
-        _, labels = make_padded_batch(corpus, 2, 8, pad_fraction=0.25)
-        assert (labels[:, -2:] == IGNORE_INDEX).all()
-        assert (labels[:, :-2] != IGNORE_INDEX).all()
 
 
 class TestTrainerConvergence:

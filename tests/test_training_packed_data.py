@@ -8,7 +8,8 @@ from repro.core import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt
 from repro.models.loss import IGNORE_INDEX
 from repro.runtime import VirtualCluster
-from repro.training.data import PackedDocumentCorpus, make_packed_batch
+
+from .helpers import PackedDocumentCorpus, make_packed_batch
 
 
 class TestPackedDocumentCorpus:

@@ -2,10 +2,9 @@
 
 The resume contract: 4 steps + checkpoint + fresh-process restore + 4
 steps must be **indistinguishable** from 8 uninterrupted steps — same
-losses (bitwise), same LR schedule values, same telemetry step
-numbering, same token accounting.  Anything less means the bugs this PR
-fixes (schedule restarting from zero, data stream replaying from the
-start) are back.
+losses (bitwise), same telemetry step numbering, same token
+accounting.  Anything less means step numbering restarts from zero or
+the data stream replays from the start.
 """
 
 import numpy as np
@@ -15,18 +14,11 @@ from repro.core.fpdt_model import FPDTModelRunner
 from repro.models import GPTModel, tiny_gpt
 from repro.runtime import VirtualCluster
 from repro.telemetry import RunLogger
-from repro.training import (
-    PackedDocumentCorpus,
-    SyntheticCorpus,
-    Trainer,
-    make_packed_batch,
-    warmup_cosine_lr,
-)
+from repro.training import SyntheticCorpus, Trainer
+
+from .helpers import PackedDocumentCorpus, make_packed_batch
 
 CFG = dict(hidden_size=32, num_heads=4, num_layers=1, vocab_size=32)
-SCHEDULE = lambda step: warmup_cosine_lr(  # noqa: E731
-    step, base_lr=5e-3, warmup_steps=3, total_steps=16
-)
 
 
 def _trainer(seed, *, fpdt=False, telemetry=None):
@@ -40,7 +32,7 @@ def _trainer(seed, *, fpdt=False, telemetry=None):
         )
     return Trainer(
         model, corpus, runner=runner, lr=5e-3, grad_clip=1.0,
-        lr_schedule=SCHEDULE, telemetry=telemetry,
+        telemetry=telemetry,
     )
 
 
@@ -71,14 +63,12 @@ class TestResumeEquivalence:
         losses = first.result.losses + result.losses
         assert losses == ref.result.losses  # bitwise, not allclose
 
-        # LR schedule continued (not restarted): the resumed trainer's
-        # first step used the step-4 LR, and all step records agree.
+        # Step numbering continued (not restarted), and all step
+        # records agree.
         ref_steps = ref_logger.steps
         split_steps = logger_a.steps + logger_b.steps
         assert [r.step for r in split_steps] == [r.step for r in ref_steps]
         assert [r.step for r in logger_b.steps] == [4, 5, 6, 7]
-        assert [r.lr for r in split_steps] == [r.lr for r in ref_steps]
-        assert logger_b.steps[0].lr == SCHEDULE(4) != SCHEDULE(0)
         assert [r.tokens_total for r in split_steps] == \
             [r.tokens_total for r in ref_steps]
         assert [r.loss for r in split_steps] == [r.loss for r in ref_steps]

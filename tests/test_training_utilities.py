@@ -1,4 +1,4 @@
-"""Serialization, LR schedules and gradient clipping."""
+"""Serialization and gradient clipping."""
 
 import math
 
@@ -15,38 +15,10 @@ from repro.training import (
     load_checkpoint,
     normalize_checkpoint_path,
     save_checkpoint,
-    warmup_cosine_lr,
 )
 from repro.training.trainer import Trainer
 
 from .helpers import rng
-
-
-class TestSchedule:
-    def test_warmup_ramps_linearly(self):
-        kw = dict(base_lr=1.0, warmup_steps=10, total_steps=100)
-        lrs = [warmup_cosine_lr(s, **kw) for s in range(10)]
-        np.testing.assert_allclose(lrs, (np.arange(10) + 1) / 10)
-
-    def test_cosine_decays_to_floor(self):
-        kw = dict(base_lr=1.0, warmup_steps=10, total_steps=100, min_lr_fraction=0.1)
-        assert warmup_cosine_lr(99, **kw) == pytest.approx(0.1, abs=0.01)
-        assert warmup_cosine_lr(10, **kw) == pytest.approx(1.0)
-
-    def test_monotone_decay_after_warmup(self):
-        kw = dict(base_lr=3e-4, warmup_steps=5, total_steps=50)
-        lrs = [warmup_cosine_lr(s, **kw) for s in range(5, 50)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_past_total_steps_stays_at_floor(self):
-        kw = dict(base_lr=1.0, warmup_steps=2, total_steps=10, min_lr_fraction=0.2)
-        assert warmup_cosine_lr(500, **kw) == pytest.approx(0.2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            warmup_cosine_lr(0, base_lr=1.0, warmup_steps=10, total_steps=5)
-        with pytest.raises(ValueError):
-            warmup_cosine_lr(0, base_lr=1.0, warmup_steps=0, total_steps=0)
 
 
 class TestClipping:
@@ -108,14 +80,11 @@ class TestClipping:
         with pytest.raises(ValueError):
             clip_grad_norm({"a": np.ones(2)}, 0.0)
 
-    def test_trainer_with_clip_and_schedule_converges(self):
+    def test_trainer_with_clip_converges(self):
         cfg = tiny_gpt(hidden_size=32, num_heads=4, num_layers=1, vocab_size=32)
         model = GPTModel(cfg, seed=0)
         corpus = SyntheticCorpus(32, branching=2, seed=0)
-        schedule = lambda step: warmup_cosine_lr(
-            step, base_lr=5e-3, warmup_steps=5, total_steps=60
-        )
-        trainer = Trainer(model, corpus, lr=5e-3, grad_clip=1.0, lr_schedule=schedule)
+        trainer = Trainer(model, corpus, lr=5e-3, grad_clip=1.0)
         result = trainer.train(60, batch_size=4, seq_len=16)
         assert result.final_loss() < np.mean(result.losses[:5]) * 0.8
 

@@ -1,11 +1,11 @@
 """Figure 10: operator latency vs chunk size, and the compute/fetch
 crossover that fixes the 64K chunk choice.
 
-Rows: all-to-all (q,k,v chunk), attention forward, attention backward,
-and three host-to-device fetch strategies — every GPU fetching its own
-slice concurrently ('per-gpu'), a single GPU fetching with exclusive
-PCIe ('exclusive'), and one GPU fetching everything then scattering over
-NVLink ('gather-scatter').  The crossover where attention overtakes the
+Rows: all-to-all (one chunk's q, k, v, K/V at KV-head width), attention
+forward, attention backward, and three host-to-device fetch strategies
+— every GPU fetching its own slice concurrently ('per-gpu'), a single
+GPU fetching with exclusive PCIe ('exclusive'), and one GPU fetching
+everything then scattering over NVLink ('gather-scatter').  The crossover where attention overtakes the
 fetch is the paper's 32-64K sweet-spot argument (§4.2).
 """
 
@@ -14,29 +14,34 @@ from __future__ import annotations
 from repro.common.units import format_tokens, parse_tokens
 from repro.experiments.report import ExperimentResult, print_result
 from repro.hardware import make_cluster, paper_node_a100_80g
+from repro.hardware.specs import NodeSpec
 from repro.models import LLAMA_8B
+from repro.perfmodel.comm import layer_comm_bytes
 from repro.perfmodel.latency import (
-    alltoall_latency,
     attention_backward_latency,
     attention_forward_latency,
     fetch_latency,
-    fpdt_chunk_bytes,
+    hierarchical_alltoall_latency,
 )
+from repro.perfmodel.strategies import FPDT_FULL
 
 WORLD = 4
 CHUNKS = [parse_tokens(s) for s in ("2K", "4K", "8K", "16K", "32K", "64K", "128K", "256K", "512K")]
 
 
-def op_latencies(chunk_tokens: int) -> dict[str, float]:
-    """All Fig. 10 operator latencies at one chunk size (seconds)."""
-    node = paper_node_a100_80g()
-    cluster = make_cluster(node, WORLD)
+def op_latencies(chunk_tokens: int, node: NodeSpec, world: int) -> dict[str, float]:
+    """All Fig. 10 operator latencies at one chunk size (seconds) for
+    Llama-8B on ``world`` GPUs of ``node``."""
+    cluster = make_cluster(node, world)
     cfg = LLAMA_8B
-    heads_local = cfg.num_heads // WORLD
-    a2a_bytes = 3 * (chunk_tokens // WORLD) * cfg.hidden_size * 2
-    qkv_bytes = fpdt_chunk_bytes(cfg, chunk_tokens, WORLD)
+    heads_local = cfg.num_heads // world
+    comm = layer_comm_bytes(
+        cfg, FPDT_FULL.with_chunk_tokens(chunk_tokens), chunk_tokens, world
+    )
+    a2a_bytes = sum(comm.collectives["forward", "all_to_all", t].payload for t in "qkv")
+    qkv_bytes = sum(comm.chunk[t] for t in "qkv")
     return {
-        "alltoall": alltoall_latency(cluster, a2a_bytes),
+        "alltoall": hierarchical_alltoall_latency(cluster, a2a_bytes),
         "attn_fwd": attention_forward_latency(
             node.gpu, batch=1, sq=chunk_tokens, sk=chunk_tokens,
             heads=heads_local, head_dim=cfg.head_dim,
@@ -66,7 +71,8 @@ def crossover_chunk(series: dict[int, dict[str, float]]) -> int | None:
 def run(fast: bool = True) -> ExperimentResult:
     """Regenerate Figure 10; ``fast`` trims the chunk sweep."""
     chunks = CHUNKS[2:7] if fast else CHUNKS
-    series = {c: op_latencies(c) for c in chunks}
+    node = paper_node_a100_80g()
+    series = {c: op_latencies(c, node, WORLD) for c in chunks}
     result = ExperimentResult(
         experiment="Figure 10",
         title="Operator latency vs chunk size (Llama-8B geometry, 4x A100-80G)",

@@ -12,34 +12,15 @@ the recalibration recipe a user porting FPDT to new hardware needs.
 from __future__ import annotations
 
 from repro.common.units import format_tokens, parse_tokens
+from repro.experiments.figure10 import crossover_chunk, op_latencies
 from repro.experiments.report import ExperimentResult, print_result
 from repro.hardware import node_h100_80g, paper_node_a100_80g
-from repro.hardware.specs import NodeSpec
 from repro.models import LLAMA_8B
 from repro.perfmodel import suggest_chunk_tokens
-from repro.perfmodel.latency import (
-    attention_forward_latency,
-    fetch_latency,
-    fpdt_chunk_bytes,
-)
 
 WORLD = 8
 SEQ = parse_tokens("1M")
 CHUNKS = [parse_tokens(c) for c in ("8K", "16K", "32K", "64K", "128K", "256K")]
-
-
-def crossover_chunk(node: NodeSpec, *, world: int = WORLD) -> int | None:
-    """Smallest swept chunk where attention covers the per-GPU fetch."""
-    heads_local = LLAMA_8B.num_heads // world
-    for chunk in CHUNKS:
-        attn = attention_forward_latency(
-            node.gpu, batch=1, sq=chunk, sk=chunk,
-            heads=heads_local, head_dim=LLAMA_8B.head_dim,
-        )
-        fetch = fetch_latency(node, fpdt_chunk_bytes(LLAMA_8B, chunk, world))
-        if attn >= fetch:
-            return chunk
-    return None
 
 
 def run(fast: bool = True) -> ExperimentResult:
@@ -53,7 +34,7 @@ def run(fast: bool = True) -> ExperimentResult:
     )
     data = {}
     for name, node in nodes.items():
-        cross = crossover_chunk(node)
+        cross = crossover_chunk({c: op_latencies(c, node, WORLD) for c in CHUNKS})
         choice = suggest_chunk_tokens(LLAMA_8B, WORLD, SEQ, node)
         data[name] = {
             "crossover": cross,

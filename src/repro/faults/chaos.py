@@ -63,8 +63,6 @@ class ChaosRun:
     bitwise_equal: bool
     #: Merged injector counters across the crashed and resumed lives.
     fault_stats: dict = field(default_factory=dict)
-    #: Telemetry run summary of the chaos run, both lives.
-    summary: dict | None = None
     #: Retry-storm alerts raised by the FaultRateMonitor, both lives.
     alerts: int = 0
     checkpoint: Path | None = None
@@ -200,7 +198,7 @@ def chaos_run(
             chaos_losses = crashed_losses[:resumed_from] + list(
                 trainer2.result.losses
             )
-        summary = logger.finish()
+        logger.finish()
 
         bitwise_equal = len(chaos_losses) == len(clean_losses) and all(
             a == b for a, b in zip(chaos_losses, clean_losses)
@@ -213,7 +211,6 @@ def chaos_run(
             chaos_losses=chaos_losses,
             bitwise_equal=bitwise_equal,
             fault_stats=merge_stats(*(s() for s in stats)),
-            summary=summary,
             alerts=len(logger.alerts),
             checkpoint=normalize_checkpoint_path(ckpt) if tmp is None else None,
             flight_recorder=recorder.dumped if recorder is not None else None,

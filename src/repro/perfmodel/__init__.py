@@ -2,7 +2,8 @@
 
 Regenerates the evaluation's numbers: FLOPs/MFU accounting
 (:mod:`flops`), the Table-2 component memory model (:mod:`memory_model`),
-the Fig.-10 roofline operator latencies (:mod:`latency`), the
+the Fig.-10 roofline operator latencies (:mod:`latency`), each
+strategy's per-layer communication bytes (:mod:`comm`), the
 event-driven multi-stream pipeline simulator behind Figs. 7-9 and 12
 (:mod:`pipeline_sim`), the capacity solver behind Tables 1/3 and the
 Fig.-11 OOM points (:mod:`capacity`), and the strategy descriptors that
@@ -36,11 +37,12 @@ from repro.perfmodel.memory_model import (
     table2_footprint,
     zero_model_state_bytes,
 )
+from repro.perfmodel.comm import layer_comm_bytes
 from repro.perfmodel.latency import (
-    alltoall_latency,
     attention_backward_latency,
     attention_forward_latency,
     fetch_latency,
+    hierarchical_alltoall_latency,
 )
 from repro.perfmodel.pipeline_sim import (
     PipelineResult,
@@ -85,7 +87,8 @@ __all__ = [
     "estimate_memory",
     "table2_footprint",
     "zero_model_state_bytes",
-    "alltoall_latency",
+    "layer_comm_bytes",
+    "hierarchical_alltoall_latency",
     "attention_forward_latency",
     "attention_backward_latency",
     "fetch_latency",

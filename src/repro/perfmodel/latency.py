@@ -7,47 +7,43 @@ Four operator families drive the FPDT pipeline design:
   the chunk length, so it *overtakes* the linear-cost fetch somewhere;
   the paper measures the crossover at 32-64K tokens, which is what makes
   64K the sweet-spot chunk size (§5.3);
-* **host-to-device fetch** of ``[3, b, s, h/p, d]`` (q, k, v) — PCIe-
-  bound, with two strategies: every GPU fetches its own slice (DMA
-  engines in parallel but PCIe lanes contended) or one GPU fetches all
-  and scatters over NVLink (extra hop + synchronization).
+* **host-to-device fetch** of one chunk's q, k and v (K/V at KV-head
+  width, :mod:`repro.perfmodel.comm`) — PCIe-bound, with two
+  strategies: every GPU fetches its own slice (DMA engines in parallel
+  but PCIe lanes contended) or one GPU fetches all and scatters over
+  NVLink (extra hop + synchronization).
 
 All functions return seconds.
 """
 
 from __future__ import annotations
 
-from repro.common.dtypes import DType
+from collections.abc import Sequence
+
 from repro.hardware.specs import GPUSpec, NodeSpec
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.calibration import CALIBRATION, Calibration
-from repro.models.config import ModelConfig
-
-ACT = DType.BF16.nbytes
 
 
-def alltoall_latency(
+def span_latency(
     cluster: ClusterSpec,
-    nbytes_per_rank: int,
+    ranks: Sequence[int],
+    wire_bytes: float,
     *,
     calib: Calibration = CALIBRATION,
 ) -> float:
-    """One all-to-all where each rank contributes ``nbytes_per_rank``.
-
-    Wire bytes per rank are ``M (P-1)/P``; the bottleneck link is NVLink
-    within a node and the per-GPU InfiniBand share across nodes.
-    """
-    world = cluster.world_size
-    if world == 1:
+    """Seconds to move ``wire_bytes`` per rank among ``ranks``: NVLink
+    when the span stays in one node, the interconnect once it crosses
+    nodes, each at its NCCL efficiency.  A single rank moves nothing."""
+    if len(ranks) < 2:
         return 0.0
-    link = cluster.collective_bottleneck(list(range(world)))
+    link = cluster.collective_bottleneck(ranks)
     eff = (
         calib.nccl_intra_efficiency
         if link is cluster.node.nvlink
         else calib.nccl_inter_efficiency
     )
-    wire = nbytes_per_rank * (world - 1) / world
-    return link.transfer_time(wire, efficiency=eff)
+    return link.transfer_time(wire_bytes, efficiency=eff)
 
 
 def hierarchical_alltoall_latency(
@@ -56,55 +52,28 @@ def hierarchical_alltoall_latency(
     *,
     calib: Calibration = CALIBRATION,
 ) -> float:
-    """Two-stage all-to-all time (intra-node exchange over NVLink, then
-    node-aggregated inter-node exchange over the interconnect).
+    """All-to-all time for ``nbytes_per_rank`` of payload per rank.
 
-    Matches :func:`repro.runtime.collectives.hierarchical_all_to_all`'s
-    staging: the intra stage moves the (g-1)/g fraction bound for other
-    local ranks at NVLink speed; the inter stage moves the (n-1)/n
-    node-crossing fraction at interconnect speed, but as one aggregated
-    message per node pair instead of g^2 small ones — modeled as the
-    full payload at the link's streaming efficiency without the per-
-    message latency blowup a flat collective pays.
+    One node: the flat ``(P-1)/P`` wire share over NVLink.  Across nodes,
+    :func:`repro.runtime.collectives.hierarchical_all_to_all`'s staging:
+    the ``(g-1)/g`` intra-node share over NVLink, then the ``(n-1)/n``
+    node-crossing share over the interconnect as one aggregated message
+    per node pair, without the per-message latency a flat collective pays.
     """
     world = cluster.world_size
-    if world == 1:
-        return 0.0
     g = cluster.node.gpus_per_node
     n = cluster.num_nodes
     if n == 1:
-        return alltoall_latency(cluster, nbytes_per_rank, calib=calib)
-    intra_wire = nbytes_per_rank * (g - 1) / g
-    inter_wire = nbytes_per_rank * (n - 1) / n
+        return span_latency(
+            cluster, range(world), nbytes_per_rank * (world - 1) / world, calib=calib
+        )
     t_intra = cluster.node.nvlink.transfer_time(
-        intra_wire, efficiency=calib.nccl_intra_efficiency
+        nbytes_per_rank * (g - 1) / g, efficiency=calib.nccl_intra_efficiency
     )
     t_inter = cluster.node.interconnect.transfer_time(
-        inter_wire, efficiency=calib.nccl_inter_efficiency
+        nbytes_per_rank * (n - 1) / n, efficiency=calib.nccl_inter_efficiency
     )
     return t_intra + t_inter
-
-
-def collective_latency(
-    cluster: ClusterSpec,
-    total_bytes: int,
-    *,
-    calib: Calibration = CALIBRATION,
-) -> float:
-    """All-gather (or reduce-scatter, which moves the same bytes) time
-    for a tensor whose *gathered* size is ``total_bytes`` (ring-algorithm
-    bus traffic: ``(P-1)/P`` of the total per rank)."""
-    world = cluster.world_size
-    if world == 1:
-        return 0.0
-    link = cluster.collective_bottleneck(list(range(world)))
-    eff = (
-        calib.nccl_intra_efficiency
-        if link is cluster.node.nvlink
-        else calib.nccl_inter_efficiency
-    )
-    wire = total_bytes * (world - 1) / world
-    return link.transfer_time(wire, efficiency=eff)
 
 
 def attention_forward_latency(
@@ -180,19 +149,6 @@ def fetch_latency(
     return bulk + scatter + barrier
 
 
-def offload_latency(
-    node: NodeSpec,
-    nbytes: int,
-    *,
-    concurrent_gpus: int | None = None,
-    calib: Calibration = CALIBRATION,
-) -> float:
-    """Device-to-host copy (symmetric to the per-GPU fetch path)."""
-    return fetch_latency(
-        node, nbytes, strategy="per-gpu", concurrent_gpus=concurrent_gpus, calib=calib
-    )
-
-
 def trace_event_latency(
     event,
     cluster: ClusterSpec,
@@ -206,7 +162,7 @@ def trace_event_latency(
     * ``compute`` events are rooflined on the recorded flops; labels
       containing ``"attn"`` use the FlashAttention efficiency, everything
       else the GEMM efficiency.  Zero-flop markers cost nothing.
-    * ``h2d`` / ``d2h`` use the PCIe fetch/offload model with the node's
+    * ``h2d`` / ``d2h`` use the per-GPU PCIe fetch model with the node's
       full PCIe-root contention (every rank moves its chunk at once in
       FPDT's schedule).
     * ``collective`` events carry *wire* bytes; hierarchical all-to-all
@@ -230,32 +186,16 @@ def trace_event_latency(
             else calib.gemm_efficiency
         )
         return event.flops / (cluster.node.gpu.peak_flops_bf16 * eff)
-    if kind == "h2d":
-        return fetch_latency(
-            cluster.node, event.nbytes, strategy="per-gpu", calib=calib
-        )
-    if kind == "d2h":
-        return offload_latency(cluster.node, event.nbytes, calib=calib)
+    if kind in ("h2d", "d2h"):  # D2H pays the per-GPU fetch path's cost
+        return fetch_latency(cluster.node, event.nbytes, calib=calib)
     if kind == "collective":
-        if cluster.world_size == 1:
-            return 0.0
         if event.label.startswith("all_to_all_intra:"):
             link, eff = cluster.node.nvlink, calib.nccl_intra_efficiency
         elif event.label.startswith("all_to_all_inter:"):
             link, eff = cluster.node.interconnect, calib.nccl_inter_efficiency
         else:
-            link = cluster.collective_bottleneck(list(range(cluster.world_size)))
-            eff = (
-                calib.nccl_intra_efficiency
-                if link is cluster.node.nvlink
-                else calib.nccl_inter_efficiency
+            return span_latency(
+                cluster, range(cluster.world_size), event.nbytes, calib=calib
             )
         return link.transfer_time(event.nbytes, efficiency=eff)
     return 0.0  # wait / phase markers
-
-
-def fpdt_chunk_bytes(cfg: ModelConfig, chunk_tokens: int, world: int, *, batch: int = 1) -> int:
-    """Bytes of one gathered (q, k, v) chunk triple per GPU —
-    ``[3, b, chunk, h_local, d]`` in BF16, the tensor Fig. 10's fetch
-    curves move."""
-    return 3 * batch * chunk_tokens * (cfg.hidden_size // world) * ACT

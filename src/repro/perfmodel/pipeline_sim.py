@@ -21,30 +21,30 @@ durations gives the step time of the whole group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.common.errors import ScheduleError
 from repro.hardware.specs import NodeSpec
 from repro.hardware.topology import ClusterSpec, make_cluster
-from repro.models.block_ops import kv_head_repeats
+from repro.models.attention import block_is_visible
 from repro.models.config import ModelConfig
 from repro.perfmodel.calibration import CALIBRATION, Calibration
+from repro.perfmodel.comm import layer_comm_bytes
 from repro.perfmodel.flops import (
     attention_flops,
     lm_head_flops,
     linear_flops,
 )
 from repro.perfmodel.latency import (
-    ACT,
     attention_backward_latency,
     attention_forward_latency,
-    collective_latency,
     fetch_latency,
     gemm_latency,
     hierarchical_alltoall_latency,
-    offload_latency,
+    span_latency,
 )
-from repro.perfmodel.strategies import TrainingStrategy
+from repro.perfmodel.strategies import FPDT_FULL, TrainingStrategy
 
 
 @dataclass(frozen=True)
@@ -105,23 +105,15 @@ class StreamSimulator:
 # ----------------------------------------------------------------------
 
 
-def _chunk_geometry(cfg: ModelConfig, s_global: int, chunk_tokens: int, world: int):
-    """``(chunk, u, c_local, h_local, kv_local)``: the per-rank query
-    width ``h_local`` and K/V width ``kv_local`` after the head scatter.
-    K/V travel at ``num_kv_heads``, repeated only
-    :func:`~repro.models.block_ops.kv_head_repeats` times when there are
-    fewer KV heads than ranks."""
-    chunk = min(chunk_tokens, s_global)
-    u = max(1, -(-s_global // chunk))
-    c_local = s_global // world // u
-    h_local = cfg.num_heads // world * cfg.head_dim
-    kv_local = cfg.kv_hidden_size * kv_head_repeats(cfg, world) // world
-    return chunk, u, c_local, h_local, kv_local
-
-
-def _local_compute_flops(cfg: ModelConfig, tokens: int, batch: int) -> float:
-    """Token-local GEMMs of one layer (projections + FFN) for ``tokens``."""
-    return linear_flops(cfg, tokens, batch=batch)
+def _fpdt_geometry(cfg: ModelConfig, s_global: int, chunk_tokens: int, world: int, batch: int):
+    """``(chunk, u, c_local, a2a, cached)``: gathered tokens per chunk,
+    chunk count, each rank's tokens per chunk, one call's all-to-all
+    payload by tensor and one cached chunk's bytes by tensor."""
+    strategy = FPDT_FULL.with_chunk_tokens(chunk_tokens)
+    comm = layer_comm_bytes(cfg, strategy, s_global, world, batch=batch)
+    a2a = {t: c.payload for (_, _, t), c in comm.collectives.items()}
+    u = strategy.num_chunks(s_global)
+    return min(chunk_tokens, s_global), u, s_global // world // u, a2a, comm.chunk
 
 
 def fpdt_forward_tasks(
@@ -139,8 +131,8 @@ def fpdt_forward_tasks(
     world = cluster.world_size
     node = cluster.node
     gpu = node.gpu
-    chunk, u, c_local, h_local, kv_local = _chunk_geometry(
-        cfg, s_global, chunk_tokens, world
+    chunk, u, c_local, a2a, cached = _fpdt_geometry(
+        cfg, s_global, chunk_tokens, world, batch
     )
     heads_local = cfg.num_heads // world
     d = cfg.head_dim
@@ -148,22 +140,22 @@ def fpdt_forward_tasks(
     qkv_flops = 2.0 * batch * c_local * cfg.hidden_size * (
         cfg.hidden_size + 2 * cfg.kv_hidden_size
     )
-    post_flops = _local_compute_flops(cfg, c_local, batch) - qkv_flops
-    o_bytes = batch * c_local * cfg.hidden_size * ACT
-    a2a_bytes = batch * c_local * (cfg.hidden_size + 2 * kv_local * world) * ACT
-    kv_bytes = 2 * batch * chunk * kv_local * ACT
-    qkv_chunk_bytes = batch * chunk * (h_local + 2 * kv_local) * ACT
+    post_flops = linear_flops(cfg, c_local, batch=batch) - qkv_flops
 
     t_attn_full = attention_forward_latency(
         gpu, batch=batch, sq=chunk, sk=chunk, heads=heads_local, head_dim=d, calib=calib
     )
-    t_fetch_kv = fetch_latency(node, kv_bytes, calib=calib)
-    t_offload = offload_latency(node, qkv_chunk_bytes, calib=calib)
-    t_a2a = hierarchical_alltoall_latency(cluster, a2a_bytes, calib=calib)
-    t_a2a_o = hierarchical_alltoall_latency(cluster, o_bytes, calib=calib)
+    t_fetch_kv = fetch_latency(node, cached["k"] + cached["v"], calib=calib)
+    t_offload = fetch_latency(  # D2H pays the per-GPU fetch path's cost
+        node, cached["q"] + cached["k"] + cached["v"], calib=calib
+    )
+    # The q, k and v all-to-alls are priced as one fused exchange.
+    t_a2a = hierarchical_alltoall_latency(
+        cluster, a2a["q"] + a2a["k"] + a2a["v"], calib=calib
+    )
+    t_a2a_o = hierarchical_alltoall_latency(cluster, a2a["o"], calib=calib)
 
     window = cfg.attention_window
-    from repro.models.attention import block_is_visible
 
     tasks: list[Task] = []
     for i in range(u):
@@ -216,28 +208,26 @@ def fpdt_backward_tasks(
     world = cluster.world_size
     node = cluster.node
     gpu = node.gpu
-    chunk, u, c_local, h_local, kv_local = _chunk_geometry(
-        cfg, s_global, chunk_tokens, world
+    chunk, u, c_local, a2a, cached = _fpdt_geometry(
+        cfg, s_global, chunk_tokens, world, batch
     )
     heads_local = cfg.num_heads // world
     d = cfg.head_dim
 
-    local_bwd_flops = 2.0 * _local_compute_flops(cfg, c_local, batch)
-    a2a_bytes = batch * c_local * cfg.hidden_size * ACT
-    a2a_kv_bytes = batch * c_local * kv_local * world * ACT
-    kv_bytes = 2 * batch * chunk * kv_local * ACT
-    qdo_bytes = 2 * batch * chunk * h_local * ACT
+    local_bwd_flops = 2.0 * linear_flops(cfg, c_local, batch=batch)
 
     t_attn_bwd = attention_backward_latency(
         gpu, batch=batch, sq=chunk, sk=chunk, heads=heads_local, head_dim=d, calib=calib
     )
-    t_fetch = fetch_latency(node, kv_bytes, calib=calib)
-    t_fetch_qdo = fetch_latency(node, qdo_bytes, calib=calib)
-    t_a2a = hierarchical_alltoall_latency(cluster, a2a_bytes, calib=calib)
-    t_a2a_kv = hierarchical_alltoall_latency(cluster, a2a_kv_bytes, calib=calib)
+    t_fetch = fetch_latency(node, cached["k"] + cached["v"], calib=calib)
+    t_fetch_qdo = fetch_latency(node, cached["q"] + cached["do"], calib=calib)
+    t_a2a_do = hierarchical_alltoall_latency(cluster, a2a["do"], calib=calib)
+    t_a2a_dqkv = math.fsum(
+        hierarchical_alltoall_latency(cluster, a2a[t], calib=calib)
+        for t in ("dq", "dk", "dv")
+    )
 
     window = cfg.attention_window
-    from repro.models.attention import block_is_visible
 
     tasks: list[Task] = []
     # FFN + output-projection backward and the do all-to-alls, per chunk.
@@ -246,7 +236,7 @@ def fpdt_backward_tasks(
         tasks.append(
             Task(f"local_bwd:{i}", "compute", gemm_latency(gpu, local_bwd_flops * 2 / 3), prev)
         )
-        tasks.append(Task(f"a2a_do:{i}", "comm", t_a2a, (f"local_bwd:{i}",)))
+        tasks.append(Task(f"a2a_do:{i}", "comm", t_a2a_do, (f"local_bwd:{i}",)))
 
     for j in range(u):  # outer: KV chunks
         visible_q = [
@@ -276,7 +266,7 @@ def fpdt_backward_tasks(
             tasks.append(Task(f"attn_bwd:{j}:{i}", "compute", dur, tuple(deps)))
         tasks.append(
             Task(
-                f"a2a_dqkv:{j}", "comm", t_a2a + 2 * t_a2a_kv,
+                f"a2a_dqkv:{j}", "comm", t_a2a_dqkv,
                 (f"attn_bwd:{j}:{visible_q[-1]}",),
             )
         )
@@ -329,7 +319,10 @@ def _baseline_layer_times(
     USP.
 
     Compute is head/width-split across ranks; the collectives are the
-    exposed (non-overlapped) phase boundaries of each scheme.
+    exposed (non-overlapped) phase boundaries of each scheme, priced
+    from :func:`~repro.perfmodel.comm.layer_comm_bytes`: all-to-alls
+    inside contiguous mesh rows, the rest over stride-``world/group``
+    rank columns (the world at full group size).
     """
     world = cluster.world_size
     gpu = cluster.node.gpu
@@ -339,48 +332,24 @@ def _baseline_layer_times(
     t_attn = (
         attention_flops(cfg, s_global, batch=batch) / world
     ) / (gpu.peak_flops_bf16 * calib.flash_attention_efficiency)
-    if strategy.parallelism == "tp":
-        hidden_bytes = batch * s_global * cfg.hidden_size * ACT
-        t_comm = 4 * collective_latency(cluster, hidden_bytes, calib=calib)
-        t_comm_fwd = t_comm_bwd = t_comm
-    elif strategy.parallelism == "usp":
-        u_deg, r_deg = strategy.ulysses_degree, strategy.ring_degree
-        if u_deg * r_deg != world:
-            raise ValueError(
-                f"usp degrees ({u_deg}, {r_deg}) do not factor world {world}"
-            )
-        per_rank = batch * (s_global // world) * cfg.hidden_size * ACT
-        # Row all-to-alls run among u_deg contiguous ranks (node-local
-        # whenever u_deg <= gpus_per_node); same 4-exchange volume as
-        # flat Ulysses but over the smaller group.
-        if u_deg > 1:
-            row = make_cluster(cluster.node, u_deg)
-            t_row = 4 * hierarchical_alltoall_latency(row, per_rank, calib=calib)
+    t_comm = {"forward": [], "backward": []}
+    for (direction, op, _), c in layer_comm_bytes(
+        cfg, strategy, s_global, world, batch=batch
+    ).collectives.items():
+        if op == "all_to_all":
+            row = make_cluster(cluster.node, c.group)
+            t = hierarchical_alltoall_latency(row, c.payload, calib=calib)
         else:
-            t_row = 0.0
-        # Ring hops cross rows — ranks a stride of u_deg apart, so the
-        # bottleneck link of the first column prices one rotation.  The
-        # forward rotates (k, v) for r_deg-1 steps; the backward rotates
-        # (k, v, dk, dv) for the full cycle.
-        if r_deg > 1:
-            column = list(range(0, world, u_deg))
-            link = cluster.collective_bottleneck(column)
-            eff = (
-                calib.nccl_intra_efficiency
-                if link is cluster.node.nvlink
-                else calib.nccl_inter_efficiency
-            )
-            hop = link.transfer_time(per_rank, efficiency=eff)
-        else:
-            hop = 0.0
-        t_comm_fwd = t_row + 2 * (r_deg - 1) * hop
-        t_comm_bwd = t_row + 4 * r_deg * hop
-    else:  # ulysses
-        per_rank = batch * (s_global // world) * cfg.hidden_size * ACT
-        t_comm = 4 * hierarchical_alltoall_latency(cluster, per_rank, calib=calib)
-        t_comm_fwd = t_comm_bwd = t_comm
-    fwd = t_lin + t_attn + t_comm_fwd
-    bwd = 2 * t_lin + 2.5 * t_attn + t_comm_bwd
+            if op == "ring_shift":
+                wire = c.payload
+            else:  # an all-gather's payload is its shard, a reduce-scatter's the sum
+                total = c.payload * c.group if op == "all_gather" else c.payload
+                wire = total * (c.group - 1) / c.group
+            t = span_latency(cluster, range(0, world, world // c.group), wire, calib=calib)
+        t_comm[direction].append(c.calls * t)
+    # fsum prices n equal calls at exactly n times one.
+    fwd = t_lin + t_attn + math.fsum(t_comm["forward"])
+    bwd = 2 * t_lin + 2.5 * t_attn + math.fsum(t_comm["backward"])
     return fwd, bwd
 
 

@@ -6,24 +6,31 @@ import pytest
 from repro.common.errors import ScheduleError
 from repro.common.units import parse_tokens
 from repro.hardware import make_cluster, paper_node_a100_80g
-from repro.models import GPT_6_7B, LLAMA_8B
+from repro.models import GPT_6_7B, GPT_13B, LLAMA_8B
 from repro.perfmodel import (
     FPDT_FULL,
     MEGATRON_SP,
     ULYSSES,
     StreamSimulator,
     Task,
-    alltoall_latency,
     attention_backward_latency,
     attention_forward_latency,
     fetch_latency,
+    hierarchical_alltoall_latency,
+    layer_comm_bytes,
     simulate_fpdt_layer,
     simulate_step_time,
 )
-from repro.perfmodel.latency import fpdt_chunk_bytes
+from repro.perfmodel.latency import span_latency
 
 NODE = paper_node_a100_80g()
 CLUSTER4 = make_cluster(NODE, 4)
+
+
+def qkv_chunk_bytes(chunk: int) -> int:
+    """One rank's q, k and v for one gathered LLaMA-8B chunk on 4 GPUs."""
+    cached = layer_comm_bytes(LLAMA_8B, FPDT_FULL.with_chunk_tokens(chunk), chunk, 4).chunk
+    return cached["q"] + cached["k"] + cached["v"]
 
 
 class TestLatencyModel:
@@ -55,7 +62,7 @@ class TestLatencyModel:
             )
 
         def fetch(c):
-            return fetch_latency(NODE, fpdt_chunk_bytes(LLAMA_8B, c, 4))
+            return fetch_latency(NODE, qkv_chunk_bytes(c))
 
         assert attn(parse_tokens("8K")) < fetch(parse_tokens("8K"))
         assert attn(parse_tokens("128K")) > fetch(parse_tokens("128K"))
@@ -74,7 +81,7 @@ class TestLatencyModel:
         dwarfed by attention compute there, so the simpler per-GPU
         strategy (no extra synchronization) is the right choice."""
         c = parse_tokens("512K")
-        big = fpdt_chunk_bytes(LLAMA_8B, c, 4)
+        big = qkv_chunk_bytes(c)
         per_gpu = fetch_latency(NODE, big, strategy="per-gpu")
         gs = fetch_latency(NODE, big, strategy="gather-scatter")
         assert per_gpu <= gs
@@ -89,11 +96,11 @@ class TestLatencyModel:
             fetch_latency(NODE, 100, strategy="magic")
 
     def test_alltoall_single_rank_is_free(self):
-        assert alltoall_latency(make_cluster(NODE, 1), 2**20) == 0.0
+        assert hierarchical_alltoall_latency(make_cluster(NODE, 1), 2**20) == 0.0
 
     def test_alltoall_internode_slower(self):
-        intra = alltoall_latency(make_cluster(NODE, 4), 2**24)
-        inter = alltoall_latency(make_cluster(NODE, 8), 2**24)
+        intra = hierarchical_alltoall_latency(make_cluster(NODE, 4), 2**24)
+        inter = hierarchical_alltoall_latency(make_cluster(NODE, 8), 2**24)
         assert inter > intra
 
 
@@ -181,7 +188,7 @@ class TestFPDTPipeline:
         """Cached K/V chunks move at ``num_kv_heads``: LLaMA-8B's 8 KV
         heads for 32 query heads fetch and offload K/V at 8/32 of the
         query-head bytes, while an MHA config is charged as before."""
-        from repro.perfmodel.latency import ACT, offload_latency
+        from repro.perfmodel.comm import ACT
         from repro.perfmodel.pipeline_sim import fpdt_backward_tasks, fpdt_forward_tasks
 
         chunk = parse_tokens("64K")
@@ -195,7 +202,7 @@ class TestFPDTPipeline:
         assert fetches and offloads
         assert {t.duration for t in fetches} == {fetch_latency(NODE, kv_bytes)}
         assert {t.duration for t in offloads} == {
-            offload_latency(NODE, q_bytes + kv_bytes)
+            fetch_latency(NODE, q_bytes + kv_bytes)
         }
 
 
@@ -224,26 +231,46 @@ class TestHierarchicalAlltoallLatency:
     def test_multi_node_beats_flat(self):
         """Node-aggregated staging moves less data over InfiniBand than a
         flat all-to-all, so the modeled time drops."""
-        from repro.perfmodel.latency import hierarchical_alltoall_latency
-
         cluster8 = make_cluster(NODE, 8)  # 2 nodes
         nbytes = 256 * 2**20
-        flat = alltoall_latency(cluster8, nbytes)
+        flat = span_latency(cluster8, range(8), nbytes * 7 / 8)
         hier = hierarchical_alltoall_latency(cluster8, nbytes)
         assert hier < flat
 
     def test_single_node_equals_flat(self):
-        from repro.perfmodel.latency import hierarchical_alltoall_latency
-
         cluster4 = make_cluster(NODE, 4)
         nbytes = 64 * 2**20
         assert hierarchical_alltoall_latency(cluster4, nbytes) == pytest.approx(
-            alltoall_latency(cluster4, nbytes)
+            span_latency(cluster4, range(4), nbytes * 3 / 4)
         )
 
     def test_single_rank_free(self):
-        from dataclasses import replace
-        from repro.perfmodel.latency import hierarchical_alltoall_latency
-
         cluster1 = make_cluster(NODE, 1)
         assert hierarchical_alltoall_latency(cluster1, 2**20) == 0.0
+
+
+@pytest.mark.parametrize("cfg", [LLAMA_8B, GPT_13B], ids=lambda c: c.name)
+def test_layer_bytes_scale_as_the_papers_state(cfg):
+    """One rank's payload bytes per layer follow the papers' scaling:
+    Ulysses' all-to-alls stay constant when ``s`` and P double together
+    (arXiv 2309.14509 §3), Megatron-SP's collectives grow with P at a
+    fixed ``s/P`` (arXiv 2104.04473), and FPDT's all-to-alls equal
+    Ulysses' for every chunk count (§4)."""
+    s_local = parse_tokens("32K")
+
+    def per_rank(strategy, world, op=None):
+        comm = layer_comm_bytes(cfg, strategy, s_local * world, world)
+        return sum(
+            c.payload * c.calls
+            for (_, o, _), c in comm.collectives.items()
+            if op in (None, o)
+        )
+
+    worlds = (2, 4, 8)
+    ulysses = [per_rank(ULYSSES, p, "all_to_all") for p in worlds]
+    assert ulysses[0] > 0 and len(set(ulysses)) == 1
+    megatron = [per_rank(MEGATRON_SP, p) for p in worlds]
+    assert megatron == sorted(set(megatron))  # strictly increasing
+    for u in (1, 2, 4, 8):
+        fpdt = FPDT_FULL.with_chunk_tokens(s_local * 8 // u)
+        assert per_rank(fpdt, 8, "all_to_all") == ulysses[-1]

@@ -46,11 +46,6 @@ class DoubleBufferPrefetcher:
         self.device = device
         self.depth = depth
         self._inflight: "OrderedDict[object, DeviceTensor]" = OrderedDict()
-        self.fetches_issued = 0
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._inflight)
 
     def prefetch(self, key: object) -> None:
         """Begin fetching ``key`` into the next free buffer.
@@ -68,7 +63,6 @@ class DoubleBufferPrefetcher:
             )
         tensor = self.cache.fetch(key, self.device, stream="h2d-prefetch")
         self._inflight[key] = tensor
-        self.fetches_issued += 1
 
     def wait(self, key: object) -> DeviceTensor:
         """Block until ``key``'s transfer completes and hand it over.
@@ -87,9 +81,3 @@ class DoubleBufferPrefetcher:
             "wait", f"wait:{key}", rank=self.device.rank, stream="compute"
         )
         return self._inflight.pop(key)
-
-    def drain(self) -> None:
-        """Free any unconsumed buffers (end of a pipeline, error paths)."""
-        for tensor in self._inflight.values():
-            tensor.free()
-        self._inflight.clear()

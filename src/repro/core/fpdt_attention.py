@@ -12,16 +12,25 @@ Forward, per sequence chunk ``i`` (of ``u`` chunks per rank):
    KV heads they read — and, thanks to the rank-ordinal shuffle,
    gathered chunk ``i`` is the ``i``-th contiguous global segment;
 3. one :class:`~repro.models.attention.AttentionFold` per rank folds
-   the cached chunks ``k̂_j, v̂_j (j < i)`` — fetched from host one at a
-   time through the double buffer — and the diagonal chunk into
-   ``q̂_i``'s running state;
-4. ``q̂_i, k̂_i, v̂_i`` are offloaded to host for the backward pass and
-   the normalized output chunk ``ô_i`` is all-to-all'd back.
+   the cached chunks ``k̂_j, v̂_j`` nearest first (``j = i-1`` down to
+   0), then the diagonal chunk, into ``q̂_i``'s running state.  Chunk
+   ``i-1`` is still on the device from the previous iteration; the
+   others are fetched from host one at a time through the double
+   buffer;
+4. ``q̂_i`` is offloaded to host for the backward pass, and ``k̂_i, v̂_i``
+   once query chunk ``i+1`` has folded them (at once for the last
+   chunk, or when chunk ``i+1`` cannot see chunk ``i``); the normalized
+   output chunk ``ô_i`` is all-to-all'd back.
 
 Backward is the Fig. 7 nested loop: the **outer** loop walks KV chunks
 ``j``, the **inner** loop walks query chunks ``i >= j``, and each block
 backward adds into the accumulators itself
-(:func:`~repro.models.attention.attention_block_backward`).  ``dk̂_j,
+(:func:`~repro.models.attention.attention_block_backward`).  The inner
+loop turns at every pass: it starts on its diagonal ``i = j``, then
+walks from the far end back to ``j+1``.  The pass ends on chunk
+``j+1``, the next pass's diagonal, so that ``q̂/dô`` pair stays on the
+device as pass ``j+1``'s first pair instead of going back to host and
+returning.  ``dk̂_j,
 dv̂_j`` accumulate on-device across the inner loop and are final when it
 ends; ``dq̂_i`` accumulates across outer iterations and is final at outer
 iteration ``j == i`` (its diagonal).  The paper keeps that accumulator
@@ -40,9 +49,18 @@ of query-head tensors, and the block kernels contract grouped heads.
 FLOPs follow query heads, so the FLOP hints and trace FLOPs do not
 depend on ``Hk``.
 
+Host traffic per rank and layer, for ``u`` chunks and no window: the
+forward fetches ``(u-1)(u-2)/2`` K/V pairs, the backward ``u`` K/V pairs
+and ``u(u+1)/2 - (u-1)`` q/do pairs; every chunk of q, k, v and do goes
+to host once.  The chunk held over a loop turn takes one of the double
+buffer's two slots, so a rank never holds more chunk buffers than the
+double buffer alone would; at ``prefetch_depth=1`` there is no second
+slot, nothing is held, and the turn chunk is fetched like the others.
+
 With ``offload=False`` the cached chunks simply stay in HBM ("FPDT w/
-chunking" in Fig. 11/12); the numerics are identical, only the pools
-tell the difference — which the tests assert.
+chunking" in Fig. 11/12).  Every mode folds in the same order, so the
+numerics are identical, only the pools and the trace tell the
+difference — which the tests assert.
 """
 
 from __future__ import annotations
@@ -137,6 +155,50 @@ class _ChunkStore:
         return self.ctx.device_qkv[(kind, rank, chunk)].data
 
 
+class _ChunkStream:
+    """One rank's walk over cached chunks in a given order, each chunk's
+    ``kinds`` tensors on the device when it is yielded.
+
+    ``held`` are ``order[0]``'s tensors when the rank still has them on
+    the device from the previous loop turn; every other chunk is fetched
+    from host, one :class:`DoubleBufferPrefetcher` per kind.  The first
+    fetch is issued on construction.  With ``depth >= 2`` the next fetch
+    is issued before the current chunk is consumed, so it overlaps the
+    attention compute (the paper's double buffer); the held chunk takes
+    one of the two buffers.  With depth 1 the next fetch starts only
+    after the caller has consumed the current chunk, serializing fetch
+    and compute — the ablation the profiler quantifies as exposed H2D
+    time.  The caller frees (or keeps, or offloads) each yielded chunk
+    before asking for the next.
+    """
+
+    def __init__(self, cache: ChunkCache, device, kinds, order, held, depth: int):
+        self.prefetchers = [DoubleBufferPrefetcher(cache, device, depth=depth) for _ in kinds]
+        self.keys = [[(kind, device.rank, j) for kind in kinds] for j in order]
+        self.order, self.held, self.ahead = order, held, depth >= 2
+        self.fetch = self.keys[1:] if held is not None else self.keys
+        self.issued = 0
+        if held is None:
+            self._issue()
+
+    def _issue(self) -> None:
+        if self.issued < len(self.fetch):
+            for pref, key in zip(self.prefetchers, self.fetch[self.issued]):
+                pref.prefetch(key)
+            self.issued += 1
+
+    def __iter__(self):
+        for pos, j in enumerate(self.order):
+            if self.ahead:
+                self._issue()
+            if pos == 0 and self.held is not None:
+                yield j, self.held
+            else:
+                yield j, [p.wait(key) for p, key in zip(self.prefetchers, self.keys[pos])]
+            if not self.ahead:
+                self._issue()
+
+
 def fpdt_attention_forward(
     cluster: VirtualCluster,
     layout: ChunkLayout,
@@ -182,6 +244,17 @@ def fpdt_attention_forward(
     )
     store = _ChunkStore(cluster, ctx)
     o_local: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
+    # With offload, chunk i's k̂/v̂ stay on the device until query chunk
+    # i+1 has folded them first: held[r] is that pair, or None.  The held
+    # pair takes one of the double buffer's two slots, so depth 1 (one
+    # slot) fetches chunk i-1 like any other.
+    held: list[tuple[DeviceTensor, DeviceTensor] | None] = [None] * world
+    reuse = offload and prefetch_depth >= 2
+
+    def sees(i: int, j: int) -> bool:
+        return block_is_visible(
+            big_c, big_c, layout.gathered_offset(i), layout.gathered_offset(j), window
+        )
 
     for i in range(u):
         # (1-2) chunk all-to-all: scatter heads, gather sequence.
@@ -194,67 +267,54 @@ def fpdt_attention_forward(
 
         q_off = layout.gathered_offset(i)
 
-        # (3) fold cached chunks j < i that the (window-)mask can see,
-        # double-buffered from host.  Invisible chunks are skipped
-        # entirely: no fetch, no compute.
-        visible = [
-            j for j in range(i)
-            if block_is_visible(big_c, big_c, q_off, layout.gathered_offset(j), window)
-        ]
-        # With depth >= 2 the next chunk's fetch is issued *before* the
-        # current chunk is consumed, so it overlaps the attention compute
-        # (the paper's double buffer).  With depth 1 there is only one
-        # buffer: the next fetch can start only after the current chunk's
-        # compute releases it, serializing fetch and compute — the
-        # ablation the profiler quantifies as exposed H2D time.
-        ahead = prefetch_depth >= 2
+        # (3) fold the cached chunks j < i that the (window-)mask can
+        # see, nearest first; invisible chunks are neither fetched nor
+        # computed.  Chunk i-1 is still on the device (held), the rest
+        # are fetched from host through the double buffer.
+        order = [j for j in range(i - 1, -1, -1) if sees(i, j)]
+        keep = reuse and i + 1 < u and sees(i + 1, i)
 
         # Rank-major fold: each rank's closure walks its entire visible
         # chunk sequence (fetches, online updates, diagonal, finalize,
         # offload) independently — the whole segment between the input
         # and output all-to-alls is one fork-join region.
-        def fwd_rank(r, i=i, q_off=q_off):
+        def fwd_rank(r, i=i, q_off=q_off, order=order, keep=keep):
             fold = AttentionFold(q_hat[r].data, q_offset=q_off, scale=scale, window=window)
             if offload:
-                pref_k = DoubleBufferPrefetcher(ctx.cache, cluster.devices[r], depth=prefetch_depth)
-                pref_v = DoubleBufferPrefetcher(ctx.cache, cluster.devices[r], depth=prefetch_depth)
-                if visible:
-                    pref_k.prefetch(("k", r, visible[0]))
-                    pref_v.prefetch(("v", r, visible[0]))
-            for idx, j in enumerate(visible):
-                if offload:
-                    if ahead and idx + 1 < len(visible):
-                        nxt = visible[idx + 1]
-                        pref_k.prefetch(("k", r, nxt))
-                        pref_v.prefetch(("v", r, nxt))
-                    k_t = pref_k.wait(("k", r, j))
-                    v_t = pref_v.wait(("v", r, j))
-                    k_arr, v_arr = k_t.data, v_t.data
-                else:
-                    k_arr = store.data("k", r, j)
-                    v_arr = store.data("v", r, j)
-                fold.update(k_arr, v_arr, layout.gathered_offset(j))
-                cluster.devices[r].compute("fpdt.attn_fwd", flops=block_flops)
-                if offload:
-                    k_t.free()
-                    v_t.free()
-                    if not ahead and idx + 1 < len(visible):
-                        nxt = visible[idx + 1]
-                        pref_k.prefetch(("k", r, nxt))
-                        pref_v.prefetch(("v", r, nxt))
+                pair, held[r] = held[r], None
+                chunks = _ChunkStream(
+                    ctx.cache, cluster.devices[r], ("k", "v"), order, pair, prefetch_depth
+                )
+                for j, (k_t, v_t) in chunks:
+                    fold.update(k_t.data, v_t.data, layout.gathered_offset(j))
+                    cluster.devices[r].compute("fpdt.attn_fwd", flops=block_flops)
+                    if pair is not None and j == i - 1:  # its last reader: offload it
+                        store.store("k", r, j, k_t)
+                        store.store("v", r, j, v_t)
+                    else:
+                        k_t.free()
+                        v_t.free()
+            else:
+                for j in order:
+                    fold.update(store.data("k", r, j), store.data("v", r, j), layout.gathered_offset(j))
+                    cluster.devices[r].compute("fpdt.attn_fwd", flops=block_flops)
             # diagonal chunk.
             fold.update(k_hat[r].data, v_hat[r].data, q_off)
             cluster.devices[r].compute("fpdt.attn_fwd", flops=block_flops / 2)
-            # (4) finalize, save.
+            # (4) finalize, save; k̂_i/v̂_i wait for query chunk i+1 when
+            # it can see them.
             o, lse = fold.finish()
             o_t = cluster.devices[r].from_numpy(o, ACT_DTYPE, "fpdt.o")
             store.store("q", r, i, q_hat[r])
-            store.store("k", r, i, k_hat[r])
-            store.store("v", r, i, v_hat[r])
+            if keep:
+                held[r] = (k_hat[r], v_hat[r])
+            else:
+                store.store("k", r, i, k_hat[r])
+                store.store("v", r, i, v_hat[r])
             return o_t, o, lse
 
         # One rank's work: every visible block plus half the diagonal.
-        flops = block_flops * (len(visible) + 0.5)
+        flops = block_flops * (len(order) + 0.5)
         o_dev = []
         for r, (o_t, o, lse) in enumerate(cluster.rank_map(fwd_rank, flops=flops)):
             ctx.o_hat[r][i] = o
@@ -307,9 +367,9 @@ def fpdt_attention_backward(
     store = _ChunkStore(cluster, ctx)
 
     # All-to-all every do chunk into the gathered layout once, compute its
-    # delta, and stage it in the same cache as q/k/v (it is re-fetched by
-    # every outer iteration j <= i).  The local do chunk is dropped once
-    # sent.
+    # delta, and stage it in the same cache as q/k/v (every outer
+    # iteration j <= i reads it, fetched back unless the previous pass
+    # left it on the device).  The local do chunk is dropped once sent.
     deltas: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
     for i in range(u):
         do_dev = as_device_tensors(
@@ -336,31 +396,41 @@ def fpdt_attention_backward(
     dk_local: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
     dv_local: list[list[np.ndarray]] = [[None] * u for _ in range(world)]
 
-    ahead = prefetch_depth >= 2  # see the forward: depth 1 cannot overlap
+    # The q̂/dô pair a pass ends on, chunk j+1, stays on the device as
+    # pass j+1's first pair: held[r] is that pair, or None (always at
+    # depth 1, as in the forward).
+    held: list[tuple[DeviceTensor, DeviceTensor] | None] = [None] * world
+    reuse = offload and prefetch_depth >= 2
     for j in range(u):  # outer loop: KV chunks
         k_off = layout.gathered_offset(j)
         visible_q = [
             i for i in range(j, u)
             if block_is_visible(big_c, big_c, layout.gathered_offset(i), k_off, window)
         ]
+        # Inner order: the diagonal (the pair the last pass ended on),
+        # then from the far end back to j+1, the next pass's diagonal.
+        order = visible_q[:1] + visible_q[:0:-1]
 
         # Rank-major fold over the whole inner loop: each rank's closure
         # walks its visible query chunks against KV chunk j and returns
         # the finalized (dq_j, dk_j, dv_j) device tensors for the
         # all-to-alls below.
-        def bwd_rank(r, j=j, k_off=k_off):
+        def bwd_rank(r, j=j, k_off=k_off, order=order):
             if offload:
-                pref_q = DoubleBufferPrefetcher(cache, cluster.devices[r], depth=prefetch_depth)
-                pref_do = DoubleBufferPrefetcher(cache, cluster.devices[r], depth=prefetch_depth)
                 pref_k = DoubleBufferPrefetcher(cache, cluster.devices[r], depth=prefetch_depth)
                 pref_v = DoubleBufferPrefetcher(cache, cluster.devices[r], depth=prefetch_depth)
                 pref_k.prefetch(("k", r, j))
                 pref_v.prefetch(("v", r, j))
-                if visible_q:
-                    pref_q.prefetch(("q", r, visible_q[0]))
-                    pref_do.prefetch(("do", r, visible_q[0]))
+                pairs = _ChunkStream(
+                    cache, cluster.devices[r], ("q", "do"), order, held[r], prefetch_depth
+                )
+                held[r] = None
                 k_cur = pref_k.wait(("k", r, j))
                 v_cur = pref_v.wait(("v", r, j))
+                k_arr, v_arr = k_cur.data, v_cur.data
+            else:
+                pairs = [(i, None) for i in order]
+                k_arr, v_arr = store.data("k", r, j), store.data("v", r, j)
 
             # float64 accumulators (accounted at activation width):
             # gradient accumulation runs at full precision like the
@@ -372,21 +442,11 @@ def fpdt_attention_backward(
                 np.zeros(kv_shape), ACT_DTYPE, "fpdt.dv_acc"
             )
 
-            for pos, i in enumerate(visible_q):  # inner loop: visible query chunks
+            for i, pair in pairs:  # inner loop: visible query chunks
                 if offload:
-                    if ahead and pos + 1 < len(visible_q):
-                        nxt = visible_q[pos + 1]
-                        pref_q.prefetch(("q", r, nxt))
-                        pref_do.prefetch(("do", r, nxt))
-                    q_t = pref_q.wait(("q", r, i))
-                    do_t = pref_do.wait(("do", r, i))
-                    q_arr, do_arr = q_t.data, do_t.data
-                    k_arr, v_arr = k_cur.data, v_cur.data
+                    q_arr, do_arr = pair[0].data, pair[1].data
                 else:
-                    q_arr = store.data("q", r, i)
-                    do_arr = store.data("do", r, i)
-                    k_arr = store.data("k", r, j)
-                    v_arr = store.data("v", r, j)
+                    q_arr, do_arr = store.data("q", r, i), store.data("do", r, i)
                 attention_block_backward(
                     q_arr, k_arr, v_arr, do_arr, ctx.lse[r][i], deltas[r][i],
                     dq_host[r][i], dk_acc.data, dv_acc.data,
@@ -397,17 +457,14 @@ def fpdt_attention_backward(
                     "fpdt.attn_bwd", flops=block_flops / (2 if i == j else 1)
                 )
                 if offload:
-                    q_t.free()
-                    do_t.free()
-                    if not ahead and pos + 1 < len(visible_q):
-                        nxt = visible_q[pos + 1]
-                        pref_q.prefetch(("q", r, nxt))
-                        pref_do.prefetch(("do", r, nxt))
+                    if reuse and i == j + 1:  # the pass's last pair: pass j+1's first
+                        held[r] = pair
+                    else:
+                        pair[0].free()
+                        pair[1].free()
             if offload:
                 k_cur.free()
                 v_cur.free()
-                pref_q.drain()
-                pref_do.drain()
 
             # dq_j, dk_j, dv_j are final for this rank, and outer
             # iteration j was the last reader of query chunk j's lse and

@@ -10,8 +10,9 @@ Semantics:
 
 * :meth:`store`   — device tensor -> host (D2H traffic, HBM freed).
 * :meth:`fetch`   — host -> device **copy** (H2D traffic, host copy kept:
-  forward KV chunks are re-fetched by every later query chunk, and again
-  in the backward).  Caller frees the device copy.
+  forward KV chunks are re-fetched by every later query chunk but the
+  next, which folds them before they are offloaded, and again in the
+  backward).  Caller frees the device copy.
 * :meth:`discard` — drop the host copy (end of backward).
 """
 

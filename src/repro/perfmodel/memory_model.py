@@ -28,6 +28,7 @@ from repro.common.dtypes import DType
 from repro.hardware.specs import NodeSpec, paper_node_a100_80g
 from repro.models.config import ModelConfig
 from repro.models.loss import suggested_loss_chunks
+from repro.perfmodel.comm import layer_comm_bytes
 from repro.perfmodel.strategies import TrainingStrategy
 
 ACT = DType.BF16.nbytes  # activation bytes
@@ -202,10 +203,10 @@ def estimate_memory(
         gathered = 2 * b * s_global * h * ACT  # all-gather out + recv buffer
         sliced = b * s_global * ACT * ((3 * h + 2 * f) // world + 8 * h // world)
         working = gathered + sliced
-        host_qkv = 0
+        host_chunks = 0
     elif strategy.parallelism == "ulysses":
         working = b * s_local * ACT * (ULYSSES_ATTN_WS * h + 2 * f)
-        host_qkv = 0
+        host_chunks = 0
     elif strategy.parallelism == "usp":
         # Per-rank attention volume equals Ulysses (seg * h/U == s_local
         # * h); the working-set multiplier drops the all-to-all
@@ -218,7 +219,7 @@ def estimate_memory(
             )
         ws_units = 8 + (6 if u_deg > 1 else 0) + (RING_TRAVEL_WS if r_deg > 1 else 0)
         working = b * s_local * ACT * (ws_units * h + 2 * f)
-        host_qkv = 0
+        host_chunks = 0
     else:  # fpdt
         u = strategy.num_chunks(s_global)
         chunk_global = min(s_global, strategy.chunk_tokens)  # gathered tokens
@@ -229,7 +230,10 @@ def estimate_memory(
         proj_ws = 3 * b * (s_local // u) * h * ACT
         ffn_ws = 2 * b * max(1, s_local // (2 * u)) * f * ACT
         working = attn_ws + proj_ws + ffn_ws
-        host_qkv = 3 * b * s_global * (h // world) * ACT if strategy.offload else 0
+        # The layer's host chunk cache at its fullest: every chunk's q, k,
+        # v (K/V in KV heads) from the forward and do from the backward.
+        chunk = layer_comm_bytes(cfg, strategy, s_global, world, batch=b).chunk
+        host_chunks = u * sum(chunk.values()) if strategy.offload else 0
 
     # --- loss head -------------------------------------------------------
     # Logits + their gradient at activation width (the fp32 softmax runs
@@ -250,7 +254,7 @@ def estimate_memory(
         CALIBRATION.runtime_overhead_hidden_multiple * b * s_local * h * ACT
     )
 
-    host_bytes = (host_ckpt + host_qkv + host_opt) * node.gpus_per_node
+    host_bytes = (host_ckpt + host_chunks + host_opt) * node.gpus_per_node
 
     return MemoryBreakdown(
         model_states=int(model_states),

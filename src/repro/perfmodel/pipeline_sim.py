@@ -49,12 +49,14 @@ from repro.perfmodel.strategies import FPDT_FULL, TrainingStrategy
 
 @dataclass(frozen=True)
 class Task:
-    """One stream operation: runs on ``resource`` after all ``deps``."""
+    """One stream operation: runs on ``resource`` after all ``deps``.
+    A host transfer ``moves`` one cached chunk of each named tensor."""
 
     task_id: str
     resource: str
     duration: float
     deps: tuple[str, ...] = ()
+    moves: tuple[str, ...] = ()
 
 
 @dataclass
@@ -145,10 +147,9 @@ def fpdt_forward_tasks(
     t_attn_full = attention_forward_latency(
         gpu, batch=batch, sq=chunk, sk=chunk, heads=heads_local, head_dim=d, calib=calib
     )
-    t_fetch_kv = fetch_latency(node, cached["k"] + cached["v"], calib=calib)
-    t_offload = fetch_latency(  # D2H pays the per-GPU fetch path's cost
-        node, cached["q"] + cached["k"] + cached["v"], calib=calib
-    )
+    # D2H pays the per-GPU fetch path's cost.
+    t_kv = fetch_latency(node, cached["k"] + cached["v"], calib=calib)
+    t_q = fetch_latency(node, cached["q"], calib=calib)
     # The q, k and v all-to-alls are priced as one fused exchange.
     t_a2a = hierarchical_alltoall_latency(
         cluster, a2a["q"] + a2a["k"] + a2a["v"], calib=calib
@@ -157,35 +158,45 @@ def fpdt_forward_tasks(
 
     window = cfg.attention_window
 
+    def sees(i: int, j: int) -> bool:
+        return block_is_visible(chunk, chunk, i * chunk, j * chunk, window)
+
+    def offload_kv(j: int, dep: str) -> Task:
+        return Task(f"offload_kv:{j}", "d2h", t_kv, (dep,), ("k", "v"))
+
+    # As the runtime: cached chunks fold nearest first, and chunk i-1's
+    # K/V stay on the device for query chunk i (with the double buffer,
+    # whose second slot holds them), offloaded after that reuse.
+    reuse = offload and double_buffer
     tasks: list[Task] = []
     for i in range(u):
         prev = (f"post:{i-1}",) if i else ()
         tasks.append(Task(f"proj:{i}", "compute", gemm_latency(gpu, qkv_flops), prev))
         tasks.append(Task(f"a2a:{i}", "comm", t_a2a, (f"proj:{i}",)))
-        visible = [
-            j for j in range(i)
-            if block_is_visible(chunk, chunk, i * chunk, j * chunk, window)
-        ]
-        if offload:
-            # Prefetch the cached KV chunks this query chunk can see
-            # (window-invisible chunks are never fetched).
-            for pos, j in enumerate(visible):
-                deps = [f"offload:{j}"]
-                if not double_buffer:
-                    # no overlap: fetch only when the previous block is done
-                    deps.append(f"attn:{i}:{visible[pos-1]}" if pos else f"a2a:{i}")
-                tasks.append(Task(f"fetch:{i}:{j}", "h2d", t_fetch_kv, tuple(deps)))
-        for pos, j in enumerate(visible):
+        order = [j for j in range(i - 1, -1, -1) if sees(i, j)]
+        held = reuse and i - 1 in order
+        for pos, j in enumerate(order):
             deps = [f"a2a:{i}"]
             if pos:
-                deps.append(f"attn:{i}:{visible[pos-1]}")
-            if offload:
+                deps.append(f"attn:{i}:{order[pos-1]}")
+            if offload and not (held and pos == 0):
+                # Prefetch a cached KV chunk this query chunk can see
+                # (window-invisible chunks are never fetched).
+                deps_f = [f"offload_kv:{j}"]
+                if not double_buffer:
+                    # no overlap: fetch only when the previous block is done
+                    deps_f.append(f"attn:{i}:{order[pos-1]}" if pos else f"a2a:{i}")
+                tasks.append(Task(f"fetch:{i}:{j}", "h2d", t_kv, tuple(deps_f), ("k", "v")))
                 deps.append(f"fetch:{i}:{j}")
             tasks.append(Task(f"attn:{i}:{j}", "compute", t_attn_full, tuple(deps)))
-        diag_deps = [f"a2a:{i}"] + ([f"attn:{i}:{visible[-1]}"] if visible else [])
+            if held and pos == 0:
+                tasks.append(offload_kv(j, f"attn:{i}:{j}"))
+        diag_deps = [f"a2a:{i}"] + ([f"attn:{i}:{order[-1]}"] if order else [])
         tasks.append(Task(f"attn:{i}:{i}", "compute", t_attn_full / 2, tuple(diag_deps)))
         if offload:
-            tasks.append(Task(f"offload:{i}", "d2h", t_offload, (f"attn:{i}:{i}",)))
+            tasks.append(Task(f"offload_q:{i}", "d2h", t_q, (f"attn:{i}:{i}",), ("q",)))
+            if not (reuse and i + 1 < u and sees(i + 1, i)):
+                tasks.append(offload_kv(i, f"attn:{i}:{i}"))
         tasks.append(Task(f"a2a_o:{i}", "comm", t_a2a_o, (f"attn:{i}:{i}",)))
         tasks.append(
             Task(f"post:{i}", "compute", gemm_latency(gpu, post_flops), (f"a2a_o:{i}",))
@@ -221,6 +232,7 @@ def fpdt_backward_tasks(
     )
     t_fetch = fetch_latency(node, cached["k"] + cached["v"], calib=calib)
     t_fetch_qdo = fetch_latency(node, cached["q"] + cached["do"], calib=calib)
+    t_offload_do = fetch_latency(node, cached["do"], calib=calib)
     t_a2a_do = hierarchical_alltoall_latency(cluster, a2a["do"], calib=calib)
     t_a2a_dqkv = math.fsum(
         hierarchical_alltoall_latency(cluster, a2a[t], calib=calib)
@@ -230,44 +242,56 @@ def fpdt_backward_tasks(
     window = cfg.attention_window
 
     tasks: list[Task] = []
-    # FFN + output-projection backward and the do all-to-alls, per chunk.
+    # FFN + output-projection backward, the do all-to-alls and (with
+    # offload) each do chunk's D2H, per chunk.
     for i in range(u):
         prev = (f"local_bwd:{i-1}",) if i else ()
         tasks.append(
             Task(f"local_bwd:{i}", "compute", gemm_latency(gpu, local_bwd_flops * 2 / 3), prev)
         )
         tasks.append(Task(f"a2a_do:{i}", "comm", t_a2a_do, (f"local_bwd:{i}",)))
+        if offload:
+            tasks.append(
+                Task(f"offload_do:{i}", "d2h", t_offload_do, (f"a2a_do:{i}",), ("do",))
+            )
 
+    # As the runtime: each pass starts on its diagonal and walks back
+    # from the far end to j+1, whose q/do pair stays on the device as
+    # the next pass's first (with the double buffer's second slot).
+    held = False
     for j in range(u):  # outer: KV chunks
         visible_q = [
             i for i in range(j, u)
             if block_is_visible(chunk, chunk, i * chunk, j * chunk, window)
         ]
+        order = visible_q[:1] + visible_q[:0:-1]
         if offload:
-            tasks.append(Task(f"fetch_kv:{j}", "h2d", t_fetch, ()))
-        for pos, i in enumerate(visible_q):  # inner: visible query chunks
-            if offload:
-                deps_f = []
-                if not double_buffer:
-                    deps_f.append(
-                        f"attn_bwd:{j}:{visible_q[pos-1]}" if pos else f"fetch_kv:{j}"
-                    )
-                tasks.append(
-                    Task(f"fetch_qdo:{j}:{i}", "h2d", t_fetch_qdo, tuple(deps_f))
-                )
+            tasks.append(Task(f"fetch_kv:{j}", "h2d", t_fetch, (), ("k", "v")))
+        for pos, i in enumerate(order):  # inner: visible query chunks
             deps = [f"a2a_do:{i}"]
             if offload:
-                deps += [f"fetch_kv:{j}", f"fetch_qdo:{j}:{i}"]
+                deps.append(f"fetch_kv:{j}")
+            if offload and not (held and pos == 0):
+                deps_f = [f"offload_do:{i}"]
+                if not double_buffer:
+                    deps_f.append(
+                        f"attn_bwd:{j}:{order[pos-1]}" if pos else f"fetch_kv:{j}"
+                    )
+                tasks.append(
+                    Task(f"fetch_qdo:{j}:{i}", "h2d", t_fetch_qdo, tuple(deps_f), ("q", "do"))
+                )
+                deps.append(f"fetch_qdo:{j}:{i}")
             if pos:
-                deps.append(f"attn_bwd:{j}:{visible_q[pos-1]}")
+                deps.append(f"attn_bwd:{j}:{order[pos-1]}")
             elif j > 0:
                 deps.append(f"proj_bwd:{j-1}")
             dur = t_attn_bwd / 2 if i == j else t_attn_bwd
             tasks.append(Task(f"attn_bwd:{j}:{i}", "compute", dur, tuple(deps)))
+        held = offload and double_buffer and order[-1] == j + 1
         tasks.append(
             Task(
                 f"a2a_dqkv:{j}", "comm", t_a2a_dqkv,
-                (f"attn_bwd:{j}:{visible_q[-1]}",),
+                (f"attn_bwd:{j}:{order[-1]}",),
             )
         )
         tasks.append(

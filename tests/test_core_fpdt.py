@@ -6,6 +6,9 @@ chunking shrinks the attention working set, offloading shrinks it to one
 chunk, FPDT-with-offload beats plain Ulysses.
 """
 
+import ast
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +21,10 @@ from repro.core import (
 )
 from repro.core.chunking import shard_sequence, unshard_sequence
 from repro.models import TransformerBlock, tiny_gpt, tiny_llama
+from repro.models.attention import block_is_visible
 from repro.parallel import seq_parallel_mesh, usp_block_forward
 from repro.runtime import VirtualCluster
+from repro.runtime.executor import executor
 
 from .helpers import rng
 
@@ -38,13 +43,16 @@ def _make_case(cfg, seed=0, b=1, s_local=8):
     return block, x, dy, y_ref, dx_ref
 
 
-def _run_fpdt(block, cfg, x, dy, num_chunks, *, offload=True, world=WORLD):
+def _run_fpdt(
+    block, cfg, x, dy, num_chunks, *, offload=True, world=WORLD, prefetch_depth=2
+):
     layout = ChunkLayout(x.shape[1], world, num_chunks)
     cluster = VirtualCluster(world)
     x_shards = shard_sequence(x, layout)
     dy_shards = shard_sequence(dy, layout)
     y_shards, ctx = fpdt_block_forward(
-        cluster, block.params, cfg, layout, x_shards, offload=offload
+        cluster, block.params, cfg, layout, x_shards, offload=offload,
+        prefetch_depth=prefetch_depth,
     )
     dx_shards, grads = fpdt_block_backward(cluster, cfg, ctx, dy_shards)
     y = unshard_sequence(y_shards, layout)
@@ -83,17 +91,28 @@ class TestFPDTBlockEquivalence:
         np.testing.assert_allclose(y, y_ref, **TOL)
         np.testing.assert_allclose(dx, dx_ref, **TOL)
 
-    def test_offload_and_no_offload_bitwise_identical(self):
-        """Offloading is pure data movement: results must be *exactly*
-        equal, not merely close."""
-        cfg = tiny_gpt(hidden_size=32, num_heads=4)
+    @pytest.mark.parametrize("cfg_factory", CONFIGS)
+    def test_every_mode_and_executor_bitwise_identical(
+        self, cfg_factory, every_section_threaded
+    ):
+        """Offloading is pure data movement, and offload, no offload and
+        prefetch depth 1 fold in one order (nearest-first forward,
+        turning backward): at u = 4 they give *exactly* the same outputs
+        and gradients, not merely close, serially and on four threads."""
+        cfg = cfg_factory()
         block, x, dy, *_ = _make_case(cfg, seed=5)
-        y1, dx1, g1, _ = _run_fpdt(block, cfg, x, dy, 4, offload=True)
-        y2, dx2, g2, _ = _run_fpdt(block, cfg, x, dy, 4, offload=False)
-        np.testing.assert_array_equal(y1, y2)
-        np.testing.assert_array_equal(dx1, dx2)
-        for name in g1:
-            np.testing.assert_array_equal(g1[name], g2[name])
+        runs = []
+        for workers in (1, 4):
+            with executor(workers=workers):
+                for kw in ({}, {"offload": False}, {"prefetch_depth": 1}):
+                    runs.append(_run_fpdt(block, cfg, x, dy, 4, **kw)[:3])
+        y0, dx0, g0 = runs[0]
+        for y, dx, g in runs[1:]:
+            np.testing.assert_array_equal(y, y0)
+            np.testing.assert_array_equal(dx, dx0)
+            assert set(g) == set(g0)
+            for name in g0:
+                np.testing.assert_array_equal(g[name], g0[name], err_msg=name)
 
     def test_chunk_count_does_not_change_results(self):
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
@@ -181,6 +200,31 @@ class TestFPDTMemoryClaims:
         assert d2h > 0
         assert h2d >= d2h  # KV chunks are re-fetched many times
 
+    @pytest.mark.parametrize(
+        "cfg_factory,parent_peak",
+        [
+            (lambda: tiny_gpt(hidden_size=32, num_heads=4), 2048),
+            (lambda: tiny_llama(hidden_size=64, num_heads=8, num_kv_heads=2), 3072),
+        ],
+        ids=["mha", "gqa8-2"],
+    )
+    def test_turn_reuse_keeps_the_peak(self, cfg_factory, parent_peak):
+        """The chunk held over a loop turn takes a double-buffer slot: a
+        block forward + backward at u = 4 peaks where it did when every
+        turn refetched.  The peak is the backward's inner loop: k̂_j,
+        v̂_j, the dk/dv accumulators and two q̂/dô pairs, 2,048 B at MHA
+        (8 tensors of 256 B) and 3,072 B at GQA 8/2 (4 x 512 B + 4 x
+        256 B)."""
+        cfg = cfg_factory()
+        block, x, dy, *_ = _make_case(cfg, s_local=16)
+        _, _, _, cluster = _run_fpdt(block, cfg, x, dy, 4)
+        big_c = x.shape[1] // 4
+        q_hat = big_c * (cfg.num_heads // WORLD) * cfg.head_dim * 2
+        kv_heads = max(cfg.num_kv_heads, WORLD)  # lcm with world 4 here
+        kv_hat = big_c * (kv_heads // WORLD) * cfg.head_dim * 2
+        assert 4 * q_hat + 4 * kv_hat == parent_peak
+        assert [d.hbm.peak for d in cluster.devices] == [parent_peak] * WORLD
+
     def test_host_pool_empty_after_backward(self):
         cfg = tiny_gpt(hidden_size=32, num_heads=4)
         block, x, dy, *_ = _make_case(cfg)
@@ -211,10 +255,14 @@ class TestFPDTKVTraffic:
         q_hat = big_c * (heads // WORLD) * cfg.head_dim * 2
         kv_hat = big_c * (wire_kv_heads // WORLD) * cfg.head_dim * 2
         # Offload: q, k, v in the forward and do in the backward, once
-        # each.  Fetch: forward chunk i reads k/v of chunks j < i; the
-        # backward's outer j reads k/v_j once, its inner i >= j q_i, do_i.
+        # each.  Fetch: forward chunk i reads k/v of chunks j < i - 1
+        # (chunk i-1 is still on the device), (u-1)(u-2)/2 pairs; the
+        # backward's outer j reads k/v_j once, its inner i >= j q_i, do_i
+        # except the pair held over from pass j-1, u(u+1)/2 - (u-1).
         d2h = u * (2 * q_hat + 2 * kv_hat)
-        h2d = (u * (u - 1) // 2 + u) * 2 * kv_hat + u * (u + 1) // 2 * 2 * q_hat
+        h2d = ((u - 1) * (u - 2) // 2 + u) * 2 * kv_hat + (
+            u * (u + 1) // 2 - (u - 1)
+        ) * 2 * q_hat
         assert cluster.trace.total_bytes("d2h") == WORLD * d2h
         assert cluster.trace.total_bytes("h2d") == WORLD * h2d
         # One all-to-all per chunk and tensor; each rank keeps 1/WORLD.
@@ -227,6 +275,41 @@ class TestFPDTKVTraffic:
             ]
             assert len(events) == u, tag
             assert sum(e.nbytes for e in events) == u * nbytes * (WORLD - 1) // WORLD, tag
+
+    def test_window_fetches_the_visible_chunks_minus_each_turn(self):
+        """Sliding window 10 over 8 chunks of 4 tokens: each query chunk
+        sees three earlier chunks.  Rank 0 fetches exactly the K/V
+        chunks its query chunks can see, less chunk i-1 (still on the
+        device), and the q/do chunks each backward pass can see, less
+        the pass's diagonal when the previous pass ended on it."""
+        u = 8
+        cfg = tiny_gpt(hidden_size=32, num_heads=4).scaled(attention_window=10)
+        block, x, dy, y_ref, dx_ref = _make_case(cfg)
+        y, dx, _, cluster = _run_fpdt(block, cfg, x, dy, u)
+        np.testing.assert_allclose(y, y_ref, **TOL)
+        np.testing.assert_allclose(dx, dx_ref, **TOL)
+
+        big_c = x.shape[1] // u
+
+        def sees(i, j):  # query chunk i, key chunk j
+            return block_is_visible(big_c, big_c, i * big_c, j * big_c, 10)
+
+        expected = Counter()
+        for i in range(u):
+            for j in range(i - 1):
+                if sees(i, j):
+                    expected.update([("k", j), ("v", j)])
+        for j in range(u):
+            expected.update([("k", j), ("v", j)])
+            for i in range(j, u):
+                held = i == j and j > 0 and sees(j, j - 1)
+                if sees(i, j) and not held:
+                    expected.update([("q", i), ("do", i)])
+        fetched = Counter(
+            ast.literal_eval(e.label.split(":", 1)[1])[::2]
+            for e in cluster.trace.filter(kind="h2d") if e.rank == 0
+        )
+        assert fetched == expected
 
 
 class TestFPDTTraceStructure:

@@ -151,7 +151,8 @@ class TestDoubleBufferPrefetcher:
         pf.prefetch("b")
         with pytest.raises(ScheduleError, match="full"):
             pf.prefetch("c")
-        pf.drain()
+        pf.wait("a").free()
+        pf.wait("b").free()
 
     def test_duplicate_prefetch_is_schedule_error(self):
         cluster = VirtualCluster(1)
@@ -161,7 +162,7 @@ class TestDoubleBufferPrefetcher:
         pf.prefetch("a")
         with pytest.raises(ScheduleError, match="in flight"):
             pf.prefetch("a")
-        pf.drain()
+        pf.wait("a").free()
 
     def test_prefetch_stream_tagged_for_overlap(self):
         """Prefetch H2D events carry the dedicated stream label the
@@ -179,16 +180,3 @@ class TestDoubleBufferPrefetcher:
         cluster = VirtualCluster(1)
         with pytest.raises(ValueError):
             DoubleBufferPrefetcher(ChunkCache(cluster), cluster.devices[0], depth=0)
-
-    def test_drain_frees_inflight(self):
-        cluster = VirtualCluster(1)
-        dev = cluster.devices[0]
-        cache = self._cache_with(cluster, dev, ["a", "b"])
-        pf = DoubleBufferPrefetcher(cache, dev, depth=2)
-        pf.prefetch("a")
-        pf.prefetch("b")
-        pf.drain()
-        assert pf.in_flight == 0
-        cache.discard("a")
-        cache.discard("b")
-        cluster.check_no_leaks()

@@ -7,7 +7,8 @@ wire bytes, in exactly the calls, that
 :func:`repro.perfmodel.layer_comm_bytes` states.  Payload turns into
 wire bytes by the rule each collective applies when it records its
 event (``collectives._wire_bytes``).  FPDT's offloads and fetches must
-move exactly the model's cached-chunk sizes.
+move exactly the model's cached-chunk sizes, and the pipeline
+simulator's host transfers must be the trace's, chunk for chunk.
 """
 
 import ast
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.fpdt_model import FPDTModelRunner
+from repro.hardware import make_cluster, paper_node_a100_80g
 from repro.models import GPTModel
 from repro.models.config import tiny_gpt, tiny_llama
 from repro.parallel.megatron_model import MegatronModelRunner
@@ -29,6 +31,7 @@ from repro.perfmodel import (
     layer_comm_bytes,
     usp_strategy,
 )
+from repro.perfmodel.pipeline_sim import fpdt_backward_tasks, fpdt_forward_tasks
 from repro.runtime.collectives import _wire_bytes
 from repro.runtime.device import VirtualCluster
 
@@ -136,3 +139,45 @@ def test_trace_bytes_equal_layer_comm_bytes(cfg, strategy, world):
             assert nbytes == comm.chunk[tensor], (direction, kind, tensor)
         offloads = strategy.is_fpdt and strategy.offload
         assert bool(transfers) == offloads, direction
+
+
+@pytest.mark.parametrize("u", [1, 2, 4, 8])
+@pytest.mark.parametrize("name", ["mha", "gqa8-2"])
+def test_pipeline_host_transfers_equal_the_trace(name, u):
+    """One FPDT layer with offload: per direction, the H2D and D2H tasks
+    of ``pipeline_sim`` move each cached tensor as many times, and as
+    many bytes, as rank 0's trace events do (K/V reused at the forward's
+    turn, q/do at the backward's, ``do`` offloaded per chunk)."""
+    cfg, world = CONFIGS[name], 4
+    s_global = S_LOCAL * world
+    model = GPTModel(cfg)
+    cluster = VirtualCluster(world)
+    runner = FPDTModelRunner(model, cluster, num_chunks=u)
+    x = np.random.default_rng(0).normal(size=(1, s_global, cfg.hidden_size))
+    events = cluster.trace.events
+    y, ctx = runner.block_forward(model.blocks[0], np.split(x, world, axis=1))
+    n_forward = len(events)
+    runner.block_backward(model.blocks[0], ctx, [np.ones(t.shape) for t in y])
+
+    def traced(evs):
+        moved = {}
+        for e in evs:
+            if e.kind in ("h2d", "d2h") and e.rank == 0:
+                key = (e.kind, ast.literal_eval(e.label.split(":", 1)[1])[0])
+                calls, nbytes = moved.get(key, (0, 0))
+                moved[key] = (calls + 1, nbytes + e.nbytes)
+        return moved
+
+    strategy = FPDT_FULL.with_chunk_tokens(s_global // u)
+    chunk = layer_comm_bytes(cfg, strategy, s_global, world).chunk
+    spec = make_cluster(paper_node_a100_80g(), world)
+    for direction, tasks_of, evs in (
+        ("forward", fpdt_forward_tasks, events[:n_forward]),
+        ("backward", fpdt_backward_tasks, events[n_forward:]),
+    ):
+        modelled = {}
+        for task in tasks_of(cfg, spec, s_global, strategy.chunk_tokens):
+            for tensor in task.moves:
+                calls, nbytes = modelled.get((task.resource, tensor), (0, 0))
+                modelled[task.resource, tensor] = (calls + 1, nbytes + chunk[tensor])
+        assert modelled == traced(evs), direction

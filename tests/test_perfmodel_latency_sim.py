@@ -198,11 +198,12 @@ class TestFPDTPipeline:
         bwd = fpdt_backward_tasks(cfg, CLUSTER4, self.S, chunk)
         fetches = [t for t in fwd if t.task_id.startswith("fetch:")]
         fetches += [t for t in bwd if t.task_id.startswith("fetch_kv:")]
-        offloads = [t for t in fwd if t.task_id.startswith("offload:")]
-        assert fetches and offloads
+        offloads = {(t.task_id.split(":")[0], t.duration) for t in fwd if t.resource == "d2h"}
+        assert fetches
         assert {t.duration for t in fetches} == {fetch_latency(NODE, kv_bytes)}
-        assert {t.duration for t in offloads} == {
-            fetch_latency(NODE, q_bytes + kv_bytes)
+        assert offloads == {
+            ("offload_q", fetch_latency(NODE, q_bytes)),
+            ("offload_kv", fetch_latency(NODE, kv_bytes)),
         }
 
 
